@@ -19,6 +19,8 @@ DiskSpaceAllocator::DiskSpaceAllocator(std::vector<BlockCount> per_disk_capacity
     free_per_disk_.push_back(cap);
     capacity_ += cap;
   }
+  hole_cursors_.resize(free_lists_.size());
+  open_runs_.resize(free_lists_.size());
 }
 
 DiskSpaceAllocator::DiskSpaceAllocator(int disk_count, const ExtentList& region,
@@ -28,34 +30,14 @@ DiskSpaceAllocator::DiskSpaceAllocator(int disk_count, const ExtentList& region,
   TERTIO_CHECK(stripe_unit > 0, "stripe unit must be positive");
   free_lists_.resize(static_cast<size_t>(disk_count));
   free_per_disk_.assign(static_cast<size_t>(disk_count), 0);
-  for (const Extent& extent : region) {
-    TERTIO_CHECK(extent.disk >= 0 && extent.disk < disk_count,
-                 "region extent names a disk outside the group");
-    FreeOn(extent);  // coalesces adjacent carve pieces back together
-    capacity_ += extent.count;
-  }
+  hole_cursors_.resize(static_cast<size_t>(disk_count));
+  open_runs_.resize(static_cast<size_t>(disk_count));
+  capacity_ = TotalBlocks(region);
+  FreeRuns(region);  // coalesces adjacent carve pieces back together
 }
 
 BlockCount DiskSpaceAllocator::FreeBlocksOn(int disk) const {
   return free_per_disk_[static_cast<size_t>(disk)];
-}
-
-Result<Extent> DiskSpaceAllocator::AllocateOn(int disk, BlockCount max_count) {
-  FreeList& list = free_lists_[static_cast<size_t>(disk)];
-  if (list.empty()) {
-    return Status::ResourceExhausted(StrFormat("disk %d has no free space", disk));
-  }
-  // First fit: prefer the lowest-addressed hole (keeps data packed and
-  // sequential requests adjacent).
-  auto it = list.begin();
-  BlockCount take = std::min(max_count, it->second);
-  Extent extent{disk, it->first, take};
-  BlockIndex new_start = it->first + take;
-  BlockCount remaining = it->second - take;
-  list.erase(it);
-  if (remaining > 0) list.emplace(new_start, remaining);
-  free_per_disk_[static_cast<size_t>(disk)] -= take;
-  return extent;
 }
 
 Result<ExtentList> DiskSpaceAllocator::Allocate(BlockCount count, SimSeconds now,
@@ -77,6 +59,14 @@ Result<ExtentList> DiskSpaceAllocator::Allocate(BlockCount count, SimSeconds now
                   static_cast<unsigned long long>(available.value()), tag.c_str()));
   }
 
+  // Plan the round-robin stripe walk against per-disk cursors into the free
+  // lists, first fit (each disk hands out its lowest-addressed hole first,
+  // keeping data packed and sequential requests adjacent). The lists are
+  // edited once per touched hole after the walk.
+  for (int d = 0; d < n; ++d) {
+    auto i = static_cast<size_t>(d);
+    hole_cursors_[i] = HoleCursor{free_lists_[i].begin(), 0, free_per_disk_[i]};
+  }
   ExtentList extents;
   BlockCount remaining = count;
   int guard = 0;
@@ -84,43 +74,95 @@ Result<ExtentList> DiskSpaceAllocator::Allocate(BlockCount count, SimSeconds now
     TERTIO_CHECK(guard++ < 1'000'000, "allocator failed to converge");
     int disk = rr_cursor_;
     rr_cursor_ = (rr_cursor_ + 1) % n;
-    if (!enabled(disk) || free_per_disk_[static_cast<size_t>(disk)] == 0) continue;
-    BlockCount want = std::min(remaining, stripe_unit_);
-    auto extent = AllocateOn(disk, want);
-    if (!extent.ok()) continue;
-    remaining -= extent->count;
-    // Coalesce with the previous extent when contiguous on the same disk.
-    if (!extents.empty() && extents.back().disk == extent->disk &&
-        extents.back().start + extents.back().count == extent->start) {
-      extents.back().count += extent->count;
-    } else {
-      extents.push_back(*extent);
+    HoleCursor& cursor = hole_cursors_[static_cast<size_t>(disk)];
+    if (!enabled(disk) || cursor.left == 0) continue;
+    BlockCount take = std::min({remaining, stripe_unit_, cursor.hole->second - cursor.taken});
+    Extent extent{disk, cursor.hole->first + cursor.taken, take};
+    cursor.taken += take;
+    cursor.left -= take;
+    remaining -= take;
+    if (cursor.taken == cursor.hole->second) {
+      ++cursor.hole;
+      cursor.taken = 0;
     }
+    // Coalesce with the previous extent when contiguous on the same disk.
+    if (!extents.empty() && extents.back().disk == extent.disk &&
+        extents.back().start + extents.back().count == extent.start) {
+      extents.back().count += extent.count;
+    } else {
+      extents.push_back(extent);
+    }
+  }
+  for (int d = 0; d < n; ++d) {
+    auto i = static_cast<size_t>(d);
+    HoleCursor& cursor = hole_cursors_[i];
+    if (cursor.left == free_per_disk_[i]) continue;
+    FreeList& list = free_lists_[i];
+    list.erase(list.begin(), cursor.hole);
+    if (cursor.taken > 0) {
+      // The partly used hole keeps its node; only its key moves up.
+      auto node = list.extract(cursor.hole);
+      node.key() += cursor.taken;
+      node.mapped() -= cursor.taken;
+      list.insert(list.begin(), std::move(node));
+    }
+    free_per_disk_[i] = cursor.left;
   }
   used_ += count;
   Record(now, static_cast<std::int64_t>(count.value()), tag);
   return extents;
 }
 
-void DiskSpaceAllocator::FreeOn(const Extent& extent) {
-  FreeList& list = free_lists_[static_cast<size_t>(extent.disk)];
-  auto [it, inserted] = list.emplace(extent.start, extent.count);
-  TERTIO_CHECK(inserted, "double free of disk extent");
-  // Merge with successor.
-  auto next = std::next(it);
-  if (next != list.end() && it->first + it->second == next->first) {
-    it->second += next->second;
-    list.erase(next);
+void DiskSpaceAllocator::FreeRun(const Extent& run) {
+  FreeList& list = free_lists_[static_cast<size_t>(run.disk)];
+  const BlockIndex end = run.start + run.count;
+  auto next = list.lower_bound(run.start);
+  auto prev = next == list.begin() ? list.end() : std::prev(next);
+  TERTIO_CHECK(next == list.end() || end <= next->first, "double free of disk extent");
+  TERTIO_CHECK(prev == list.end() || prev->first + prev->second <= run.start,
+               "double free of disk extent");
+  const bool join_prev = prev != list.end() && prev->first + prev->second == run.start;
+  const bool join_next = next != list.end() && next->first == end;
+  if (join_prev) {
+    prev->second += run.count;
+    if (join_next) {
+      prev->second += next->second;
+      list.erase(next);
+    }
+  } else if (join_next) {
+    // The successor hole grows downward: re-key its node in place.
+    auto after = std::next(next);
+    auto node = list.extract(next);
+    node.key() = run.start;
+    node.mapped() += run.count;
+    list.insert(after, std::move(node));
+  } else {
+    list.emplace_hint(next, run.start, run.count);
   }
-  // Merge with predecessor.
-  if (it != list.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second == it->first) {
-      prev->second += it->second;
-      list.erase(it);
+  free_per_disk_[static_cast<size_t>(run.disk)] += run.count;
+}
+
+void DiskSpaceAllocator::FreeRuns(const ExtentList& extents) {
+  // One open run per disk, extended while the list keeps adding adjacent
+  // pieces to it (a striped allocation alternates disks, so its pieces on
+  // any one disk are usually back to back). The coalesced free map does not
+  // depend on how the blocks are grouped, only on which blocks are freed.
+  const int n = static_cast<int>(free_lists_.size());
+  for (Extent& run : open_runs_) run.count = 0;
+  for (const Extent& piece : extents) {
+    TERTIO_CHECK(piece.disk >= 0 && piece.disk < n, "extent names a disk outside the group");
+    if (piece.count == 0) continue;
+    Extent& run = open_runs_[static_cast<size_t>(piece.disk)];
+    if (run.count > 0 && run.start + run.count == piece.start) {
+      run.count += piece.count;
+    } else {
+      if (run.count > 0) FreeRun(run);
+      run = piece;
     }
   }
-  free_per_disk_[static_cast<size_t>(extent.disk)] += extent.count;
+  for (const Extent& run : open_runs_) {
+    if (run.count > 0) FreeRun(run);
+  }
 }
 
 Status DiskSpaceAllocator::Free(const ExtentList& extents, SimSeconds now,
@@ -135,7 +177,7 @@ Status DiskSpaceAllocator::Free(const ExtentList& extents, SimSeconds now,
     }
     return Status::Internal("freeing more blocks than are allocated");
   }
-  for (const Extent& extent : extents) FreeOn(extent);
+  FreeRuns(extents);
   used_ -= total;
   Record(now, -static_cast<std::int64_t>(total.value()), tag);
   return Status::OK();

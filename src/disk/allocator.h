@@ -59,7 +59,9 @@ class DiskSpaceAllocator {
   Result<ExtentList> Allocate(BlockCount count, SimSeconds now, const std::string& tag,
                               const std::vector<bool>& disk_mask = {});
 
-  /// Returns `extents` to the free lists.
+  /// Returns `extents` to the free lists. Freeing a block that is already
+  /// free (any overlap with a free hole or with another extent of the same
+  /// call) is a double free and aborts the process.
   Status Free(const ExtentList& extents, SimSeconds now, const std::string& tag);
 
   BlockCount used_blocks() const { return used_; }
@@ -83,12 +85,26 @@ class DiskSpaceAllocator {
   // start -> length, non-overlapping, coalesced.
   using FreeList = std::map<BlockIndex, BlockCount>;
 
-  Result<Extent> AllocateOn(int disk, BlockCount max_count);
-  void FreeOn(const Extent& extent);
+  /// Allocate's planning position on one disk: `taken` blocks of `hole`
+  /// are already handed out, `left` blocks of the disk remain free.
+  struct HoleCursor {
+    FreeList::iterator hole;
+    BlockCount taken = 0;
+    BlockCount left = 0;
+  };
+
+  /// Frees `extents`, first merging each disk's pieces into contiguous runs
+  /// so the free map is edited once per run rather than once per piece.
+  void FreeRuns(const ExtentList& extents);
+  /// Returns one run to its disk's free list, coalescing with neighbours.
+  void FreeRun(const Extent& run);
   void Record(SimSeconds now, std::int64_t delta, const std::string& tag);
 
   std::vector<FreeList> free_lists_;
   std::vector<BlockCount> free_per_disk_;
+  /// Per-disk scratch of Allocate and Free, sized once to the disk count.
+  std::vector<HoleCursor> hole_cursors_;
+  std::vector<Extent> open_runs_;
   BlockCount stripe_unit_;
   BlockCount capacity_ = 0;
   BlockCount used_ = 0;

@@ -3,6 +3,7 @@
 /// \file extent.h
 /// A contiguous run of blocks on one disk of a striped group.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -30,10 +31,50 @@ inline BlockCount TotalBlocks(const ExtentList& extents) {
   return total;
 }
 
+/// Forward cursor over the logical block sequence an ExtentList describes.
+/// It remembers the extent its last slice ended in, so a run of ascending
+/// slices (a transfer's chunks) costs time proportional to the extents it
+/// returns rather than to the offset; a slice starting before that extent
+/// restarts from the head. The list must outlive the cursor and may only
+/// grow at the back (a partitioner appending flushes to a bucket) while the
+/// cursor is bound to it.
+class ExtentCursor {
+ public:
+  explicit ExtentCursor(const ExtentList* extents = nullptr) : extents_(extents) {}
+
+  /// Binds the cursor to `extents` and rewinds it to logical block 0.
+  void Reset(const ExtentList* extents) {
+    extents_ = extents;
+    index_ = 0;
+    base_ = 0;
+  }
+  const ExtentList* extents() const { return extents_; }
+
+  /// Moves to the extent holding logical block `offset` (rewinding first
+  /// when `offset` lies before the current extent). \returns its index, or
+  /// the list size when `offset` is at or past the end; base() is then the
+  /// logical block at which that extent starts.
+  std::size_t Seek(BlockCount offset);
+  BlockCount base() const { return base_; }
+
+  /// Writes the sub-range of the list covering blocks [offset,
+  /// offset + count) into `out` (cleared first; its capacity is reused).
+  /// \returns InvalidArgument when the range extends past the sequence;
+  /// a zero-count slice is empty at any offset.
+  Status Slice(BlockCount offset, BlockCount count, ExtentList* out);
+
+ private:
+  const ExtentList* extents_;
+  /// Extent the cursor rests on, and the logical block at which it starts.
+  std::size_t index_ = 0;
+  BlockCount base_ = 0;
+};
+
 /// \returns the sub-range of `extents` covering blocks
 /// [offset, offset + count) of the logical sequence they describe, or
 /// InvalidArgument when the requested range extends past the sequence —
-/// callers degrade gracefully instead of crashing the process.
+/// callers degrade gracefully instead of crashing the process. One-shot
+/// convenience over ExtentCursor::Slice; per-chunk callers keep a cursor.
 Result<ExtentList> SliceExtents(const ExtentList& extents, BlockCount offset, BlockCount count);
 
 }  // namespace tertio::disk

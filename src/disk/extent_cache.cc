@@ -52,6 +52,8 @@ Status ExtentCache::EvictUntil(BlockCount needed, SimSeconds now) {
     }
     BlockCount blocks = TotalBlocks(victim->second.extents);
     TERTIO_RETURN_IF_ERROR(alloc.Free(victim->second.extents, now, "cache:evict"));
+    // A later entry may reuse the victim's node address.
+    if (read_cursor_.extents() == &victim->second.extents) read_cursor_.Reset(nullptr);
     resident_ -= std::min(resident_, blocks);
     ++stats_.evictions;
     stats_.blocks_evicted += blocks;
@@ -119,9 +121,10 @@ Result<sim::Interval> ExtentCache::ReadThrough(const void* volume, BlockIndex en
                      static_cast<unsigned long long>(entry_start.value()),
                      static_cast<unsigned long long>(entry_count.value())));
   }
-  TERTIO_ASSIGN_OR_RETURN(ExtentList slice,
-                          SliceExtents(it->second.extents, start - entry_start, count));
-  TERTIO_ASSIGN_OR_RETURN(sim::Interval interval, view_->ReadExtents(slice, ready, nullptr));
+  if (read_cursor_.extents() != &it->second.extents) read_cursor_.Reset(&it->second.extents);
+  TERTIO_RETURN_IF_ERROR(read_cursor_.Slice(start - entry_start, count, &read_slice_));
+  TERTIO_ASSIGN_OR_RETURN(sim::Interval interval,
+                          view_->ReadExtents(read_slice_, ready, nullptr));
   stats_.blocks_served += count;
   ++it->second.hits;
   it->second.last_use = std::max(it->second.last_use, interval.end);

@@ -131,6 +131,10 @@ class ExtentCache {
   std::string name_;
   std::unique_ptr<StripedDiskGroup> view_;
   std::map<Key, Entry> entries_;
+  /// ReadThrough's cursor, bound to the extents of the entry read last (a
+  /// cache window reads one entry chunk by chunk), and its slice buffer.
+  ExtentCursor read_cursor_;
+  ExtentList read_slice_;
   BlockCount resident_ = 0;
   ExtentCacheStats stats_;
   sim::Auditor* auditor_ = nullptr;

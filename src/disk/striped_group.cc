@@ -130,19 +130,19 @@ Result<sim::StageId> StripedDiskGroup::IssueWrite(sim::Pipeline& pipe, std::stri
 Result<sim::Interval> ExtentReadSource::Read(BlockCount offset, BlockCount count,
                                              SimSeconds ready,
                                              std::vector<BlockPayload>* out) {
-  TERTIO_ASSIGN_OR_RETURN(ExtentList slice, SliceExtents(*extents_, offset, count));
-  return group_->ReadExtents(slice, ready, out);
+  TERTIO_RETURN_IF_ERROR(walk_.cursor.Slice(offset, count, &walk_.slice));
+  return group_->ReadExtents(walk_.slice, ready, out);
 }
 
 Result<sim::Interval> ExtentWriteSink::Write(BlockCount offset, BlockCount count,
                                              SimSeconds ready,
                                              std::vector<BlockPayload>* payloads) {
-  TERTIO_ASSIGN_OR_RETURN(ExtentList slice, SliceExtents(*extents_, offset, count));
-  return group_->WriteExtents(slice, ready, payloads);
+  TERTIO_RETURN_IF_ERROR(walk_.cursor.Slice(offset, count, &walk_.slice));
+  return group_->WriteExtents(walk_.slice, ready, payloads);
 }
 
-sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(const ExtentList& extents,
-                                                           BlockCount offset, BlockCount chunk,
+sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, BlockCount offset,
+                                                           BlockCount chunk,
                                                            std::uint64_t max_chunks, bool write) {
   if (chunk == 0 || max_chunks == 0) return {};
   // Any active fault plan must flow through the per-chunk path: it draws
@@ -151,67 +151,89 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(const ExtentList& ext
   for (const auto& d : disks_) {
     if (d->fault_injector() != nullptr && d->fault_injector()->enabled()) return {};
   }
-  BlockCount total = TotalBlocks(extents);
-  if (offset >= total) return {};
-  std::uint64_t n_max = (total - offset) / chunk;
-  if (max_chunks < n_max) n_max = max_chunks;
-  if (n_max < 2) return {};
 
   // A chunk dissolves into a sequence of per-disk pieces; the (disk, count)
   // sequence — the chunk's *pattern* — rotates across chunks with a period
-  // of lcm(chunk, stripe ring) / chunk. Walk chunks verifying (a) every
-  // piece sequentially continues its disk (the no-positioning steady state
-  // the profile replays, anchored at the disks' live cursors) and (b) the
-  // patterns are periodic, so one period's operations describe them all.
-  using Pattern = std::vector<std::pair<int, BlockCount>>;
+  // of lcm(chunk, stripe ring) / chunk. Walk the pieces forward from
+  // `offset`, chunk by chunk, verifying (a) every piece sequentially
+  // continues its disk (the no-positioning steady state the profile
+  // replays, anchored at the disks' live cursors) and (b) the patterns are
+  // periodic, so one period's operations describe them all. The lead chunks
+  // (those before the first repeat of chunk 0's pattern) are kept; later
+  // chunks are only compared against them. The walk stops at the first
+  // piece that breaks either property, or where the list ends mid-chunk.
   // With 2 disks and a 32-block stripe unit the period is 64 / gcd(chunk, 64)
   // chunks at worst; accept up to that rather than guess beyond it.
   constexpr std::uint64_t kMaxCycle = 64;
-  std::vector<Pattern> lead;
-  std::vector<ExtentList> lead_slices;
-  std::vector<BlockIndex> next(disks_.size(), 0);
-  std::vector<bool> touched(disks_.size(), false);
+  const ExtentList& extents = *walk.cursor.extents();
+  walk.lead.clear();
+  walk.lead_ends.clear();
+  walk.disk_next.assign(disks_.size(), ExtentWalk::DiskNext{});
+  std::size_t i = walk.cursor.Seek(offset);
+  BlockCount used = i < extents.size() ? offset - walk.cursor.base() : 0;  // of extents[i]
   std::uint64_t cycle = 0;
   std::uint64_t verified = 0;
-  for (std::uint64_t c = 0; c < n_max; ++c) {
-    Result<ExtentList> slice = SliceExtents(extents, offset + c * chunk, chunk);
-    if (!slice.ok()) break;
+  for (std::uint64_t c = 0; c < max_chunks; ++c) {
+    // The lead chunk this one must equal: its cycle position once the cycle
+    // is known, chunk 0 (the repeat test) before that.
+    const std::size_t r = cycle > 0 ? c % cycle : 0;
+    std::size_t k = r == 0 ? 0 : walk.lead_ends[r - 1];
+    const std::size_t lead_end = c > 0 ? walk.lead_ends[r] : 0;
+    const bool record = cycle == 0 && c < kMaxCycle;
+    const std::size_t recorded = walk.lead.size();
+    bool same = c > 0;
     bool ok = true;
-    Pattern pattern;
-    pattern.reserve(slice->size());
-    for (const Extent& piece : *slice) {
+    for (BlockCount need = chunk; need > 0;) {
+      if (i == extents.size()) {
+        ok = false;
+        break;
+      }
+      const Extent& e = extents[i];
+      if (used == e.count) {
+        ++i;
+        used = 0;
+        continue;
+      }
+      BlockCount take = std::min<BlockCount>(e.count - used, need);
+      Extent piece{e.disk, e.start + used, take};
+      used += take;
+      need -= take;
       if (piece.disk < 0 || piece.disk >= disk_count()) {
         ok = false;
         break;
       }
       auto d = static_cast<size_t>(piece.disk);
-      if (!touched[d]) {
-        if (!disks_[d]->IsSequential(piece.start)) {
-          ok = false;
-          break;
-        }
-        touched[d] = true;
-      } else if (piece.start != next[d]) {
+      ExtentWalk::DiskNext& next = walk.disk_next[d];
+      if (next.touched ? piece.start != next.start : !disks_[d]->IsSequential(piece.start)) {
         ok = false;
         break;
       }
-      next[d] = piece.start + piece.count;
-      pattern.emplace_back(piece.disk, piece.count);
+      next.touched = true;
+      next.start = piece.start + piece.count;
+      // Both chunks hold `chunk` blocks in positive pieces, so matching
+      // piece by piece through this chunk also matches the lead's length.
+      same = same && k < lead_end && walk.lead[k].disk == piece.disk &&
+             walk.lead[k].count == piece.count;
+      ++k;
+      if (record) walk.lead.push_back(piece);
     }
-    if (!ok) break;
+    if (!ok) {
+      walk.lead.resize(recorded);
+      break;
+    }
     if (cycle == 0) {
-      if (c > 0 && pattern == lead[0]) {
+      if (same) {
         cycle = c;
+        walk.lead.resize(recorded);
       } else if (c >= kMaxCycle) {
         break;
       } else {
-        lead.push_back(std::move(pattern));
-        lead_slices.push_back(std::move(*slice));
+        walk.lead_ends.push_back(static_cast<std::uint32_t>(walk.lead.size()));
         verified = c + 1;
         continue;
       }
     }
-    if (pattern != lead[c % cycle]) break;
+    if (!same) break;
     verified = c + 1;
   }
   // A prefix that never repeated is itself the cycle (it was verified whole).
@@ -224,16 +246,18 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(const ExtentList& ext
   profile.chunks = chunks;
   profile.cycle = cycle;
   profile.ops_per_chunk.reserve(cycle);
+  profile.ops.reserve(walk.lead.size());
   const char* tag = write ? "disk.write" : "disk.read";
-  for (std::uint64_t c = 0; c < cycle; ++c) {
-    const ExtentList& slice = lead_slices[c];
-    profile.ops_per_chunk.push_back(static_cast<std::uint32_t>(slice.size()));
-    for (const Extent& piece : slice) {
-      auto d = static_cast<size_t>(piece.disk);
-      ByteCount bytes = piece.count * block_bytes_;
-      profile.ops.push_back({disks_[d]->resource(),
-                             disks_[d]->model().TransferSeconds(bytes), bytes, tag});
-    }
+  std::uint32_t begin = 0;
+  for (std::uint32_t end : walk.lead_ends) {
+    profile.ops_per_chunk.push_back(end - begin);
+    begin = end;
+  }
+  for (const Extent& piece : walk.lead) {
+    auto d = static_cast<size_t>(piece.disk);
+    ByteCount bytes = piece.count * block_bytes_;
+    profile.ops.push_back({disks_[d]->resource(),
+                           disks_[d]->model().TransferSeconds(bytes), bytes, tag});
   }
 
   // Per-disk share of one cycle. Continuity makes each disk's pieces one
@@ -245,16 +269,14 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(const ExtentList& ext
     std::uint64_t requests;
   };
   std::vector<Share> shares;
-  for (std::uint64_t c = 0; c < cycle; ++c) {
-    for (const Extent& piece : lead_slices[c]) {
-      auto it = std::find_if(shares.begin(), shares.end(),
-                             [&](const Share& s) { return s.disk == piece.disk; });
-      if (it == shares.end()) {
-        shares.push_back(Share{piece.disk, piece.start, piece.count, 1});
-      } else {
-        it->blocks += piece.count;
-        it->requests += 1;
-      }
+  for (const Extent& piece : walk.lead) {
+    auto it = std::find_if(shares.begin(), shares.end(),
+                           [&](const Share& s) { return s.disk == piece.disk; });
+    if (it == shares.end()) {
+      shares.push_back(Share{piece.disk, piece.start, piece.count, 1});
+    } else {
+      it->blocks += piece.count;
+      it->requests += 1;
     }
   }
   profile.commit = [this, shares = std::move(shares), cycle, write](std::uint64_t committed) {

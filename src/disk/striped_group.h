@@ -24,6 +24,28 @@
 
 namespace tertio::disk {
 
+/// Caller-owned walk state over one ExtentList: the forward cursor that an
+/// endpoint's per-chunk slices and chunk profiles start from, plus the
+/// buffers they refill, so an endpoint's steady state allocates nothing.
+struct ExtentWalk {
+  explicit ExtentWalk(const ExtentList* extents) : cursor(extents) {}
+
+  /// Where a disk's next piece must start for the walk to stay sequential.
+  struct DiskNext {
+    BlockIndex start = 0;
+    bool touched = false;
+  };
+
+  ExtentCursor cursor;
+  /// The latest per-chunk slice.
+  ExtentList slice;
+  /// ExtentChunkProfile's lead chunks: their pieces back to back, and the
+  /// end of each chunk's pieces in `lead`.
+  ExtentList lead;
+  std::vector<std::uint32_t> lead_ends;
+  std::vector<DiskNext> disk_next;
+};
+
 /// Configuration of one disk group.
 struct DiskGroupConfig {
   /// Model of each spindle (one entry per disk).
@@ -74,15 +96,17 @@ class StripedDiskGroup {
                                      const std::vector<BlockPayload>* payloads = nullptr);
 
   /// Steady-state cost profile for up to `max_chunks` chunked requests over
-  /// `extents` starting at logical block `offset` (sim/pipeline.h
-  /// coalescing). The striping pattern a chunk dissolves into rotates across
-  /// disks with a period set by the chunk size and the stripe unit, so the
-  /// profile carries one period's operations and a cycle length. Empty —
-  /// per-chunk fallback — unless every disk request in the verified prefix
-  /// sequentially continues that disk's previous one (no positioning time)
-  /// and no disk carries an active fault plan.
-  sim::ChunkCostProfile ExtentChunkProfile(const ExtentList& extents, BlockCount offset,
-                                           BlockCount chunk, std::uint64_t max_chunks, bool write);
+  /// the list `walk` is bound to, starting at logical block `offset`
+  /// (sim/pipeline.h coalescing). The striping pattern a chunk dissolves into
+  /// rotates across disks with a period set by the chunk size and the stripe
+  /// unit, so the profile carries one period's operations and a cycle
+  /// length. Empty — per-chunk fallback — unless every disk request in the
+  /// verified prefix sequentially continues that disk's previous one (no
+  /// positioning time) and no disk carries an active fault plan. One forward
+  /// pass from the walk's cursor; it stops at the first piece that breaks
+  /// the pattern.
+  sim::ChunkCostProfile ExtentChunkProfile(ExtentWalk& walk, BlockCount offset, BlockCount chunk,
+                                           std::uint64_t max_chunks, bool write);
 
   /// Aggregated statistics across all disks.
   DiskStats TotalStats() const;
@@ -130,24 +154,24 @@ class StripedDiskGroup {
 };
 
 /// Pipeline source streaming a disk-resident logical sequence: block
-/// [offset, offset+count) of a Transfer maps to SliceExtents(extents,
-/// offset, count). The ExtentList must outlive the source.
+/// [offset, offset+count) of a Transfer maps to that slice of `extents`,
+/// cut by the source's own cursor. The ExtentList must outlive the source.
 class ExtentReadSource final : public sim::BlockSource {
  public:
   ExtentReadSource(StripedDiskGroup* group, const ExtentList* extents)
-      : group_(group), extents_(extents) {}
+      : group_(group), walk_(extents) {}
 
   Result<sim::Interval> Read(BlockCount offset, BlockCount count, SimSeconds ready,
                              std::vector<BlockPayload>* out) override;
   sim::ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
                                     std::uint64_t max_chunks) override {
-    return group_->ExtentChunkProfile(*extents_, offset, chunk, max_chunks, /*write=*/false);
+    return group_->ExtentChunkProfile(walk_, offset, chunk, max_chunks, /*write=*/false);
   }
   std::string_view device() const override { return "disks"; }
 
  private:
   StripedDiskGroup* group_;
-  const ExtentList* extents_;
+  ExtentWalk walk_;
 };
 
 /// Pipeline sink writing a Transfer's chunks over a pre-allocated extent
@@ -155,19 +179,19 @@ class ExtentReadSource final : public sim::BlockSource {
 class ExtentWriteSink final : public sim::BlockSink {
  public:
   ExtentWriteSink(StripedDiskGroup* group, const ExtentList* extents)
-      : group_(group), extents_(extents) {}
+      : group_(group), walk_(extents) {}
 
   Result<sim::Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
                               std::vector<BlockPayload>* payloads) override;
   sim::ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
                                     std::uint64_t max_chunks) override {
-    return group_->ExtentChunkProfile(*extents_, offset, chunk, max_chunks, /*write=*/true);
+    return group_->ExtentChunkProfile(walk_, offset, chunk, max_chunks, /*write=*/true);
   }
   std::string_view device() const override { return "disks"; }
 
  private:
   StripedDiskGroup* group_;
-  const ExtentList* extents_;
+  ExtentWalk walk_;
 };
 
 }  // namespace tertio::disk

@@ -59,10 +59,11 @@ Result<sim::StageId> JoinBucketPair(const JoinContext& ctx, const JoinSpec& spec
   sim::StageId t = ready;
   BlockCount offset = 0;
   std::uint64_t slices = 0;
+  disk::ExtentCursor cursor(&r_bucket.extents);
+  disk::ExtentList slice;
   while (offset < r_bucket.blocks) {
     BlockCount take = std::min<BlockCount>(r_memory_allowance, r_bucket.blocks - offset);
-    TERTIO_ASSIGN_OR_RETURN(disk::ExtentList slice,
-                            SliceExtents(r_bucket.extents, offset, take));
+    TERTIO_RETURN_IF_ERROR(cursor.Slice(offset, take, &slice));
     std::vector<BlockPayload> r_blocks;
     TERTIO_ASSIGN_OR_RETURN(
         sim::StageId read,

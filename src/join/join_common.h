@@ -18,11 +18,6 @@
 
 namespace tertio::join {
 
-/// \returns the sub-range of `extents` covering blocks
-/// [offset, offset + count) of the logical sequence they describe.
-/// (Lives in disk/extent.h; re-exported for the executors.)
-using disk::SliceExtents;
-
 /// The build/probe table of every executor: the flat open-addressed table
 /// (flat_table.h). The name survives from the seed's multimap implementation
 /// (now tests-only, legacy_table.h).

@@ -165,6 +165,12 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       sim::StageId write_stage = sim::kNoStage;
     };
     BlockCount ring_pos = 0;
+    // Writes and reads circle the ring at different positions, so each
+    // side keeps its own cursor and slice buffer.
+    disk::ExtentCursor write_cursor(&ring_extents);
+    disk::ExtentCursor read_cursor(&ring_extents);
+    disk::ExtentList write_slice;
+    disk::ExtentList read_slice;
 
     // Writes `count` blocks into the ring (splitting on wrap-around); both
     // halves depend only on the producing read.
@@ -172,8 +178,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
                           const std::vector<BlockPayload>* payloads) -> Result<Piece> {
       Piece piece{ring_pos, count, sim::kNoStage};
       BlockCount first = std::min<BlockCount>(count, g.ms - ring_pos);
-      TERTIO_ASSIGN_OR_RETURN(disk::ExtentList slice,
-                              SliceExtents(ring_extents, ring_pos, first));
+      TERTIO_RETURN_IF_ERROR(write_cursor.Slice(ring_pos, first, &write_slice));
       std::vector<BlockPayload> head, tail;
       const std::vector<BlockPayload>* head_ptr = nullptr;
       const std::vector<BlockPayload>* tail_ptr = nullptr;
@@ -181,18 +186,19 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
         head.assign(payloads->begin(), payloads->begin() + static_cast<long>(first.value()));
         head_ptr = &head;
       }
-      TERTIO_ASSIGN_OR_RETURN(sim::StageId w1,
-                              ctx.disks->IssueWrite(pipe, "ring-write", {read}, slice, head_ptr));
+      TERTIO_ASSIGN_OR_RETURN(
+          sim::StageId w1,
+          ctx.disks->IssueWrite(pipe, "ring-write", {read}, write_slice, head_ptr));
       piece.write_stage = w1;
       if (first < count) {
-        TERTIO_ASSIGN_OR_RETURN(disk::ExtentList wrap,
-                                SliceExtents(ring_extents, 0, count - first));
+        TERTIO_RETURN_IF_ERROR(write_cursor.Slice(0, count - first, &write_slice));
         if (payloads != nullptr) {
           tail.assign(payloads->begin() + static_cast<long>(first.value()), payloads->end());
           tail_ptr = &tail;
         }
         TERTIO_ASSIGN_OR_RETURN(
-            sim::StageId w2, ctx.disks->IssueWrite(pipe, "ring-write", {read}, wrap, tail_ptr));
+            sim::StageId w2,
+            ctx.disks->IssueWrite(pipe, "ring-write", {read}, write_slice, tail_ptr));
         piece.write_stage = pipe.Barrier("ring-piece", {w1, w2});
       }
       ring_pos = (ring_pos + count) % g.ms;
@@ -203,16 +209,14 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
     auto ring_read = [&](const Piece& piece, std::initializer_list<sim::StageId> deps,
                          std::vector<BlockPayload>* out) -> Result<sim::StageId> {
       BlockCount first = std::min<BlockCount>(piece.count, g.ms - piece.ring_off);
-      TERTIO_ASSIGN_OR_RETURN(disk::ExtentList head_slice,
-                              SliceExtents(ring_extents, piece.ring_off, first));
+      TERTIO_RETURN_IF_ERROR(read_cursor.Slice(piece.ring_off, first, &read_slice));
       TERTIO_ASSIGN_OR_RETURN(sim::StageId r1,
-                              ctx.disks->IssueRead(pipe, "ring-read", deps, head_slice, out,
+                              ctx.disks->IssueRead(pipe, "ring-read", deps, read_slice, out,
                                                    ctx.chunk_retry_limit));
       if (first < piece.count) {
-        TERTIO_ASSIGN_OR_RETURN(disk::ExtentList wrap_slice,
-                                SliceExtents(ring_extents, 0, piece.count - first));
+        TERTIO_RETURN_IF_ERROR(read_cursor.Slice(0, piece.count - first, &read_slice));
         TERTIO_ASSIGN_OR_RETURN(sim::StageId r2,
-                                ctx.disks->IssueRead(pipe, "ring-read", deps, wrap_slice, out,
+                                ctx.disks->IssueRead(pipe, "ring-read", deps, read_slice, out,
                                                      ctx.chunk_retry_limit));
         return pipe.Barrier("ring-piece", {r1, r2});
       }

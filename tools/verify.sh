@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full verify flow: static analysis first (tertio_lint, and clang-tidy when
 # installed), then tier-1 build + tests (RelWithDebInfo), a bench smoke run
-# that must produce BENCH_joins.json, then the sanitizer passes — ASan+UBSan
-# over the fault/error-path and SimSan tests and TSan over the parallel-sweep
-# and query-service tests — so every recovery branch and every driver
+# that must produce BENCH_joins.json, the benchmark/ project's build and smoke
+# workloads, then the sanitizer passes — ASan+UBSan over the fault/error-path,
+# SimSan, cache and disk-layer tests and TSan over the parallel-sweep and
+# query-service tests — so every recovery branch and every driver
 # interleaving runs
 # sanitizer-checked. The asan/tsan presets build with TERTIO_SIMSAN=ON, so
 # every test in those passes also runs under the simulation invariant
@@ -110,15 +111,23 @@ if robot_elev > robot_fifo:
 EOF
 rm -f "$SMOKE_JSON"
 
+echo "== benchmark: build benchmark/ + smoke workloads + compare.py self-test =="
+# The benchmark is its own CMake project over the repository's libraries; its
+# smoke runs exercise the correctness gates (ReferenceJoin checksums, lease
+# restoration, bit-identical rounds) of all four workloads in a few seconds.
+cmake -S benchmark -B build-bench
+cmake --build build-bench -j"$(nproc)"
+ctest --test-dir build-bench --output-on-failure
+
 if [[ "$FAST" == 1 ]]; then
   echo "== --fast: skipping sanitizer passes =="
   exit 0
 fi
 
-echo "== sanitizers: ASan+UBSan build + fault/simsan/cache tests (preset: asan) =="
+echo "== sanitizers: ASan+UBSan build + fault/simsan/cache/disk tests (preset: asan) =="
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
-ctest --preset asan -L 'faults|simsan|cache' -j"$(nproc)"
+ctest --preset asan -L 'faults|simsan|cache|disk' -j"$(nproc)"
 
 echo "== sanitizers: TSan build + parallel-sweep + service tests (preset: tsan) =="
 cmake --preset tsan
