@@ -67,8 +67,8 @@ void AblationPositioningModel(BenchRecorder& recorder) {
       fractions,
       [](double f) {
         auto m = static_cast<ByteCount>(f * 18 * static_cast<double>(kMB.value()));
-        exec::MachineConfig real = exec::MachineConfig::PaperTestbed(50 * kMB, m);
-        exec::MachineConfig ideal = real;
+        exec::SiteConfig real = exec::SiteConfig::PaperTestbed(50 * kMB, m);
+        exec::SiteConfig ideal = real;
         ideal.disk_model = disk::DiskModel::Ideal(real.disk_model.transfer_rate_bps);
         exec::WorkloadConfig workload;
         workload.r_bytes = 18 * kMB;
@@ -102,20 +102,21 @@ void AblationWriteBuffer(BenchRecorder& recorder) {
   std::vector<Result<join::JoinStats>> results = exec::ParallelSweep(
       widths,
       [](BlockCount w) -> Result<join::JoinStats> {
-        exec::MachineConfig machine = exec::MachineConfig::PaperTestbed(50 * kMB, 9 * kMB);
+        exec::Site site(exec::SiteConfig::PaperTestbed(50 * kMB, 9 * kMB));
+        std::unique_ptr<exec::QuerySession> session =
+            exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site)).value();
         exec::WorkloadConfig workload;
         workload.r_bytes = 18 * kMB;
         workload.s_bytes = 1000 * kMB;
         workload.phantom = true;
-        exec::Machine m(machine);
-        auto prepared = exec::PrepareWorkload(&m, workload);
+        auto prepared = exec::PrepareWorkload(session.get(), workload);
         TERTIO_CHECK(prepared.ok(), "setup failed");
         join::JoinSpec spec;
         spec.r = &prepared->r;
         spec.s = &prepared->s;
         spec.options.preferred_write_buffer = w;
         auto method = join::CreateJoinMethod(JoinMethodId::kDtGh);
-        join::JoinContext ctx = m.context();
+        join::JoinContext ctx = session->context();
         return method->Execute(spec, ctx);
       },
       recorder.threads());
@@ -145,17 +146,17 @@ void AblationPhantomVsReal(BenchRecorder& recorder) {
   std::vector<Pair> results = exec::ParallelSweep(
       methods,
       [](JoinMethodId method) {
-        exec::MachineConfig machine;
-        machine.block_bytes = 8 * kKiB;
-        machine.disk_space_bytes = 24 * kMB;
-        machine.memory_bytes = 4 * kMB;
+        exec::SiteConfig config;
+        config.block_bytes = 8 * kKiB;
+        config.disk_space_bytes = 24 * kMB;
+        config.memory_bytes = 4 * kMB;
         exec::WorkloadConfig workload;
         workload.r_bytes = 8 * kMB;
         workload.s_bytes = 60 * kMB;
         workload.phantom = true;
-        auto phantom = exec::RunJoinExperiment(machine, workload, method);
+        auto phantom = exec::RunJoinExperiment(config, workload, method);
         workload.phantom = false;
-        auto real = exec::RunJoinExperiment(machine, workload, method);
+        auto real = exec::RunJoinExperiment(config, workload, method);
         return Pair{std::move(phantom), std::move(real)};
       },
       recorder.threads());

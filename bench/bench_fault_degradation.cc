@@ -32,19 +32,19 @@ constexpr JoinMethodId kMethods[] = {
 };
 
 Result<join::JoinStats> RunWithFaults(JoinMethodId method, double error_rate) {
-  exec::MachineConfig machine = exec::MachineConfig::PaperTestbed(kDiskBytes, kMemoryBytes);
-  machine.faults.seed = 7;
-  machine.faults.tape.transient_read_error_rate = error_rate;
-  machine.faults.disk.transient_read_error_rate = error_rate;
+  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(kDiskBytes, kMemoryBytes);
+  config.faults.seed = 7;
+  config.faults.tape.transient_read_error_rate = error_rate;
+  config.faults.disk.transient_read_error_rate = error_rate;
   // Media defects are rarer than transient glitches; keep them proportional.
-  machine.faults.tape.bad_block_rate = error_rate / 10.0;
-  machine.faults.disk.bad_block_rate = error_rate / 10.0;
+  config.faults.tape.bad_block_rate = error_rate / 10.0;
+  config.faults.disk.bad_block_rate = error_rate / 10.0;
   exec::WorkloadConfig workload;
   workload.r_bytes = kRBytes;
   workload.s_bytes = kSBytes;
   workload.compressibility = kBaseCompressibility;
   workload.phantom = true;
-  return exec::RunJoinExperiment(machine, workload, method);
+  return exec::RunJoinExperiment(config, workload, method);
 }
 
 int Run(int argc, char** argv) {

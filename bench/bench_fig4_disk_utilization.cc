@@ -21,22 +21,24 @@ int Run(int argc, char** argv) {
   Banner("Figure 4 — disk space utilization in CTT-GH Step II (Join III)",
          "Section 7, Figure 4",
          "even/odd iteration usage alternates (shark teeth); total ~100%");
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(500 * kMB, 16 * kMB);
-  exec::Machine machine(config);
-  machine.disks().allocator().EnableTrace();
+  exec::Site site(exec::SiteConfig::PaperTestbed(500 * kMB, 16 * kMB));
+  std::unique_ptr<exec::QuerySession> session =
+      exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site)).value();
+  disk::DiskSpaceAllocator& allocator = session->disks().allocator();
+  allocator.EnableTrace();
 
   exec::WorkloadConfig workload;
   workload.r_bytes = 2500 * kMB;
   workload.s_bytes = 5000 * kMB;
   workload.compressibility = kBaseCompressibility;
   workload.phantom = true;
-  auto prepared = exec::PrepareWorkload(&machine, workload);
+  auto prepared = exec::PrepareWorkload(session.get(), workload);
   TERTIO_CHECK(prepared.ok(), "workload setup failed");
   join::JoinSpec spec;
   spec.r = &prepared->r;
   spec.s = &prepared->s;
   auto executor = join::CreateJoinMethod(JoinMethodId::kCttGh);
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   auto stats = executor->Execute(spec, ctx);
   TERTIO_CHECK(stats.ok(), stats.status().ToString());
   recorder.RecordSim("CTT-GH Join III", stats->response_seconds);
@@ -44,12 +46,12 @@ int Run(int argc, char** argv) {
   // Replay the allocator trace over the Step II window, tracking usage by
   // iteration parity. Events are recorded in issue order; the virtual-time
   // overlap of the two logical buffers requires sorting by timestamp.
-  std::vector<disk::UsageEvent> trace = machine.disks().allocator().trace();
+  std::vector<disk::UsageEvent> trace = allocator.trace();
   std::stable_sort(trace.begin(), trace.end(),
                    [](const disk::UsageEvent& a, const disk::UsageEvent& b) {
                      return a.time < b.time;
                    });
-  BlockCount capacity = machine.disks().allocator().capacity_blocks();
+  BlockCount capacity = allocator.capacity_blocks();
   SimSeconds t_begin = stats->step1_seconds;
   SimSeconds t_end = stats->response_seconds;
   const int kSamples = 32;

@@ -39,18 +39,19 @@ int Run(int argc, char** argv) {
 
   std::printf("\nTable 2 — resource requirements (at M = 0.5|R|):\n");
   exec::TableReport table({"method", "M (blocks)", "D (blocks)", "T_R", "T_S"});
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(kExp3D, kExp3R / 2);
-  exec::Machine machine(config);
+  exec::Site site(exec::SiteConfig::PaperTestbed(kExp3D, kExp3R / 2));
+  std::unique_ptr<exec::QuerySession> session =
+      exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site)).value();
   exec::WorkloadConfig workload;
   workload.r_bytes = kExp3R;
   workload.s_bytes = kExp3S;
   workload.phantom = true;
-  auto prepared = exec::PrepareWorkload(&machine, workload);
+  auto prepared = exec::PrepareWorkload(session.get(), workload);
   TERTIO_CHECK(prepared.ok(), "workload setup failed");
   join::JoinSpec spec;
   spec.r = &prepared->r;
   spec.s = &prepared->s;
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   for (JoinMethodId method : kAllJoinMethods) {
     auto executor = join::CreateJoinMethod(method);
     auto req = executor->Requirements(spec, ctx);

@@ -46,10 +46,10 @@ void SpotCheckCommitEquivalence(std::uint64_t scale) {
       auto memory = static_cast<ByteCount>(fraction * static_cast<double>(scale * kExp3R.value()));
       Result<join::JoinStats> closed =
           RunPaperJoin(scale * kExp3S, scale * kExp3R, scale * kExp3D, memory, method,
-                       kBaseCompressibility, /*closed_form_commit=*/true);
+                       kBaseCompressibility, sim::CommitMode::kClosedForm);
       Result<join::JoinStats> replay =
           RunPaperJoin(scale * kExp3S, scale * kExp3R, scale * kExp3D, memory, method,
-                       kBaseCompressibility, /*closed_form_commit=*/false);
+                       kBaseCompressibility, sim::CommitMode::kReplay);
       TERTIO_CHECK(closed.ok() == replay.ok(),
                    "commit paths disagree on feasibility at a spot-check point");
       if (!closed.ok()) continue;

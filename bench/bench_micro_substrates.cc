@@ -412,18 +412,9 @@ struct TransferTiming {
   std::uint64_t ops = 0;       ///< device ops accounted (must match both modes)
 };
 
-/// The three commit paths of the coalesced fast path, slowest to fastest.
-/// All three produce bit-identical simulated outcomes; only the host time
-/// to reach them differs.
-enum class CommitMode {
-  kPerChunk,    ///< coalescing off: every chunk walks the scheduling path
-  kReplay,      ///< coalesced, but the window commits via O(chunks) replay
-  kClosedForm,  ///< coalesced with the O(1) closed-form commit (the default)
-};
-
 /// Simulates one fault-free phantom tape->memory transfer of `chunks` chunks
 /// and times the Transfer call itself (setup excluded).
-TransferTiming TimedTransfer(std::uint64_t chunks, CommitMode mode) {
+TransferTiming TimedTransfer(std::uint64_t chunks, sim::CommitMode mode) {
   sim::Simulation sim;
   tape::TapeVolume volume("t", kBlock);
   TERTIO_CHECK(volume.AppendPhantom(chunks * kTransferChunk, 0.25).ok(), "append failed");
@@ -437,8 +428,7 @@ TransferTiming TimedTransfer(std::uint64_t chunks, CommitMode mode) {
   plan.write_phase = "bench:write";
   plan.total = chunks * kTransferChunk;
   plan.chunk = kTransferChunk;
-  plan.allow_coalescing = mode != CommitMode::kPerChunk;
-  plan.closed_form_commit = mode == CommitMode::kClosedForm;
+  plan.commit = mode;
   TransferTiming timing;
   auto start = std::chrono::steady_clock::now();
   auto result = pipe.Transfer(plan, source, sink);
@@ -452,7 +442,8 @@ TransferTiming TimedTransfer(std::uint64_t chunks, CommitMode mode) {
 
 void BM_PipelineTransfer(benchmark::State& state) {
   const std::uint64_t chunks = static_cast<std::uint64_t>(state.range(0));
-  const CommitMode mode = static_cast<CommitMode>(state.range(1));
+  // Mode arguments 0, 1, 2 are sim::CommitMode's kPerChunk, kReplay, kClosedForm.
+  const auto mode = static_cast<sim::CommitMode>(state.range(1));
   for (auto _ : state) {
     TransferTiming timing = TimedTransfer(chunks, mode);
     // Count only the Transfer call: setup (volume append, drive load) is
@@ -551,10 +542,11 @@ int main(int argc, char** argv) {
   closed.wall_seconds = std::numeric_limits<double>::infinity();
   replay.wall_seconds = std::numeric_limits<double>::infinity();
   per_chunk.wall_seconds = std::numeric_limits<double>::infinity();
+  using tertio::sim::CommitMode;
   for (int rep = 0; rep < 3; ++rep) {
-    tertio::TransferTiming cf = tertio::TimedTransfer(kChunks, tertio::CommitMode::kClosedForm);
-    tertio::TransferTiming rp = tertio::TimedTransfer(kChunks, tertio::CommitMode::kReplay);
-    tertio::TransferTiming pc = tertio::TimedTransfer(kChunks, tertio::CommitMode::kPerChunk);
+    tertio::TransferTiming cf = tertio::TimedTransfer(kChunks, CommitMode::kClosedForm);
+    tertio::TransferTiming rp = tertio::TimedTransfer(kChunks, CommitMode::kReplay);
+    tertio::TransferTiming pc = tertio::TimedTransfer(kChunks, CommitMode::kPerChunk);
     TERTIO_CHECK(cf.done == rp.done && rp.done == pc.done,
                  "commit paths diverged in simulated time");
     TERTIO_CHECK(cf.ops == rp.ops && rp.ops == pc.ops,

@@ -18,7 +18,6 @@
 
 #include "cost/cost_model.h"
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "exec/parallel_sweep.h"
 #include "exec/report.h"
 #include "join/join_method.h"
@@ -126,15 +125,15 @@ inline Result<join::JoinStats> RunPaperJoin(ByteCount s_bytes, ByteCount r_bytes
                                             ByteCount disk_bytes, ByteCount memory_bytes,
                                             JoinMethodId method,
                                             double compressibility = kBaseCompressibility,
-                                            bool closed_form_commit = true) {
-  exec::MachineConfig machine = exec::MachineConfig::PaperTestbed(disk_bytes, memory_bytes);
+                                            sim::CommitMode commit = sim::CommitMode::kClosedForm) {
   exec::WorkloadConfig workload;
   workload.r_bytes = r_bytes;
   workload.s_bytes = s_bytes;
   workload.compressibility = compressibility;
   workload.phantom = true;
-  workload.closed_form_commit = closed_form_commit;
-  return exec::RunJoinExperiment(machine, workload, method);
+  workload.commit = commit;
+  return exec::RunJoinExperiment(exec::SiteConfig::PaperTestbed(disk_bytes, memory_bytes),
+                                 workload, method);
 }
 
 /// Bare sequential read time of both relations on one drive after the other

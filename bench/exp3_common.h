@@ -54,7 +54,7 @@ struct Exp3Sweep {
 
 /// Runs the (fraction x method) grid across `threads` workers (0 = all
 /// hardware threads, 1 = the seed's serial path). Every point builds a
-/// fresh Machine, so simulated times are independent of the thread count.
+/// fresh Site, so simulated times are independent of the thread count.
 /// `scale` multiplies |R|, |S|, D and memory uniformly — scale 100 is the
 /// TB-class timing-only sweep (100 GB S), feasible in host seconds only
 /// because the coalesced closed-form commit makes chunk count nearly free.

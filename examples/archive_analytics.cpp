@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "exec/machine.h"
+#include "exec/experiment.h"
 #include "query/query.h"
 #include "relation/generator.h"
 #include "util/string_util.h"
@@ -21,18 +21,19 @@ using namespace tertio;
 using namespace tertio::query;
 
 int main() {
-  exec::MachineConfig config;
+  exec::SiteConfig config;
   config.block_bytes = 8 * kKiB;
   config.disk_space_bytes = 8 * kMB;
   config.memory_bytes = 1 * kMB;
-  exec::Machine machine(config);
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session =
+      exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site)).value();
 
   // The archive: a product dimension and a sales fact, both on tape.
   rel::GeneratorConfig product_config;
   product_config.name = "product";
   product_config.tuple_count = 300;
   product_config.keys = rel::KeySequence::kSequentialUnique;
-  auto product = rel::GenerateOnTape(product_config, &machine.tape_r());
   rel::GeneratorConfig sales_config;
   sales_config.name = "sales";
   sales_config.tuple_count = 20000;
@@ -40,13 +41,14 @@ int main() {
   sales_config.key_domain = 300;
   sales_config.zipf_theta = 0.8;
   sales_config.seed = 2026;
-  auto sales = rel::GenerateOnTape(sales_config, &machine.tape_s());
-  if (!product.ok() || !sales.ok()) return 1;
-  machine.MountTapes();
+  auto archive = exec::PrepareWorkload(session.get(), product_config, sales_config);
+  if (!archive.ok()) return 1;
+  const rel::Relation& product = archive->r;
+  const rel::Relation& sales = archive->s;
 
   std::printf("Archive: %llu products (%s), %llu sales (%s)\n",
-              (unsigned long long)product->tuple_count, FormatBytes(product->bytes()).c_str(),
-              (unsigned long long)sales->tuple_count, FormatBytes(sales->bytes()).c_str());
+              (unsigned long long)product.tuple_count, FormatBytes(product.bytes()).c_str(),
+              (unsigned long long)sales.tuple_count, FormatBytes(sales.bytes()).c_str());
 
   // Joined row layout: [product.key, product.payload, sales.key, sales.payload].
   // Pipeline: WHERE product.key < 150, GROUP BY key/50, COUNT + SUM(key).
@@ -63,11 +65,11 @@ int main() {
   FilterSink filter(Lt(Col(0), Lit(std::int64_t{150})), &aggregate);
 
   TertiaryQuery query;
-  query.r = &product.value();
-  query.s = &sales.value();
+  query.r = &product;
+  query.s = &sales;
   query.pipeline = &filter;
 
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   auto stats = ExecuteQuery(query, ctx);
   if (!stats.ok()) {
     std::fprintf(stderr, "query failed: %s\n", stats.status().ToString().c_str());

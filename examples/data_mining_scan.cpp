@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "join/advisor.h"
 #include "join/join_method.h"
 #include "util/string_util.h"
@@ -42,13 +41,13 @@ int main() {
   }
 
   // --- Direct tertiary join: ask the advisor.
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(kDiskBytes, kMemoryBytes);
-  exec::Machine machine(config);
+  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(kDiskBytes, kMemoryBytes);
+  exec::Site site(config);
   exec::WorkloadConfig workload;
   workload.r_bytes = kDimBytes;
   workload.s_bytes = kFactBytes;
   workload.phantom = true;  // timing-only at this scale
-  auto params = exec::CostParamsFor(machine, workload);
+  auto params = exec::CostParamsFor(site, workload);
   auto advice = join::AdviseJoinMethod(params);
   if (!advice.ok()) {
     std::fprintf(stderr, "no feasible method: %s\n", advice.status().ToString().c_str());
@@ -71,7 +70,7 @@ int main() {
     std::fprintf(stderr, "join failed: %s\n", stats.status().ToString().c_str());
     return 1;
   }
-  BytesPerSecond bare = machine.EffectiveTapeRate(workload.compressibility);
+  BytesPerSecond bare = site.EffectiveTapeRate(workload.compressibility);
   double read_both = ((kFactBytes + kDimBytes) / bare).value();
   std::printf("\nRan %s at full 12.5 GB scale:\n", stats->method.c_str());
   std::printf("  Step I  (hash R to tape)  %s\n", FormatDuration(stats->step1_seconds).c_str());

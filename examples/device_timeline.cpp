@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "join/join_method.h"
 #include "sim/trace_report.h"
 #include "util/string_util.h"
@@ -17,22 +16,23 @@ using namespace tertio;
 namespace {
 
 int RunOne(JoinMethodId method_id) {
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(60 * kMB, 4 * kMB);
-  exec::Machine machine(config);
-  for (const auto& resource : machine.sim().resources()) {
+  exec::Site site(exec::SiteConfig::PaperTestbed(60 * kMB, 4 * kMB));
+  for (const auto& resource : site.sim().resources()) {
     resource->EnableTrace();
   }
+  std::unique_ptr<exec::QuerySession> session =
+      exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site)).value();
   exec::WorkloadConfig workload;
   workload.r_bytes = 20 * kMB;
   workload.s_bytes = 120 * kMB;
   workload.phantom = true;
-  auto prepared = exec::PrepareWorkload(&machine, workload);
+  auto prepared = exec::PrepareWorkload(session.get(), workload);
   if (!prepared.ok()) return 1;
   join::JoinSpec spec;
   spec.r = &prepared->r;
   spec.s = &prepared->s;
   auto method = join::CreateJoinMethod(method_id);
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   auto stats = method->Execute(spec, ctx);
   if (!stats.ok()) {
     std::fprintf(stderr, "%s failed: %s\n", std::string(JoinMethodName(method_id)).c_str(),
@@ -43,7 +43,7 @@ int RunOne(JoinMethodId method_id) {
               FormatDuration(stats->response_seconds).c_str());
   sim::GanttOptions options;
   options.width = 96;
-  std::fputs(sim::RenderGantt(machine.sim(), options).c_str(), stdout);
+  std::fputs(sim::RenderGantt(site.sim(), options).c_str(), stdout);
   return 0;
 }
 

@@ -1,5 +1,5 @@
 /// \file quickstart.cpp
-/// Five-minute tour of tertio: build a simulated machine, put two relations
+/// Five-minute tour of tertio: build a simulated site, put two relations
 /// on tape, let the advisor pick a join method, run the join against the
 /// device models, and verify the result against an in-memory reference.
 ///
@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "join/advisor.h"
 #include "join/join_method.h"
 #include "join/reference_join.h"
@@ -17,22 +16,25 @@
 using namespace tertio;
 
 int main() {
-  // 1. A machine per Section 3.1 of the paper: two tape drives, two disks,
-  //    a fixed memory allotment. Sizes here are deliberately tiny so the
-  //    example moves real tuples.
-  exec::MachineConfig config;
+  // 1. A site per Section 3.1 of the paper: two tape drives, two disks,
+  //    a fixed memory allotment, all leased to one query session. Sizes
+  //    here are deliberately tiny so the example moves real tuples.
+  exec::SiteConfig config;
   config.block_bytes = 8 * kKiB;
   config.disk_space_bytes = 16 * kMB;
   config.memory_bytes = 2 * kMB;
-  exec::Machine machine(config);
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session =
+      exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site)).value();
 
   // 2. Two relations, generated straight onto the tape volumes: R with
   //    unique keys, S referencing R (every S tuple matches exactly once).
+  //    The session's drives mount both tapes.
   exec::WorkloadConfig workload;
   workload.r_bytes = 8 * kMB;
   workload.s_bytes = 48 * kMB;
   workload.phantom = false;  // real tuples: the join output is verifiable
-  auto prepared = exec::PrepareWorkload(&machine, workload);
+  auto prepared = exec::PrepareWorkload(session.get(), workload);
   if (!prepared.ok()) {
     std::fprintf(stderr, "setup failed: %s\n", prepared.status().ToString().c_str());
     return 1;
@@ -44,8 +46,8 @@ int main() {
               FormatBytes(config.memory_bytes).c_str());
 
   // 3. Ask the advisor (the paper's Section 10 conclusions as an API) which
-  //    method fits this machine.
-  auto params = exec::CostParamsFor(machine, workload);
+  //    method fits this site.
+  auto params = exec::CostParamsFor(site, workload);
   auto advice = join::AdviseJoinMethod(params);
   if (!advice.ok()) {
     std::fprintf(stderr, "no feasible method: %s\n", advice.status().ToString().c_str());
@@ -62,7 +64,7 @@ int main() {
   spec.r = &prepared->r;
   spec.s = &prepared->s;
   auto method = join::CreateJoinMethod(advice->best().method);
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   auto stats = method->Execute(spec, ctx);
   if (!stats.ok()) {
     std::fprintf(stderr, "join failed: %s\n", stats.status().ToString().c_str());

@@ -6,7 +6,8 @@
 
 #include <cstdio>
 
-#include "exec/machine.h"
+#include "exec/query_session.h"
+#include "exec/site.h"
 #include "join/join_method.h"
 #include "relation/generator.h"
 #include "util/string_util.h"
@@ -14,10 +15,12 @@
 using namespace tertio;
 
 int main() {
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(100 * kMB, 16 * kMB);
+  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(100 * kMB, 16 * kMB);
   config.with_library = true;
-  exec::Machine machine(config);
-  tape::TapeLibrary* library = machine.library();
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session =
+      exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site)).value();
+  tape::TapeLibrary* library = site.library();
 
   // The archive: several cartridges in the library; two hold this month's
   // relations. (Timing-only data at realistic sizes.)
@@ -42,8 +45,8 @@ int main() {
   // Robot mounts both cartridges — this time IS charged, unlike the paper's
   // pre-loaded setup, so we can check it is negligible. The example talks to
   // the robot directly to show the raw library API.
-  auto mount_r = library->Mount(*r_slot, &machine.drive_r(), 0.0);  // tertio-lint: allow(mount)
-  auto mount_s = library->Mount(*s_slot, &machine.drive_s(), 0.0);  // tertio-lint: allow(mount)
+  auto mount_r = library->Mount(*r_slot, session->drive_r(), 0.0);  // tertio-lint: allow(mount)
+  auto mount_s = library->Mount(*s_slot, session->drive_s(), 0.0);  // tertio-lint: allow(mount)
   if (!mount_r.ok() || !mount_s.ok()) {
     std::fprintf(stderr, "mount failed\n");
     return 1;
@@ -55,7 +58,7 @@ int main() {
   spec.r = &r.value();
   spec.s = &s.value();
   auto method = join::CreateJoinMethod(JoinMethodId::kCttGh);
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   auto stats = method->Execute(spec, ctx);
   if (!stats.ok()) {
     std::fprintf(stderr, "join failed: %s\n", stats.status().ToString().c_str());
@@ -70,8 +73,8 @@ int main() {
                                        : "NOT negligible at this scale");
 
   // Put the cartridges back.
-  if (!library->Dismount(&machine.drive_r(), machine.sim().Horizon()).ok() ||
-      !library->Dismount(&machine.drive_s(), machine.sim().Horizon()).ok()) {
+  if (!library->Dismount(session->drive_r(), site.sim().Horizon()).ok() ||
+      !library->Dismount(session->drive_s(), site.sim().Horizon()).ok()) {
     return 1;
   }
   std::printf("Cartridges returned to their slots.\n");

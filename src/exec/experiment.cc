@@ -2,12 +2,12 @@
 
 namespace tertio::exec {
 
-Result<PreparedWorkload> PrepareWorkload(Machine* machine, const WorkloadConfig& workload) {
-  if (machine == nullptr) return Status::InvalidArgument("workload requires a machine");
+Result<PreparedWorkload> PrepareWorkload(QuerySession* session, const WorkloadConfig& workload) {
+  if (session == nullptr) return Status::InvalidArgument("workload requires a session");
   if (workload.r_bytes == 0 || workload.s_bytes == 0) {
     return Status::InvalidArgument("workload relations must be non-empty");
   }
-  ByteCount bb = machine->block_bytes();
+  ByteCount bb = session->site()->block_bytes();
   rel::GeneratorConfig r_config;
   r_config.name = "R";
   r_config.record_bytes = workload.record_bytes;
@@ -26,40 +26,54 @@ Result<PreparedWorkload> PrepareWorkload(Machine* machine, const WorkloadConfig&
   s_config.keys = rel::KeySequence::kForeignKeyUniform;
   s_config.key_domain = r_config.tuple_count;
   s_config.tuple_count = BytesToBlocks(workload.s_bytes, bb).value() * tuples_per_block;
+  return PrepareWorkload(session, r_config, s_config);
+}
 
+Result<PreparedWorkload> PrepareWorkload(QuerySession* session, const rel::GeneratorConfig& r,
+                                         const rel::GeneratorConfig& s) {
+  if (session == nullptr) return Status::InvalidArgument("workload requires a session");
+  Site* site = session->site();
   PreparedWorkload prepared;
-  TERTIO_ASSIGN_OR_RETURN(prepared.r, rel::GenerateOnTape(r_config, &machine->tape_r()));
-  TERTIO_ASSIGN_OR_RETURN(prepared.s, rel::GenerateOnTape(s_config, &machine->tape_s()));
-  machine->MountTapes();
+  prepared.tape_r = std::make_unique<tape::TapeVolume>("tape-R", site->block_bytes());
+  prepared.tape_s = std::make_unique<tape::TapeVolume>("tape-S", site->block_bytes());
+  // Bound before generation, so SimSan checks every append against the
+  // scratch bounds.
+  prepared.tape_r->BindAuditor(site->auditor());
+  prepared.tape_s->BindAuditor(site->auditor());
+  TERTIO_ASSIGN_OR_RETURN(prepared.r, rel::GenerateOnTape(r, prepared.tape_r.get()));
+  TERTIO_ASSIGN_OR_RETURN(prepared.s, rel::GenerateOnTape(s, prepared.tape_s.get()));
+  session->ForceMount(prepared.tape_r.get(), prepared.tape_s.get());
   return prepared;
 }
 
-Result<join::JoinStats> RunJoinExperiment(const MachineConfig& machine_config,
+Result<join::JoinStats> RunJoinExperiment(const SiteConfig& site_config,
                                           const WorkloadConfig& workload, JoinMethodId method) {
-  Machine machine(machine_config);
-  TERTIO_ASSIGN_OR_RETURN(PreparedWorkload prepared, PrepareWorkload(&machine, workload));
+  TERTIO_ASSIGN_OR_RETURN(std::unique_ptr<Site> site, Site::Create(site_config));
+  TERTIO_ASSIGN_OR_RETURN(std::unique_ptr<QuerySession> session,
+                          QuerySession::Open(site.get(), SessionResources::WholeSite(*site)));
+  TERTIO_ASSIGN_OR_RETURN(PreparedWorkload prepared, PrepareWorkload(session.get(), workload));
   join::JoinSpec spec;
   spec.r = &prepared.r;
   spec.s = &prepared.s;
   std::unique_ptr<join::JoinMethod> executor = join::CreateJoinMethod(method);
   TERTIO_CHECK(executor != nullptr, "unknown join method");
-  join::JoinContext ctx = machine.context();
-  ctx.coalesce_transfers = workload.coalesce_transfers;
-  ctx.closed_form_commit = workload.closed_form_commit;
+  join::JoinContext ctx = session->context();
+  ctx.commit = workload.commit;
   return executor->Execute(spec, ctx);
 }
 
-cost::CostParams CostParamsFor(const Machine& machine, const WorkloadConfig& workload) {
+cost::CostParams CostParamsFor(const Site& site, const WorkloadConfig& workload) {
   cost::CostParams params;
-  ByteCount bb = machine.config().block_bytes;
+  const SiteConfig& config = site.config();
+  ByteCount bb = config.block_bytes;
   params.block_bytes = bb;
   params.r_blocks = BytesToBlocks(workload.r_bytes, bb);
   params.s_blocks = BytesToBlocks(workload.s_bytes, bb);
-  params.memory_blocks = BytesToBlocks(machine.config().memory_bytes, bb);
-  params.disk_blocks = BytesToBlocks(machine.config().disk_space_bytes, bb);
-  params.tape_rate_bps = machine.EffectiveTapeRate(workload.compressibility);
-  params.disk_rate_bps = machine.AggregateDiskRate();
-  params.disk_positioning_seconds = machine.config().disk_model.positioning_seconds;
+  params.memory_blocks = BytesToBlocks(config.memory_bytes, bb);
+  params.disk_blocks = BytesToBlocks(config.disk_space_bytes, bb);
+  params.tape_rate_bps = site.EffectiveTapeRate(workload.compressibility);
+  params.disk_rate_bps = site.AggregateDiskRate();
+  params.disk_positioning_seconds = config.disk_model.positioning_seconds;
   return params;
 }
 

@@ -5,12 +5,15 @@
 /// collect stats — the loop behind every table and figure reproduction.
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "cost/cost_model.h"
-#include "exec/machine.h"
+#include "exec/query_session.h"
+#include "exec/site.h"
 #include "join/join_method.h"
 #include "relation/generator.h"
+#include "tape/tape_volume.h"
 #include "util/status.h"
 
 namespace tertio::exec {
@@ -25,29 +28,37 @@ struct WorkloadConfig {
   std::uint64_t seed = 42;
   /// Timing-only (paper-scale) vs full-data (verifiable) runs.
   bool phantom = true;
-  /// Commit-path selectors forwarded to JoinContext (join/join_spec.h) —
-  /// all three combinations are bit-identical in simulated outcome; the
-  /// non-default settings are the references in equivalence spot-checks.
-  bool coalesce_transfers = true;
-  bool closed_form_commit = true;
+  /// Commit path forwarded to JoinContext (join/join_spec.h); every mode is
+  /// bit-identical in simulated outcome.
+  sim::CommitMode commit = sim::CommitMode::kClosedForm;
 };
 
-/// The generated relations plus the machine they live on.
+/// R and S generated onto two loose scratch volumes, "tape-R" and "tape-S",
+/// which the workload owns. They must outlive every join run on them.
 struct PreparedWorkload {
+  std::unique_ptr<tape::TapeVolume> tape_r;
+  std::unique_ptr<tape::TapeVolume> tape_s;
   rel::Relation r;
   rel::Relation s;
 };
 
-/// Generates R and S onto the machine's tapes (uncosted) and mounts them.
-Result<PreparedWorkload> PrepareWorkload(Machine* machine, const WorkloadConfig& workload);
+/// Generates R and S from `workload` onto fresh volumes (uncosted), binds
+/// them to the site's auditor and force-mounts them in the session's drives.
+Result<PreparedWorkload> PrepareWorkload(QuerySession* session, const WorkloadConfig& workload);
 
-/// One full run: prepare the workload on a fresh machine and execute the
-/// method. \returns the join statistics.
-Result<join::JoinStats> RunJoinExperiment(const MachineConfig& machine_config,
+/// As above, from explicit generator configs (key distributions, tuple
+/// counts and seeds of the caller's choosing).
+Result<PreparedWorkload> PrepareWorkload(QuerySession* session, const rel::GeneratorConfig& r,
+                                         const rel::GeneratorConfig& s);
+
+/// One full run: a fresh site from `site_config`, one session leasing all of
+/// it, the prepared workload and the method. \returns the join statistics,
+/// or Site::Create's status for an invalid configuration.
+Result<join::JoinStats> RunJoinExperiment(const SiteConfig& site_config,
                                           const WorkloadConfig& workload, JoinMethodId method);
 
-/// Cost-model parameters matching a machine + workload (for analytical
+/// Cost-model parameters matching a site + workload (for analytical
 /// cross-checks and the advisor).
-cost::CostParams CostParamsFor(const Machine& machine, const WorkloadConfig& workload);
+cost::CostParams CostParamsFor(const Site& site, const WorkloadConfig& workload);
 
 }  // namespace tertio::exec

@@ -4,7 +4,7 @@
 /// Deterministic multi-threaded sweep driver for the experiment harnesses.
 ///
 /// Every figure/table reproduction runs dozens of independent simulated
-/// joins: each sweep point builds a fresh Machine, so points share no state
+/// joins: each sweep point builds a fresh Site, so points share no state
 /// and any schedule produces the same per-point results. ParallelSweep
 /// exploits that: it spreads the points over a fixed pool of workers with a
 /// static block-cyclic assignment (worker w runs points w, w+T, w+2T, ... —

@@ -6,6 +6,13 @@
 
 namespace tertio::exec {
 
+SessionResources SessionResources::WholeSite(const Site& site) {
+  SessionResources all;
+  all.memory_blocks = site.memory_blocks();
+  all.disk_blocks = site.session_disk_blocks();
+  return all;
+}
+
 Result<std::unique_ptr<QuerySession>> QuerySession::Open(Site* site,
                                                          const SessionResources& res) {
   if (site == nullptr) return Status::InvalidArgument("session requires a site");

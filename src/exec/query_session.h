@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file query_session.h
-/// The per-query half of the split Machine: a lease of site resources.
+/// A lease of site resources for one query.
 ///
 /// A QuerySession leases two tape drives, a memory partition M_q and a disk
 /// carve D_q from a Site and presents them as a join::JoinContext, so all
@@ -36,6 +36,10 @@ struct SessionResources {
   /// follower onto the drive that already holds the leader's S cartridge);
   /// empty reproduces the legacy lowest-indexed pick exactly.
   std::vector<int> preferred_drives;
+
+  /// All of the site's memory and session disk space: the single-query
+  /// set-up (the paper's one join per system).
+  static SessionResources WholeSite(const Site& site);
 };
 
 /// One open lease. Create with Open(); resources return on destruction.
@@ -64,7 +68,7 @@ class QuerySession {
 
   /// Uncosted mounts of loose (non-library) volumes — the paper's "tapes
   /// have been inserted and loaded before the join begins" setup, used by
-  /// the single-query Machine facade.
+  /// exec::PrepareWorkload.
   void ForceMount(tape::TapeVolume* r, tape::TapeVolume* s);
 
   /// If the site's extent cache holds relation `s` (which must already be

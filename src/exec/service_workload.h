@@ -4,11 +4,11 @@
 /// Synthetic multi-query workloads for the join service.
 ///
 /// The single-query experiment driver (experiment.h) generates one R and one
-/// S onto a Machine's loose tapes. The service works against library
-/// cartridges instead: this helper populates a Site's library with one large
-/// S relation per cartridge and several small R relations sharing one
-/// cartridge, so a stream of joins "R_j |><| S_k" can be composed where many
-/// queries target the same S cartridge — the scan-sharing case.
+/// S onto two loose tapes that one session mounts. The service works against
+/// library cartridges instead: this helper populates a Site's library with
+/// one large S relation per cartridge and several small R relations sharing
+/// one cartridge, so a stream of joins "R_j |><| S_k" can be composed where
+/// many queries target the same S cartridge — the scan-sharing case.
 
 #include <cstdint>
 #include <vector>

@@ -38,6 +38,13 @@ Status SiteConfig::Validate() const {
   return Status::OK();
 }
 
+SiteConfig SiteConfig::PaperTestbed(ByteCount disk_space_bytes, ByteCount memory_bytes) {
+  SiteConfig config;
+  config.disk_space_bytes = disk_space_bytes;
+  config.memory_bytes = memory_bytes;
+  return config;
+}
+
 Result<std::unique_ptr<Site>> Site::Create(const SiteConfig& config) {
   TERTIO_RETURN_IF_ERROR(config.Validate());
   return std::make_unique<Site>(config);
@@ -49,8 +56,8 @@ Site::Site(const SiteConfig& config)
   Status valid = config.Validate();
   TERTIO_CHECK(valid.ok(), "invalid site configuration (use Site::Create for the Status)");
   // Resource creation order matters for reproducibility: disks, then the
-  // drive pool, then the robot — the order the seed Machine used, so a
-  // 2-drive site is device-for-device identical to it.
+  // drive pool, then the robot — the seed's order, which every pinned
+  // simulated time depends on.
   disk::DiskGroupConfig group_config = disk::DiskGroupConfig::Uniform(
       config.disk_count, config.disk_model,
       BytesToBlocks(config.disk_space_bytes, config.block_bytes), config.block_bytes,

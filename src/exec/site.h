@@ -1,15 +1,14 @@
 #pragma once
 
 /// \file site.h
-/// The shared half of the split Machine: one simulated installation whose
-/// devices serve many queries.
+/// One simulated installation whose devices serve many queries.
 ///
 /// A Site owns the simulation, the tape library, a pool of drives, the
 /// striped disk group and the site-wide memory budget M. It executes
 /// nothing itself — queries lease slices of it through exec::QuerySession
-/// and a stream of queries is driven through exec::QueryScheduler. The
-/// legacy single-query Machine (machine.h) survives as a facade over a Site
-/// plus one session that leases everything.
+/// and a stream of queries is driven through exec::QueryScheduler. A
+/// single join (the paper's setting) is one session leasing the whole site
+/// (SessionResources::WholeSite).
 
 #include <memory>
 #include <string>
@@ -53,6 +52,10 @@ struct SiteConfig {
   tape::TapeLibraryModel library_model = tape::TapeLibraryModel::SmallAutoloader();
   /// Fault model of the site's devices (sim/fault.h).
   sim::FaultPlan faults;
+
+  /// The paper's testbed (Section 6): two DLT-4000 drives and two Quantum
+  /// Fireball disks, with the experiment's D and M.
+  static SiteConfig PaperTestbed(ByteCount disk_space_bytes, ByteCount memory_bytes);
 
   /// Rejects configurations that would otherwise fail obscurely downstream:
   /// non-positive disk/drive counts, a memory budget smaller than one

@@ -109,8 +109,7 @@ Result<sim::StageId> PartitionRToDisk(const JoinContext& ctx, const JoinSpec& sp
   plan.streaming = concurrent;
   plan.move_payloads = !phantom;
   plan.chunk_retry_limit = ctx.chunk_retry_limit;
-  plan.allow_coalescing = ctx.coalesce_transfers;
-  plan.closed_form_commit = ctx.closed_form_commit;
+  plan.commit = ctx.commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           pipe.Transfer(plan, source, sink, {}));
   return sink.IssueFlush(pipe, "r-hash-flush",
@@ -213,8 +212,7 @@ Result<JoinStats> ExecuteGh(GhMode mode, JoinMethodId id, const JoinSpec& spec,
     plan.streaming = concurrent;
     plan.move_payloads = !phantom;
     plan.chunk_retry_limit = ctx.chunk_retry_limit;
-    plan.allow_coalescing = ctx.coalesce_transfers;
-    plan.closed_form_commit = ctx.closed_form_commit;
+    plan.commit = ctx.commit;
     TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult slab_result,
                             pipe.Transfer(plan, s_source, s_sink, {tape_chain}));
     tape_chain = concurrent ? slab_result.last_read : slab_result.last_write;

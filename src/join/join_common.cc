@@ -149,8 +149,7 @@ Result<StagedRelation> StageRelationToDisk(const JoinContext& ctx, sim::Pipeline
   plan.streaming = concurrent;
   plan.move_payloads = !relation.phantom;
   plan.chunk_retry_limit = ctx.chunk_retry_limit;
-  plan.allow_coalescing = ctx.coalesce_transfers;
-  plan.closed_form_commit = ctx.closed_form_commit;
+  plan.commit = ctx.commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           pipe.Transfer(plan, source, sink, deps));
   staged.done_stage = pipe.Event("stage:done", result.done);
@@ -175,8 +174,7 @@ Result<sim::StageId> ScanDiskAndProbe(const JoinContext& ctx, sim::Pipeline& pip
   plan.streaming = true;  // reads chain read-to-read; probing is free
   plan.move_payloads = !phantom;
   plan.chunk_retry_limit = ctx.chunk_retry_limit;
-  plan.allow_coalescing = ctx.coalesce_transfers;
-  plan.closed_form_commit = ctx.closed_form_commit;
+  plan.commit = ctx.commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           pipe.Transfer(plan, source, sink, deps));
   if (result.last_read == sim::kNoStage) return pipe.Barrier(phase, deps);

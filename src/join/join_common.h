@@ -20,7 +20,7 @@ namespace tertio::join {
 
 /// The build/probe table of every executor: the flat open-addressed table
 /// (flat_table.h). The name survives from the seed's multimap implementation
-/// (now tests-only, legacy_table.h).
+/// (legacy_table.h, now the reference join's table).
 using HashJoinTable = FlatJoinTable;
 
 /// Pipeline sink probing a Transfer's chunks through a hash table — the

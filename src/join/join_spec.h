@@ -78,17 +78,10 @@ struct JoinContext {
   /// retries). Every method inherits this recovery through
   /// StageRelationToDisk / ScanDiskAndProbe.
   int chunk_retry_limit = 3;
-  /// Let eligible phantom transfers collapse their steady-state chunk
-  /// recurrence into batched device commits (sim/pipeline.h). Bit-identical
-  /// in simulated time and all aggregates; off forces the per-chunk path
-  /// (the equivalence tests' reference).
-  bool coalesce_transfers = true;
-  /// Let coalesced windows commit their steady state in closed form (O(1)
-  /// jumps over the chunk recurrence instead of an O(chunks) scalar replay;
-  /// sim/pipeline.h). Bit-identical either way; off forces the full replay
-  /// (the middle rung of the per-chunk / replay / closed-form equivalence
-  /// ladder). Ignored when coalesce_transfers is off.
-  bool closed_form_commit = true;
+  /// How every transfer of the join commits its steady state
+  /// (sim::CommitMode; bit-identical in simulated time and all aggregates).
+  /// Tests and benches pin the per-chunk or replay reference paths.
+  sim::CommitMode commit = sim::CommitMode::kClosedForm;
 };
 
 /// Everything a run reports. Timing is virtual; tuple counts are exact in

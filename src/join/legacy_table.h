@@ -1,15 +1,15 @@
 #pragma once
 
 /// \file legacy_table.h
-/// The seed's std::unordered_multimap join table, kept verbatim as a
-/// compile-time reference implementation.
+/// The seed's std::unordered_multimap join table, kept verbatim as an
+/// independent reference implementation.
 ///
-/// Production code uses FlatJoinTable (flat_table.h). This header exists so
-/// that (a) tests/join_correctness_test.cc can assert the two substrates
-/// compute identical match sets over generated workloads and (b)
-/// bench_micro_substrates can report the flat table's build/probe speedup
-/// against the node-per-entry baseline it replaced. Do not use it in
-/// executors.
+/// Executors use FlatJoinTable (flat_table.h). This table (a) backs
+/// join::ReferenceJoin, so the correctness oracle shares no code with the
+/// table under test, (b) lets tests/join_correctness_test.cc assert the two
+/// substrates compute identical match sets over generated workloads, and
+/// (c) gives bench_micro_substrates the node-per-entry baseline for the flat
+/// table's build/probe speedup. Do not use it in executors.
 
 #include <cstdint>
 #include <span>

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "join/join_common.h"
+#include "join/legacy_table.h"
 
 namespace tertio::join {
 
@@ -14,7 +14,9 @@ Result<JoinOutput> ReferenceJoin(const rel::Relation& r, const rel::Relation& s,
   if (r.volume == nullptr || s.volume == nullptr) {
     return Status::InvalidArgument("reference join requires tape-resident relations");
   }
-  HashJoinTable table(&r.schema, r_key_column, /*build_is_r=*/true);
+  // The seed's multimap table, not the executors' FlatJoinTable: the oracle
+  // must not share the table under test.
+  LegacyMultimapJoinTable table(&r.schema, r_key_column, /*build_is_r=*/true);
   std::vector<BlockPayload> blocks;
   for (BlockCount i = 0; i < r.blocks; ++i) {
     TERTIO_ASSIGN_OR_RETURN(BlockPayload payload, r.volume->ReadBlock(r.start_block + i));

@@ -4,8 +4,9 @@
 /// Uncosted in-memory equi-join used as the correctness oracle.
 ///
 /// Reads both relations directly off their tape volumes (no device timing)
-/// and computes the full join in memory. Every tertiary method must produce
-/// the same (tuples, checksum) pair.
+/// and computes the full join in memory on the seed's multimap table
+/// (legacy_table.h), independent of the executors' FlatJoinTable. Every
+/// tertiary method must produce the same (tuples, checksum) pair.
 
 #include "join/join_output.h"
 #include "relation/relation.h"

@@ -114,8 +114,7 @@ Result<sim::StageId> HashRelationToTape(const JoinContext& ctx, sim::Pipeline& p
     plan.streaming = true;
     plan.move_payloads = !phantom;
     plan.chunk_retry_limit = ctx.chunk_retry_limit;
-    plan.allow_coalescing = ctx.coalesce_transfers;
-    plan.closed_form_commit = ctx.closed_form_commit;
+    plan.commit = ctx.commit;
     TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                             pipe.Transfer(plan, scan_source, scan_sink, {cursor}));
     TERTIO_ASSIGN_OR_RETURN(sim::StageId flush,
@@ -233,8 +232,7 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
     plan.streaming = true;  // the hash process trails the tape
     plan.move_payloads = !phantom;
     plan.chunk_retry_limit = ctx.chunk_retry_limit;
-    plan.allow_coalescing = ctx.coalesce_transfers;
-    plan.closed_form_commit = ctx.closed_form_commit;
+    plan.commit = ctx.commit;
     TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult slab_result,
                             pipe.Transfer(plan, s_source, s_sink, {tape_s_chain}));
     tape_s_chain = slab_result.last_read;
@@ -435,8 +433,7 @@ Result<JoinStats> ExecuteTtGh(const JoinSpec& spec, const JoinContext& ctx) {
       plan.streaming = true;
       plan.move_payloads = !phantom;
       plan.chunk_retry_limit = ctx.chunk_retry_limit;
-      plan.allow_coalescing = ctx.coalesce_transfers;
-      plan.closed_form_commit = ctx.closed_form_commit;
+      plan.commit = ctx.commit;
       TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                               pipe.Transfer(plan, sb_source, sink, {t}));
       drive_r_chain = result.last_read == sim::kNoStage ? t : result.last_read;

@@ -19,7 +19,7 @@
 /// and surfaced through Check(), which returns a Status carrying a
 /// replayable diagnostic trace of the offending intervals.
 ///
-/// Binding is explicit (Simulation::EnableAudit() / Machine::EnableAudit())
+/// Binding is explicit (Simulation::EnableAudit() / exec::Site::EnableAudit())
 /// in all builds; under the TERTIO_SIMSAN compile option (on in the Debug,
 /// asan and tsan presets) every Simulation auto-enables its auditor and
 /// hard-fails at destruction if a violation was recorded, making the whole
@@ -88,7 +88,7 @@ struct AuditViolation {
 /// Collects invariant checks and violations for one simulated system.
 /// Thread-compatible, not thread-safe — one auditor per Simulation, matching
 /// the simulator's single-threaded-by-design contract (parallel sweeps use
-/// one Machine, and therefore one auditor, per worker).
+/// one Site, and therefore one auditor, per worker).
 class Auditor {
  public:
   // --- Hooks called by the instrumented layers -----------------------------

@@ -401,7 +401,7 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
     for (std::uint64_t c = 0; c < count * period; ++c) replay_chunk();
   };
 
-  if (!plan.closed_form_commit) {
+  if (plan.commit == CommitMode::kReplay) {
     // The O(chunks) reference: replay every chunk of the window scalar.
     replay_periods(n / period);
   } else {
@@ -583,8 +583,9 @@ Result<Pipeline::TransferResult> Pipeline::Transfer(const TransferPlan& plan,
   // demand per-chunk records, and distinct phases keep the batched
   // busy-seconds accumulation order identical to the interleaved per-chunk
   // one (reads and writes land in different phase summaries).
-  const bool plan_coalescible = plan.allow_coalescing && plan.checkpoint == nullptr &&
-                                !plan.move_payloads && plan.read_phase != plan.write_phase &&
+  const bool plan_coalescible = plan.commit != CommitMode::kPerChunk &&
+                                plan.checkpoint == nullptr && !plan.move_payloads &&
+                                plan.read_phase != plan.write_phase &&
                                 (trace_ == nullptr || !trace_->retain());
   for (BlockCount offset = resume_at; offset < plan.total; offset += chunk) {
     BlockCount take = std::min<BlockCount>(chunk, plan.total - offset);

@@ -3,15 +3,13 @@
 /// \file pipeline.h
 /// The chunked-transfer pipeline engine shared by every join executor.
 ///
-/// TaskGraph (task_graph.h) schedules a *static* DAG whose durations are
-/// known up front. Device operations in tertio are state-dependent — a tape
-/// read's cost depends on where the head stopped, a disk write's on the
-/// extent layout — so executors cannot declare durations ahead of time.
-/// Pipeline generalizes TaskGraph's list scheduling to that case: stages are
-/// dispatched eagerly, in insertion order (matching the FIFO device-queue
-/// semantics of Resource exactly as TaskGraph::Run does), and each stage's
-/// operation computes its own occupancy interval by charging the device
-/// model when dispatched. A stage's ready time is the latest finish of its
+/// Device operations in tertio are state-dependent — a tape read's cost
+/// depends on where the head stopped, a disk write's on the extent layout —
+/// so executors cannot declare durations ahead of time. Pipeline is a list
+/// scheduler for that case: stages are dispatched eagerly, in insertion
+/// order (matching the FIFO device-queue semantics of Resource), and each
+/// stage's operation computes its own occupancy interval by charging the
+/// device model when dispatched. A stage's ready time is the latest finish of its
 /// dependencies — the scheduler derives the overlap structure of the
 /// paper's concurrent methods from declared dependencies instead of each
 /// executor hand-threading `max()` arithmetic over raw SimSeconds.
@@ -159,10 +157,33 @@ class SpanTrace {
   bool has_window_ = false;
 };
 
+/// How Pipeline::Transfer commits a chunked transfer. The three modes are
+/// bit-identical in simulated seconds and in every span and resource
+/// aggregate (simsan_test's three-way ladder asserts it); they differ only
+/// in host cost.
+enum class CommitMode {
+  /// Every chunk walks the scheduling path (the reference).
+  kPerChunk,
+  /// Coalesced: when both endpoints prove their per-chunk cost constant over
+  /// a run of full chunks (CostProfile) and the plan moves no payloads, keeps
+  /// no checkpoint and retains no per-span trace, the steady-state read/write
+  /// recurrence is replayed in O(chunks) scalar form and committed as ONE
+  /// batched read stage plus ONE batched write stage. Ineligible windows
+  /// (fault plans, positioning boundaries, tail chunks) fall back per-chunk
+  /// and coalescing re-arms after them.
+  kReplay,
+  /// Coalesced as kReplay, but after a scalar warm-up the recurrence repeats
+  /// as an exact per-period translation on the float grid, and the remaining
+  /// periods are committed with O(1) arithmetic per jump instead of the
+  /// O(chunks) replay (the jump fires only when the translation is verified
+  /// exact; see DESIGN.md §5.1). The default.
+  kClosedForm,
+};
+
 /// Answer of a BlockSource/BlockSink to "what would a run of `max_chunks`
 /// equal-size chunks cost, and is that cost provably constant?" — the
 /// eligibility half of the pipeline's coalesced fast path (see
-/// Pipeline::TransferPlan::allow_coalescing). A default-constructed profile
+/// CommitMode::kReplay). A default-constructed profile
 /// (chunks == 0) means "not coalescible": the transfer keeps the per-chunk
 /// path. Computing a profile must not mutate device state; the bookkeeping
 /// the per-chunk path would have applied (head positions, block counters,
@@ -356,26 +377,8 @@ class Pipeline {
     /// `checkpoint->completed_blocks` and keeps the struct current after
     /// every completed chunk, so the caller can re-issue on failure.
     TransferCheckpoint* checkpoint = nullptr;
-    /// Allow the coalesced fast path: when both endpoints prove their
-    /// per-chunk cost constant over a run of full chunks (CostProfile) and
-    /// the plan moves no payloads, keeps no checkpoint, and retains no
-    /// per-span trace, the steady-state read/write recurrence is replayed in
-    /// closed O(chunks) scalar form and committed as ONE batched read stage
-    /// plus ONE batched write stage — bit-identical in simulated seconds and
-    /// every span/resource aggregate to the per-chunk loop. Ineligible
-    /// windows (fault plans, positioning boundaries, tail chunks) fall back
-    /// per-chunk and coalescing re-arms after them. Off forces per-chunk
-    /// scheduling for every chunk (A/B validation, tests).
-    bool allow_coalescing = true;
-    /// Commit eligible windows in closed form: after a scalar warm-up the
-    /// steady-state recurrence repeats as an exact per-period translation on
-    /// the float grid, and the remaining periods are committed with O(1)
-    /// arithmetic per jump instead of an O(chunks) replay — bit-identical in
-    /// simulated seconds and every aggregate (the jump fires only when the
-    /// translation is verified exact; see DESIGN.md §5.1). Off keeps the
-    /// coalesced window's full scalar replay (the O(chunks) reference; the
-    /// three-way equivalence tests compare per-chunk / replay / closed form).
-    bool closed_form_commit = true;
+    /// How the transfer commits its steady state (CommitMode).
+    CommitMode commit = CommitMode::kClosedForm;
   };
 
   struct TransferResult {

@@ -1,4 +1,4 @@
-// Tests for tertio_exec: machine assembly, workload preparation, experiment
+// Tests for tertio_exec: site assembly, workload preparation, experiment
 // driving, report rendering.
 
 #include <gtest/gtest.h>
@@ -6,78 +6,87 @@
 #include <cmath>
 
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "exec/report.h"
+#include "whole_site.h"
 
 namespace tertio::exec {
 namespace {
 
+using test::WholeSiteSession;
+
 TEST(MachineTest, PaperTestbedShape) {
-  MachineConfig config = MachineConfig::PaperTestbed(500 * kMB, 16 * kMB);
-  Machine machine(config);
-  EXPECT_EQ(machine.disks().disk_count(), 2);
-  EXPECT_EQ(machine.memory_blocks(), BytesToBlocks(16 * kMB, kDefaultBlockBytes));
-  EXPECT_GE(machine.disk_blocks(), BytesToBlocks(500 * kMB, kDefaultBlockBytes));
-  EXPECT_FALSE(machine.drive_r().loaded());
-  machine.MountTapes();
-  EXPECT_TRUE(machine.drive_r().loaded());
-  EXPECT_TRUE(machine.drive_s().loaded());
-  EXPECT_EQ(machine.library(), nullptr);
+  Site site(SiteConfig::PaperTestbed(500 * kMB, 16 * kMB));
+  std::unique_ptr<QuerySession> session = WholeSiteSession(site);
+  EXPECT_EQ(session->disks().disk_count(), 2);
+  EXPECT_EQ(session->memory().total_blocks(), BytesToBlocks(16 * kMB, kDefaultBlockBytes));
+  EXPECT_GE(session->disks().allocator().capacity_blocks(),
+            BytesToBlocks(500 * kMB, kDefaultBlockBytes));
+  EXPECT_FALSE(session->drive_r()->loaded());
+  tape::TapeVolume r("tape-R", kDefaultBlockBytes);
+  tape::TapeVolume s("tape-S", kDefaultBlockBytes);
+  session->ForceMount(&r, &s);
+  EXPECT_TRUE(session->drive_r()->loaded());
+  EXPECT_TRUE(session->drive_s()->loaded());
+  EXPECT_EQ(site.library(), nullptr);
 }
 
 TEST(MachineTest, EffectiveRatesFollowModels) {
-  Machine machine(MachineConfig::PaperTestbed(100 * kMB, 16 * kMB));
-  EXPECT_DOUBLE_EQ((machine.EffectiveTapeRate(0.0)).value(), 1.5e6);
-  EXPECT_NEAR((machine.EffectiveTapeRate(0.25)).value(), 2.0e6, 1e3);
-  EXPECT_NEAR((machine.AggregateDiskRate()).value(), 2 * 4.2e6, 1.0);
+  Site site(SiteConfig::PaperTestbed(100 * kMB, 16 * kMB));
+  EXPECT_DOUBLE_EQ((site.EffectiveTapeRate(0.0)).value(), 1.5e6);
+  EXPECT_NEAR((site.EffectiveTapeRate(0.25)).value(), 2.0e6, 1e3);
+  EXPECT_NEAR((site.AggregateDiskRate()).value(), 2 * 4.2e6, 1.0);
 }
 
 TEST(MachineTest, LibraryAttachesWhenRequested) {
-  MachineConfig config = MachineConfig::PaperTestbed(100 * kMB, 16 * kMB);
+  SiteConfig config = SiteConfig::PaperTestbed(100 * kMB, 16 * kMB);
   config.with_library = true;
-  Machine machine(config);
-  ASSERT_NE(machine.library(), nullptr);
-  EXPECT_EQ(machine.library()->slot_count(), 0);
+  Site site(config);
+  ASSERT_NE(site.library(), nullptr);
+  EXPECT_EQ(site.library()->slot_count(), 0);
 }
 
 TEST(WorkloadTest, PreparePlacesRelationsOnTapes) {
-  Machine machine(MachineConfig::PaperTestbed(100 * kMB, 16 * kMB));
+  Site site(SiteConfig::PaperTestbed(100 * kMB, 16 * kMB));
+  std::unique_ptr<QuerySession> session = WholeSiteSession(site);
   WorkloadConfig workload;
   workload.r_bytes = 10 * kMB;
   workload.s_bytes = 40 * kMB;
   workload.phantom = true;
-  auto prepared = PrepareWorkload(&machine, workload);
+  auto prepared = PrepareWorkload(session.get(), workload);
   ASSERT_TRUE(prepared.ok());
-  EXPECT_EQ(prepared->r.volume, &machine.tape_r());
-  EXPECT_EQ(prepared->s.volume, &machine.tape_s());
+  EXPECT_EQ(prepared->r.volume, prepared->tape_r.get());
+  EXPECT_EQ(prepared->s.volume, prepared->tape_s.get());
   EXPECT_EQ(prepared->r.blocks, BytesToBlocks(10 * kMB, kDefaultBlockBytes));
   EXPECT_EQ(prepared->s.blocks, BytesToBlocks(40 * kMB, kDefaultBlockBytes));
-  EXPECT_TRUE(machine.drive_r().loaded());
+  EXPECT_EQ(session->drive_r()->volume(), prepared->tape_r.get());
+  EXPECT_EQ(session->drive_s()->volume(), prepared->tape_s.get());
   // Drives were mounted uncosted: no virtual time has passed.
-  EXPECT_DOUBLE_EQ((machine.sim().Horizon()).value(), 0.0);
+  EXPECT_DOUBLE_EQ((site.sim().Horizon()).value(), 0.0);
 }
 
 TEST(WorkloadTest, InvalidWorkloadRejected) {
-  Machine machine(MachineConfig::PaperTestbed(100 * kMB, 16 * kMB));
+  Site site(SiteConfig::PaperTestbed(100 * kMB, 16 * kMB));
+  std::unique_ptr<QuerySession> session = WholeSiteSession(site);
   WorkloadConfig workload;
-  EXPECT_FALSE(PrepareWorkload(&machine, workload).ok());  // empty sizes
+  EXPECT_FALSE(PrepareWorkload(session.get(), workload).ok());  // empty sizes
   EXPECT_FALSE(PrepareWorkload(nullptr, workload).ok());
 }
 
 TEST(WorkloadTest, FullDataKeysReferenceR) {
-  Machine machine(MachineConfig::PaperTestbed(100 * kMB, 16 * kMB));
+  Site site(SiteConfig::PaperTestbed(100 * kMB, 16 * kMB));
+  std::unique_ptr<QuerySession> session = WholeSiteSession(site);
   WorkloadConfig workload;
   workload.r_bytes = 200 * kKB;
   workload.s_bytes = 800 * kKB;
   workload.phantom = false;
-  auto prepared = PrepareWorkload(&machine, workload);
+  auto prepared = PrepareWorkload(session.get(), workload);
   ASSERT_TRUE(prepared.ok());
   EXPECT_GT(prepared->r.tuple_count, 0u);
   EXPECT_FALSE(prepared->r.phantom);
 }
 
 TEST(ExperimentTest, RunJoinExperimentEndToEnd) {
-  MachineConfig config = MachineConfig::PaperTestbed(60 * kMB, 4 * kMB);
+  SiteConfig config = SiteConfig::PaperTestbed(60 * kMB, 4 * kMB);
   WorkloadConfig workload;
   workload.r_bytes = 10 * kMB;
   workload.s_bytes = 50 * kMB;
@@ -88,15 +97,29 @@ TEST(ExperimentTest, RunJoinExperimentEndToEnd) {
   EXPECT_EQ(stats->method, "CDT-GH");
 }
 
+TEST(ExperimentTest, InvalidSiteConfigReturnsInvalidArgument) {
+  WorkloadConfig workload;
+  workload.r_bytes = 10 * kMB;
+  workload.s_bytes = 50 * kMB;
+  SiteConfig no_disks = SiteConfig::PaperTestbed(60 * kMB, 4 * kMB);
+  no_disks.disk_count = 0;
+  EXPECT_EQ(RunJoinExperiment(no_disks, workload, JoinMethodId::kCdtGh).status().code(),
+            StatusCode::kInvalidArgument);
+  SiteConfig sub_block_memory = SiteConfig::PaperTestbed(60 * kMB, 4 * kMB);
+  sub_block_memory.memory_bytes = sub_block_memory.block_bytes - 1;
+  EXPECT_EQ(RunJoinExperiment(sub_block_memory, workload, JoinMethodId::kCdtGh).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(ExperimentTest, CostParamsMatchMachine) {
-  Machine machine(MachineConfig::PaperTestbed(500 * kMB, 16 * kMB));
+  Site site(SiteConfig::PaperTestbed(500 * kMB, 16 * kMB));
   WorkloadConfig workload;
   workload.r_bytes = 100 * kMB;
   workload.s_bytes = 400 * kMB;
   workload.compressibility = 0.25;
-  auto params = CostParamsFor(machine, workload);
+  auto params = CostParamsFor(site, workload);
   EXPECT_EQ(params.r_blocks, BytesToBlocks(100 * kMB, kDefaultBlockBytes));
-  EXPECT_EQ(params.memory_blocks, machine.memory_blocks());
+  EXPECT_EQ(params.memory_blocks, site.memory_blocks());
   EXPECT_NEAR((params.tape_rate_bps).value(), 2.0e6, 1e3);
   EXPECT_NEAR((params.disk_rate_bps).value(), 8.4e6, 1.0);
 }

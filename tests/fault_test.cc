@@ -9,15 +9,13 @@
 //    checkpoints resume where a failed transfer stopped;
 //  - a join under injected faults produces exactly the fault-free result
 //    (verified against the in-memory reference join);
-//  - regression: TapeLibrary::Mount swap bookkeeping, TapeScheduler
-//    mid-batch error requeue.
+//  - regression: TapeLibrary::Mount swap bookkeeping.
 
 #include "sim/fault.h"
 
 #include <gtest/gtest.h>
 
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "join/join_common.h"
 #include "join/join_method.h"
 #include "join/reference_join.h"
@@ -25,7 +23,7 @@
 #include "sim/pipeline.h"
 #include "sim/simulation.h"
 #include "tape/tape_library.h"
-#include "tape/tape_scheduler.h"
+#include "whole_site.h"
 
 namespace tertio::sim {
 namespace {
@@ -420,8 +418,8 @@ namespace {
 
 constexpr ByteCount kBlock = 1024;
 
-exec::MachineConfig FaultyMachine(const sim::FaultPlan& faults) {
-  exec::MachineConfig config;
+exec::SiteConfig FaultySite(const sim::FaultPlan& faults) {
+  exec::SiteConfig config;
   config.block_bytes = kBlock;
   config.disk_space_bytes = 64 * kBlock;
   config.memory_bytes = 16 * kBlock;
@@ -433,12 +431,13 @@ exec::MachineConfig FaultyMachine(const sim::FaultPlan& faults) {
 struct FaultyRun {
   JoinStats stats;
   JoinOutput reference;
-  sim::FaultStats machine_faults;
+  sim::FaultStats site_faults;
 };
 
 Result<FaultyRun> RunUnderFaults(const sim::FaultPlan& faults, JoinMethodId method,
-                                 bool coalesce = true) {
-  exec::Machine machine(FaultyMachine(faults));
+                                 sim::CommitMode commit = sim::CommitMode::kClosedForm) {
+  exec::Site site(FaultySite(faults));
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   FaultyRun run;
   rel::GeneratorConfig rc, sc;
   rc.name = "R";
@@ -452,19 +451,17 @@ Result<FaultyRun> RunUnderFaults(const sim::FaultPlan& faults, JoinMethodId meth
   sc.key_domain = 400;
   sc.compressibility = 0.25;
   sc.seed = 12;
-  rel::Relation r, s;
-  TERTIO_ASSIGN_OR_RETURN(r, rel::GenerateOnTape(rc, &machine.tape_r()));
-  TERTIO_ASSIGN_OR_RETURN(s, rel::GenerateOnTape(sc, &machine.tape_s()));
-  machine.MountTapes();
-  TERTIO_ASSIGN_OR_RETURN(run.reference, ReferenceJoin(r, s, 0, 0));
+  TERTIO_ASSIGN_OR_RETURN(exec::PreparedWorkload prepared,
+                          exec::PrepareWorkload(session.get(), rc, sc));
+  TERTIO_ASSIGN_OR_RETURN(run.reference, ReferenceJoin(prepared.r, prepared.s, 0, 0));
   JoinSpec spec;
-  spec.r = &r;
-  spec.s = &s;
+  spec.r = &prepared.r;
+  spec.s = &prepared.s;
   auto executor = CreateJoinMethod(method);
-  JoinContext ctx = machine.context();
-  ctx.coalesce_transfers = coalesce;
+  JoinContext ctx = session->context();
+  ctx.commit = commit;
   TERTIO_ASSIGN_OR_RETURN(run.stats, executor->Execute(spec, ctx));
-  run.machine_faults = machine.TotalFaultStats();
+  run.site_faults = site.TotalFaultStats();
   return run;
 }
 
@@ -490,7 +487,7 @@ TEST_P(FaultyJoinTest, RecoveredJoinMatchesReferenceExactly) {
   EXPECT_GT(run->stats.faults_injected, 0u);
   EXPECT_GT(run->stats.fault_retries, 0u);
   EXPECT_GT(run->stats.recovery_seconds, 0.0);
-  EXPECT_EQ(run->stats.faults_injected, run->machine_faults.faults());
+  EXPECT_EQ(run->stats.faults_injected, run->site_faults.faults());
 }
 
 TEST_P(FaultyJoinTest, FaultsOnlySlowTheJoinDown) {
@@ -535,10 +532,11 @@ TEST_P(FaultyJoinTest, ChunkRetriesRecoverHardDeviceFailures) {
 TEST_P(FaultyJoinTest, CoalescingToggleIsInvisibleUnderFaults) {
   // With injectors active the coalesced fast path must disengage (batching
   // would skip the per-chunk fault draws and desynchronise the seeded RNG
-  // stream), so toggling JoinContext::coalesce_transfers changes nothing:
-  // both runs take the per-chunk path and replay each other exactly.
-  auto on = RunUnderFaults(ModeratePlan(), GetParam(), /*coalesce=*/true);
-  auto off = RunUnderFaults(ModeratePlan(), GetParam(), /*coalesce=*/false);
+  // stream), so the default commit mode and the per-chunk reference (the
+  // JoinContext::commit toggle) change nothing: both runs take the
+  // per-chunk path and replay each other exactly.
+  auto on = RunUnderFaults(ModeratePlan(), GetParam(), sim::CommitMode::kClosedForm);
+  auto off = RunUnderFaults(ModeratePlan(), GetParam(), sim::CommitMode::kPerChunk);
   ASSERT_TRUE(on.ok()) << on.status();
   ASSERT_TRUE(off.ok()) << off.status();
   EXPECT_GT(on->stats.faults_injected, 0u);
@@ -593,20 +591,21 @@ TEST(CoalesceFaultFallback, EnabledInjectorEmptiesTapeCostProfiles) {
   EXPECT_GT(drive.ReadCostProfile(0, 8, 16).chunks, 0u);
 }
 
-// End-to-end: on a machine with a fault plan, the shared transfer helpers
+// End-to-end: on a site with a fault plan, the shared transfer helpers
 // never engage the coalesced path (contrast with the SimSan engagement test
-// on a clean machine, where the same staging coalesces most of its chunks).
+// on a clean site, where the same staging coalesces most of its chunks).
 TEST(CoalesceFaultFallback, FaultyMachineForcesThePerChunkPath) {
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(50 * kMB, 5400 * kKB);
+  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(50 * kMB, 5400 * kKB);
   config.faults = ModeratePlan();
-  exec::Machine machine(config);
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   exec::WorkloadConfig workload;
   workload.r_bytes = 18 * kMB;
   workload.s_bytes = 100 * kMB;
   workload.phantom = true;
-  auto prepared = exec::PrepareWorkload(&machine, workload);
+  auto prepared = exec::PrepareWorkload(session.get(), workload);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  JoinContext ctx = machine.context();
+  JoinContext ctx = session->context();
 
   sim::Pipeline pipe(ctx.sim->Horizon(), nullptr, ctx.sim->auditor());
   BlockCount chunk = DefaultTapeChunk(prepared->r);
@@ -686,122 +685,6 @@ TEST(TapeLibraryMount, FailedExchangeLeavesSlotBookkeepingConsistent) {
   // healthy again, the same mount goes through.
   library.set_fault_injector(nullptr);
   EXPECT_TRUE(library.Mount(0, &drive, 0.0).ok());
-}
-
-TEST(TapeSchedulerBatch, MidBatchErrorKeepsCompletionsAndRequeuesTheRest) {
-  sim::Simulation sim;
-  TapeVolume volume("t", kBlock);
-  ASSERT_TRUE(volume.AppendPhantom(100, 0.25).ok());
-  TapeDrive drive("drv", TapeDriveModel::DLT4000(), sim.CreateResource("tape"));
-  ASSERT_TRUE(drive.Load(&volume, 0.0).ok());
-  TapeScheduler scheduler(&drive, SchedulePolicy::kFifo);
-  scheduler.Submit({1, 0, 10});
-  scheduler.Submit({2, 90, 50});  // reads past end-of-data: fails
-  scheduler.Submit({3, 20, 10});
-
-  auto batch = scheduler.ExecuteBatch(0.0);
-  EXPECT_FALSE(batch.ok());
-  ASSERT_EQ(batch.completions.size(), 1u);
-  EXPECT_EQ(batch.completions.front().id, 1u);
-  EXPECT_EQ(batch.requeued, 2u);
-  EXPECT_EQ(scheduler.pending(), 2u);
-
-  // The requeued requests stay ahead of later submissions and drain once the
-  // offender is fixed (here: dropped and replaced by a valid range).
-  scheduler.Submit({4, 40, 10});
-  auto retry = scheduler.ExecuteBatch(0.0);
-  EXPECT_FALSE(retry.ok());  // the bad request is retried first and fails again
-  EXPECT_EQ(retry.completions.size(), 0u);
-  EXPECT_EQ(scheduler.pending(), 3u);
-}
-
-TEST(TapeSchedulerBatch, DeviceErrorRequeuesEverythingForRetry) {
-  sim::Simulation sim;
-  TapeVolume volume("t", kBlock);
-  ASSERT_TRUE(volume.AppendPhantom(100, 0.25).ok());
-  TapeDrive drive("drv", TapeDriveModel::DLT4000(), sim.CreateResource("tape"));
-  ASSERT_TRUE(drive.Load(&volume, 0.0).ok());
-  sim::FaultProfile profile;
-  profile.transient_read_error_rate = 1.0;
-  profile.max_retries = 0;
-  sim::FaultInjector injector(profile, 1, "drv");
-  drive.set_fault_injector(&injector);
-
-  TapeScheduler scheduler(&drive, SchedulePolicy::kFifo);
-  scheduler.Submit({1, 0, 10});
-  scheduler.Submit({2, 20, 10});
-  auto batch = scheduler.ExecuteBatch(0.0);
-  EXPECT_EQ(batch.status.code(), StatusCode::kDeviceError);
-  EXPECT_TRUE(batch.completions.empty());
-  EXPECT_EQ(batch.requeued, 2u);
-
-  // Device healthy again: the queue drains with nothing lost.
-  drive.set_fault_injector(nullptr);
-  auto retry = scheduler.ExecuteBatch(0.0);
-  EXPECT_TRUE(retry.ok());
-  EXPECT_EQ(retry.completions.size(), 2u);
-  EXPECT_EQ(scheduler.pending(), 0u);
-}
-
-TEST(TapeSchedulerBatch, RequeueUnderActiveFaultPlanWithMultipleSubmitters) {
-  // Two logical submitters keep feeding the scheduler between batches while
-  // an active fault plan makes a fraction of reads hard-fail. No request may
-  // be lost or duplicated, and completions gathered before each mid-batch
-  // failure must be preserved.
-  sim::Simulation sim;
-  TapeVolume volume("t", kBlock);
-  ASSERT_TRUE(volume.AppendPhantom(200, 0.25).ok());
-  TapeDrive drive("drv", TapeDriveModel::DLT4000(), sim.CreateResource("tape"));
-  ASSERT_TRUE(drive.Load(&volume, 0.0).ok());
-  sim::FaultProfile profile;
-  profile.transient_read_error_rate = 0.35;
-  profile.max_retries = 0;  // every injected fault is a hard kDeviceError
-  sim::FaultInjector injector(profile, 7, "drv");
-  drive.set_fault_injector(&injector);
-
-  TapeScheduler scheduler(&drive, SchedulePolicy::kSortedAscending);
-  std::uint64_t next_a = 1, next_b = 1000;
-  auto submit_round = [&](int count) {
-    for (int i = 0; i < count; ++i) {
-      // Submitter A reads low addresses, submitter B high ones.
-      scheduler.Submit({next_a, (next_a % 10) * 10, 5});
-      scheduler.Submit({next_b, 100 + (next_b % 10) * 10, 5});
-      ++next_a;
-      ++next_b;
-    }
-  };
-  submit_round(3);
-  std::uint64_t expected = 6;
-
-  std::map<std::uint64_t, int> completed;
-  SimSeconds cursor = 0.0;
-  for (int attempt = 0; attempt < 100 && (scheduler.pending() > 0 || expected < 10); ++attempt) {
-    if (attempt == 1 || attempt == 2) {
-      submit_round(1);  // both submitters add work while earlier requests retry
-      expected += 2;
-    }
-    auto batch = scheduler.ExecuteBatch(cursor);
-    for (const auto& completion : batch.completions) {
-      completed[completion.id]++;
-      cursor = std::max(cursor, completion.interval.end);
-    }
-    if (!batch.ok()) {
-      // Failed + unexecuted requests are back in the queue, nothing dropped.
-      EXPECT_EQ(completed.size() + scheduler.pending(), expected);
-      EXPECT_GT(batch.requeued, 0u);
-    }
-  }
-  drive.set_fault_injector(nullptr);
-  auto drain = scheduler.ExecuteBatch(cursor);
-  EXPECT_TRUE(drain.ok());
-  for (const auto& completion : drain.completions) completed[completion.id]++;
-
-  EXPECT_EQ(scheduler.pending(), 0u);
-  ASSERT_EQ(completed.size(), expected);
-  for (const auto& [id, count] : completed) {
-    EXPECT_EQ(count, 1) << "request " << id << " completed more than once";
-  }
-  EXPECT_GT(injector.stats().hard_failures, 0u);
 }
 
 }  // namespace

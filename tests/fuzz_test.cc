@@ -14,8 +14,6 @@
 #include "relation/block.h"
 #include "relation/generator.h"
 #include "relation/tuple.h"
-#include "sim/simulation.h"
-#include "tape/tape_scheduler.h"
 #include "util/rng.h"
 
 namespace tertio {
@@ -136,38 +134,6 @@ TEST(BlockCodecFuzzTest, RandomRecordsRoundTrip) {
     ASSERT_EQ(reader->record_count(), keys.size());
     for (std::uint64_t i = 0; i < keys.size(); ++i) {
       EXPECT_EQ(rel::Tuple(reader->record(i), &schema).GetInt64(0), keys[i]);
-    }
-  }
-}
-
-TEST(SchedulerFuzzTest, OrderingPoliciesNeverLoseOrDuplicateRequests) {
-  Rng rng(7);
-  tape::TapeVolume volume("t", 1024);
-  ASSERT_TRUE(volume.AppendPhantom(100000, 0.0).ok());
-  for (auto policy : {tape::SchedulePolicy::kFifo, tape::SchedulePolicy::kSortedAscending,
-                      tape::SchedulePolicy::kElevator}) {
-    sim::Simulation sim;
-    tape::TapeDrive drive("d", tape::TapeDriveModel::DLT4000(), sim.CreateResource("t"));
-    ASSERT_TRUE(drive.Load(&volume, 0.0).ok());
-    tape::TapeScheduler scheduler(&drive, policy);
-    std::set<std::uint64_t> submitted;
-    for (int batch = 0; batch < 5; ++batch) {
-      int n = 1 + static_cast<int>(rng.NextBelow(40));
-      for (int i = 0; i < n; ++i) {
-        std::uint64_t id = rng.Next();
-        submitted.insert(id);
-        scheduler.Submit({id, rng.NextBelow(99000), 1 + rng.NextBelow(1000)});
-      }
-      auto done = scheduler.ExecuteBatch(0.0);
-      ASSERT_TRUE(done.ok());
-      // Completions are time-ordered and cover exactly the submissions.
-      SimSeconds last = 0.0;
-      for (const auto& completion : done.completions) {
-        EXPECT_GE(completion.interval.end, last);
-        last = completion.interval.end;
-        ASSERT_EQ(submitted.erase(completion.id), 1u);
-      }
-      EXPECT_TRUE(submitted.empty());
     }
   }
 }

@@ -9,10 +9,10 @@
 
 #include "disk/allocator.h"
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "join/join_method.h"
 #include "query/query.h"
 #include "sim/trace_report.h"
+#include "whole_site.h"
 
 namespace tertio {
 namespace {
@@ -21,28 +21,29 @@ TEST(Figure4Integration, InterleavedBufferingHoldsUtilizationNear100) {
   // Join III of Table 3, allocator trace on; replay the Step II window and
   // require >= 95% total utilization at (almost) every sample — the paper's
   // "upper line, at or near 100%".
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(500 * kMB, 16 * kMB);
-  exec::Machine machine(config);
-  machine.disks().allocator().EnableTrace();
+  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(500 * kMB, 16 * kMB);
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
+  session->disks().allocator().EnableTrace();
   exec::WorkloadConfig workload;
   workload.r_bytes = 2500 * kMB;
   workload.s_bytes = 5000 * kMB;
   workload.phantom = true;
-  auto prepared = exec::PrepareWorkload(&machine, workload);
+  auto prepared = exec::PrepareWorkload(session.get(), workload);
   ASSERT_TRUE(prepared.ok());
   join::JoinSpec spec;
   spec.r = &prepared->r;
   spec.s = &prepared->s;
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   auto stats = join::CreateJoinMethod(JoinMethodId::kCttGh)->Execute(spec, ctx);
   ASSERT_TRUE(stats.ok()) << stats.status();
 
-  std::vector<disk::UsageEvent> trace = machine.disks().allocator().trace();
+  std::vector<disk::UsageEvent> trace = session->disks().allocator().trace();
   std::stable_sort(trace.begin(), trace.end(),
                    [](const disk::UsageEvent& a, const disk::UsageEvent& b) {
                      return a.time < b.time;
                    });
-  BlockCount capacity = machine.disks().allocator().capacity_blocks();
+  BlockCount capacity = session->disks().allocator().capacity_blocks();
   SimSeconds begin = stats->step1_seconds;
   SimSeconds end = stats->response_seconds;
   std::int64_t used = 0;
@@ -68,22 +69,23 @@ TEST(ParallelIoIntegration, ConcurrentMethodOverlapsDevicesSequentialDoesNot) {
   // per-device busy time exceeds the response (overlap); in DT-GH it
   // roughly equals it (one device at a time).
   auto busy_over_response = [&](JoinMethodId method) {
-    exec::MachineConfig config = exec::MachineConfig::PaperTestbed(60 * kMB, 4 * kMB);
-    exec::Machine machine(config);
+    exec::SiteConfig config = exec::SiteConfig::PaperTestbed(60 * kMB, 4 * kMB);
+    exec::Site site(config);
+    std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
     exec::WorkloadConfig workload;
     workload.r_bytes = 20 * kMB;
     workload.s_bytes = 120 * kMB;
     workload.phantom = true;
-    auto prepared = exec::PrepareWorkload(&machine, workload);
+    auto prepared = exec::PrepareWorkload(session.get(), workload);
     TERTIO_CHECK(prepared.ok(), "setup failed");
     join::JoinSpec spec;
     spec.r = &prepared->r;
     spec.s = &prepared->s;
-    join::JoinContext ctx = machine.context();
+    join::JoinContext ctx = session->context();
     auto stats = join::CreateJoinMethod(method)->Execute(spec, ctx);
     TERTIO_CHECK(stats.ok(), stats.status().ToString());
     double busy = 0.0;
-    for (const auto& resource : machine.sim().resources()) {
+    for (const auto& resource : site.sim().resources()) {
       busy += resource->stats().busy_seconds.value();
     }
     return busy / stats->response_seconds;
@@ -97,17 +99,18 @@ TEST(ParallelIoIntegration, ConcurrentMethodOverlapsDevicesSequentialDoesNot) {
 TEST(EndToEndIntegration, QueryOverAdvisorChosenJoinOnFreshMachine) {
   // The full stack in one shot: machine -> workload -> advisor -> join ->
   // pipelined aggregation, verified against an independent computation.
-  exec::MachineConfig config;
+  exec::SiteConfig config;
   config.block_bytes = 1024;
   config.memory_bytes = 32 * 1024;
   config.disk_space_bytes = 128 * 1024;
   config.stripe_unit = 4;
-  exec::Machine machine(config);
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   exec::WorkloadConfig workload;
   workload.r_bytes = 40 * 1024;
   workload.s_bytes = 200 * 1024;
   workload.phantom = false;
-  auto prepared = exec::PrepareWorkload(&machine, workload);
+  auto prepared = exec::PrepareWorkload(session.get(), workload);
   ASSERT_TRUE(prepared.ok());
 
   query::CountSink count;
@@ -115,7 +118,7 @@ TEST(EndToEndIntegration, QueryOverAdvisorChosenJoinOnFreshMachine) {
   query.r = &prepared->r;
   query.s = &prepared->s;
   query.pipeline = &count;
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   auto stats = query::ExecuteQuery(query, ctx);
   ASSERT_TRUE(stats.ok()) << stats.status();
   // FK-uniform workload: every S tuple matches exactly once.
@@ -124,21 +127,22 @@ TEST(EndToEndIntegration, QueryOverAdvisorChosenJoinOnFreshMachine) {
 }
 
 TEST(TraceIntegration, GanttRendersAfterARealJoin) {
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(60 * kMB, 4 * kMB);
-  exec::Machine machine(config);
-  for (const auto& resource : machine.sim().resources()) resource->EnableTrace();
+  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(60 * kMB, 4 * kMB);
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
+  for (const auto& resource : site.sim().resources()) resource->EnableTrace();
   exec::WorkloadConfig workload;
   workload.r_bytes = 10 * kMB;
   workload.s_bytes = 40 * kMB;
   workload.phantom = true;
-  auto prepared = exec::PrepareWorkload(&machine, workload);
+  auto prepared = exec::PrepareWorkload(session.get(), workload);
   ASSERT_TRUE(prepared.ok());
   join::JoinSpec spec;
   spec.r = &prepared->r;
   spec.s = &prepared->s;
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   ASSERT_TRUE(join::CreateJoinMethod(JoinMethodId::kCttGh)->Execute(spec, ctx).ok());
-  std::string gantt = sim::RenderGantt(machine.sim());
+  std::string gantt = sim::RenderGantt(site.sim());
   EXPECT_NE(gantt.find("tapeR"), std::string::npos);
   EXPECT_NE(gantt.find("tapeS"), std::string::npos);
   EXPECT_NE(gantt.find("disk0"), std::string::npos);
@@ -150,7 +154,7 @@ TEST(ScaleIntegration, TenGigabyteJoinSimulatesQuickly) {
   // what makes the benches usable. No wall-clock assertion (machines vary);
   // just end-to-end success at full scale with sane accounting.
   auto stats = exec::RunJoinExperiment(
-      exec::MachineConfig::PaperTestbed(500 * kMB, 16 * kMB),
+      exec::SiteConfig::PaperTestbed(500 * kMB, 16 * kMB),
       exec::WorkloadConfig{2500 * kMB, 10000 * kMB, 0.25, 100, 42, true},
       JoinMethodId::kCttGh);
   ASSERT_TRUE(stats.ok()) << stats.status();

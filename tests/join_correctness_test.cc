@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "join/advisor.h"
 #include "join/flat_table.h"
 #include "join/join_method.h"
@@ -15,6 +14,7 @@
 #include "relation/generator.h"
 #include "relation/tuple.h"
 #include "tape/tape_volume.h"
+#include "whole_site.h"
 
 namespace tertio::join {
 namespace {
@@ -26,10 +26,10 @@ struct Workload {
   rel::GeneratorConfig s;
 };
 
-/// Small machine where all seven methods are feasible.
-exec::MachineConfig SmallMachine(ByteCount disk_bytes = 64 * kBlock,
-                                 ByteCount memory_bytes = 16 * kBlock) {
-  exec::MachineConfig config;
+/// Small site where all seven methods are feasible.
+exec::SiteConfig SmallSite(ByteCount disk_bytes = 64 * kBlock,
+                           ByteCount memory_bytes = 16 * kBlock) {
+  exec::SiteConfig config;
   config.block_bytes = kBlock;
   config.disk_space_bytes = disk_bytes;
   config.memory_bytes = memory_bytes;
@@ -58,20 +58,19 @@ struct RunResult {
   JoinOutput reference;
 };
 
-Result<RunResult> RunAndReference(const exec::MachineConfig& machine_config,
+Result<RunResult> RunAndReference(const exec::SiteConfig& site_config,
                                   const Workload& workload, JoinMethodId method) {
-  exec::Machine machine(machine_config);
+  exec::Site site(site_config);
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   RunResult result;
-  rel::Relation r, s;
-  TERTIO_ASSIGN_OR_RETURN(r, rel::GenerateOnTape(workload.r, &machine.tape_r()));
-  TERTIO_ASSIGN_OR_RETURN(s, rel::GenerateOnTape(workload.s, &machine.tape_s()));
-  machine.MountTapes();
-  TERTIO_ASSIGN_OR_RETURN(result.reference, ReferenceJoin(r, s, 0, 0));
+  TERTIO_ASSIGN_OR_RETURN(exec::PreparedWorkload prepared,
+                          exec::PrepareWorkload(session.get(), workload.r, workload.s));
+  TERTIO_ASSIGN_OR_RETURN(result.reference, ReferenceJoin(prepared.r, prepared.s, 0, 0));
   JoinSpec spec;
-  spec.r = &r;
-  spec.s = &s;
+  spec.r = &prepared.r;
+  spec.s = &prepared.s;
   auto executor = CreateJoinMethod(method);
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   TERTIO_ASSIGN_OR_RETURN(result.stats, executor->Execute(spec, ctx));
   return result;
 }
@@ -79,7 +78,7 @@ Result<RunResult> RunAndReference(const exec::MachineConfig& machine_config,
 class AllMethodsTest : public ::testing::TestWithParam<JoinMethodId> {};
 
 TEST_P(AllMethodsTest, MatchesReferenceOnForeignKeyWorkload) {
-  auto result = RunAndReference(SmallMachine(), DefaultWorkload(), GetParam());
+  auto result = RunAndReference(SmallSite(), DefaultWorkload(), GetParam());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->stats.output_valid);
   // FK-uniform S over unique R keys: every S tuple matches exactly once.
@@ -93,7 +92,7 @@ TEST_P(AllMethodsTest, MatchesReferenceOnManyToManyWorkload) {
   w.r.keys = rel::KeySequence::kUniformRandom;  // duplicate keys on both sides
   w.r.key_domain = 120;
   w.s.key_domain = 120;
-  auto result = RunAndReference(SmallMachine(), w, GetParam());
+  auto result = RunAndReference(SmallSite(), w, GetParam());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_GT(result->reference.tuples(), 2000u);  // duplicates multiply matches
   EXPECT_EQ(result->stats.output_tuples, result->reference.tuples());
@@ -105,7 +104,7 @@ TEST_P(AllMethodsTest, MatchesReferenceOnZipfSkew) {
   w.s.keys = rel::KeySequence::kZipf;
   w.s.key_domain = 400;
   w.s.zipf_theta = 1.0;
-  auto result = RunAndReference(SmallMachine(), w, GetParam());
+  auto result = RunAndReference(SmallSite(), w, GetParam());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->stats.output_tuples, result->reference.tuples());
   EXPECT_EQ(result->stats.output_checksum, result->reference.checksum());
@@ -115,7 +114,7 @@ TEST_P(AllMethodsTest, MatchesReferenceOnLowSelectivity) {
   Workload w = DefaultWorkload();
   // S keys drawn from a domain 10x wider than R: ~10% of S tuples match.
   w.s.key_domain = 4000;
-  auto result = RunAndReference(SmallMachine(), w, GetParam());
+  auto result = RunAndReference(SmallSite(), w, GetParam());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_LT(result->reference.tuples(), 500u);
   EXPECT_GT(result->reference.tuples(), 50u);
@@ -126,14 +125,14 @@ TEST_P(AllMethodsTest, MatchesReferenceOnLowSelectivity) {
 TEST_P(AllMethodsTest, MatchesReferenceWhenRelationsEqualSize) {
   Workload w = DefaultWorkload();
   w.s.tuple_count = w.r.tuple_count;
-  auto result = RunAndReference(SmallMachine(), w, GetParam());
+  auto result = RunAndReference(SmallSite(), w, GetParam());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->stats.output_tuples, result->reference.tuples());
   EXPECT_EQ(result->stats.output_checksum, result->reference.checksum());
 }
 
 TEST_P(AllMethodsTest, TimingInvariantsHold) {
-  auto result = RunAndReference(SmallMachine(), DefaultWorkload(), GetParam());
+  auto result = RunAndReference(SmallSite(), DefaultWorkload(), GetParam());
   ASSERT_TRUE(result.ok()) << result.status();
   const JoinStats& stats = result->stats;
   EXPECT_GT(stats.response_seconds, 0.0);
@@ -148,41 +147,39 @@ TEST_P(AllMethodsTest, TimingInvariantsHold) {
 }
 
 TEST_P(AllMethodsTest, ScratchStateRestoredAfterRun) {
-  exec::Machine machine(SmallMachine());
+  exec::Site site(SmallSite());
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   Workload w = DefaultWorkload();
-  auto r = rel::GenerateOnTape(w.r, &machine.tape_r());
-  auto s = rel::GenerateOnTape(w.s, &machine.tape_s());
-  ASSERT_TRUE(r.ok() && s.ok());
-  machine.MountTapes();
-  BlockCount tape_r_size = machine.tape_r().size_blocks();
-  BlockCount tape_s_size = machine.tape_s().size_blocks();
+  auto prepared = exec::PrepareWorkload(session.get(), w.r, w.s);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  BlockCount tape_r_size = prepared->tape_r->size_blocks();
+  BlockCount tape_s_size = prepared->tape_s->size_blocks();
   JoinSpec spec;
-  spec.r = &r.value();
-  spec.s = &s.value();
+  spec.r = &prepared->r;
+  spec.s = &prepared->s;
   auto executor = CreateJoinMethod(GetParam());
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   auto stats = executor->Execute(spec, ctx);
   ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(machine.memory().reserved_blocks(), 0u);
-  EXPECT_EQ(machine.disks().allocator().used_blocks(), 0u);
-  EXPECT_EQ(machine.tape_r().size_blocks(), tape_r_size);
-  EXPECT_EQ(machine.tape_s().size_blocks(), tape_s_size);
+  EXPECT_EQ(session->memory().reserved_blocks(), 0u);
+  EXPECT_EQ(session->disks().allocator().used_blocks(), 0u);
+  EXPECT_EQ(prepared->tape_r->size_blocks(), tape_r_size);
+  EXPECT_EQ(prepared->tape_s->size_blocks(), tape_s_size);
 }
 
 TEST_P(AllMethodsTest, BackToBackRunsAgree) {
-  // Two consecutive runs on the same machine must produce identical results
+  // Two consecutive runs on the same site must produce identical results
   // and (since scratch state is restored) identical response times.
-  exec::Machine machine(SmallMachine());
+  exec::Site site(SmallSite());
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   Workload w = DefaultWorkload();
-  auto r = rel::GenerateOnTape(w.r, &machine.tape_r());
-  auto s = rel::GenerateOnTape(w.s, &machine.tape_s());
-  ASSERT_TRUE(r.ok() && s.ok());
-  machine.MountTapes();
+  auto prepared = exec::PrepareWorkload(session.get(), w.r, w.s);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
   JoinSpec spec;
-  spec.r = &r.value();
-  spec.s = &s.value();
+  spec.r = &prepared->r;
+  spec.s = &prepared->s;
   auto executor = CreateJoinMethod(GetParam());
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   auto first = executor->Execute(spec, ctx);
   ASSERT_TRUE(first.ok()) << first.status();
   // The second run pays a head locate back to the relations' start (the
@@ -208,7 +205,7 @@ INSTANTIATE_TEST_SUITE_P(AllSeven, AllMethodsTest, ::testing::ValuesIn(kAllJoinM
 
 TEST(TapeTapeOnlyTest, TapeTapeMethodsWorkWithDiskSmallerThanR) {
   // D = 24 blocks < |R| = 40 blocks: the defining regime of Section 5.2.
-  exec::MachineConfig config = SmallMachine(/*disk_bytes=*/24 * kBlock);
+  exec::SiteConfig config = SmallSite(/*disk_bytes=*/24 * kBlock);
   for (JoinMethodId method : {JoinMethodId::kCttGh, JoinMethodId::kTtGh}) {
     auto result = RunAndReference(config, DefaultWorkload(), method);
     ASSERT_TRUE(result.ok()) << JoinMethodName(method) << ": " << result.status();
@@ -218,7 +215,7 @@ TEST(TapeTapeOnlyTest, TapeTapeMethodsWorkWithDiskSmallerThanR) {
 }
 
 TEST(TapeTapeOnlyTest, DiskTapeMethodsRejectDiskSmallerThanR) {
-  exec::MachineConfig config = SmallMachine(/*disk_bytes=*/24 * kBlock);
+  exec::SiteConfig config = SmallSite(/*disk_bytes=*/24 * kBlock);
   for (JoinMethodId method : {JoinMethodId::kDtNb, JoinMethodId::kCdtNbMb,
                               JoinMethodId::kCdtNbDb, JoinMethodId::kDtGh,
                               JoinMethodId::kCdtGh}) {
@@ -229,58 +226,60 @@ TEST(TapeTapeOnlyTest, DiskTapeMethodsRejectDiskSmallerThanR) {
 }
 
 TEST(ValidationTest, SwappedRelationsRejected) {
-  exec::Machine machine(SmallMachine());
+  exec::Site site(SmallSite());
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   Workload w = DefaultWorkload();
-  auto r = rel::GenerateOnTape(w.r, &machine.tape_r());
-  auto s = rel::GenerateOnTape(w.s, &machine.tape_s());
-  ASSERT_TRUE(r.ok() && s.ok());
-  machine.MountTapes();
+  auto prepared = exec::PrepareWorkload(session.get(), w.r, w.s);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
   JoinSpec spec;
-  spec.r = &s.value();  // swapped: |R| > |S|
-  spec.s = &r.value();
+  spec.r = &prepared->s;  // swapped: |R| > |S|
+  spec.s = &prepared->r;
   auto executor = CreateJoinMethod(JoinMethodId::kCttGh);
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   EXPECT_FALSE(executor->Execute(spec, ctx).ok());
 }
 
 TEST(ValidationTest, UnmountedTapesRejected) {
-  exec::Machine machine(SmallMachine());
+  exec::Site site(SmallSite());
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   Workload w = DefaultWorkload();
-  auto r = rel::GenerateOnTape(w.r, &machine.tape_r());
-  auto s = rel::GenerateOnTape(w.s, &machine.tape_s());
+  tape::TapeVolume tape_r("tape-R", kBlock);
+  tape::TapeVolume tape_s("tape-S", kBlock);
+  auto r = rel::GenerateOnTape(w.r, &tape_r);
+  auto s = rel::GenerateOnTape(w.s, &tape_s);
   ASSERT_TRUE(r.ok() && s.ok());
   // Tapes never mounted.
   JoinSpec spec;
   spec.r = &r.value();
   spec.s = &s.value();
   auto executor = CreateJoinMethod(JoinMethodId::kDtNb);
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   EXPECT_EQ(executor->Execute(spec, ctx).status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ValidationTest, MixedPhantomRealRejected) {
-  exec::Machine machine(SmallMachine());
+  exec::Site site(SmallSite());
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   Workload w = DefaultWorkload();
   w.r.phantom = true;
-  auto r = rel::GenerateOnTape(w.r, &machine.tape_r());
-  auto s = rel::GenerateOnTape(w.s, &machine.tape_s());
-  ASSERT_TRUE(r.ok() && s.ok());
-  machine.MountTapes();
+  auto prepared = exec::PrepareWorkload(session.get(), w.r, w.s);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
   JoinSpec spec;
-  spec.r = &r.value();
-  spec.s = &s.value();
+  spec.r = &prepared->r;
+  spec.s = &prepared->s;
   auto executor = CreateJoinMethod(JoinMethodId::kDtGh);
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   EXPECT_FALSE(executor->Execute(spec, ctx).ok());
 }
 
 TEST(ReferenceJoinTest, RejectsPhantoms) {
-  exec::Machine machine(SmallMachine());
   Workload w = DefaultWorkload();
   w.r.phantom = true;
   w.s.phantom = true;
-  auto r = rel::GenerateOnTape(w.r, &machine.tape_r());
-  auto s = rel::GenerateOnTape(w.s, &machine.tape_s());
+  tape::TapeVolume tape_r("tape-R", kBlock);
+  tape::TapeVolume tape_s("tape-S", kBlock);
+  auto r = rel::GenerateOnTape(w.r, &tape_r);
+  auto s = rel::GenerateOnTape(w.s, &tape_s);
   ASSERT_TRUE(r.ok() && s.ok());
   EXPECT_FALSE(ReferenceJoin(r.value(), s.value(), 0, 0).ok());
 }
@@ -294,21 +293,20 @@ namespace {
 TEST(SkewHandlingTest, ExtremeSkewTriggersOverflowPathButStaysCorrect) {
   // All S keys identical and one R key heavily duplicated: one bucket holds
   // far more than |R|/B blocks, forcing the overflow (bucket slicing) path.
-  exec::Machine machine(SmallMachine(/*disk_bytes=*/96 * kBlock, /*memory_bytes=*/16 * kBlock));
+  exec::Site site(SmallSite(/*disk_bytes=*/96 * kBlock, /*memory_bytes=*/16 * kBlock));
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   Workload w = DefaultWorkload();
   w.r.keys = rel::KeySequence::kUniformRandom;
   w.r.key_domain = 3;  // three keys over 400 tuples: giant buckets
   w.s.key_domain = 3;
   w.s.tuple_count = 600;
-  rel::Relation r = rel::GenerateOnTape(w.r, &machine.tape_r()).value();
-  rel::Relation s = rel::GenerateOnTape(w.s, &machine.tape_s()).value();
-  machine.MountTapes();
-  auto reference = ReferenceJoin(r, s, 0, 0);
+  exec::PreparedWorkload prepared = exec::PrepareWorkload(session.get(), w.r, w.s).value();
+  auto reference = ReferenceJoin(prepared.r, prepared.s, 0, 0);
   ASSERT_TRUE(reference.ok());
   JoinSpec spec;
-  spec.r = &r;
-  spec.s = &s;
-  join::JoinContext ctx = machine.context();
+  spec.r = &prepared.r;
+  spec.s = &prepared.s;
+  join::JoinContext ctx = session->context();
   for (JoinMethodId method : {JoinMethodId::kDtGh, JoinMethodId::kCdtGh,
                               JoinMethodId::kCttGh}) {
     auto stats = CreateJoinMethod(method)->Execute(spec, ctx);
@@ -320,7 +318,7 @@ TEST(SkewHandlingTest, ExtremeSkewTriggersOverflowPathButStaysCorrect) {
 }
 
 TEST(SkewHandlingTest, UniformKeysNeverOverflow) {
-  auto result = RunAndReference(SmallMachine(), DefaultWorkload(), JoinMethodId::kCdtGh);
+  auto result = RunAndReference(SmallSite(), DefaultWorkload(), JoinMethodId::kCdtGh);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.bucket_overflow_slices, 0u);
 }

@@ -8,10 +8,10 @@
 
 #include "cost/cost_model.h"
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "join/reference_join.h"
 #include "relation/generator.h"
 #include "tape/tape_model.h"
+#include "whole_site.h"
 
 namespace tertio::join {
 namespace {
@@ -19,13 +19,13 @@ namespace {
 Result<JoinStats> RunPhantom(ByteCount s_bytes, ByteCount r_bytes, ByteCount disk_bytes,
                       ByteCount memory_bytes, JoinMethodId method,
                       double compressibility = 0.25) {
-  exec::MachineConfig machine = exec::MachineConfig::PaperTestbed(disk_bytes, memory_bytes);
   exec::WorkloadConfig workload;
   workload.r_bytes = r_bytes;
   workload.s_bytes = s_bytes;
   workload.compressibility = compressibility;
   workload.phantom = true;
-  return exec::RunJoinExperiment(machine, workload, method);
+  return exec::RunJoinExperiment(exec::SiteConfig::PaperTestbed(disk_bytes, memory_bytes),
+                                 workload, method);
 }
 
 SimSeconds OptimumSeconds(ByteCount s_bytes, double compressibility = 0.25) {
@@ -186,11 +186,11 @@ TEST(CrossValidationTest, CostModelTracksSimulator) {
   for (const Case& c : cases) {
     for (JoinMethodId method : kAllJoinMethods) {
       auto stats = RunPhantom(c.s_mb * kMB, c.r_mb * kMB, c.d_mb * kMB, c.m_kb * kKB, method);
-      exec::Machine machine(exec::MachineConfig::PaperTestbed(c.d_mb * kMB, c.m_kb * kKB));
+      exec::Site site(exec::SiteConfig::PaperTestbed(c.d_mb * kMB, c.m_kb * kKB));
       exec::WorkloadConfig workload;
       workload.r_bytes = c.r_mb * kMB;
       workload.s_bytes = c.s_mb * kMB;
-      auto params = exec::CostParamsFor(machine, workload);
+      auto params = exec::CostParamsFor(site, workload);
       auto estimate = cost::Estimate(method, params);
       ASSERT_EQ(stats.ok(), estimate.ok()) << JoinMethodName(method) << " feasibility disagrees";
       if (!stats.ok()) continue;
@@ -221,22 +221,23 @@ TEST(ReadReverseTest, BiDirectionalDriveAvoidsLocates) {
   // CTT-GH Step II iterations. Compare the same join on a DLT with and
   // without the capability.
   auto run_with = [&](bool bidi, tape::TapeDriveStats* drive_stats) {
-    exec::MachineConfig config = exec::MachineConfig::PaperTestbed(100 * kMB, 8 * kMB);
+    exec::SiteConfig config = exec::SiteConfig::PaperTestbed(100 * kMB, 8 * kMB);
     config.tape_model.supports_read_reverse = bidi;
-    exec::Machine machine(config);
+    exec::Site site(config);
+    std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
     exec::WorkloadConfig workload;
     workload.r_bytes = 200 * kMB;
     workload.s_bytes = 1000 * kMB;
     workload.phantom = true;
-    auto prepared = exec::PrepareWorkload(&machine, workload);
+    auto prepared = exec::PrepareWorkload(session.get(), workload);
     TERTIO_CHECK(prepared.ok(), "setup failed");
     JoinSpec spec;
     spec.r = &prepared->r;
     spec.s = &prepared->s;
-    JoinContext ctx = machine.context();
+    JoinContext ctx = session->context();
     auto stats = CreateJoinMethod(JoinMethodId::kCttGh)->Execute(spec, ctx);
     TERTIO_CHECK(stats.ok(), stats.status().ToString());
-    *drive_stats = machine.drive_r().stats();
+    *drive_stats = session->drive_r()->stats();
     return stats->response_seconds;
   };
   tape::TapeDriveStats forward_stats, bidi_stats;
@@ -247,33 +248,32 @@ TEST(ReadReverseTest, BiDirectionalDriveAvoidsLocates) {
 }
 
 TEST(ReadReverseTest, CorrectResultsUnderReversePasses) {
-  exec::MachineConfig config;
+  exec::SiteConfig config;
   config.block_bytes = 1024;
   config.memory_bytes = 20 * 1024;
   config.disk_space_bytes = 30 * 1024;  // D < |R|: several Step II passes
   config.stripe_unit = 4;
   config.tape_model = tape::TapeDriveModel::DLT4000();
   config.tape_model.supports_read_reverse = true;
-  exec::Machine machine(config);
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   rel::GeneratorConfig r_config;
   r_config.tuple_count = 400;  // 40 blocks
-  auto r = rel::GenerateOnTape(r_config, &machine.tape_r());
   rel::GeneratorConfig s_config;
   s_config.tuple_count = 2000;
   s_config.keys = rel::KeySequence::kForeignKeyUniform;
   s_config.key_domain = 400;
   s_config.seed = 5;
-  auto s = rel::GenerateOnTape(s_config, &machine.tape_s());
-  ASSERT_TRUE(r.ok() && s.ok());
-  machine.MountTapes();
+  auto prepared = exec::PrepareWorkload(session.get(), r_config, s_config);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
   JoinSpec spec;
-  spec.r = &r.value();
-  spec.s = &s.value();
-  JoinContext ctx = machine.context();
+  spec.r = &prepared->r;
+  spec.s = &prepared->s;
+  JoinContext ctx = session->context();
   auto stats = CreateJoinMethod(JoinMethodId::kCttGh)->Execute(spec, ctx);
   ASSERT_TRUE(stats.ok()) << stats.status();
   ASSERT_GE(stats->iterations, 2u);  // reverse passes actually happened
-  auto reference = ReferenceJoin(r.value(), s.value(), 0, 0);
+  auto reference = ReferenceJoin(prepared->r, prepared->s, 0, 0);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(stats->output_tuples, reference->tuples());
   EXPECT_EQ(stats->output_checksum, reference->checksum());

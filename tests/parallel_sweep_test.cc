@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "exec/parallel_sweep.h"
 #include "join/join_method.h"
 
@@ -67,17 +66,17 @@ TEST(ParseSweepThreadsTest, ParsesFlagAndDefaults) {
 /// One figure-style sweep point: a phantom join on the paper testbed with
 /// the fault model enabled (transient read errors + latent bad blocks).
 Result<join::JoinStats> RunFaultSweepPoint(JoinMethodId method, double error_rate) {
-  exec::MachineConfig machine = exec::MachineConfig::PaperTestbed(120 * kMB, 16 * kMB);
-  machine.faults.seed = 7;
-  machine.faults.tape.transient_read_error_rate = error_rate;
-  machine.faults.disk.transient_read_error_rate = error_rate;
-  machine.faults.tape.bad_block_rate = error_rate / 10.0;
-  machine.faults.disk.bad_block_rate = error_rate / 10.0;
+  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(120 * kMB, 16 * kMB);
+  config.faults.seed = 7;
+  config.faults.tape.transient_read_error_rate = error_rate;
+  config.faults.disk.transient_read_error_rate = error_rate;
+  config.faults.tape.bad_block_rate = error_rate / 10.0;
+  config.faults.disk.bad_block_rate = error_rate / 10.0;
   exec::WorkloadConfig workload;
   workload.r_bytes = 80 * kMB;
   workload.s_bytes = 800 * kMB;
   workload.phantom = true;
-  return exec::RunJoinExperiment(machine, workload, method);
+  return exec::RunJoinExperiment(config, workload, method);
 }
 
 /// The tentpole invariant: simulated results are a function of the sweep

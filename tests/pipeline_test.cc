@@ -219,7 +219,7 @@ struct CoalesceRun {
   SpanTrace trace;
 };
 
-CoalesceRun RunCoalescibleTransfer(bool allow, bool streaming, BlockCount total,
+CoalesceRun RunCoalescibleTransfer(CommitMode commit, bool streaming, BlockCount total,
                                    BlockCount chunk) {
   CoalescibleDevice src("src", 0.125);
   CoalescibleDevice dst("dst", 0.25);
@@ -231,7 +231,7 @@ CoalesceRun RunCoalescibleTransfer(bool allow, bool streaming, BlockCount total,
   plan.total = total;
   plan.chunk = chunk;
   plan.streaming = streaming;
-  plan.allow_coalescing = allow;
+  plan.commit = commit;
   auto result = pipe.Transfer(plan, src, dst);
   TERTIO_CHECK(result.ok(), "coalescible transfer failed");
   run.source_done = result->source_done;
@@ -281,8 +281,8 @@ void ExpectBitIdentical(const CoalesceRun& a, const CoalesceRun& b) {
 TEST(PipelineCoalesceTest, CoalescedTransferIsBitIdenticalToPerChunk) {
   for (bool streaming : {false, true}) {
     SCOPED_TRACE(streaming ? "streaming" : "lock-step");
-    CoalesceRun fast = RunCoalescibleTransfer(/*allow=*/true, streaming, 64, 4);
-    CoalesceRun slow = RunCoalescibleTransfer(/*allow=*/false, streaming, 64, 4);
+    CoalesceRun fast = RunCoalescibleTransfer(CommitMode::kClosedForm, streaming, 64, 4);
+    CoalesceRun slow = RunCoalescibleTransfer(CommitMode::kPerChunk, streaming, 64, 4);
     EXPECT_EQ(fast.coalesced_chunks, 16u);
     EXPECT_EQ(fast.committed_chunks, 16u);
     EXPECT_EQ(fast.read_calls, 0);
@@ -297,8 +297,8 @@ TEST(PipelineCoalesceTest, CoalescedTransferIsBitIdenticalToPerChunk) {
 // A total that is not a chunk multiple leaves a tail chunk; the batch covers
 // the full chunks and the tail runs per-chunk, with identical results.
 TEST(PipelineCoalesceTest, TailChunkRunsPerChunkAfterTheBatch) {
-  CoalesceRun fast = RunCoalescibleTransfer(/*allow=*/true, /*streaming=*/true, 61, 4);
-  CoalesceRun slow = RunCoalescibleTransfer(/*allow=*/false, /*streaming=*/true, 61, 4);
+  CoalesceRun fast = RunCoalescibleTransfer(CommitMode::kClosedForm, /*streaming=*/true, 61, 4);
+  CoalesceRun slow = RunCoalescibleTransfer(CommitMode::kPerChunk, /*streaming=*/true, 61, 4);
   EXPECT_EQ(fast.coalesced_chunks, 15u);
   EXPECT_EQ(fast.read_calls, 1);  // the 1-block tail
   ExpectBitIdentical(fast, slow);

@@ -6,10 +6,11 @@
 
 #include <cmath>
 
-#include "exec/machine.h"
+#include "exec/experiment.h"
 #include "join/join_method.h"
 #include "join/reference_join.h"
 #include "relation/generator.h"
+#include "whole_site.h"
 
 namespace tertio::join {
 namespace {
@@ -48,45 +49,44 @@ TEST_P(PropertyTest, InvariantsAndCorrectness) {
   auto [method_id, geo_index] = GetParam();
   const Geometry& geo = kGeometries[geo_index];
 
-  exec::MachineConfig config;
+  exec::SiteConfig config;
   config.block_bytes = kBlock;
   config.memory_bytes = geo.memory_blocks * kBlock;
   config.disk_space_bytes = geo.disk_blocks * kBlock;
   config.stripe_unit = 4;
-  exec::Machine machine(config);
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
 
   rel::GeneratorConfig r_config;
   r_config.name = "R";
   r_config.tuple_count = geo.r_tuples;
   r_config.keys = rel::KeySequence::kSequentialUnique;
   r_config.seed = 101 + geo_index;
-  auto r = rel::GenerateOnTape(r_config, &machine.tape_r());
   rel::GeneratorConfig s_config;
   s_config.name = "S";
   s_config.tuple_count = geo.s_tuples;
   s_config.keys = rel::KeySequence::kForeignKeyUniform;
   s_config.key_domain = geo.r_tuples;
   s_config.seed = 202 + geo_index;
-  auto s = rel::GenerateOnTape(s_config, &machine.tape_s());
-  ASSERT_TRUE(r.ok() && s.ok());
-  machine.MountTapes();
+  auto prepared = exec::PrepareWorkload(session.get(), r_config, s_config);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
 
   JoinSpec spec;
-  spec.r = &r.value();
-  spec.s = &s.value();
+  spec.r = &prepared->r;
+  spec.s = &prepared->s;
   auto executor = CreateJoinMethod(method_id);
-  JoinContext ctx = machine.context();
+  JoinContext ctx = session->context();
 
   auto requirements = executor->Requirements(spec, ctx);
   auto stats = executor->Execute(spec, ctx);
   if (!stats.ok()) {
     // A method may refuse a geometry, but then it must be a resource error
     // and (when requirements are computable) the requirements must exceed
-    // the machine.
+    // the site.
     EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted) << stats.status();
     if (requirements.ok()) {
-      EXPECT_TRUE(requirements->memory_blocks > machine.memory_blocks() ||
-                  requirements->disk_blocks > machine.disk_blocks())
+      EXPECT_TRUE(requirements->memory_blocks > site.memory_blocks() ||
+                  requirements->disk_blocks > site.disk_blocks())
           << "refused although requirements fit: " << stats.status();
     }
     return;
@@ -103,8 +103,8 @@ TEST_P(PropertyTest, InvariantsAndCorrectness) {
   EXPECT_GE(stats->tape_blocks_read, spec.r->blocks + spec.s->blocks);
 
   // --- Resource ceilings: never exceed the configured M and D.
-  EXPECT_LE(stats->peak_memory_blocks, machine.memory_blocks());
-  EXPECT_LE(stats->peak_disk_blocks, machine.disk_blocks());
+  EXPECT_LE(stats->peak_memory_blocks, site.memory_blocks());
+  EXPECT_LE(stats->peak_disk_blocks, site.disk_blocks());
 
   // --- Timing: steps sum to the response; all durations non-negative.
   EXPECT_GE(stats->step1_seconds, 0.0);
@@ -117,7 +117,7 @@ TEST_P(PropertyTest, InvariantsAndCorrectness) {
   // plus idle gaps (sanity bound: sum of device busy).
   double busiest = 0.0;
   double total_busy = 0.0;
-  for (const auto& resource : machine.sim().resources()) {
+  for (const auto& resource : site.sim().resources()) {
     busiest = std::max(busiest, resource->stats().busy_seconds.value());
     total_busy += resource->stats().busy_seconds.value();
   }
@@ -125,8 +125,8 @@ TEST_P(PropertyTest, InvariantsAndCorrectness) {
   EXPECT_LE(stats->response_seconds, total_busy * 1.001 + 1.0);
 
   // --- Cleanup: scratch space restored.
-  EXPECT_EQ(machine.memory().reserved_blocks(), 0u);
-  EXPECT_EQ(machine.disks().allocator().used_blocks(), 0u);
+  EXPECT_EQ(session->memory().reserved_blocks(), 0u);
+  EXPECT_EQ(session->disks().allocator().used_blocks(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// Checksum is permutation-independent: two methods joining the same inputs
 /// through entirely different physical plans agree bit-for-bit.
 TEST(ChecksumPropertyTest, AllFeasibleMethodsAgreePairwise) {
-  exec::MachineConfig config;
+  exec::SiteConfig config;
   config.block_bytes = kBlock;
   config.memory_bytes = 24 * kBlock;
   config.disk_space_bytes = 96 * kBlock;
@@ -147,25 +147,24 @@ TEST(ChecksumPropertyTest, AllFeasibleMethodsAgreePairwise) {
   std::uint64_t tuples = 0;
   bool first = true;
   for (JoinMethodId method_id : kAllJoinMethods) {
-    exec::Machine machine(config);
+    exec::Site site(config);
+    std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
     rel::GeneratorConfig r_config;
     r_config.tuple_count = 400;
     r_config.keys = rel::KeySequence::kUniformRandom;
     r_config.key_domain = 90;
     r_config.seed = 7;
-    auto r = rel::GenerateOnTape(r_config, &machine.tape_r());
     rel::GeneratorConfig s_config;
     s_config.tuple_count = 1300;
     s_config.keys = rel::KeySequence::kUniformRandom;
     s_config.key_domain = 90;
     s_config.seed = 8;
-    auto s = rel::GenerateOnTape(s_config, &machine.tape_s());
-    ASSERT_TRUE(r.ok() && s.ok());
-    machine.MountTapes();
+    auto prepared = exec::PrepareWorkload(session.get(), r_config, s_config);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
     JoinSpec spec;
-    spec.r = &r.value();
-    spec.s = &s.value();
-    JoinContext ctx = machine.context();
+    spec.r = &prepared->r;
+    spec.s = &prepared->s;
+    JoinContext ctx = session->context();
     auto stats = CreateJoinMethod(method_id)->Execute(spec, ctx);
     ASSERT_TRUE(stats.ok()) << JoinMethodName(method_id) << ": " << stats.status();
     if (first) {

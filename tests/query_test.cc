@@ -3,10 +3,11 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/machine.h"
+#include "exec/experiment.h"
 #include "join/reference_join.h"
 #include "query/query.h"
 #include "relation/generator.h"
+#include "whole_site.h"
 
 namespace tertio::query {
 namespace {
@@ -143,41 +144,41 @@ TEST(RowTest, JoinedSchemaAndValues) {
 class QueryEndToEndTest : public ::testing::Test {
  protected:
   QueryEndToEndTest() {
-    exec::MachineConfig config;
+    exec::SiteConfig config;
     config.block_bytes = 1024;
     config.memory_bytes = 24 * 1024;
     config.disk_space_bytes = 96 * 1024;
     config.stripe_unit = 4;
-    machine_ = std::make_unique<exec::Machine>(config);
+    site_ = std::make_unique<exec::Site>(config);
+    session_ = test::WholeSiteSession(*site_);
     rel::GeneratorConfig r_config;
     r_config.name = "R";
     r_config.tuple_count = 200;
     r_config.keys = rel::KeySequence::kSequentialUnique;
-    r_ = rel::GenerateOnTape(r_config, &machine_->tape_r()).value();
     rel::GeneratorConfig s_config;
     s_config.name = "S";
     s_config.tuple_count = 1000;
     s_config.keys = rel::KeySequence::kForeignKeyUniform;
     s_config.key_domain = 200;
     s_config.seed = 77;
-    s_ = rel::GenerateOnTape(s_config, &machine_->tape_s()).value();
-    machine_->MountTapes();
+    prepared_ = exec::PrepareWorkload(session_.get(), r_config, s_config).value();
   }
 
-  std::unique_ptr<exec::Machine> machine_;
-  rel::Relation r_, s_;
+  std::unique_ptr<exec::Site> site_;
+  std::unique_ptr<exec::QuerySession> session_;
+  exec::PreparedWorkload prepared_;
 };
 
 TEST_F(QueryEndToEndTest, CountStarEqualsJoinCardinality) {
   CountSink count;
   TertiaryQuery query;
-  query.r = &r_;
-  query.s = &s_;
+  query.r = &prepared_.r;
+  query.s = &prepared_.s;
   query.pipeline = &count;
-  join::JoinContext ctx = machine_->context();
+  join::JoinContext ctx = session_->context();
   auto stats = ExecuteQuery(query, ctx);
   ASSERT_TRUE(stats.ok()) << stats.status();
-  auto reference = join::ReferenceJoin(r_, s_, 0, 0);
+  auto reference = join::ReferenceJoin(prepared_.r, prepared_.s, 0, 0);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(count.count(), reference->tuples());
   EXPECT_EQ(stats->join.output_tuples, reference->tuples());
@@ -188,10 +189,10 @@ TEST_F(QueryEndToEndTest, FilteredCountMatchesPredicateSemantics) {
   CountSink count;
   FilterSink filter(Lt(Col(0), Lit(std::int64_t{50})), &count);
   TertiaryQuery query;
-  query.r = &r_;
-  query.s = &s_;
+  query.r = &prepared_.r;
+  query.s = &prepared_.s;
   query.pipeline = &filter;
-  join::JoinContext ctx = machine_->context();
+  join::JoinContext ctx = session_->context();
   auto stats = ExecuteQuery(query, ctx);
   ASSERT_TRUE(stats.ok()) << stats.status();
   // FK-uniform keys over [0,200): about a quarter of the 1000 matches.
@@ -210,10 +211,10 @@ TEST_F(QueryEndToEndTest, GroupByBucketOfKeys) {
   aggs.push_back(AggSpec{AggKind::kCount, nullptr});
   AggregateSink agg(std::move(group), std::move(aggs), &collect);
   TertiaryQuery query;
-  query.r = &r_;
-  query.s = &s_;
+  query.r = &prepared_.r;
+  query.s = &prepared_.s;
   query.pipeline = &agg;
-  join::JoinContext ctx = machine_->context();
+  join::JoinContext ctx = session_->context();
   auto stats = ExecuteQuery(query, ctx);
   ASSERT_TRUE(stats.ok()) << stats.status();
   ASSERT_EQ(collect.rows().size(), 2u);
@@ -225,15 +226,15 @@ TEST_F(QueryEndToEndTest, GroupByBucketOfKeys) {
 TEST_F(QueryEndToEndTest, SameResultUnderEveryJoinMethod) {
   // The pipeline is order-insensitive (count), so every method must deliver
   // the same result through it.
-  std::uint64_t expected = join::ReferenceJoin(r_, s_, 0, 0)->tuples();
+  std::uint64_t expected = join::ReferenceJoin(prepared_.r, prepared_.s, 0, 0)->tuples();
   for (JoinMethodId method : kAllJoinMethods) {
     CountSink count;
     TertiaryQuery query;
-    query.r = &r_;
-    query.s = &s_;
+    query.r = &prepared_.r;
+    query.s = &prepared_.s;
     query.pipeline = &count;
     query.method = method;
-    join::JoinContext ctx = machine_->context();
+    join::JoinContext ctx = session_->context();
     auto stats = ExecuteQuery(query, ctx);
     ASSERT_TRUE(stats.ok()) << JoinMethodName(method) << ": " << stats.status();
     EXPECT_EQ(count.count(), expected) << JoinMethodName(method);
@@ -243,10 +244,10 @@ TEST_F(QueryEndToEndTest, SameResultUnderEveryJoinMethod) {
 TEST_F(QueryEndToEndTest, AdvisorPicksWhenMethodUnset) {
   CountSink count;
   TertiaryQuery query;
-  query.r = &r_;
-  query.s = &s_;
+  query.r = &prepared_.r;
+  query.s = &prepared_.s;
   query.pipeline = &count;
-  join::JoinContext ctx = machine_->context();
+  join::JoinContext ctx = session_->context();
   auto stats = ExecuteQuery(query, ctx);
   ASSERT_TRUE(stats.ok());
   // Some method ran and reported itself.
@@ -254,21 +255,21 @@ TEST_F(QueryEndToEndTest, AdvisorPicksWhenMethodUnset) {
 }
 
 TEST_F(QueryEndToEndTest, PhantomRelationsRejected) {
-  exec::MachineConfig config;
+  exec::SiteConfig config;
   config.block_bytes = 1024;
-  exec::Machine machine(config);
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   rel::GeneratorConfig g;
   g.tuple_count = 100;
   g.phantom = true;
-  auto r = rel::GenerateOnTape(g, &machine.tape_r());
-  auto s = rel::GenerateOnTape(g, &machine.tape_s());
-  machine.MountTapes();
+  auto prepared = exec::PrepareWorkload(session.get(), g, g);
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
   CountSink count;
   TertiaryQuery query;
-  query.r = &r.value();
-  query.s = &s.value();
+  query.r = &prepared->r;
+  query.s = &prepared->s;
   query.pipeline = &count;
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
   EXPECT_FALSE(ExecuteQuery(query, ctx).ok());
 }
 
@@ -278,10 +279,10 @@ TEST_F(QueryEndToEndTest, SinkErrorsPropagate) {
   CountSink count;
   FilterSink filter(Lt(Col(1), Lit(std::int64_t{5})), &count);  // payload is a string
   TertiaryQuery query;
-  query.r = &r_;
-  query.s = &s_;
+  query.r = &prepared_.r;
+  query.s = &prepared_.s;
   query.pipeline = &filter;
-  join::JoinContext ctx = machine_->context();
+  join::JoinContext ctx = session_->context();
   auto stats = ExecuteQuery(query, ctx);
   EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
 }

@@ -1,14 +1,10 @@
-// Query-service tests: the Site/QuerySession split of the legacy Machine
-// and the QueryScheduler on top.
+// Query-service tests: Site, QuerySession and the QueryScheduler on top.
 //
-// The acceptance bar of the split is bit-identity: a single join executed
-// through Site + QuerySession must report exactly the simulated seconds and
-// stats of the legacy Machine path, for all seven methods, audit-clean.
-// On top of that, sessions must partition (and return) the site's memory,
-// disk and drive budgets; the scheduler must admission-check requests,
-// drain in arrival order, and — under the shared-scan policy — multicast an
-// in-flight S pass to queued joins on the same cartridge, with identical
-// join results to the no-sharing baseline.
+// Sessions must partition (and return) the site's memory, disk and drive
+// budgets; the scheduler must admission-check requests, drain in arrival
+// order, and — under the shared-scan policy — multicast an in-flight S pass
+// to queued joins on the same cartridge, with identical join results to the
+// no-sharing baseline.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/experiment.h"
-#include "exec/machine.h"
 #include "exec/query_scheduler.h"
 #include "exec/query_session.h"
 #include "exec/service_workload.h"
@@ -32,44 +26,6 @@
 
 namespace tertio::exec {
 namespace {
-
-// Mirrors PrepareWorkload (experiment.cc) onto caller-owned loose volumes,
-// so the direct-Site path feeds the executors the exact relations the
-// Machine path generates.
-struct LooseWorkload {
-  std::unique_ptr<tape::TapeVolume> tape_r;
-  std::unique_ptr<tape::TapeVolume> tape_s;
-  rel::Relation r;
-  rel::Relation s;
-};
-
-LooseWorkload GenerateLoose(ByteCount block_bytes, const WorkloadConfig& workload) {
-  LooseWorkload loose;
-  loose.tape_r = std::make_unique<tape::TapeVolume>("tape-R", block_bytes);
-  loose.tape_s = std::make_unique<tape::TapeVolume>("tape-S", block_bytes);
-  rel::GeneratorConfig r_config;
-  r_config.name = "R";
-  r_config.record_bytes = workload.record_bytes;
-  r_config.compressibility = workload.compressibility;
-  r_config.seed = workload.seed;
-  r_config.phantom = workload.phantom;
-  r_config.keys = rel::KeySequence::kSequentialUnique;
-  std::uint64_t tuples_per_block =
-      rel::TuplesPerBlock(rel::Schema::KeyPayload(workload.record_bytes), block_bytes);
-  r_config.tuple_count = BytesToBlocks(workload.r_bytes, block_bytes).value() * tuples_per_block;
-  rel::GeneratorConfig s_config = r_config;
-  s_config.name = "S";
-  s_config.seed = workload.seed + 1;
-  s_config.keys = rel::KeySequence::kForeignKeyUniform;
-  s_config.key_domain = r_config.tuple_count;
-  s_config.tuple_count = BytesToBlocks(workload.s_bytes, block_bytes).value() * tuples_per_block;
-  auto r = rel::GenerateOnTape(r_config, loose.tape_r.get());
-  auto s = rel::GenerateOnTape(s_config, loose.tape_s.get());
-  TERTIO_CHECK(r.ok() && s.ok(), "loose workload generation failed");
-  loose.r = std::move(*r);
-  loose.s = std::move(*s);
-  return loose;
-}
 
 void ExpectBitIdentical(const join::JoinStats& a, const join::JoinStats& b,
                         std::string_view label) {
@@ -101,53 +57,6 @@ void ExpectBitIdentical(const join::JoinStats& a, const join::JoinStats& b,
     EXPECT_EQ(pa.busy_seconds, pb.busy_seconds);
     EXPECT_EQ(pa.window.start, pb.window.start);
     EXPECT_EQ(pa.window.end, pb.window.end);
-  }
-}
-
-// The tentpole acceptance bar: a single join through Site + QuerySession is
-// bit-identical to the legacy Machine path, for all seven methods, under
-// audit.
-TEST(ServiceBitIdentityTest, AllSevenMethodsMatchTheLegacyMachinePath) {
-  for (JoinMethodId method : kAllJoinMethods) {
-    // Experiment-3 parameters (simsan_test.cc): every method is feasible.
-    WorkloadConfig workload;
-    workload.r_bytes = 18 * kMB;
-    workload.s_bytes = 1000 * kMB;
-    workload.phantom = true;
-
-    MachineConfig machine_config = MachineConfig::PaperTestbed(50 * kMB, 5400 * kKB);
-    Machine machine(machine_config);
-    machine.EnableAudit();
-    auto prepared = PrepareWorkload(&machine, workload);
-    ASSERT_TRUE(prepared.ok()) << prepared.status();
-    join::JoinSpec machine_spec;
-    machine_spec.r = &prepared->r;
-    machine_spec.s = &prepared->s;
-    join::JoinContext machine_ctx = machine.context();
-    auto machine_stats = join::CreateJoinMethod(method)->Execute(machine_spec, machine_ctx);
-    ASSERT_TRUE(machine_stats.ok()) << JoinMethodName(method) << ": " << machine_stats.status();
-
-    SiteConfig site_config = machine_config.ToSiteConfig();
-    auto site = Site::Create(site_config);
-    ASSERT_TRUE(site.ok()) << site.status();
-    (*site)->EnableAudit();
-    SessionResources all;
-    all.memory_blocks = (*site)->memory_blocks();
-    all.disk_blocks = (*site)->disk_blocks();
-    auto session = QuerySession::Open(site->get(), all);
-    ASSERT_TRUE(session.ok()) << session.status();
-    LooseWorkload loose = GenerateLoose(site_config.block_bytes, workload);
-    (*session)->ForceMount(loose.tape_r.get(), loose.tape_s.get());
-    join::JoinSpec site_spec;
-    site_spec.r = &loose.r;
-    site_spec.s = &loose.s;
-    join::JoinContext site_ctx = (*session)->context();
-    auto site_stats = join::CreateJoinMethod(method)->Execute(site_spec, site_ctx);
-    ASSERT_TRUE(site_stats.ok()) << JoinMethodName(method) << ": " << site_stats.status();
-
-    ExpectBitIdentical(*machine_stats, *site_stats, JoinMethodName(method));
-    EXPECT_TRUE((*site)->auditor()->clean()) << (*site)->auditor()->TraceString();
-    EXPECT_TRUE(machine.auditor()->clean()) << machine.auditor()->TraceString();
   }
 }
 
@@ -197,17 +106,6 @@ TEST(SiteConfigTest, ValidateRejectsDegenerateConfigs) {
   EXPECT_FALSE(cache_eats_disk.Validate().ok());
   cache_eats_disk.cache_blocks -= 1;
   EXPECT_TRUE(cache_eats_disk.Validate().ok());
-}
-
-TEST(MachineConfigTest, ValidateDelegatesToSiteRules) {
-  MachineConfig good;
-  EXPECT_TRUE(good.Validate().ok());
-  MachineConfig bad = good;
-  bad.disk_count = -2;
-  EXPECT_FALSE(bad.Validate().ok());
-  bad = good;
-  bad.memory_bytes = 0;
-  EXPECT_FALSE(bad.Validate().ok());
 }
 
 TEST(QuerySessionTest, LeasesPartitionTheSiteAndReturnOnClose) {

@@ -1,4 +1,4 @@
-// Unit tests for tertio_sim: resource timelines, task graphs, simulation.
+// Unit tests for tertio_sim: resource timelines, simulation.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "sim/interval.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
-#include "sim/task_graph.h"
 #include "util/rng.h"
 
 namespace tertio::sim {
@@ -118,72 +117,6 @@ TEST(ResourceTest, ResetClearsEverything) {
   EXPECT_DOUBLE_EQ((r.available_at()).value(), 0.0);
   EXPECT_EQ(r.stats().op_count, 0u);
   EXPECT_TRUE(r.trace().empty());
-}
-
-TEST(TaskGraphTest, IndependentTasksOnDistinctResourcesOverlap) {
-  Resource tape("tape"), disk("disk");
-  TaskGraph g;
-  g.Add(&tape, 10.0, {});
-  g.Add(&disk, 4.0, {});
-  auto makespan = g.Run();
-  ASSERT_TRUE(makespan.ok());
-  EXPECT_DOUBLE_EQ(makespan->value(), 10.0);  // parallel, not 14
-}
-
-TEST(TaskGraphTest, DependencyForcesSequencing) {
-  Resource tape("tape"), disk("disk");
-  TaskGraph g;
-  TaskId read = g.Add(&tape, 10.0, {});
-  g.Add(&disk, 4.0, {read});
-  auto makespan = g.Run();
-  ASSERT_TRUE(makespan.ok());
-  EXPECT_DOUBLE_EQ(makespan->value(), 14.0);
-  EXPECT_DOUBLE_EQ(g.interval(1).start.value(), 10.0);
-}
-
-TEST(TaskGraphTest, ResourceContentionSerializes) {
-  Resource disk("disk");
-  TaskGraph g;
-  g.Add(&disk, 3.0, {});
-  g.Add(&disk, 3.0, {});
-  auto makespan = g.Run();
-  ASSERT_TRUE(makespan.ok());
-  EXPECT_DOUBLE_EQ(makespan->value(), 6.0);
-}
-
-TEST(TaskGraphTest, PipelineOverlapsStages) {
-  // Classic two-stage pipeline: producer (tape) feeds consumer (disk),
-  // 4 chunks, producer 5 s/chunk, consumer 3 s/chunk.
-  Resource tape("tape"), disk("disk");
-  TaskGraph g;
-  TaskId prev_read = 0;
-  for (int i = 0; i < 4; ++i) {
-    TaskId read = g.Add(&tape, 5.0, {});
-    g.Add(&disk, 3.0, {read});
-    prev_read = read;
-  }
-  (void)prev_read;
-  auto makespan = g.Run();
-  ASSERT_TRUE(makespan.ok());
-  // Producer finishes at 20; last consume starts at 20, ends at 23.
-  EXPECT_DOUBLE_EQ(makespan->value(), 23.0);
-}
-
-TEST(TaskGraphTest, ForwardDependencyRejected) {
-  Resource r("dev");
-  TaskGraph g;
-  g.Add(&r, 1.0, {5});  // depends on a task that does not exist yet
-  EXPECT_FALSE(g.Run().ok());
-}
-
-TEST(TaskGraphTest, ActionsRunInDispatchOrder) {
-  Resource r("dev");
-  TaskGraph g;
-  std::vector<int> order;
-  g.Add(&r, 1.0, {}, "t0", [&] { order.push_back(0); });
-  g.Add(&r, 1.0, {0}, "t1", [&] { order.push_back(1); });
-  ASSERT_TRUE(g.Run().ok());
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
 TEST(SimulationTest, HorizonSpansResources) {

@@ -15,13 +15,13 @@
 #include <vector>
 
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "join/join_common.h"
 #include "join/join_method.h"
 #include "sim/auditor.h"
 #include "sim/pipeline.h"
 #include "sim/simulation.h"
 #include "sim/span_registry.h"
+#include "whole_site.h"
 
 namespace tertio::sim {
 namespace {
@@ -42,20 +42,21 @@ TEST(SimSanPositiveTest, AllSevenMethodsAuditCleanAtPaperParameters) {
   for (JoinMethodId method : kAllJoinMethods) {
     // Experiment-3 parameters: |S| = 1000 MB, |R| = 18 MB, D = 50 MB,
     // M = 0.3|R| — every method in Table 2 is feasible here.
-    exec::MachineConfig config = exec::MachineConfig::PaperTestbed(50 * kMB, 5400 * kKB);
-    exec::Machine machine(config);
-    Auditor* auditor = machine.EnableAudit();
+    exec::SiteConfig config = exec::SiteConfig::PaperTestbed(50 * kMB, 5400 * kKB);
+    exec::Site site(config);
+    Auditor* auditor = site.EnableAudit();
+    std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
     ASSERT_NE(auditor, nullptr) << JoinMethodName(method);
     exec::WorkloadConfig workload;
     workload.r_bytes = 18 * kMB;
     workload.s_bytes = 1000 * kMB;
     workload.phantom = true;
-    auto prepared = exec::PrepareWorkload(&machine, workload);
+    auto prepared = exec::PrepareWorkload(session.get(), workload);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     join::JoinSpec spec;
     spec.r = &prepared->r;
     spec.s = &prepared->s;
-    join::JoinContext ctx = machine.context();
+    join::JoinContext ctx = session->context();
     auto stats = join::CreateJoinMethod(method)->Execute(spec, ctx);
     ASSERT_TRUE(stats.ok()) << JoinMethodName(method) << ": " << stats.status();
     EXPECT_GT(auditor->checks_performed(), 0u)
@@ -72,19 +73,20 @@ TEST(SimSanPositiveTest, AuditingNeverPerturbsSimulatedTime) {
   // the comparison is trivially true; the default tier-1 build exercises
   // the audited-vs-unaudited pair.)
   auto run = [](bool audited) {
-    exec::MachineConfig config = exec::MachineConfig::PaperTestbed(30 * kMB, 2 * kMB);
-    exec::Machine machine(config);
-    if (audited) machine.EnableAudit();
+    exec::SiteConfig config = exec::SiteConfig::PaperTestbed(30 * kMB, 2 * kMB);
+    exec::Site site(config);
+    if (audited) site.EnableAudit();
+    std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
     exec::WorkloadConfig workload;
     workload.r_bytes = 10 * kMB;
     workload.s_bytes = 100 * kMB;
     workload.phantom = true;
-    auto prepared = exec::PrepareWorkload(&machine, workload);
+    auto prepared = exec::PrepareWorkload(session.get(), workload);
     TERTIO_CHECK(prepared.ok(), "setup failed");
     join::JoinSpec spec;
     spec.r = &prepared->r;
     spec.s = &prepared->s;
-    join::JoinContext ctx = machine.context();
+    join::JoinContext ctx = session->context();
     auto stats = join::CreateJoinMethod(JoinMethodId::kCttGh)->Execute(spec, ctx);
     TERTIO_CHECK(stats.ok(), stats.status().ToString());
     return stats.value();
@@ -97,96 +99,38 @@ TEST(SimSanPositiveTest, AuditingNeverPerturbsSimulatedTime) {
   EXPECT_EQ(plain.disk_blocks_written, audited.disk_blocks_written);
 }
 
-// The PR-5 acceptance bar: with transfer coalescing on or off, every join
-// method reports bit-identical simulated time and span aggregates, and both
-// runs audit clean. (Coalescing on is the default; off forces the reference
-// per-chunk path.)
-TEST(SimSanCoalesceTest, AllSevenMethodsAreBitIdenticalWithCoalescingOnOrOff) {
-  for (JoinMethodId method : kAllJoinMethods) {
-    auto run = [&](bool coalesce) {
-      exec::MachineConfig config = exec::MachineConfig::PaperTestbed(50 * kMB, 5400 * kKB);
-      exec::Machine machine(config);
-      Auditor* auditor = machine.EnableAudit();
-      TERTIO_CHECK(auditor != nullptr, "audit must bind");
-      exec::WorkloadConfig workload;
-      workload.r_bytes = 18 * kMB;
-      workload.s_bytes = 1000 * kMB;
-      workload.phantom = true;
-      auto prepared = exec::PrepareWorkload(&machine, workload);
-      TERTIO_CHECK(prepared.ok(), "setup failed");
-      join::JoinSpec spec;
-      spec.r = &prepared->r;
-      spec.s = &prepared->s;
-      join::JoinContext ctx = machine.context();
-      ctx.coalesce_transfers = coalesce;
-      auto stats = join::CreateJoinMethod(method)->Execute(spec, ctx);
-      TERTIO_CHECK(stats.ok(), stats.status().ToString());
-      TERTIO_CHECK(auditor->clean(), auditor->TraceString());
-      return stats.value();
-    };
-    join::JoinStats on = run(true);
-    join::JoinStats off = run(false);
-    // Exact comparisons: the claim is bit-identity, not tolerance agreement.
-    EXPECT_EQ(on.response_seconds, off.response_seconds) << JoinMethodName(method);
-    EXPECT_EQ(on.step1_seconds, off.step1_seconds) << JoinMethodName(method);
-    EXPECT_EQ(on.step2_seconds, off.step2_seconds) << JoinMethodName(method);
-    EXPECT_EQ(on.tape_blocks_read, off.tape_blocks_read) << JoinMethodName(method);
-    EXPECT_EQ(on.tape_blocks_written, off.tape_blocks_written) << JoinMethodName(method);
-    EXPECT_EQ(on.disk_blocks_read, off.disk_blocks_read) << JoinMethodName(method);
-    EXPECT_EQ(on.disk_blocks_written, off.disk_blocks_written) << JoinMethodName(method);
-    EXPECT_EQ(on.disk_requests, off.disk_requests) << JoinMethodName(method);
-    EXPECT_EQ(on.peak_memory_blocks, off.peak_memory_blocks) << JoinMethodName(method);
-    EXPECT_EQ(on.peak_disk_blocks, off.peak_disk_blocks) << JoinMethodName(method);
-    ASSERT_EQ(on.spans.phases().size(), off.spans.phases().size()) << JoinMethodName(method);
-    for (std::size_t i = 0; i < on.spans.phases().size(); ++i) {
-      const PhaseSummary& a = on.spans.phases()[i];
-      const PhaseSummary& b = off.spans.phases()[i];
-      SCOPED_TRACE(std::string(JoinMethodName(method)) + " phase " + a.phase);
-      EXPECT_EQ(a.phase, b.phase);
-      EXPECT_EQ(a.device, b.device);
-      EXPECT_EQ(a.stage_count, b.stage_count);
-      EXPECT_EQ(a.blocks, b.blocks);
-      EXPECT_EQ(a.bytes, b.bytes);
-      EXPECT_EQ(a.busy_seconds, b.busy_seconds);
-      EXPECT_EQ(a.window.start, b.window.start);
-      EXPECT_EQ(a.window.end, b.window.end);
-    }
-  }
-}
-
-// The PR-8 acceptance bar: the three transfer-commit paths — per-chunk
-// (coalescing off), O(chunks) replay (coalescing on, closed-form off), and
-// O(1) closed-form (both on, the default) — report bit-identical simulated
-// time and span aggregates for every join method, and all three runs audit
-// clean. Exact comparisons throughout: the claim is bit-identity of the
-// floating-point results, not tolerance agreement.
+// The three transfer-commit paths (sim::CommitMode) — per-chunk, O(chunks)
+// replay, and O(1) closed form (the default) — report bit-identical
+// simulated time and span aggregates for every join method, and all three
+// runs audit clean. Exact comparisons throughout: the claim is bit-identity
+// of the floating-point results, not tolerance agreement.
 TEST(SimSanCoalesceTest, AllSevenMethodsAreBitIdenticalAcrossCommitPaths) {
   for (JoinMethodId method : kAllJoinMethods) {
-    auto run = [&](bool coalesce, bool closed_form) {
-      exec::MachineConfig config = exec::MachineConfig::PaperTestbed(50 * kMB, 5400 * kKB);
-      exec::Machine machine(config);
-      Auditor* auditor = machine.EnableAudit();
+    auto run = [&](CommitMode commit) {
+      exec::SiteConfig config = exec::SiteConfig::PaperTestbed(50 * kMB, 5400 * kKB);
+      exec::Site site(config);
+      Auditor* auditor = site.EnableAudit();
+      std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
       TERTIO_CHECK(auditor != nullptr, "audit must bind");
       exec::WorkloadConfig workload;
       workload.r_bytes = 18 * kMB;
       workload.s_bytes = 1000 * kMB;
       workload.phantom = true;
-      auto prepared = exec::PrepareWorkload(&machine, workload);
+      auto prepared = exec::PrepareWorkload(session.get(), workload);
       TERTIO_CHECK(prepared.ok(), "setup failed");
       join::JoinSpec spec;
       spec.r = &prepared->r;
       spec.s = &prepared->s;
-      join::JoinContext ctx = machine.context();
-      ctx.coalesce_transfers = coalesce;
-      ctx.closed_form_commit = closed_form;
+      join::JoinContext ctx = session->context();
+      ctx.commit = commit;
       auto stats = join::CreateJoinMethod(method)->Execute(spec, ctx);
       TERTIO_CHECK(stats.ok(), stats.status().ToString());
       TERTIO_CHECK(auditor->clean(), auditor->TraceString());
       return stats.value();
     };
-    const join::JoinStats per_chunk = run(false, false);
-    const join::JoinStats replay = run(true, false);
-    const join::JoinStats closed = run(true, true);
+    const join::JoinStats per_chunk = run(CommitMode::kPerChunk);
+    const join::JoinStats replay = run(CommitMode::kReplay);
+    const join::JoinStats closed = run(CommitMode::kClosedForm);
     for (const join::JoinStats* other : {&replay, &closed}) {
       const char* path = other == &replay ? " [replay]" : " [closed-form]";
       SCOPED_TRACE(std::string(JoinMethodName(method)) + path);
@@ -218,21 +162,22 @@ TEST(SimSanCoalesceTest, AllSevenMethodsAreBitIdenticalAcrossCommitPaths) {
   }
 }
 
-// Engagement, not just equivalence: on the real machine the shared transfer
+// Engagement, not just equivalence: on the paper testbed the shared transfer
 // helpers (tape-to-disk staging, disk scan-and-probe) must actually reach
 // the coalesced path for nearly every chunk after the per-chunk warm-up.
 TEST(SimSanCoalesceTest, SharedTransferHelpersEngageTheCoalescedPath) {
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(50 * kMB, 5400 * kKB);
-  exec::Machine machine(config);
-  Auditor* auditor = machine.EnableAudit();
+  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(50 * kMB, 5400 * kKB);
+  exec::Site site(config);
+  Auditor* auditor = site.EnableAudit();
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   ASSERT_NE(auditor, nullptr);
   exec::WorkloadConfig workload;
   workload.r_bytes = 18 * kMB;
   workload.s_bytes = 100 * kMB;
   workload.phantom = true;
-  auto prepared = exec::PrepareWorkload(&machine, workload);
+  auto prepared = exec::PrepareWorkload(session.get(), workload);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = session->context();
 
   Pipeline pipe(ctx.sim->Horizon(), nullptr, ctx.sim->auditor());
   BlockCount chunk = join::DefaultTapeChunk(prepared->r);

@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
+#include <memory>
+#include <vector>
 
 #include "sim/simulation.h"
 #include "tape/tape_drive.h"
 #include "tape/tape_library.h"
-#include "tape/tape_scheduler.h"
 #include "tape/tape_model.h"
 #include "tape/tape_volume.h"
 
@@ -286,242 +285,6 @@ TEST(TapeLibraryTest, SlotLimitEnforced) {
   ASSERT_TRUE(library.AddCartridge(std::make_unique<TapeVolume>("t0", kBlock)).ok());
   EXPECT_EQ(library.AddCartridge(std::make_unique<TapeVolume>("t1", kBlock)).status().code(),
             StatusCode::kResourceExhausted);
-}
-
-}  // namespace
-}  // namespace tertio::tape
-
-// ---- TapeScheduler ---------------------------------------------------------
-
-namespace tertio::tape {
-namespace {
-
-class TapeSchedulerTest : public ::testing::Test {
- protected:
-  TapeSchedulerTest()
-      : vol_("t", kBlock),
-        drive_("drv", TapeDriveModel::DLT4000(), sim_.CreateResource("tape")) {
-    // 1000 blocks of distinguishable real data.
-    for (int i = 0; i < 1000; ++i) {
-      TERTIO_CHECK(vol_.Append(MakeBlock(static_cast<uint8_t>(i & 0xFF)), 0.0).ok(), "");
-    }
-    TERTIO_CHECK(drive_.Load(&vol_, 0.0).ok(), "");
-  }
-
-  // Scattered requests in a deliberately bad arrival order.
-  std::vector<TapeReadRequest> ScatteredRequests() {
-    return {{1, 800, 10}, {2, 100, 10}, {3, 600, 10}, {4, 50, 10},
-            {5, 900, 10}, {6, 300, 10}, {7, 450, 10}, {8, 10, 10}};
-  }
-
-  sim::Simulation sim_;
-  TapeVolume vol_;
-  TapeDrive drive_;
-};
-
-TEST_F(TapeSchedulerTest, SortedBatchBeatsFifo) {
-  SimSeconds fifo_time, sorted_time;
-  std::uint64_t fifo_repos, sorted_repos;
-  {
-    sim::Simulation sim;
-    TapeDrive drive("f", TapeDriveModel::DLT4000(), sim.CreateResource("t"));
-    ASSERT_TRUE(drive.Load(&vol_, 0.0).ok());
-    TapeScheduler fifo(&drive, SchedulePolicy::kFifo);
-    for (const auto& r : ScatteredRequests()) fifo.Submit(r);
-    auto done = fifo.ExecuteBatch(0.0);
-    ASSERT_TRUE(done.ok());
-    fifo_time = done.completions.back().interval.end;
-    fifo_repos = drive.stats().reposition_count;
-  }
-  {
-    sim::Simulation sim;
-    TapeDrive drive("s", TapeDriveModel::DLT4000(), sim.CreateResource("t"));
-    ASSERT_TRUE(drive.Load(&vol_, 0.0).ok());
-    TapeScheduler sorted(&drive, SchedulePolicy::kSortedAscending);
-    for (const auto& r : ScatteredRequests()) sorted.Submit(r);
-    auto done = sorted.ExecuteBatch(0.0);
-    ASSERT_TRUE(done.ok());
-    sorted_time = done.completions.back().interval.end;
-    sorted_repos = drive.stats().reposition_count;
-  }
-  EXPECT_LT(sorted_time, fifo_time);
-  EXPECT_LE(sorted_repos, fifo_repos);
-}
-
-TEST_F(TapeSchedulerTest, ElevatorContinuesFromHead) {
-  // Head at 500; elevator serves >= 500 first, then wraps.
-  ASSERT_TRUE(drive_.Read(490, 10, 0.0).ok());
-  TapeScheduler elevator(&drive_, SchedulePolicy::kElevator);
-  for (const auto& r : ScatteredRequests()) elevator.Submit(r);
-  auto done = elevator.ExecuteBatch(1000.0);
-  ASSERT_TRUE(done.ok());
-  ASSERT_EQ(done.completions.size(), 8u);
-  // First served request starts at or after the head (600 is the first).
-  EXPECT_EQ(done.completions.front().id, 3u);
-  // Wrapped tail is ascending from the lowest start.
-  EXPECT_EQ(done.completions.back().id, 7u);
-}
-
-TEST_F(TapeSchedulerTest, PoliciesReturnIdenticalData) {
-  auto run = [&](SchedulePolicy policy) {
-    sim::Simulation sim;
-    TapeDrive drive("d", TapeDriveModel::DLT4000(), sim.CreateResource("t"));
-    TERTIO_CHECK(drive.Load(&vol_, 0.0).ok(), "");
-    TapeScheduler scheduler(&drive, policy);
-    for (const auto& r : ScatteredRequests()) scheduler.Submit(r);
-    auto done = scheduler.ExecuteBatch(0.0, /*capture=*/true);
-    TERTIO_CHECK(done.ok(), "");
-    // Collate payload first-bytes by request id.
-    std::map<uint64_t, std::vector<uint8_t>> by_id;
-    for (const auto& completion : done.completions) {
-      for (const auto& payload : completion.payloads) {
-        by_id[completion.id].push_back((*payload)[0]);
-      }
-    }
-    return by_id;
-  };
-  auto fifo = run(SchedulePolicy::kFifo);
-  auto sorted = run(SchedulePolicy::kSortedAscending);
-  auto elevator = run(SchedulePolicy::kElevator);
-  EXPECT_EQ(fifo, sorted);
-  EXPECT_EQ(fifo, elevator);
-}
-
-TEST_F(TapeSchedulerTest, EqualStartsBreakTiesByRequestId) {
-  // Requests sharing a start position must execute in id order no matter
-  // how submission interleaved them — the executed order (and thus the
-  // drive timeline) is a function of the request set alone.
-  std::vector<TapeReadRequest> ties = {{4, 200, 5}, {1, 200, 5}, {3, 200, 5},
-                                       {2, 700, 5}, {5, 700, 5}};
-  for (SchedulePolicy policy : {SchedulePolicy::kSortedAscending, SchedulePolicy::kElevator}) {
-    std::vector<std::vector<std::uint64_t>> orders;
-    // Two opposite submission interleavings.
-    for (bool reversed : {false, true}) {
-      sim::Simulation sim;
-      TapeDrive drive("d", TapeDriveModel::DLT4000(), sim.CreateResource("t"));
-      ASSERT_TRUE(drive.Load(&vol_, 0.0).ok());
-      TapeScheduler scheduler(&drive, policy);
-      std::vector<TapeReadRequest> submitted = ties;
-      if (reversed) std::reverse(submitted.begin(), submitted.end());
-      for (const auto& r : submitted) scheduler.Submit(r);
-      auto done = scheduler.ExecuteBatch(0.0);
-      ASSERT_TRUE(done.ok());
-      std::vector<std::uint64_t> order;
-      for (const auto& completion : done.completions) order.push_back(completion.id);
-      orders.push_back(std::move(order));
-    }
-    EXPECT_EQ(orders[0], (std::vector<std::uint64_t>{1, 3, 4, 2, 5}));
-    EXPECT_EQ(orders[0], orders[1]);
-  }
-}
-
-TEST_F(TapeSchedulerTest, BatchDrainsPendingQueue) {
-  TapeScheduler scheduler(&drive_, SchedulePolicy::kFifo);
-  scheduler.Submit({1, 0, 5});
-  EXPECT_EQ(scheduler.pending(), 1u);
-  ASSERT_TRUE(scheduler.ExecuteBatch(0.0).ok());
-  EXPECT_EQ(scheduler.pending(), 0u);
-  auto empty = scheduler.ExecuteBatch(0.0);
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty.completions.empty());
-}
-
-}  // namespace
-}  // namespace tertio::tape
-
-// ---- Spanned (multi-cartridge) volumes -------------------------------------
-
-#include "tape/spanned_volume.h"
-
-namespace tertio::tape {
-namespace {
-
-class SpannedVolumeTest : public ::testing::Test {
- protected:
-  SpannedVolumeTest()
-      : library_(TapeLibraryModel::SmallAutoloader(), sim_.CreateResource("robot")),
-        drive_("drv", TapeDriveModel::DLT4000(), sim_.CreateResource("tape")) {
-    // Three cartridges of 100 / 50 / 70 distinguishable blocks.
-    int sizes[] = {100, 50, 70};
-    uint8_t fill = 0;
-    for (int size : sizes) {
-      auto volume = std::make_unique<TapeVolume>("cart", kBlock);
-      for (int b = 0; b < size; ++b) {
-        TERTIO_CHECK(volume->Append(MakeBlock(fill++), 0.0).ok(), "");
-      }
-      slots_.push_back(library_.AddCartridge(std::move(volume)).value());
-    }
-  }
-
-  sim::Simulation sim_;
-  TapeLibrary library_;
-  TapeDrive drive_;
-  std::vector<int> slots_;
-};
-
-TEST_F(SpannedVolumeTest, ResolveMapsAcrossCartridges) {
-  auto set = SpannedVolumeSet::Create(&library_, slots_);
-  ASSERT_TRUE(set.ok());
-  EXPECT_EQ(set->total_blocks(), 220u);
-  EXPECT_EQ(set->cartridge_count(), 3);
-  auto a = set->Resolve(0);
-  EXPECT_EQ(a->member, 0);
-  EXPECT_EQ(a->local, 0u);
-  auto b = set->Resolve(99);
-  EXPECT_EQ(b->member, 0);
-  EXPECT_EQ(b->local, 99u);
-  auto c = set->Resolve(100);
-  EXPECT_EQ(c->member, 1);
-  EXPECT_EQ(c->local, 0u);
-  auto d = set->Resolve(219);
-  EXPECT_EQ(d->member, 2);
-  EXPECT_EQ(d->local, 69u);
-  EXPECT_FALSE(set->Resolve(220).ok());
-}
-
-TEST_F(SpannedVolumeTest, ReadCrossesBoundariesWithExchanges) {
-  auto set = SpannedVolumeSet::Create(&library_, slots_);
-  ASSERT_TRUE(set.ok());
-  SpannedReader reader(&set.value(), &drive_);
-  std::vector<BlockPayload> out;
-  // Read 80..180: tail of cartridge 0, all of 1, head of 2.
-  auto interval = reader.Read(80, 100, 0.0, &out);
-  ASSERT_TRUE(interval.ok()) << interval.status();
-  ASSERT_EQ(out.size(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ((*out[static_cast<size_t>(i)])[0], static_cast<uint8_t>(80 + i));
-  }
-  EXPECT_EQ(reader.exchanges(), 3u);  // initial mount + two boundary crossings
-}
-
-TEST_F(SpannedVolumeTest, SequentialReadsReuseMountedCartridge) {
-  auto set = SpannedVolumeSet::Create(&library_, slots_);
-  ASSERT_TRUE(set.ok());
-  SpannedReader reader(&set.value(), &drive_);
-  ASSERT_TRUE(reader.Read(0, 10, 0.0).ok());
-  ASSERT_TRUE(reader.Read(10, 10, 0.0).ok());
-  EXPECT_EQ(reader.exchanges(), 1u);  // same cartridge, no robot trips
-}
-
-TEST_F(SpannedVolumeTest, ExchangeCostIsChargedButAmortized) {
-  auto set = SpannedVolumeSet::Create(&library_, slots_);
-  ASSERT_TRUE(set.ok());
-  SpannedReader reader(&set.value(), &drive_);
-  auto interval = reader.Read(0, set->total_blocks(), 0.0);
-  ASSERT_TRUE(interval.ok());
-  // Three exchanges at >= 30 s each appear in the response...
-  double exchange_floor = ((3 * library_.model().exchange_seconds)).value();
-  EXPECT_GT(interval->end, exchange_floor);
-  // ...but transfer still dominates at realistic cartridge sizes — here the
-  // tiny test cartridges make exchanges visible, which is the point: the
-  // cost is charged, not assumed away.
-  EXPECT_GT(interval->end, 0.0);
-}
-
-TEST_F(SpannedVolumeTest, InvalidConstructionRejected) {
-  EXPECT_FALSE(SpannedVolumeSet::Create(nullptr, {0}).ok());
-  EXPECT_FALSE(SpannedVolumeSet::Create(&library_, {}).ok());
-  EXPECT_FALSE(SpannedVolumeSet::Create(&library_, {99}).ok());
 }
 
 }  // namespace

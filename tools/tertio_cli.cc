@@ -11,18 +11,22 @@
 /// Common flags: --compressibility F (default 0.25), --gantt (run only:
 /// print the device timeline; small joins only — traces are large),
 /// --spans (run only: print the per-phase span table and phase timeline).
+///
+/// Exit codes: 0 success, 1 a well-formed request the system cannot serve
+/// (e.g. an infeasible method), 2 invalid input (bad flags, or a
+/// configuration SiteConfig::Validate rejects).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "cost/cost_model.h"
 #include "exec/experiment.h"
-#include "exec/machine.h"
 #include "exec/query_scheduler.h"
 #include "exec/report.h"
 #include "exec/service_workload.h"
@@ -35,14 +39,30 @@ using namespace tertio;
 
 namespace {
 
+// Flags that take a number. Parse() reads each once, strictly.
+constexpr const char* kNumericFlags[] = {
+    "r-mb", "s-mb", "disk-mb", "memory-mb", "compressibility",
+    // serve only
+    "max-in-flight", "drives", "aging", "cache-blocks", "queries", "clients", "interarrival",
+    "cartridges", "r-relations", "r-cartridges"};
+
+// Largest accepted numeric flag value: 1e9 MB still fits a 64-bit byte
+// count, and 1e9 fits every int-valued count flag.
+constexpr double kMaxFlagValue = 1e9;
+
 struct Flags {
   std::map<std::string, std::string> values;
+  std::map<std::string, double> numbers;
   bool gantt = false;
   bool spans = false;
 
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::atof(it->second.c_str());
+    auto it = numbers.find(key);
+    return it == numbers.end() ? fallback : it->second;
+  }
+  /// A megabyte flag (--r-mb and friends) in bytes; 0 when absent.
+  ByteCount GetMegabytes(const std::string& key) const {
+    return static_cast<ByteCount>(GetDouble(key, 0) * static_cast<double>(kMB.value()));
   }
   std::string GetString(const std::string& key, const std::string& fallback) const {
     auto it = values.find(key);
@@ -50,6 +70,26 @@ struct Flags {
   }
   bool Has(const std::string& key) const { return values.count(key) > 0; }
 };
+
+// A numeric flag value: the whole text must be a finite number in
+// [0, kMaxFlagValue].
+Result<double> ParseNumber(const std::string& key, const std::string& text) {
+  char* end = nullptr;
+  double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(value) || value < 0 ||
+      value > kMaxFlagValue) {
+    return Status::InvalidArgument(StrFormat("--%s=%s is not a number in [0, %g]", key.c_str(),
+                                             text.c_str(), kMaxFlagValue));
+  }
+  return value;
+}
+
+// Prints a failed command's status. \returns its exit code: 2 for invalid
+// input, 1 otherwise.
+int Fail(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return status.code() == StatusCode::kInvalidArgument ? 2 : 1;
+}
 
 int Usage() {
   std::fprintf(stderr,
@@ -94,19 +134,19 @@ Result<Flags> Parse(int argc, char** argv) {
       return Status::InvalidArgument(std::string("missing --") + required);
     }
   }
+  for (const char* key : kNumericFlags) {
+    if (!flags.Has(key)) continue;
+    TERTIO_ASSIGN_OR_RETURN(flags.numbers[key], ParseNumber(key, flags.values[key]));
+  }
   return flags;
 }
 
 cost::CostParams ParamsFrom(const Flags& flags) {
   cost::CostParams params;
-  params.r_blocks = BytesToBlocks(
-      static_cast<ByteCount>(flags.GetDouble("r-mb", 0) * static_cast<double>(kMB.value())), kDefaultBlockBytes);
-  params.s_blocks = BytesToBlocks(
-      static_cast<ByteCount>(flags.GetDouble("s-mb", 0) * static_cast<double>(kMB.value())), kDefaultBlockBytes);
-  params.disk_blocks = BytesToBlocks(
-      static_cast<ByteCount>(flags.GetDouble("disk-mb", 0) * static_cast<double>(kMB.value())), kDefaultBlockBytes);
-  params.memory_blocks = BytesToBlocks(
-      static_cast<ByteCount>(flags.GetDouble("memory-mb", 0) * static_cast<double>(kMB.value())), kDefaultBlockBytes);
+  params.r_blocks = BytesToBlocks(flags.GetMegabytes("r-mb"), kDefaultBlockBytes);
+  params.s_blocks = BytesToBlocks(flags.GetMegabytes("s-mb"), kDefaultBlockBytes);
+  params.disk_blocks = BytesToBlocks(flags.GetMegabytes("disk-mb"), kDefaultBlockBytes);
+  params.memory_blocks = BytesToBlocks(flags.GetMegabytes("memory-mb"), kDefaultBlockBytes);
   double c = flags.GetDouble("compressibility", 0.25);
   params.tape_rate_bps = tape::TapeDriveModel::DLT4000().EffectiveRate(c);
   params.disk_rate_bps = 2 * disk::DiskModel::QuantumFireball1080().transfer_rate_bps;
@@ -121,10 +161,7 @@ std::string Seconds(SimSeconds s) {
 
 int CmdAdvise(const Flags& flags) {
   auto report = join::AdviseJoinMethod(ParamsFrom(flags));
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    return 1;
-  }
+  if (!report.ok()) return Fail(report.status());
   exec::TableReport table({"rank", "method", "est. response", "Step I", "iterations",
                            "disk traffic (MB)"});
   int rank = 1;
@@ -153,10 +190,7 @@ int CmdEstimate(const Flags& flags) {
     return 2;
   }
   auto estimate = cost::Estimate(method, ParamsFrom(flags));
-  if (!estimate.ok()) {
-    std::fprintf(stderr, "%s\n", estimate.status().ToString().c_str());
-    return 1;
-  }
+  if (!estimate.ok()) return Fail(estimate.status());
   std::printf("method           %s\n", std::string(JoinMethodName(method)).c_str());
   std::printf("Step I           %s\n", Seconds(estimate->step1_seconds).c_str());
   std::printf("Step II          %s\n", Seconds(estimate->step2_seconds).c_str());
@@ -190,9 +224,8 @@ int CmdRun(const Flags& flags) {
     std::fprintf(stderr, "unknown or missing --method\n");
     return 2;
   }
-  exec::MachineConfig config = exec::MachineConfig::PaperTestbed(
-      static_cast<ByteCount>(flags.GetDouble("disk-mb", 0) * static_cast<double>(kMB.value())),
-      static_cast<ByteCount>(flags.GetDouble("memory-mb", 0) * static_cast<double>(kMB.value())));
+  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(flags.GetMegabytes("disk-mb"),
+                                                           flags.GetMegabytes("memory-mb"));
   if (flags.Has("faults")) {
     auto plan = sim::FaultPlan::Parse(flags.GetString("faults", ""));
     if (!plan.ok()) {
@@ -201,31 +234,29 @@ int CmdRun(const Flags& flags) {
     }
     config.faults = *plan;
   }
-  exec::Machine machine(config);
+  auto created = exec::Site::Create(config);
+  if (!created.ok()) return Fail(created.status());
+  exec::Site& site = **created;
   if (flags.gantt) {
-    for (const auto& resource : machine.sim().resources()) resource->EnableTrace();
+    for (const auto& resource : site.sim().resources()) resource->EnableTrace();
   }
+  auto session = exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site));
+  if (!session.ok()) return Fail(session.status());
   exec::WorkloadConfig workload;
-  workload.r_bytes = static_cast<ByteCount>(flags.GetDouble("r-mb", 0) * static_cast<double>(kMB.value()));
-  workload.s_bytes = static_cast<ByteCount>(flags.GetDouble("s-mb", 0) * static_cast<double>(kMB.value()));
+  workload.r_bytes = flags.GetMegabytes("r-mb");
+  workload.s_bytes = flags.GetMegabytes("s-mb");
   workload.compressibility = flags.GetDouble("compressibility", 0.25);
   workload.phantom = true;
-  auto prepared = exec::PrepareWorkload(&machine, workload);
-  if (!prepared.ok()) {
-    std::fprintf(stderr, "%s\n", prepared.status().ToString().c_str());
-    return 1;
-  }
+  auto prepared = exec::PrepareWorkload(session->get(), workload);
+  if (!prepared.ok()) return Fail(prepared.status());
   join::JoinSpec spec;
   spec.r = &prepared->r;
   spec.s = &prepared->s;
   auto executor = join::CreateJoinMethod(method);
-  join::JoinContext ctx = machine.context();
+  join::JoinContext ctx = (*session)->context();
   ctx.retain_spans = flags.spans;
   auto stats = executor->Execute(spec, ctx);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
+  if (!stats.ok()) return Fail(stats.status());
   std::printf("method       %s (simulated at paper scale)\n", stats->method.c_str());
   std::printf("Step I       %s\n", Seconds(stats->step1_seconds).c_str());
   std::printf("Step II      %s\n", Seconds(stats->step2_seconds).c_str());
@@ -240,7 +271,7 @@ int CmdRun(const Flags& flags) {
               FormatBytes(BlocksToBytes(stats->disk_traffic_blocks(), config.block_bytes))
                   .c_str(),
               (unsigned long long)stats->disk_requests);
-  if (machine.faults_enabled()) {
+  if (site.faults_enabled()) {
     std::printf("faults       %llu injected, %llu retries, %llu chunk retries, "
                 "%s recovering\n",
                 (unsigned long long)stats->faults_injected,
@@ -248,7 +279,7 @@ int CmdRun(const Flags& flags) {
                 (unsigned long long)stats->chunk_retries,
                 FormatDuration(stats->recovery_seconds).c_str());
     std::printf("\n");
-    exec::FaultSummaryTable(machine.TotalFaultStats()).Print();
+    exec::FaultSummaryTable(site.TotalFaultStats()).Print();
   }
   if (flags.spans) {
     std::printf("\n");
@@ -256,15 +287,15 @@ int CmdRun(const Flags& flags) {
     std::printf("\n%s", sim::RenderSpanGantt(stats->spans).c_str());
   }
   if (flags.gantt) {
-    std::printf("\n%s", sim::RenderGantt(machine.sim()).c_str());
+    std::printf("\n%s", sim::RenderGantt(site.sim()).c_str());
   }
   return 0;
 }
 
 int CmdSweep(const Flags& flags) {
-  auto r_bytes = static_cast<ByteCount>(flags.GetDouble("r-mb", 0) * static_cast<double>(kMB.value()));
-  auto s_bytes = static_cast<ByteCount>(flags.GetDouble("s-mb", 0) * static_cast<double>(kMB.value()));
-  auto d_bytes = static_cast<ByteCount>(flags.GetDouble("disk-mb", 0) * static_cast<double>(kMB.value()));
+  ByteCount r_bytes = flags.GetMegabytes("r-mb");
+  ByteCount s_bytes = flags.GetMegabytes("s-mb");
+  ByteCount d_bytes = flags.GetMegabytes("disk-mb");
   double c = flags.GetDouble("compressibility", 0.25);
   exec::SeriesReport series("M/|R|", {"DT-NB", "CDT-NB/MB", "CDT-NB/DB", "DT-GH", "CDT-GH"});
   for (double f : {0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0}) {
@@ -272,7 +303,7 @@ int CmdSweep(const Flags& flags) {
     for (JoinMethodId method : {JoinMethodId::kDtNb, JoinMethodId::kCdtNbMb,
                                 JoinMethodId::kCdtNbDb, JoinMethodId::kDtGh,
                                 JoinMethodId::kCdtGh}) {
-      exec::MachineConfig config = exec::MachineConfig::PaperTestbed(
+      exec::SiteConfig config = exec::SiteConfig::PaperTestbed(
           d_bytes, static_cast<ByteCount>(f * static_cast<double>(r_bytes.value())));
       exec::WorkloadConfig workload;
       workload.r_bytes = r_bytes;
@@ -280,6 +311,8 @@ int CmdSweep(const Flags& flags) {
       workload.compressibility = c;
       workload.phantom = true;
       auto stats = exec::RunJoinExperiment(config, workload, method);
+      // Invalid input fails the sweep; an infeasible point is a gap.
+      if (stats.status().code() == StatusCode::kInvalidArgument) return Fail(stats.status());
       row.push_back(stats.ok() ? stats->response_seconds.value()
                                : std::numeric_limits<double>::quiet_NaN());
     }
@@ -299,8 +332,8 @@ struct ServeResult {
 Result<ServeResult> RunService(const Flags& flags, exec::ServicePolicy policy) {
   int max_in_flight = std::max(1, static_cast<int>(flags.GetDouble("max-in-flight", 1)));
   exec::SiteConfig site_config;
-  site_config.disk_space_bytes = static_cast<ByteCount>(flags.GetDouble("disk-mb", 0) * static_cast<double>(kMB.value()));
-  site_config.memory_bytes = static_cast<ByteCount>(flags.GetDouble("memory-mb", 0) * static_cast<double>(kMB.value()));
+  site_config.disk_space_bytes = flags.GetMegabytes("disk-mb");
+  site_config.memory_bytes = flags.GetMegabytes("memory-mb");
   site_config.with_library = true;
   // Concurrency needs drives: default two per in-flight session.
   site_config.drive_count =
@@ -316,8 +349,8 @@ Result<ServeResult> RunService(const Flags& flags, exec::ServicePolicy policy) {
   exec::Site site(site_config);
 
   exec::ServiceWorkloadConfig load;
-  load.s_bytes = static_cast<ByteCount>(flags.GetDouble("s-mb", 0) * static_cast<double>(kMB.value()));
-  load.r_bytes = static_cast<ByteCount>(flags.GetDouble("r-mb", 0) * static_cast<double>(kMB.value()));
+  load.s_bytes = flags.GetMegabytes("s-mb");
+  load.r_bytes = flags.GetMegabytes("r-mb");
   load.s_cartridges = static_cast<int>(flags.GetDouble("cartridges", 2));
   load.r_relations = static_cast<int>(flags.GetDouble("r-relations", 4));
   load.r_cartridges = static_cast<int>(flags.GetDouble("r-cartridges", 1));
@@ -419,10 +452,7 @@ int CmdServe(const Flags& flags) {
                            "robot", "peak"});
   for (exec::ServicePolicy policy : policies) {
     auto result = RunService(flags, policy);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
+    if (!result.ok()) return Fail(result.status());
     table.AddRow(
         {PolicyLabel(policy),
          StrFormat("%llu", (unsigned long long)result->stats.completed),
