@@ -1,6 +1,8 @@
 #include "exec/query_scheduler.h"
 
 #include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "join/join_method.h"
@@ -8,10 +10,105 @@
 
 namespace tertio::exec {
 
+std::size_t RequestQueue::size_on(int s_slot) const {
+  auto it = by_slot_.find(s_slot);
+  return it == by_slot_.end() ? 0 : it->second.size();
+}
+
+const RequestQueue::Entry& RequestQueue::at(std::uint64_t id) const {
+  auto it = by_id_.find(id);
+  TERTIO_CHECK(it != by_id_.end(), "request is not queued");
+  return it->second;
+}
+
+void RequestQueue::Insert(Entry entry) {
+  Key key{entry.request.arrival, entry.request.id};
+  int s_slot = entry.s_slot;
+  bool inserted = by_id_.emplace(key.second, std::move(entry)).second;
+  TERTIO_CHECK(inserted, "request id is already queued");
+  order_.insert(key);
+  by_slot_[s_slot].insert(key);
+}
+
+RequestQueue::Entry RequestQueue::Take(std::uint64_t id) {
+  auto it = by_id_.find(id);
+  TERTIO_CHECK(it != by_id_.end(), "taking a request that is not queued");
+  Entry entry = std::move(it->second);
+  by_id_.erase(it);
+  Key key{entry.request.arrival, id};
+  order_.erase(key);
+  auto slot = by_slot_.find(entry.s_slot);
+  slot->second.erase(key);
+  if (slot->second.empty()) by_slot_.erase(slot);
+  return entry;
+}
+
+std::uint64_t RequestQueue::Oldest() const {
+  return order_.empty() ? 0 : order_.begin()->second;
+}
+
+const RequestQueue::SlotOrders::value_type* RequestQueue::NearestArrivedSlot(SimSeconds ref,
+                                                                           int pos,
+                                                                           int dir) const {
+  // A slot's head is its earliest arrival, so the slot holds an arrived
+  // request exactly when its head has arrived; slots are walked outward
+  // from `pos`, nearest first.
+  auto first_arrived = [ref](auto it, auto end) -> const SlotOrders::value_type* {
+    for (; it != end; ++it) {
+      if (it->second.begin()->first <= ref) return &*it;
+    }
+    return nullptr;
+  };
+  if (dir > 0) return first_arrived(by_slot_.lower_bound(pos), by_slot_.end());
+  return first_arrived(std::make_reverse_iterator(by_slot_.upper_bound(pos)), by_slot_.rend());
+}
+
+std::uint64_t RequestQueue::PickElevator(SimSeconds clock, SimSeconds aging_seconds,
+                                         Sweep* sweep) const {
+  if (order_.empty()) return 0;
+  const Key& oldest = *order_.begin();
+  // The eligibility reference: nothing dispatches before the earliest
+  // arrival, and the sweep only reorders queries that have arrived by then.
+  SimSeconds ref = std::max(clock, oldest.first);
+
+  // Aging bound: a query the sweep has bypassed for longer than the limit
+  // goes next — the elevator's starvation valve. Among arrived queries the
+  // oldest has waited longest, and it wins ties on (arrival, id), so it is
+  // the only one to test.
+  if (ref - oldest.first > aging_seconds) return oldest.second;
+
+  // SCAN: nearest eligible S slot in the sweep direction; within the slot,
+  // its earliest (arrival, id), so outcomes are independent of submission
+  // interleaving.
+  const SlotOrders::value_type* best = NearestArrivedSlot(ref, sweep->pos, sweep->dir);
+  if (best == nullptr) {
+    // End of the sweep: reverse. Every eligible slot lies behind us now.
+    sweep->dir = -sweep->dir;
+    best = NearestArrivedSlot(ref, sweep->pos, sweep->dir);
+  }
+  TERTIO_CHECK(best != nullptr, "elevator found no eligible request on either side");
+  sweep->pos = best->first;
+  return best->second.begin()->second;
+}
+
+std::uint64_t RequestQueue::FirstArrivedOn(int s_slot, SimSeconds when,
+                                           std::uint64_t skip) const {
+  auto slot = by_slot_.find(s_slot);
+  if (slot == by_slot_.end()) return 0;
+  // At most two steps: `skip` is queued at most once.
+  for (const Key& key : slot->second) {
+    if (key.first > when) return 0;
+    if (key.second != skip) return key.second;
+  }
+  return 0;
+}
+
 QueryScheduler::QueryScheduler(Site* site, ServicePolicy policy, SchedulerOptions options)
     : site_(site), policy_(policy), options_(options) {
   TERTIO_CHECK(site != nullptr, "scheduler requires a site");
   TERTIO_CHECK(options_.max_in_flight >= 1, "max_in_flight must be at least 1");
+  TERTIO_CHECK(!std::isnan(options_.elevator_aging_seconds.value()),
+               "elevator_aging_seconds must not be NaN");
 }
 
 Result<std::uint64_t> QueryScheduler::Submit(JoinRequest request) {
@@ -22,6 +119,11 @@ Result<std::uint64_t> QueryScheduler::Submit(JoinRequest request) {
   };
   if (request.spec.r == nullptr || request.spec.s == nullptr) {
     return reject(Status::InvalidArgument("join request requires both relations"));
+  }
+  // A NaN arrival would break the queue's (arrival, id) order, and an
+  // infinite one could never be served at a finite time.
+  if (!std::isfinite(request.arrival.value())) {
+    return reject(Status::InvalidArgument("join request arrival must be finite"));
   }
   tape::TapeLibrary* library = site_->library();
   if (library == nullptr) {
@@ -49,15 +151,14 @@ Result<std::uint64_t> QueryScheduler::Submit(JoinRequest request) {
                   static_cast<unsigned long long>(request.disk_blocks.value()),
                   static_cast<unsigned long long>(site_->session_disk_blocks().value()))));
   }
-  // Explicit ids must be unique among pending requests: a duplicate would
-  // put the same id twice into the cartridge index, and Take()/Unindex()
-  // would later pair the wrong request with the wrong index entry.
+  // Explicit ids must be unique among pending requests: the queue is keyed
+  // by id.
   if (request.id == 0) {
-    if (next_id_ == std::numeric_limits<std::uint64_t>::max() && IsQueued(next_id_)) {
+    if (next_id_ == std::numeric_limits<std::uint64_t>::max() && queue_.contains(next_id_)) {
       return reject(Status::ResourceExhausted("request id space exhausted"));
     }
     request.id = next_id_;
-  } else if (IsQueued(request.id)) {
+  } else if (queue_.contains(request.id)) {
     return reject(Status::InvalidArgument(
         StrFormat("request id %llu is already queued",
                   static_cast<unsigned long long>(request.id))));
@@ -69,57 +170,8 @@ Result<std::uint64_t> QueryScheduler::Submit(JoinRequest request) {
                                                                        : request.id + 1;
   }
   std::uint64_t id = request.id;
-  cartridge_queues_[*s_slot].push_back(id);
-  queue_.push_back(std::move(request));
+  queue_.Insert({std::move(request), *r_slot, *s_slot});
   return id;
-}
-
-std::size_t QueryScheduler::pending_on(int slot) const {
-  auto it = cartridge_queues_.find(slot);
-  return it == cartridge_queues_.end() ? 0 : it->second.size();
-}
-
-void QueryScheduler::Unindex(const JoinRequest& request) {
-  Result<int> slot = site_->library()->SlotOf(request.spec.s->volume);
-  if (!slot.ok()) return;
-  auto it = cartridge_queues_.find(*slot);
-  if (it == cartridge_queues_.end()) return;
-  auto pos = std::find(it->second.begin(), it->second.end(), request.id);
-  if (pos != it->second.end()) it->second.erase(pos);
-  if (it->second.empty()) cartridge_queues_.erase(it);
-}
-
-JoinRequest QueryScheduler::PopNext() {
-  auto best = std::min_element(queue_.begin(), queue_.end(),
-                               [](const JoinRequest& a, const JoinRequest& b) {
-                                 if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                                 return a.id < b.id;
-                               });
-  JoinRequest request = std::move(*best);
-  queue_.erase(best);
-  Unindex(request);
-  return request;
-}
-
-bool QueryScheduler::IsQueued(std::uint64_t id) const {
-  return std::any_of(queue_.begin(), queue_.end(),
-                     [id](const JoinRequest& r) { return r.id == id; });
-}
-
-void QueryScheduler::Requeue(JoinRequest request) {
-  Result<int> slot = site_->library()->SlotOf(request.spec.s->volume);
-  if (slot.ok()) cartridge_queues_[*slot].push_back(request.id);
-  queue_.push_back(std::move(request));
-}
-
-JoinRequest QueryScheduler::Take(std::uint64_t id) {
-  auto pos = std::find_if(queue_.begin(), queue_.end(),
-                          [id](const JoinRequest& r) { return r.id == id; });
-  TERTIO_CHECK(pos != queue_.end(), "taking a request that is not queued");
-  JoinRequest request = std::move(*pos);
-  queue_.erase(pos);
-  Unindex(request);
-  return request;
 }
 
 int QueryScheduler::DriveIndexHolding(int slot) const {
@@ -131,16 +183,15 @@ int QueryScheduler::DriveIndexHolding(int slot) const {
   return -1;
 }
 
-std::vector<int> QueryScheduler::PreferredDrivesFor(const JoinRequest& request) const {
-  Result<int> r_slot = site_->library()->SlotOf(request.spec.r->volume);
-  Result<int> s_slot = site_->library()->SlotOf(request.spec.s->volume);
-  int want_r = r_slot.ok() ? DriveIndexHolding(*r_slot) : -1;
-  int want_s = s_slot.ok() ? DriveIndexHolding(*s_slot) : -1;
+std::vector<int> QueryScheduler::PreferredDrivesFor(const Entry& entry) const {
+  int want_r = DriveIndexHolding(entry.r_slot);
+  int want_s = DriveIndexHolding(entry.s_slot);
   if (want_r < 0 && want_s < 0) return {};
   return {want_r, want_s};
 }
 
-QueryOutcome QueryScheduler::ExecuteOne(JoinRequest request, bool scan_shared) {
+QueryOutcome QueryScheduler::ExecuteOne(const Entry& entry, bool scan_shared) {
+  const JoinRequest& request = entry.request;
   QueryOutcome out;
   out.id = request.id;
   out.arrival = request.arrival;
@@ -154,7 +205,7 @@ QueryOutcome QueryScheduler::ExecuteOne(JoinRequest request, bool scan_shared) {
   // 2-drive site with the legacy R-in-drive-0 / S-in-drive-1 mount history
   // this reproduces the legacy [0, 1] pick exactly; on wider sites it keeps
   // a query whose cartridge another session left mounted executable.
-  res.preferred_drives = PreferredDrivesFor(request);
+  res.preferred_drives = PreferredDrivesFor(entry);
   Result<std::unique_ptr<QuerySession>> session = QuerySession::Open(site_, res);
   if (!session.ok()) {
     out.status = session.status();
@@ -162,15 +213,10 @@ QueryOutcome QueryScheduler::ExecuteOne(JoinRequest request, bool scan_shared) {
     return out;
   }
 
-  tape::TapeLibrary* library = site_->library();
-  Result<int> r_slot = library->SlotOf(request.spec.r->volume);
-  Result<int> s_slot = library->SlotOf(request.spec.s->volume);
-  // Admission checked residency; a cartridge cannot leave the library.
-  TERTIO_CHECK(r_slot.ok() && s_slot.ok(), "admitted relation left the library");
   SimSeconds cursor = std::max(site_->sim().Horizon(), request.arrival);
-  Result<sim::Interval> mounted_r = (*session)->MountR(*r_slot, cursor);
+  Result<sim::Interval> mounted_r = (*session)->MountR(entry.r_slot, cursor);
   Result<sim::Interval> mounted_s =
-      mounted_r.ok() ? (*session)->MountS(*s_slot, cursor) : mounted_r;
+      mounted_r.ok() ? (*session)->MountS(entry.s_slot, cursor) : mounted_r;
   if (!mounted_s.ok()) {
     out.status = mounted_s.status();
     out.completion = site_->sim().Horizon();
@@ -214,8 +260,9 @@ QueryOutcome QueryScheduler::ExecuteOne(JoinRequest request, bool scan_shared) {
   return out;
 }
 
-QueryOutcome QueryScheduler::ExecuteConcurrent(JoinRequest request, SimSeconds dispatch,
+QueryOutcome QueryScheduler::ExecuteConcurrent(const Entry& entry, SimSeconds dispatch,
                                                std::unique_ptr<QuerySession>* session_out) {
+  const JoinRequest& request = entry.request;
   QueryOutcome out;
   out.id = request.id;
   out.arrival = request.arrival;
@@ -228,20 +275,16 @@ QueryOutcome QueryScheduler::ExecuteConcurrent(JoinRequest request, SimSeconds d
   res.name = StrFormat("q%llu", static_cast<unsigned long long>(request.id));
   res.memory_blocks = request.memory_blocks;
   res.disk_blocks = request.disk_blocks;
-  res.preferred_drives = PreferredDrivesFor(request);
+  res.preferred_drives = PreferredDrivesFor(entry);
   Result<std::unique_ptr<QuerySession>> session = QuerySession::Open(site_, res);
   if (!session.ok()) {
     out.status = session.status();
     return out;
   }
 
-  tape::TapeLibrary* library = site_->library();
-  Result<int> r_slot = library->SlotOf(request.spec.r->volume);
-  Result<int> s_slot = library->SlotOf(request.spec.s->volume);
-  TERTIO_CHECK(r_slot.ok() && s_slot.ok(), "admitted relation left the library");
-  Result<sim::Interval> mounted_r = (*session)->MountR(*r_slot, dispatch);
+  Result<sim::Interval> mounted_r = (*session)->MountR(entry.r_slot, dispatch);
   Result<sim::Interval> mounted_s =
-      mounted_r.ok() ? (*session)->MountS(*s_slot, dispatch) : mounted_r;
+      mounted_r.ok() ? (*session)->MountS(entry.s_slot, dispatch) : mounted_r;
   if (!mounted_s.ok()) {
     out.status = mounted_s.status();
     return out;
@@ -282,101 +325,26 @@ QueryOutcome QueryScheduler::ExecuteConcurrent(JoinRequest request, SimSeconds d
   return out;
 }
 
-bool QueryScheduler::ResourcesFit(const JoinRequest& request) {
+bool QueryScheduler::ResourcesFit(const Entry& entry) {
   if (site_->free_drives() < 2) return false;
   // A cartridge mounted in a drive another session holds pins the query: it
   // can only run once that session retires (Mount refuses to steal it).
-  for (const rel::Relation* relation : {request.spec.r, request.spec.s}) {
-    Result<int> slot = site_->library()->SlotOf(relation->volume);
-    if (!slot.ok()) return false;
-    int holder = DriveIndexHolding(*slot);
+  for (int slot : {entry.r_slot, entry.s_slot}) {
+    int holder = DriveIndexHolding(slot);
     if (holder >= 0 && site_->drive_leased(holder)) return false;
   }
-  if (site_->memory().reserved_blocks() + request.memory_blocks > site_->memory_blocks()) {
+  if (site_->memory().reserved_blocks() + entry.request.memory_blocks > site_->memory_blocks()) {
     return false;
   }
-  if (site_->disks().allocator().free_blocks() < request.disk_blocks) return false;
+  if (site_->disks().allocator().free_blocks() < entry.request.disk_blocks) return false;
   return true;
 }
 
-bool QueryScheduler::HasArrivedFollowers(const JoinRequest& leader, SimSeconds when) const {
-  Result<int> slot = site_->library()->SlotOf(leader.spec.s->volume);
-  if (!slot.ok()) return false;
-  auto it = cartridge_queues_.find(*slot);
-  if (it == cartridge_queues_.end()) return false;
-  for (std::uint64_t id : it->second) {
-    if (id == leader.id) continue;
-    auto pos = std::find_if(queue_.begin(), queue_.end(),
-                            [id](const JoinRequest& r) { return r.id == id; });
-    if (pos != queue_.end() && pos->arrival <= when) return true;
-  }
-  return false;
-}
-
-std::uint64_t QueryScheduler::PickElevator() {
-  if (queue_.empty()) return 0;
-  SimSeconds min_arrival = queue_.front().arrival;
-  for (const JoinRequest& r : queue_) min_arrival = std::min(min_arrival, r.arrival);
-  // The eligibility reference: nothing dispatches before the earliest
-  // arrival, and the sweep only reorders queries that have arrived by then.
-  SimSeconds ref = std::max(clock_, min_arrival);
-
-  // Aging bound: a query the sweep has bypassed for longer than the limit
-  // goes next, oldest first — the elevator's starvation valve.
-  const JoinRequest* aged = nullptr;
-  for (const JoinRequest& r : queue_) {
-    if (r.arrival > ref || ref - r.arrival <= options_.elevator_aging_seconds) continue;
-    if (aged == nullptr || r.arrival < aged->arrival ||
-        (r.arrival == aged->arrival && r.id < aged->id)) {
-      aged = &r;
-    }
-  }
-  if (aged != nullptr) return aged->id;
-
-  auto slot_of = [&](const JoinRequest& r) {
-    Result<int> slot = site_->library()->SlotOf(r.spec.s->volume);
-    return slot.ok() ? *slot : 0;
-  };
-  // SCAN: nearest eligible S slot in the sweep direction; deterministic
-  // tie-break by (slot, arrival, id) so outcomes are independent of
-  // submission interleaving.
-  const JoinRequest* best = nullptr;
-  int best_slot = 0;
-  auto scan = [&](int dir) {
-    for (const JoinRequest& r : queue_) {
-      if (r.arrival > ref) continue;
-      int slot = slot_of(r);
-      if (dir > 0 ? slot < sweep_pos_ : slot > sweep_pos_) continue;
-      int dist = slot > sweep_pos_ ? slot - sweep_pos_ : sweep_pos_ - slot;
-      int best_dist = best_slot > sweep_pos_ ? best_slot - sweep_pos_ : sweep_pos_ - best_slot;
-      if (best == nullptr || dist < best_dist ||
-          (dist == best_dist &&
-           (r.arrival < best->arrival || (r.arrival == best->arrival && r.id < best->id)))) {
-        best = &r;
-        best_slot = slot;
-      }
-    }
-  };
-  scan(sweep_dir_);
-  if (best == nullptr) {
-    // End of the sweep: reverse. Every eligible slot lies behind us now.
-    sweep_dir_ = -sweep_dir_;
-    scan(sweep_dir_);
-  }
-  TERTIO_CHECK(best != nullptr, "elevator found no eligible request on either side");
-  sweep_pos_ = best_slot;
-  return best->id;
-}
-
 std::uint64_t QueryScheduler::PickCandidate() {
-  if (queue_.empty()) return 0;
-  if (policy_ == ServicePolicy::kElevator) return PickElevator();
-  auto best = std::min_element(queue_.begin(), queue_.end(),
-                               [](const JoinRequest& a, const JoinRequest& b) {
-                                 if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                                 return a.id < b.id;
-                               });
-  return best->id;
+  if (policy_ == ServicePolicy::kElevator) {
+    return queue_.PickElevator(clock_, options_.elevator_aging_seconds, &sweep_);
+  }
+  return queue_.Oldest();
 }
 
 void QueryScheduler::RetireEarliest() {
@@ -400,76 +368,53 @@ void QueryScheduler::RetireEarliest() {
   if (on_complete_) on_complete_(outcomes_.back());
 }
 
-void QueryScheduler::RunSerialGroup(JoinRequest leader) {
-  SimSeconds leader_start = std::max(site_->sim().Horizon(), leader.arrival);
+void QueryScheduler::RunSerialGroup(const Entry& leader) {
+  SimSeconds leader_start = std::max(site_->sim().Horizon(), leader.request.arrival);
 
   // Under kSharedScan, queued joins on the leader's S cartridge that have
-  // already arrived ride its pass instead of paying their own.
-  std::vector<JoinRequest> followers;
+  // already arrived ride its pass instead of paying their own. They leave
+  // the queue in (arrival, id) order, so outcomes never depend on how a
+  // closed-loop client's Submit() calls interleave.
+  std::vector<Entry> followers;
   if (policy_ == ServicePolicy::kSharedScan) {
-    Result<int> slot = site_->library()->SlotOf(leader.spec.s->volume);
-    if (slot.ok()) {
-      std::vector<std::uint64_t> ids;
-      if (auto it = cartridge_queues_.find(*slot); it != cartridge_queues_.end()) {
-        ids.assign(it->second.begin(), it->second.end());
-      }
-      for (std::uint64_t id : ids) {
-        auto pos = std::find_if(queue_.begin(), queue_.end(),
-                                [id](const JoinRequest& r) { return r.id == id; });
-        if (pos != queue_.end() && pos->arrival <= leader_start) {
-          followers.push_back(Take(id));
-        }
-      }
-      // The cartridge index holds ids in submission order, which a
-      // closed-loop client's Submit() interleaving can permute; execute
-      // followers in (arrival, id) order so outcomes never depend on it.
-      std::sort(followers.begin(), followers.end(),
-                [](const JoinRequest& a, const JoinRequest& b) {
-                  if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                  return a.id < b.id;
-                });
+    while (std::uint64_t id = queue_.FirstArrivedOn(leader.s_slot, leader_start)) {
+      followers.push_back(queue_.Take(id));
     }
   }
 
-  const rel::Relation* leader_s = leader.spec.s;
-  QueryOutcome lead_out = ExecuteOne(std::move(leader), /*scan_shared=*/false);
-  bool lead_ok = lead_out.status.ok();
+  QueryOutcome lead_out = ExecuteOne(leader, /*scan_shared=*/false);
+  if (!lead_out.status.ok()) {
+    // The leader failed, so its pass never swept S and there is nothing to
+    // ride. Executing the followers here anyway would jump them over every
+    // earlier-arrived query on other cartridges (priority inversion); put
+    // them back instead, before the failure is reported, so the queue
+    // re-serves them in arrival order and one of them becomes a leader in
+    // its own right. (No livelock: the failed leader's outcome is recorded,
+    // not requeued.)
+    for (Entry& follower : followers) queue_.Insert(std::move(follower));
+    followers.clear();
+  }
   clock_ = std::max(clock_, lead_out.completion);
   outcomes_.push_back(std::move(lead_out));
   if (on_complete_) on_complete_(outcomes_.back());
   peak_in_flight_ = std::max<std::uint64_t>(peak_in_flight_, 1);
+  if (followers.empty()) return;
 
-  if (!followers.empty()) {
-    if (!lead_ok) {
-      // The leader failed, so its pass never swept S and there is nothing
-      // to ride. Executing the followers here anyway would jump them over
-      // every earlier-arrived query on other cartridges (priority
-      // inversion); put them back instead — PopNext re-serves them in
-      // plain arrival order, and one of them becomes a leader in its own
-      // right. (No livelock: the failed leader's outcome is recorded, not
-      // requeued.)
-      for (JoinRequest& follower : followers) Requeue(std::move(follower));
-      return;
-    }
-    // The leader's pass swept its S relation's blocks; declare them a
-    // shared window on the drive still holding the cartridge so the
-    // followers' S reads are multicast instead of re-read. (The window is
-    // drive state: it survives the followers' session churn as long as
-    // the cartridge stays mounted.)
-    tape::TapeDrive* holder = nullptr;
-    Result<int> slot = site_->library()->SlotOf(leader_s->volume);
-    if (slot.ok()) holder = site_->library()->MountedIn(*slot);
-    if (holder != nullptr) {
-      holder->SetSharedPassWindow(leader_s->start_block, leader_s->blocks);
-    }
-    for (JoinRequest& follower : followers) {
-      QueryOutcome out = ExecuteOne(std::move(follower), holder != nullptr);
-      clock_ = std::max(clock_, out.completion);
-      outcomes_.push_back(std::move(out));
-      if (on_complete_) on_complete_(outcomes_.back());
-    }
-    if (holder != nullptr) holder->ClearSharedPassWindow();
+  // The leader's pass swept its S relation's blocks; declare them a shared
+  // window on the drive still holding the cartridge so the followers' S
+  // reads are multicast instead of re-read. (The window is drive state: it
+  // survives the followers' session churn as long as the cartridge stays
+  // mounted.)
+  const rel::Relation& leader_s = *leader.request.spec.s;
+  tape::TapeDrive* holder = site_->library()->MountedIn(leader.s_slot);
+  if (holder != nullptr) holder->SetSharedPassWindow(leader_s.start_block, leader_s.blocks);
+  for (const Entry& follower : followers) {
+    QueryOutcome out = ExecuteOne(follower, holder != nullptr);
+    clock_ = std::max(clock_, out.completion);
+    outcomes_.push_back(std::move(out));
+    if (on_complete_) on_complete_(outcomes_.back());
   }
+  if (holder != nullptr) holder->ClearSharedPassWindow();
 }
 
 Status QueryScheduler::Run() {
@@ -496,16 +441,11 @@ Status QueryScheduler::Run() {
       // Serial capacity: the legacy path, bit-identical to the serial
       // scheduler. Admission shortfalls execute anyway and fail into their
       // outcomes, as the legacy scheduler did.
-      RunSerialGroup(Take(candidate_id));
+      RunSerialGroup(queue_.Take(candidate_id));
       continue;
     }
-    auto pos = std::find_if(queue_.begin(), queue_.end(),
-                            [candidate_id](const JoinRequest& r) {
-                              return r.id == candidate_id;
-                            });
-    TERTIO_CHECK(pos != queue_.end(), "candidate left the queue");
-    const JoinRequest* candidate = &*pos;
-    SimSeconds dispatch = std::max(clock_, candidate->arrival);
+    const Entry& candidate = queue_.at(candidate_id);
+    SimSeconds dispatch = std::max(clock_, candidate.request.arrival);
     // Retire everything completing by the dispatch time first — those
     // sessions' resources are free again at `dispatch`, and their
     // closed-loop submissions may change the candidate.
@@ -520,23 +460,25 @@ Status QueryScheduler::Run() {
       }
     }
     bool fits = static_cast<int>(in_flight_.size()) < options_.max_in_flight &&
-                ResourcesFit(*candidate);
+                ResourcesFit(candidate);
     if (!fits) {
       if (in_flight_.empty()) {
         // The demand exceeds even an idle site: execute serially anyway and
         // fail into the outcome, exactly the legacy behavior.
-        RunSerialGroup(Take(candidate_id));
+        RunSerialGroup(queue_.Take(candidate_id));
       } else {
         RetireEarliest();
       }
       continue;
     }
-    if (policy_ == ServicePolicy::kSharedScan && HasArrivedFollowers(*candidate, dispatch)) {
-      // A shared-scan group wants to form around this candidate. Groups
-      // execute as one serial unit (the multicast window spans the whole
-      // pass); drain the in-flight sessions so the group starts clean.
+    if (policy_ == ServicePolicy::kSharedScan &&
+        queue_.FirstArrivedOn(candidate.s_slot, dispatch, candidate_id) != 0) {
+      // A shared-scan group wants to form around this candidate: another
+      // queued request on its S cartridge has arrived by the dispatch.
+      // Groups execute as one serial unit (the multicast window spans the
+      // whole pass); drain the in-flight sessions so the group starts clean.
       if (in_flight_.empty()) {
-        RunSerialGroup(Take(candidate_id));
+        RunSerialGroup(queue_.Take(candidate_id));
       } else {
         RetireEarliest();
       }
@@ -544,9 +486,8 @@ Status QueryScheduler::Run() {
     }
     InFlight record;
     record.seq = next_seq_++;
-    JoinRequest request = Take(candidate_id);
     clock_ = dispatch;
-    record.outcome = ExecuteConcurrent(std::move(request), dispatch, &record.session);
+    record.outcome = ExecuteConcurrent(queue_.Take(candidate_id), dispatch, &record.session);
     in_flight_.push_back(std::move(record));
     peak_in_flight_ =
         std::max<std::uint64_t>(peak_in_flight_, in_flight_.size());

@@ -14,9 +14,11 @@
 /// the paper cites in Section 2.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
+#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cost/method_id.h"
@@ -51,7 +53,8 @@ struct SchedulerOptions {
   int max_in_flight = 1;
   /// kElevator only: once a queued, already-arrived query has been bypassed
   /// by the sweep for longer than this, it is dispatched next regardless of
-  /// slot distance.
+  /// slot distance. +inf is a pure sweep, a negative bound is FIFO; NaN is
+  /// rejected at construction.
   SimSeconds elevator_aging_seconds = 3600.0;
 };
 
@@ -59,7 +62,8 @@ struct SchedulerOptions {
 struct JoinRequest {
   /// Assigned by Submit() when left 0.
   std::uint64_t id = 0;
-  /// Virtual time the query arrived; it can never start earlier.
+  /// Virtual time the query arrived; it can never start earlier. Must be
+  /// finite (Submit rejects NaN and ±inf).
   SimSeconds arrival = 0.0;
   join::JoinSpec spec;
   JoinMethodId method = JoinMethodId::kCdtGh;
@@ -116,6 +120,69 @@ struct ServiceStats {
   SimSeconds makespan = 0.0;
 };
 
+/// The scheduler's admitted, not yet dispatched requests, indexed for
+/// dispatch. Each request is stored once, by id, with its R and S library
+/// slots resolved at admission (a cartridge never leaves the library). One
+/// (arrival, id) order runs over all of them and one over each non-empty S
+/// slot's, so every pick reads order heads instead of scanning the queue:
+/// FIFO takes the global head, the elevator's aging valve tests only the
+/// global head, its SCAN visits one head per slot, and the shared-scan
+/// follower sweep walks a slot's arrived prefix. Insert and Take cost
+/// O(log n). Arrivals must not be NaN (the orders need a strict weak
+/// ordering); ids must be non-zero, since 0 means "none" in the picks.
+class RequestQueue {
+ public:
+  struct Entry {
+    JoinRequest request;
+    int r_slot = 0;
+    int s_slot = 0;
+  };
+  /// kElevator sweep state: last slot served by SCAN and the direction.
+  struct Sweep {
+    int pos = 0;
+    int dir = 1;
+  };
+
+  bool empty() const { return by_id_.empty(); }
+  std::size_t size() const { return by_id_.size(); }
+  /// Requests queued on the S cartridge in `s_slot`.
+  std::size_t size_on(int s_slot) const;
+  bool contains(std::uint64_t id) const { return by_id_.count(id) != 0; }
+  /// The queued request `id` (which must be queued).
+  const Entry& at(std::uint64_t id) const;
+
+  /// Queues `entry`, whose id must not be queued already.
+  void Insert(Entry entry);
+  /// Removes the queued request `id` and returns it.
+  Entry Take(std::uint64_t id);
+
+  /// The earliest arrival, ties by id; 0 when empty.
+  std::uint64_t Oldest() const;
+  /// The elevator's pick; 0 when empty. Requests arrived by
+  /// ref = max(clock, oldest arrival) are eligible. Once the oldest has
+  /// waited longer than `aging_seconds` by ref it goes next; otherwise SCAN
+  /// takes the earliest (arrival, id) on the eligible S slot nearest
+  /// `sweep->pos` in direction `sweep->dir`, reversing the direction when no
+  /// eligible slot lies ahead, and moves `sweep->pos` to that slot.
+  std::uint64_t PickElevator(SimSeconds clock, SimSeconds aging_seconds, Sweep* sweep) const;
+  /// The earliest (arrival, id) request on `s_slot` other than `skip` that
+  /// arrived by `when`; 0 when there is none.
+  std::uint64_t FirstArrivedOn(int s_slot, SimSeconds when, std::uint64_t skip = 0) const;
+
+ private:
+  using Key = std::pair<SimSeconds, std::uint64_t>;
+  using Order = std::set<Key>;
+  /// S slot -> its requests; a slot is erased when its last request leaves.
+  using SlotOrders = std::map<int, Order>;
+  /// The nearest slot at or beyond `pos` in direction `dir` whose head
+  /// arrived by `ref`, or nullptr.
+  const SlotOrders::value_type* NearestArrivedSlot(SimSeconds ref, int pos, int dir) const;
+
+  std::unordered_map<std::uint64_t, Entry> by_id_;
+  Order order_;
+  SlotOrders by_slot_;
+};
+
 /// Admission control + per-cartridge queues + scan-shared execution.
 class QueryScheduler {
  public:
@@ -124,14 +191,15 @@ class QueryScheduler {
   ServicePolicy policy() const { return policy_; }
   const SchedulerOptions& options() const { return options_; }
 
-  /// Admission control: the site must have a library holding both
-  /// relations' cartridges, and the request's M_q/D_q/drive demands must
-  /// fit the site outright (a demand no schedule could ever satisfy is
-  /// rejected now, not queued forever). \returns the request id.
+  /// Admission control: the arrival must be finite, the site must have a
+  /// library holding both relations' cartridges, and the request's
+  /// M_q/D_q/drive demands must fit the site outright (a demand no schedule
+  /// could ever satisfy is rejected now, not queued forever). \returns the
+  /// request id.
   Result<std::uint64_t> Submit(JoinRequest request);
 
   /// Queries queued against the cartridge in `slot` (S side).
-  std::size_t pending_on(int slot) const;
+  std::size_t pending_on(int slot) const { return queue_.size_on(slot); }
   std::size_t pending() const { return queue_.size(); }
 
   /// Called after each query completes, while the service is still
@@ -164,51 +232,36 @@ class QueryScheduler {
     std::uint64_t seq = 0;
   };
 
-  /// Pops the earliest-arrived request (ties by id).
-  JoinRequest PopNext();
-  /// Removes request `id` from `queue_` and returns it.
-  JoinRequest Take(std::uint64_t id);
-  void Unindex(const JoinRequest& request);
-  /// Returns a popped request to the queue (and the cartridge index) with
-  /// its id and arrival intact — used when a follower's leader failed and
-  /// the follower must wait its regular turn instead.
-  void Requeue(JoinRequest request);
-  /// True when `id` is already on the pending queue.
-  bool IsQueued(std::uint64_t id) const;
+  using Entry = RequestQueue::Entry;
+
   /// Executes one query on its own session; fills and records the outcome.
   /// The serial path: anchors at the global horizon, exactly the legacy
   /// scheduler's behavior.
-  QueryOutcome ExecuteOne(JoinRequest request, bool scan_shared);
+  QueryOutcome ExecuteOne(const Entry& entry, bool scan_shared);
   /// Executes one query dispatched at `dispatch` while other sessions are in
   /// flight: the join anchors exactly at its own mount-completion time
   /// (JoinContext::exact_anchor), not the poisoned global horizon. On
   /// success `*session_out` keeps the session alive until retirement.
-  QueryOutcome ExecuteConcurrent(JoinRequest request, SimSeconds dispatch,
+  QueryOutcome ExecuteConcurrent(const Entry& entry, SimSeconds dispatch,
                                  std::unique_ptr<QuerySession>* session_out);
   /// Runs one serial leader iteration (plus its shared-scan followers under
   /// kSharedScan) exactly as the legacy scheduler did.
-  void RunSerialGroup(JoinRequest leader);
+  void RunSerialGroup(const Entry& leader);
   /// The id of the request the policy would dispatch next (0 = empty queue).
   std::uint64_t PickCandidate();
-  /// kElevator: the eligible request nearest the sweep position in the sweep
-  /// direction, unless one has aged past the bound (then the oldest).
-  std::uint64_t PickElevator();
-  /// True when the site can open another 2-drive session for `request` right
+  /// True when the site can open another 2-drive session for `entry` right
   /// now: enough free drives/memory/session disk, and neither of the
   /// request's cartridges is mounted in a drive another session holds.
-  bool ResourcesFit(const JoinRequest& request);
+  bool ResourcesFit(const Entry& entry);
   /// Index of the free-or-leased drive holding the cartridge in `slot`, or
   /// -1 when unmounted.
   int DriveIndexHolding(int slot) const;
   /// Positional [R, S] drive preferences routing the session onto drives
   /// already holding its cartridges.
-  std::vector<int> PreferredDrivesFor(const JoinRequest& request) const;
+  std::vector<int> PreferredDrivesFor(const Entry& entry) const;
   /// Retires the earliest-completing in-flight query: closes its session,
   /// records the outcome, fires on_complete, advances the retirement clock.
   void RetireEarliest();
-  /// True when another queued request shares `leader`'s S slot and has
-  /// arrived by `when` (a shared-scan group wants to form).
-  bool HasArrivedFollowers(const JoinRequest& leader, SimSeconds when) const;
 
   Site* site_;
   ServicePolicy policy_;
@@ -217,9 +270,7 @@ class QueryScheduler {
   std::uint64_t submitted_ = 0;
   std::uint64_t rejected_ = 0;
   /// Admitted, not yet executed.
-  std::vector<JoinRequest> queue_;
-  /// S-cartridge slot -> queued request ids, arrival order.
-  std::map<int, std::deque<std::uint64_t>> cartridge_queues_;
+  RequestQueue queue_;
   std::vector<QueryOutcome> outcomes_;
   /// Dispatched, not yet retired (their completions are already simulated).
   std::vector<InFlight> in_flight_;
@@ -229,9 +280,7 @@ class QueryScheduler {
   std::uint64_t next_seq_ = 0;
   std::uint64_t peak_in_flight_ = 0;
   std::uint64_t robot_exchanges_ = 0;
-  /// kElevator sweep state: last dispatched slot and sweep direction.
-  int sweep_pos_ = 0;
-  int sweep_dir_ = 1;
+  RequestQueue::Sweep sweep_;
   SimSeconds makespan_ = 0.0;
   std::function<void(const QueryOutcome&)> on_complete_;
 };

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -468,6 +469,91 @@ TEST(QuerySchedulerTest, FollowersRequeueInsteadOfJumpingTheQueueWhenTheLeaderFa
   ServiceStats stats = scheduler.service_stats();
   EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.failed, 1u);
+}
+
+TEST(QuerySchedulerTest, FailedLeaderRequeuesItsFollowersBeforeReportingTheFailure) {
+  SiteConfig config;
+  config.with_library = true;
+  Site site(config);
+  auto workload = PrepareServiceWorkload(&site, SmallServiceWorkload(/*phantom=*/true));
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  QueryScheduler scheduler(&site, ServicePolicy::kSharedScan);
+
+  // L cannot run (its disk carve is far below what CDT-GH needs); F is
+  // swept up as its follower.
+  JoinRequest broken = RequestFor(&site, *workload, 0, 0, 0.0);
+  broken.disk_blocks = 2;
+  auto l = scheduler.Submit(std::move(broken));
+  JoinRequest follower = RequestFor(&site, *workload, 1, 0, 0.0);
+  follower.id = 40;
+  auto f = scheduler.Submit(std::move(follower));
+  ASSERT_TRUE(l.ok() && f.ok());
+
+  // When L's failure is reported, F is already back in the queue, so a
+  // client re-using F's id is told it is queued instead of creating a
+  // second request with the same id.
+  bool checked = false;
+  scheduler.set_on_complete([&](const QueryOutcome& out) {
+    if (out.id != *l) return;
+    checked = true;
+    EXPECT_EQ(scheduler.pending(), 1u);
+    EXPECT_EQ(scheduler.pending_on(workload->s_slots[0]), 1u);
+    JoinRequest reuse = RequestFor(&site, *workload, 2, 0, out.completion);
+    reuse.id = *f;
+    EXPECT_FALSE(scheduler.Submit(std::move(reuse)).ok());
+  });
+  ASSERT_TRUE(scheduler.Run().ok());
+  EXPECT_TRUE(checked);
+  const auto& outcomes = scheduler.outcomes();
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_FALSE(outcomes[0].status.ok());
+  EXPECT_EQ(outcomes[1].id, *f);
+  EXPECT_TRUE(outcomes[1].status.ok()) << outcomes[1].status;
+  EXPECT_EQ(scheduler.service_stats().rejected, 1u);
+}
+
+TEST(QuerySchedulerTest, NonFiniteArrivalsAreRejected) {
+  SiteConfig config;
+  config.with_library = true;
+  Site site(config);
+  auto workload = PrepareServiceWorkload(&site, SmallServiceWorkload(/*phantom=*/true));
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  QueryScheduler scheduler(&site, ServicePolicy::kElevator);
+  ASSERT_TRUE(scheduler.Submit(RequestFor(&site, *workload, 0, 0, 0.0)).ok());
+
+  // NaN would break the queue's (arrival, id) order, and an infinite
+  // arrival could never be served at a finite time.
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double arrival : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    auto id = scheduler.Submit(RequestFor(&site, *workload, 1, 0, arrival));
+    ASSERT_FALSE(id.ok()) << arrival;
+    EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument) << arrival;
+  }
+  EXPECT_EQ(scheduler.pending(), 1u);
+  EXPECT_EQ(scheduler.pending_on(workload->s_slots[0]), 1u);
+  EXPECT_EQ(scheduler.service_stats().rejected, 3u);
+
+  // A finite negative arrival is an ordinary (early) arrival.
+  ASSERT_TRUE(scheduler.Submit(RequestFor(&site, *workload, 1, 0, -5.0)).ok());
+  ASSERT_TRUE(scheduler.Run().ok());
+  ServiceStats stats = scheduler.service_stats();
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_TRUE(std::isfinite(stats.makespan.value()));
+}
+
+TEST(QuerySchedulerDeathTest, NanAgingBoundIsRejectedAtConstruction) {
+  SiteConfig config;
+  config.with_library = true;
+  Site site(config);
+  SchedulerOptions options;
+  options.elevator_aging_seconds = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(QueryScheduler(&site, ServicePolicy::kElevator, options), "NaN");
+  // A pure sweep (+inf) and FIFO (a negative bound) stay legal.
+  options.elevator_aging_seconds = std::numeric_limits<double>::infinity();
+  QueryScheduler sweep(&site, ServicePolicy::kElevator, options);
+  options.elevator_aging_seconds = -1.0;
+  QueryScheduler fifo(&site, ServicePolicy::kElevator, options);
+  EXPECT_EQ(fifo.pending(), 0u);
 }
 
 // --- Tape-drive window regressions -----------------------------------------
