@@ -273,7 +273,7 @@ void ReportZipf(BenchRecorder* recorder, ByteCount cache_bytes, const PolicyResu
   std::printf("zipf cache %4llu MB   p50 %9.1f s   p99 %9.1f s   makespan %9.1f s   "
               "tape read %8llu blk   cached %8llu blk   hits %llu/%llu\n",
               static_cast<unsigned long long>(cache_bytes / kMB), p50, p99,
-              result.stats.makespan,
+              result.stats.makespan.value(),
               static_cast<unsigned long long>(result.stats.tape_blocks_read.value()),
               static_cast<unsigned long long>(result.stats.tape_blocks_cached.value()),
               static_cast<unsigned long long>(result.stats.cache_hits),
@@ -390,7 +390,7 @@ void ReportSweep(BenchRecorder* recorder, const char* policy, int max_in_flight,
   double wait_p99 = Percentile(result.waits, 0.99);
   std::printf("svc %-9s c%d   makespan %9.1f s   p50 %9.1f s   p99 %9.1f s   "
               "wait p50 %8.1f s   wait p99 %8.1f s   robot %4llu   peak %llu\n",
-              policy, max_in_flight, result.stats.makespan, p50, p99, wait_p50, wait_p99,
+              policy, max_in_flight, result.stats.makespan.value(), p50, p99, wait_p50, wait_p99,
               static_cast<unsigned long long>(result.stats.robot_exchanges),
               static_cast<unsigned long long>(result.stats.peak_in_flight));
   std::string prefix =
@@ -414,7 +414,7 @@ void Report(BenchRecorder* recorder, const char* loop, const char* policy,
   double p99 = Percentile(result.responses, 0.99);
   std::printf("%-11s %-11s p50 %9.1f s   p99 %9.1f s   makespan %9.1f s   "
               "tape read %8llu blk   shared %8llu blk   shared-queries %llu\n",
-              loop, policy, p50, p99, result.stats.makespan,
+              loop, policy, p50, p99, result.stats.makespan.value(),
               static_cast<unsigned long long>(result.stats.tape_blocks_read.value()),
               static_cast<unsigned long long>(result.stats.tape_blocks_shared.value()),
               static_cast<unsigned long long>(result.stats.scan_shared_queries));

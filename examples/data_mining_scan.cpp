@@ -78,7 +78,7 @@ int main() {
   std::printf("  total response            %s\n",
               FormatDuration(stats->response_seconds).c_str());
   std::printf("  bare read of both tapes   %s  -> relative cost %.1fx\n",
-              FormatDuration(read_both).c_str(), stats->response_seconds / read_both);
+              FormatDuration(read_both).c_str(), (stats->response_seconds / read_both).value());
   std::printf("  R scanned %llu times; %llu Step-II iterations\n",
               static_cast<unsigned long long>(stats->r_scans),
               static_cast<unsigned long long>(stats->iterations));

@@ -61,18 +61,23 @@ Result<sim::Interval> DiskVolume::Read(BlockIndex start, BlockCount count, SimSe
   return resource_->Schedule(ready, duration, count * block_bytes_, "disk.read");
 }
 
-void DiskVolume::CommitCoalesced(bool write, BlockIndex start, BlockCount count,
-                                 std::uint64_t requests) {
-  TERTIO_CHECK(start + count <= store_.size(), "coalesced disk commit exceeds capacity");
+void DiskVolume::CommitCoalesced(bool write, BlockCount blocks, std::uint64_t requests,
+                                 std::uint64_t positioned, BlockIndex next) {
+  TERTIO_CHECK(next <= store_.size(), "coalesced disk commit exceeds capacity");
   stats_.requests += requests;
+  stats_.positioned_requests += positioned;
   any_request_ = true;
-  next_sequential_ = start + count;
+  next_sequential_ = next;
   if (write) {
-    for (BlockCount i = 0; i < count; ++i) store_[(start + i).value()] = nullptr;
-    stats_.blocks_written += count;
+    stats_.blocks_written += blocks;
   } else {
-    stats_.blocks_read += count;
+    stats_.blocks_read += blocks;
   }
+}
+
+void DiskVolume::WritePhantom(BlockIndex start, BlockCount count) {
+  TERTIO_CHECK(start + count <= store_.size(), "phantom disk write exceeds capacity");
+  for (BlockCount i = 0; i < count; ++i) store_[(start + i).value()] = nullptr;
 }
 
 Result<sim::Interval> DiskVolume::Write(BlockIndex start, BlockCount count, SimSeconds ready,

@@ -66,18 +66,23 @@ class DiskVolume {
 
   /// True when a request starting at `start` would continue the previous one
   /// sequentially and therefore pay no positioning time. Used by coalesced
-  /// transfers (sim/pipeline.h) to verify the replayed steady state.
+  /// transfers (sim/pipeline.h) to cost the replayed requests.
   bool IsSequential(BlockIndex start) const {
     return any_request_ && start == next_sequential_;
   }
 
-  /// Applies the state a coalesced batch of sequential requests would have
-  /// left behind: `requests` request-count bumps, blocks read or phantom-
-  /// written over [start, start+count), and the sequential cursor advanced to
-  /// start+count. The caller (StripedDiskGroup) has already charged the
-  /// device time through Resource::ScheduleBatch and verified every request
-  /// continues the previous one, so no positioning is recorded.
-  void CommitCoalesced(bool write, BlockIndex start, BlockCount count, std::uint64_t requests);
+  /// Applies the counters and cursor a coalesced batch of requests would
+  /// have left behind: `requests` requests, `positioned` of which paid
+  /// positioning time, moving `blocks` blocks in all, the last of them
+  /// ending at `next`. The caller (StripedDiskGroup) has already charged the
+  /// device time through Resource::ScheduleBatch, costing each request as
+  /// RequestCost does, and stores phantom writes through WritePhantom.
+  void CommitCoalesced(bool write, BlockCount blocks, std::uint64_t requests,
+                       std::uint64_t positioned, BlockIndex next);
+
+  /// Stores phantom payloads over [start, start+count), as a phantom Write
+  /// does, without costing a request.
+  void WritePhantom(BlockIndex start, BlockCount count);
 
  private:
   Status CheckRange(BlockIndex start, BlockCount count) const;

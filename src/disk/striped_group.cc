@@ -152,12 +152,15 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
     if (d->fault_injector() != nullptr && d->fault_injector()->enabled()) return {};
   }
 
-  // A chunk dissolves into a sequence of per-disk pieces; the (disk, count)
-  // sequence — the chunk's *pattern* — rotates across chunks with a period
-  // of lcm(chunk, stripe ring) / chunk. Walk the pieces forward from
-  // `offset`, chunk by chunk, verifying (a) every piece sequentially
-  // continues its disk (the no-positioning steady state the profile
-  // replays, anchored at the disks' live cursors) and (b) the patterns are
+  // A chunk dissolves into a sequence of per-disk pieces, each one disk
+  // request. A piece that does not continue its disk's previous request
+  // (the disk's live cursor on first touch) is *positioned*: it pays
+  // positioning time, as DiskVolume::RequestCost charges it. The
+  // (disk, count, positioned) sequence — the chunk's *pattern* — rotates
+  // across chunks: with the stripe ring for a fresh list, with the
+  // partitioner's interleaved flushes for a bucket. Walk the pieces forward
+  // from `offset`, chunk by chunk, verifying that every piece lies on a
+  // disk of the group within its capacity and that the patterns are
   // periodic, so one period's operations describe them all. The lead chunks
   // (those before the first repeat of chunk 0's pattern) are kept; later
   // chunks are only compared against them. The walk stops at the first
@@ -167,12 +170,14 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
   constexpr std::uint64_t kMaxCycle = 64;
   const ExtentList& extents = *walk.cursor.extents();
   walk.lead.clear();
+  walk.lead_positioned.clear();
   walk.lead_ends.clear();
   walk.disk_next.assign(disks_.size(), ExtentWalk::DiskNext{});
   std::size_t i = walk.cursor.Seek(offset);
   BlockCount used = i < extents.size() ? offset - walk.cursor.base() : 0;  // of extents[i]
   std::uint64_t cycle = 0;
   std::uint64_t verified = 0;
+  bool lead_seeks = false;
   for (std::uint64_t c = 0; c < max_chunks; ++c) {
     // The lead chunk this one must equal: its cycle position once the cycle
     // is known, chunk 0 (the repeat test) before that.
@@ -182,6 +187,7 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
     const bool record = cycle == 0 && c < kMaxCycle;
     const std::size_t recorded = walk.lead.size();
     bool same = c > 0;
+    bool seeks = false;
     bool ok = true;
     for (BlockCount need = chunk; need > 0;) {
       if (i == extents.size()) {
@@ -198,38 +204,49 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
       Extent piece{e.disk, e.start + used, take};
       used += take;
       need -= take;
-      if (piece.disk < 0 || piece.disk >= disk_count()) {
+      // A piece the disk cannot serve must reach the per-chunk path, which
+      // reports the error.
+      if (piece.disk < 0 || piece.disk >= disk_count() ||
+          piece.start + piece.count > disks_[static_cast<size_t>(piece.disk)]->capacity_blocks()) {
         ok = false;
         break;
       }
       auto d = static_cast<size_t>(piece.disk);
       ExtentWalk::DiskNext& next = walk.disk_next[d];
-      if (next.touched ? piece.start != next.start : !disks_[d]->IsSequential(piece.start)) {
-        ok = false;
-        break;
-      }
+      const bool positioned =
+          next.touched ? piece.start != next.start : !disks_[d]->IsSequential(piece.start);
       next.touched = true;
       next.start = piece.start + piece.count;
+      seeks = seeks || positioned;
       // Both chunks hold `chunk` blocks in positive pieces, so matching
       // piece by piece through this chunk also matches the lead's length.
       same = same && k < lead_end && walk.lead[k].disk == piece.disk &&
-             walk.lead[k].count == piece.count;
+             walk.lead[k].count == piece.count && walk.lead_positioned[k] == positioned;
       ++k;
-      if (record) walk.lead.push_back(piece);
+      if (record) {
+        walk.lead.push_back(piece);
+        walk.lead_positioned.push_back(positioned);
+      }
     }
     if (!ok) {
       walk.lead.resize(recorded);
+      walk.lead_positioned.resize(recorded);
       break;
     }
     if (cycle == 0) {
       if (same) {
         cycle = c;
         walk.lead.resize(recorded);
+        walk.lead_positioned.resize(recorded);
       } else if (c >= kMaxCycle) {
         break;
       } else {
         walk.lead_ends.push_back(static_cast<std::uint32_t>(walk.lead.size()));
         verified = c + 1;
+        lead_seeks = lead_seeks || seeks;
+        // A seeking pattern must repeat twice within `max_chunks` (below),
+        // and its cycle is at least this lead long.
+        if (lead_seeks && max_chunks / 2 < verified) return {};
         continue;
       }
     }
@@ -241,6 +258,11 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
   if (cycle == 0) return {};
   std::uint64_t chunks = (verified / cycle) * cycle;
   if (chunks < 2) return {};
+  // A pattern with positioned pieces is accepted only once it has repeated
+  // at least twice. A scan whose first chunk seeks and whose later chunks
+  // stream would otherwise pass as one long non-repeating cycle; it keeps
+  // the per-chunk path for that chunk, as an all-sequential window does.
+  if (lead_seeks && chunks < 2 * cycle) return {};
 
   sim::ChunkCostProfile profile;
   profile.chunks = chunks;
@@ -253,37 +275,63 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
     profile.ops_per_chunk.push_back(end - begin);
     begin = end;
   }
-  for (const Extent& piece : walk.lead) {
-    auto d = static_cast<size_t>(piece.disk);
-    ByteCount bytes = piece.count * block_bytes_;
-    profile.ops.push_back({disks_[d]->resource(),
-                           disks_[d]->model().TransferSeconds(bytes), bytes, tag});
-  }
-
-  // Per-disk share of one cycle. Continuity makes each disk's pieces one
-  // contiguous run, so a committed batch advances its cursor linearly.
+  // Per-disk share of one period, for the commit's counters.
   struct Share {
     int disk;
-    BlockIndex first;
     BlockCount blocks;
     std::uint64_t requests;
+    std::uint64_t positioned;
   };
   std::vector<Share> shares;
-  for (const Extent& piece : walk.lead) {
+  for (std::size_t j = 0; j < walk.lead.size(); ++j) {
+    const Extent& piece = walk.lead[j];
+    const bool positioned = walk.lead_positioned[j];
+    DiskVolume* disk = disks_[static_cast<size_t>(piece.disk)];
+    // Costed exactly as DiskVolume::RequestCost costs the request.
+    ByteCount bytes = piece.count * disk->block_bytes();
+    SimSeconds seconds = disk->model().TransferSeconds(bytes);
+    if (positioned) seconds += disk->model().positioning_seconds;
+    profile.ops.push_back({disk->resource(), seconds, bytes, tag});
     auto it = std::find_if(shares.begin(), shares.end(),
                            [&](const Share& s) { return s.disk == piece.disk; });
     if (it == shares.end()) {
-      shares.push_back(Share{piece.disk, piece.start, piece.count, 1});
+      shares.push_back(Share{piece.disk, piece.count, 1, positioned ? 1u : 0u});
     } else {
       it->blocks += piece.count;
       it->requests += 1;
+      it->positioned += positioned ? 1 : 0;
     }
   }
-  profile.commit = [this, shares = std::move(shares), cycle, write](std::uint64_t committed) {
-    std::uint64_t periods = committed / cycle;
+  // Counters scale with whole periods. A disk's cursor ends where its last
+  // committed piece ends, which lies in the last period (every period
+  // touches every disk of the pattern); phantom writes cover every piece.
+  // The walk belongs to the endpoint, which outlives the commit.
+  profile.commit = [this, &walk, offset, chunk, cycle, write,
+                    shares = std::move(shares)](std::uint64_t committed) {
+    const BlockCount end = offset + committed * chunk;
+    const BlockCount from = write ? offset : end - cycle * chunk;
+    const ExtentList& list = *walk.cursor.extents();
+    std::size_t e = walk.cursor.Seek(from);
+    BlockCount used = from - walk.cursor.base();
+    for (BlockCount need = end - from; need > 0;) {
+      if (used == list[e].count) {
+        ++e;
+        used = 0;
+        continue;
+      }
+      const BlockCount take = std::min<BlockCount>(list[e].count - used, need);
+      const BlockIndex start = list[e].start + used;
+      const auto d = static_cast<size_t>(list[e].disk);
+      if (write) disks_[d]->WritePhantom(start, take);
+      walk.disk_next[d].start = start + take;
+      used += take;
+      need -= take;
+    }
+    const std::uint64_t periods = committed / cycle;
     for (const Share& share : shares) {
-      disks_[static_cast<size_t>(share.disk)]->CommitCoalesced(
-          write, share.first, periods * share.blocks, periods * share.requests);
+      const auto d = static_cast<size_t>(share.disk);
+      disks_[d]->CommitCoalesced(write, periods * share.blocks, periods * share.requests,
+                                 periods * share.positioned, walk.disk_next[d].start);
     }
   };
   return profile;

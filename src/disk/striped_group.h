@@ -39,9 +39,11 @@ struct ExtentWalk {
   ExtentCursor cursor;
   /// The latest per-chunk slice.
   ExtentList slice;
-  /// ExtentChunkProfile's lead chunks: their pieces back to back, and the
-  /// end of each chunk's pieces in `lead`.
+  /// ExtentChunkProfile's lead chunks: their pieces back to back, whether
+  /// each piece pays positioning time, and the end of each chunk's pieces in
+  /// `lead`.
   ExtentList lead;
+  std::vector<bool> lead_positioned;
   std::vector<std::uint32_t> lead_ends;
   std::vector<DiskNext> disk_next;
 };
@@ -97,14 +99,17 @@ class StripedDiskGroup {
 
   /// Steady-state cost profile for up to `max_chunks` chunked requests over
   /// the list `walk` is bound to, starting at logical block `offset`
-  /// (sim/pipeline.h coalescing). The striping pattern a chunk dissolves into
-  /// rotates across disks with a period set by the chunk size and the stripe
-  /// unit, so the profile carries one period's operations and a cycle
-  /// length. Empty — per-chunk fallback — unless every disk request in the
-  /// verified prefix sequentially continues that disk's previous one (no
-  /// positioning time) and no disk carries an active fault plan. One forward
-  /// pass from the walk's cursor; it stops at the first piece that breaks
-  /// the pattern.
+  /// (sim/pipeline.h coalescing). The pieces a chunk dissolves into, and
+  /// whether each pays positioning time, rotate with a period set by the
+  /// chunk size and the layout (the stripe ring, or a partitioner's
+  /// interleaved bucket flushes), so the profile carries one period's
+  /// operations, each costed as DiskVolume::RequestCost would, and a cycle
+  /// length. Empty — per-chunk fallback — when a disk carries an active
+  /// fault plan, when a piece names no disk of the group or exceeds its
+  /// capacity before two chunks are verified, or when the pattern seeks but
+  /// does not repeat at least twice. One forward pass from the walk's
+  /// cursor; it stops at the first piece that breaks the pattern. The
+  /// profile's commit reads `walk`, so it must run while the endpoint lives.
   sim::ChunkCostProfile ExtentChunkProfile(ExtentWalk& walk, BlockCount offset, BlockCount chunk,
                                            std::uint64_t max_chunks, bool write);
 

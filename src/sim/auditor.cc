@@ -10,7 +10,7 @@ namespace tertio::sim {
 namespace {
 
 std::string FormatInterval(const Interval& interval) {
-  return StrFormat("[%.9f, %.9f)", interval.start, interval.end);
+  return StrFormat("[%.9f, %.9f)", interval.start.value(), interval.end.value());
 }
 
 unsigned long long ull(BlockCount v) { return static_cast<unsigned long long>(v.value()); }
@@ -39,6 +39,8 @@ std::string_view AuditKindToString(AuditKind kind) {
       return "UnregisteredSpan";
     case AuditKind::kLeaseExclusivity:
       return "LeaseExclusivity";
+    case AuditKind::kClosedFormDivergence:
+      return "ClosedFormDivergence";
   }
   return "Unknown";
 }
@@ -95,8 +97,8 @@ void Auditor::OnSchedule(std::string_view resource, SimSeconds ready, Interval i
   }
   if (interval.start < ready) {
     Report(AuditKind::kTimeRegression, resource,
-           StrFormat("operation started at %.9f before its ready time %.9f", interval.start,
-                     ready),
+           StrFormat("operation started at %.9f before its ready time %.9f",
+                     interval.start.value(), ready.value()),
            Snapshot(state, interval));
   }
   // Interval exclusivity: a serial device's next operation may not begin
@@ -164,13 +166,13 @@ void Auditor::OnStage(std::string_view phase, std::string_view device,
   if (interval.start < ready) {
     Report(AuditKind::kCausality, phase,
            StrFormat("stage began at %.9f before its dependencies finished at %.9f",
-                     interval.start, ready),
+                     interval.start.value(), ready.value()),
            {Interval::At(ready), interval});
   }
   if (interval.start < pipeline_start) {
     Report(AuditKind::kCausality, phase,
            StrFormat("stage began at %.9f before the pipeline's virtual origin %.9f",
-                     interval.start, pipeline_start),
+                     interval.start.value(), pipeline_start.value()),
            {Interval::At(pipeline_start), interval});
   }
   if (!IsRegisteredSpan(phase)) {
@@ -196,14 +198,14 @@ void Auditor::OnStageBatch(std::string_view phase, std::string_view device,
     Report(AuditKind::kCausality, phase,
            StrFormat("coalesced stage batch began at %.9f before its dependencies finished "
                      "at %.9f",
-                     hull.start, ready),
+                     hull.start.value(), ready.value()),
            {Interval::At(ready), hull});
   }
   if (hull.start < pipeline_start) {
     Report(AuditKind::kCausality, phase,
            StrFormat("coalesced stage batch began at %.9f before the pipeline's virtual "
                      "origin %.9f",
-                     hull.start, pipeline_start),
+                     hull.start.value(), pipeline_start.value()),
            {Interval::At(pipeline_start), hull});
   }
   if (!IsRegisteredSpan(phase)) {
@@ -229,6 +231,19 @@ void Auditor::OnTransferEnd(std::string_view read_phase, BlockCount expected,
                      "retries (%llu)",
                      ull(issued), ull(completed), ull(dropped)),
            {});
+  }
+}
+
+void Auditor::OnClosedFormCheck(std::string_view phase, std::uint64_t chunks,
+                                const char* divergence, SimSeconds closed, SimSeconds replay) {
+  checks_ += 1;
+  if (divergence != nullptr) {
+    Report(AuditKind::kClosedFormDivergence, phase,
+           StrFormat("closed-form batch of %llu chunks diverges from the O(chunks) replay in "
+                     "its %s: %a vs %a",
+                     static_cast<unsigned long long>(chunks), divergence, closed.value(),
+                     replay.value()),
+           {Interval::At(closed), Interval::At(replay)});
   }
 }
 
@@ -261,7 +276,7 @@ void Auditor::OnDiskUsage(std::string_view tag, SimSeconds now, BlockCount used_
   if (used_after > capacity) {
     Report(AuditKind::kScratchOvercommit, tag,
            StrFormat("disk scratch occupancy %llu blocks exceeds D = %llu blocks at t=%.9f",
-                     ull(used_after), ull(capacity), now),
+                     ull(used_after), ull(capacity), now.value()),
            {Interval::At(now)});
   }
 }
@@ -331,7 +346,7 @@ void Auditor::OnHorizonCheck(SimSeconds cached, SimSeconds recomputed) {
     Report(AuditKind::kHorizonIncoherence, "simulation",
            StrFormat("cached horizon %.9f != recomputed maximum %.9f over all resources "
                      "(stale horizon cell?)",
-                     cached, recomputed),
+                     cached.value(), recomputed.value()),
            {Interval::At(cached), Interval::At(recomputed)});
   }
 }

@@ -70,6 +70,9 @@ enum class AuditKind : int {
   /// A drive lease broke exclusivity: two sessions held the same drive at
   /// once, or a session released a drive it never held.
   kLeaseExclusivity,
+  /// A closed-form coalesced batch disagreed, in some bit, with the
+  /// O(chunks) replay of the same window (sim/pipeline.h CommitMode).
+  kClosedFormDivergence,
 };
 
 std::string_view AuditKindToString(AuditKind kind);
@@ -124,6 +127,14 @@ class Auditor {
   /// discarded to chunk retries.
   void OnTransferEnd(std::string_view read_phase, BlockCount expected, BlockCount completed,
                      BlockCount issued, BlockCount dropped);
+
+  /// A Pipeline re-derived a closed-form batch of `chunks` chunks under
+  /// `phase` with the O(chunks) replay from the same starting state.
+  /// `divergence` names the first recurrence value (slot availability,
+  /// chain end, hull bound, duration sum) whose bits differ, with its
+  /// closed-form and replayed values; null when every value agrees.
+  void OnClosedFormCheck(std::string_view phase, std::uint64_t chunks, const char* divergence,
+                         SimSeconds closed, SimSeconds replay);
 
   /// MemoryBudget committed (or refused) a reservation; `reserved_after` is
   /// the occupancy after the call.

@@ -5,9 +5,15 @@
 namespace tertio::sim {
 namespace {
 
+// The closed form below is written once over the accumulator type T: the
+// simulator's SimSeconds and plain dimensionless doubles.
+inline double Raw(double x) { return x; }
+inline double Raw(SimSeconds x) { return x.value(); }
+
 /// One scalar cycle of the reference loop.
-inline SimSeconds OneCycle(SimSeconds acc, std::span<const SimSeconds> deltas) {
-  for (SimSeconds d : deltas) acc += d;
+template <typename T>
+inline T OneCycle(T acc, std::span<const T> deltas) {
+  for (T d : deltas) acc += d;
   return acc;
 }
 
@@ -18,35 +24,35 @@ inline SimSeconds OneCycle(SimSeconds acc, std::span<const SimSeconds> deltas) {
 /// grid units above zero, so `index` (= t / u, an exact division by a power
 /// of two) always fits 53 bits and the boundary test never has to form the
 /// boundary as a double (2^1024 would overflow for the topmost binade).
+template <typename T>
 struct Segment {
-  SimSeconds u = 0.0;        // grid spacing
+  T u = 0.0;                 // grid spacing
   std::uint64_t index = 0;   // t / u, exact, < 2^53
 };
 
-inline Segment SegmentOf(SimSeconds t) {
+template <typename T>
+inline Segment<T> SegmentOf(T t) {
   if (t < 0x1p-1021) {
-    return Segment{0x1p-1074, static_cast<std::uint64_t>(t.value() / 0x1p-1074)};
+    return Segment<T>{0x1p-1074, static_cast<std::uint64_t>(Raw(t) / 0x1p-1074)};
   }
-  const int e = std::ilogb(t.value());
-  const SimSeconds u = std::ldexp(1.0, e - 52);
-  return Segment{u, static_cast<std::uint64_t>(t / u)};
+  const int e = std::ilogb(Raw(t));
+  const T u = std::ldexp(1.0, e - 52);
+  return Segment<T>{u, static_cast<std::uint64_t>(t / u)};
 }
 
 inline constexpr std::uint64_t kSegmentTopIndex = std::uint64_t{1} << 53;
 
-}  // namespace
-
-SimSeconds IteratedAddCycle(SimSeconds acc, std::span<const SimSeconds> deltas,
-                            std::uint64_t cycles) {
+template <typename T>
+T IteratedAddCycleImpl(T acc, std::span<const T> deltas, std::uint64_t cycles) {
   if (cycles == 0 || deltas.empty()) return acc;
   // The grid arguments below need a finite non-negative accumulator and
   // finite non-negative deltas (the simulator checks durations >= 0; -0.0 is
   // excluded so monotonicity and signed-zero cases never arise). Anything
   // else takes the literal loop.
-  bool fast = std::isfinite(acc.value()) && !std::signbit(acc.value());
+  bool fast = std::isfinite(Raw(acc)) && !std::signbit(Raw(acc));
   bool all_zero = true;
-  for (SimSeconds d : deltas) {
-    if (!std::isfinite(d.value()) || std::signbit(d.value())) fast = false;
+  for (T d : deltas) {
+    if (!std::isfinite(Raw(d)) || std::signbit(Raw(d))) fast = false;
     if (d != 0.0) all_zero = false;
   }
   // A cycle of (signed) zeros reaches its fixed point after one cycle.
@@ -57,19 +63,19 @@ SimSeconds IteratedAddCycle(SimSeconds acc, std::span<const SimSeconds> deltas,
   }
 
   while (cycles > 0) {
-    const Segment seg = SegmentOf(acc);
+    const Segment<T> seg = SegmentOf(acc);
     // Scalar warm-up inside the current segment. Adding non-negative deltas
     // is monotone, so a cycle whose end stays inside the segment had every
     // intermediate value inside it too, and consecutive in-segment cycle
     // ends differ by an exact multiple of the grid spacing (Sterbenz for a
     // normal binade; subnormal-range subtraction is always exact).
-    SimSeconds t = acc;
-    SimSeconds ends[3];
+    T t = acc;
+    T ends[3];
     int got = 0;
     while (got < 3) {
       t = OneCycle(t, deltas);
       --cycles;
-      if (!std::isfinite(t.value())) return t;  // saturated at +inf: absorbing
+      if (!std::isfinite(Raw(t))) return t;  // saturated at +inf: absorbing
       if (cycles == 0) return t;
       if (SegmentOf(t).u != seg.u) break;  // crossed a boundary: re-anchor
       ends[got++] = t;
@@ -78,8 +84,8 @@ SimSeconds IteratedAddCycle(SimSeconds acc, std::span<const SimSeconds> deltas,
       acc = t;
       continue;
     }
-    const SimSeconds d1 = ends[1] - ends[0];
-    const SimSeconds d2 = ends[2] - ends[1];
+    const T d1 = ends[1] - ends[0];
+    const T d2 = ends[2] - ends[1];
     // Within one segment the realized cycle advance depends on the current
     // value only through the parity of its grid index (round-half-even
     // resolves exact ties toward even indices), and a map on two parities is
@@ -99,13 +105,13 @@ SimSeconds IteratedAddCycle(SimSeconds acc, std::span<const SimSeconds> deltas,
     } else {
       t = OneCycle(ends[2], deltas);
       --cycles;
-      if (!std::isfinite(t.value())) return t;
+      if (!std::isfinite(Raw(t))) return t;
       if (cycles == 0) return t;
       if (SegmentOf(t).u != seg.u) {
         acc = t;
         continue;
       }
-      const SimSeconds d3 = t - ends[2];
+      const T d3 = t - ends[2];
       if (d3 == d1) {
         m = m1 + m2;  // alternating tail: two cycles advance d2 + d1
         stride = 2;
@@ -140,6 +146,17 @@ SimSeconds IteratedAddCycle(SimSeconds acc, std::span<const SimSeconds> deltas,
     cycles -= k * stride;
   }
   return acc;
+}
+
+}  // namespace
+
+SimSeconds IteratedAddCycle(SimSeconds acc, std::span<const SimSeconds> deltas,
+                            std::uint64_t cycles) {
+  return IteratedAddCycleImpl(acc, deltas, cycles);
+}
+
+double IteratedSum(double acc, double term, std::uint64_t n) {
+  return IteratedAddCycleImpl(acc, std::span<const double>(&term, 1), n);
 }
 
 }  // namespace tertio::sim

@@ -44,4 +44,9 @@ inline SimSeconds IteratedAdd(SimSeconds acc, SimSeconds delta, std::uint64_t n)
   return IteratedAddCycle(acc, std::span<const SimSeconds>(&delta, 1), n);
 }
 
+/// The same closed form for a dimensionless accumulator: exact result of
+/// `n` iterations of `acc += term` (tape::TapeVolume sums a run of equal
+/// compressibilities with it).
+double IteratedSum(double acc, double term, std::uint64_t n);
+
 }  // namespace tertio::sim

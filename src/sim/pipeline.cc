@@ -210,12 +210,210 @@ bool ProfileShapeOk(const ChunkCostProfile& p) {
   return true;
 }
 
+/// One endpoint as the recurrence replays it: its profile, where each cycle
+/// chunk's ops begin in `ops`, and the timeline slot every op runs on.
+struct ReplaySide {
+  const ChunkCostProfile* profile = nullptr;
+  std::vector<std::size_t> prefix;
+  std::vector<int> op_slot;
+
+  explicit ReplaySide(const ChunkCostProfile& p)
+      : profile(&p), prefix(p.ops_per_chunk.size() + 1, 0), op_slot(p.ops.size(), -1) {
+    for (std::size_t i = 0; i < p.ops_per_chunk.size(); ++i) {
+      prefix[i + 1] = prefix[i] + p.ops_per_chunk[i];
+    }
+  }
+};
+
+/// Headroom guard of the closed-form jump (DESIGN.md §5.1). It observes
+/// every operation end of the watched period; a jump of J periods moves each
+/// such value r by J * delta (positive, finite), which must leave r inside
+/// its binade.
+struct JumpWatch {
+  SimSeconds delta = 0.0;
+  bool ok = true;
+  std::uint64_t max_jump = std::uint64_t{1} << 62;
+
+  explicit JumpWatch(SimSeconds d) : delta(d) {}
+
+  void Observe(SimSeconds r) {
+    if (!ok) return;
+    if (!(r >= 0x1p-1021) || std::ilogb(r.value()) >= 1023) {  // no normal binade
+      ok = false;
+      return;
+    }
+    // r + J * delta must stay below 2^(e+1); a margin of two strides absorbs
+    // the division's rounding.
+    const double strides = (std::ldexp(1.0, std::ilogb(r.value()) + 1) - r) / delta;
+    std::uint64_t room = strides >= 0x1p62 ? std::uint64_t{1} << 62
+                                           : static_cast<std::uint64_t>(strides);
+    room = room > 2 ? room - 2 : 0;
+    if (room < max_jump) max_jump = room;
+  }
+};
+
+/// The steady-state recurrence of one coalesced window, in plain scalars:
+/// exactly the float operations the per-chunk loop would issue. Chunk k's
+/// read becomes ready at the chain end (read k-1 streaming, write k-1
+/// lock-step) floored at the transfer's base ready; each device op starts at
+/// max(ready, device available) and occupies its constant duration; a
+/// chunk's interval is the hull of its ops (or a zero-length interval at
+/// ready for a free endpoint). Copyable, so SimSan can replay a window
+/// twice from the same starting state.
+struct Recurrence {
+  struct Slot {
+    Resource* resource = nullptr;
+    SimSeconds available = 0.0;
+    SimSeconds first_start = 0.0;
+    bool read_side = false;
+    bool any = false;
+  };
+
+  std::vector<Slot> slots;
+  SimSeconds base_ready = 0.0;
+  bool streaming = false;
+  bool have_read = false;
+  bool have_write = false;
+  SimSeconds read_chain = 0.0;
+  SimSeconds write_chain = 0.0;
+  Interval read_hull;
+  Interval write_hull;
+  SimSeconds first_read_ready = 0.0;
+  SimSeconds first_write_ready = 0.0;
+  /// Chunks replayed or jumped so far.
+  std::uint64_t k = 0;
+  DurationRunList read_durations;
+  DurationRunList write_durations;
+  /// When set, each chunk's read and write durations are also appended here.
+  std::vector<SimSeconds>* capture_read = nullptr;
+  std::vector<SimSeconds>* capture_write = nullptr;
+  /// When set, observes every operation end.
+  JumpWatch* watch = nullptr;
+
+  Interval RunOps(const ReplaySide& side, SimSeconds ready) {
+    const ChunkCostProfile& p = *side.profile;
+    const auto cyc = static_cast<std::size_t>(k % p.cycle);
+    const std::size_t first = side.prefix[cyc];
+    const std::size_t last = side.prefix[cyc + 1];
+    if (first == last) return Interval::At(ready);
+    Interval hull;
+    for (std::size_t i = first; i < last; ++i) {
+      Slot& slot = slots[static_cast<std::size_t>(side.op_slot[i])];
+      SimSeconds start = ready > slot.available ? ready : slot.available;
+      Interval interval{start, start + p.ops[i].seconds};
+      slot.available = interval.end;
+      if (!slot.any) {
+        slot.first_start = start;
+        slot.any = true;
+      }
+      if (watch != nullptr) watch->Observe(interval.end);
+      hull = i == first ? interval : Interval::Hull(hull, interval);
+    }
+    return hull;
+  }
+
+  void Chunk(const ReplaySide& src, const ReplaySide& snk) {
+    SimSeconds ready = base_ready;
+    if (streaming) {
+      if (have_read && read_chain > ready) ready = read_chain;
+    } else {
+      if (have_write && write_chain > ready) ready = write_chain;
+    }
+    Interval read_iv = RunOps(src, ready);
+    read_durations.Append(read_iv.duration());
+    if (capture_read != nullptr) capture_read->push_back(read_iv.duration());
+    read_hull = k == 0 ? read_iv : Interval::Hull(read_hull, read_iv);
+    have_read = true;
+    read_chain = read_iv.end;
+    // The write's ready is its read's end (ReadyAfter({read}), which the
+    // chain structure guarantees is at or after the pipeline origin).
+    Interval write_iv = RunOps(snk, read_iv.end);
+    write_durations.Append(write_iv.duration());
+    if (capture_write != nullptr) capture_write->push_back(write_iv.duration());
+    write_hull = k == 0 ? write_iv : Interval::Hull(write_hull, write_iv);
+    have_write = true;
+    write_chain = write_iv.end;
+    if (k == 0) {
+      first_read_ready = ready;
+      first_write_ready = read_iv.end;
+    }
+    ++k;
+  }
+
+  /// The state one period translates: every slot's availability, then the
+  /// read and write chain ends.
+  void Snapshot(std::vector<SimSeconds>& out) const {
+    out.clear();
+    for (const Slot& slot : slots) out.push_back(slot.available);
+    out.push_back(read_chain);
+    out.push_back(write_chain);
+  }
+};
+
+/// Exact uniform translation: b[i] == a[i] + delta with a TwoSum error of
+/// zero (the addition is exact, not merely round-tripping).
+bool Translated(const std::vector<SimSeconds>& a, const std::vector<SimSeconds>& b,
+                SimSeconds delta) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const SimSeconds sum = a[i] + delta;
+    if (sum != b[i]) return false;
+    const SimSeconds db = sum - a[i];
+    const SimSeconds err = (delta - db) + (a[i] - (sum - db));
+    if (err != 0.0) return false;
+  }
+  return true;
+}
+
+/// Component by component, a[i] and c[i] lie in one normal binade
+/// [2^e, 2^(e+1)).
+bool SameBinades(const std::vector<SimSeconds>& a, const std::vector<SimSeconds>& c) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i] >= 0x1p-1021) || std::ilogb(a[i].value()) != std::ilogb(c[i].value())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The first recurrence value whose bits differ between two replays of one
+/// window (`what` is null when they agree).
+struct Divergence {
+  const char* what = nullptr;
+  SimSeconds closed = 0.0;
+  SimSeconds replay = 0.0;
+};
+
+Divergence FirstDivergence(const Recurrence& closed, const Recurrence& replay) {
+  Divergence d;
+  auto check = [&d](const char* what, SimSeconds a, SimSeconds b) {
+    if (d.what == nullptr &&
+        std::bit_cast<std::uint64_t>(a.value()) != std::bit_cast<std::uint64_t>(b.value())) {
+      d = Divergence{what, a, b};
+    }
+  };
+  for (std::size_t i = 0; i < closed.slots.size(); ++i) {
+    check("slot availability", closed.slots[i].available, replay.slots[i].available);
+    check("slot first start", closed.slots[i].first_start, replay.slots[i].first_start);
+  }
+  check("read chain end", closed.read_chain, replay.read_chain);
+  check("write chain end", closed.write_chain, replay.write_chain);
+  check("read hull start", closed.read_hull.start, replay.read_hull.start);
+  check("read hull end", closed.read_hull.end, replay.read_hull.end);
+  check("write hull start", closed.write_hull.start, replay.write_hull.start);
+  check("write hull end", closed.write_hull.end, replay.write_hull.end);
+  check("read duration sum", closed.read_durations.Accumulate(0.0),
+        replay.read_durations.Accumulate(0.0));
+  check("write duration sum", closed.write_durations.Accumulate(0.0),
+        replay.write_durations.Accumulate(0.0));
+  return d;
+}
+
 }  // namespace
 
 std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& source,
-                                    BlockSink& sink, std::span<const StageId> deps,
-                                    BlockCount offset, BlockCount chunk, std::uint64_t want,
-                                    TransferResult& result) {
+                                       BlockSink& sink, std::span<const StageId> deps,
+                                       BlockCount offset, BlockCount chunk, std::uint64_t want,
+                                       TransferResult& result) {
   ChunkCostProfile src = source.CostProfile(offset, chunk, want);
   if (!ProfileShapeOk(src)) return 0;
   ChunkCostProfile snk = sink.CostProfile(offset, chunk, want);
@@ -231,284 +429,141 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
   // one striped chunk) but never on both sides: the per-chunk schedule
   // interleaves read and write operations on a shared device, which the
   // two-sided batched replay cannot reproduce.
-  struct Slot {
-    Resource* resource = nullptr;
-    SimSeconds available = 0.0;
-    SimSeconds first_start = 0.0;
-    bool read_side = false;
-    bool any = false;
-  };
-  std::vector<Slot> slots;
-  auto slot_for = [&slots](Resource* resource, bool read_side) -> int {
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (slots[i].resource == resource) {
-        return slots[i].read_side == read_side ? static_cast<int>(i) : -1;
+  Recurrence rec;
+  auto slot_for = [&rec](Resource* resource, bool read_side) -> int {
+    for (std::size_t i = 0; i < rec.slots.size(); ++i) {
+      if (rec.slots[i].resource == resource) {
+        return rec.slots[i].read_side == read_side ? static_cast<int>(i) : -1;
       }
     }
     // A per-op trace cannot be reconstructed from a batch.
     if (resource->trace_enabled()) return -1;
-    slots.push_back(Slot{resource, resource->available_at(), 0.0, read_side, false});
-    return static_cast<int>(slots.size() - 1);
+    rec.slots.push_back(Recurrence::Slot{resource, resource->available_at(), 0.0, read_side,
+                                         false});
+    return static_cast<int>(rec.slots.size() - 1);
   };
-  std::vector<int> src_slot(src.ops.size());
-  std::vector<int> snk_slot(snk.ops.size());
+  ReplaySide src_side(src);
+  ReplaySide snk_side(snk);
   for (std::size_t i = 0; i < src.ops.size(); ++i) {
-    if ((src_slot[i] = slot_for(src.ops[i].resource, true)) < 0) return 0;
+    if ((src_side.op_slot[i] = slot_for(src.ops[i].resource, true)) < 0) return 0;
   }
   for (std::size_t i = 0; i < snk.ops.size(); ++i) {
-    if ((snk_slot[i] = slot_for(snk.ops[i].resource, false)) < 0) return 0;
+    if ((snk_side.op_slot[i] = slot_for(snk.ops[i].resource, false)) < 0) return 0;
   }
 
-  auto prefix_of = [](const ChunkCostProfile& p) {
-    std::vector<std::size_t> prefix(p.ops_per_chunk.size() + 1, 0);
-    for (std::size_t i = 0; i < p.ops_per_chunk.size(); ++i) {
-      prefix[i + 1] = prefix[i] + p.ops_per_chunk[i];
-    }
-    return prefix;
-  };
-  const std::vector<std::size_t> src_prefix = prefix_of(src);
-  const std::vector<std::size_t> snk_prefix = prefix_of(snk);
+  // Nothing is committed until the whole window is replayed.
+  rec.base_ready = ReadyAfter(deps);
+  rec.streaming = plan.streaming;
+  rec.have_read = result.last_read != kNoStage;
+  rec.have_write = result.last_write != kNoStage;
+  rec.read_chain = rec.have_read ? end(result.last_read) : 0.0;
+  rec.write_chain = rec.have_write ? end(result.last_write) : 0.0;
+  // SimSan re-derives every closed-form window with the O(chunks) replay
+  // from a copy of its starting state.
+  const bool cross_check = auditor_ != nullptr && plan.commit == CommitMode::kClosedForm;
+  const Recurrence start_state = cross_check ? rec : Recurrence{};
 
-  // --- The steady-state recurrence -----------------------------------------
-  // Replay, in plain scalar arithmetic, exactly the float operations the
-  // per-chunk loop would have issued: chunk k's read becomes ready at the
-  // chain end (read k-1 streaming, write k-1 lock-step) floored at the
-  // transfer's base ready; each device op starts at max(ready, device
-  // available) and occupies its constant duration; a chunk's interval is the
-  // hull of its ops (or a zero-length interval at ready for a free
-  // endpoint). Nothing is committed until the whole run is replayed.
-  const SimSeconds base_ready = ReadyAfter(deps);
-  bool have_read = result.last_read != kNoStage;
-  bool have_write = result.last_write != kNoStage;
-  SimSeconds read_chain = have_read ? end(result.last_read) : 0.0;
-  SimSeconds write_chain = have_write ? end(result.last_write) : 0.0;
-
-  DurationRunList read_durations;
-  DurationRunList write_durations;
-
-  // Guard state of the closed-form jump (see DESIGN.md §5.1). While a
-  // verification period replays, every computed operation end is observed:
-  // the jump translates the whole recurrence state by 2^t * delta, which is
-  // exact and rounding-equivalent only if, for every observed value r, the
-  // shift is an even multiple of r's ulp (round-half-even decisions at exact
-  // ties survive even grid translations) and r stays inside its binade.
-  struct JumpWatch {
-    SimSeconds delta = 0.0;
-    int lsb = 0;  // delta = odd * 2^lsb
-    bool ok = false;
-    int t_min = 0;                     // jump size 2^t needs t >= t_min
-    std::uint64_t max_jump = ~0ull >> 1;  // headroom bound on 2^t
-    bool active = false;
-
-    void Arm(SimSeconds d) {
-      active = true;
-      t_min = 0;
-      max_jump = ~0ull >> 1;
-      delta = d;
-      ok = d > 0.0 && d >= 0x1p-1021 && std::isfinite(d.value()) && std::ilogb(d.value()) < 1023;
-      if (!ok) return;
-      const int e = std::ilogb(d.value());
-      const auto mantissa = static_cast<std::uint64_t>(std::ldexp(d.value(), 52 - e));
-      lsb = e - 52 + std::countr_zero(mantissa);
-    }
-    void Observe(SimSeconds r) {
-      if (!active || !ok) return;
-      if (!(r >= 0x1p-1021)) {  // degenerate near-zero time: no grid to argue on
-        ok = false;
-        return;
-      }
-      const int e = std::ilogb(r.value());
-      if (e >= 1023) {
-        ok = false;
-        return;
-      }
-      // Parity: 2^t * delta must be a multiple of 2 * ulp(r) = 2^{e-51}.
-      const int need = (e - 51) - lsb;
-      if (need > t_min) t_min = need;
-      // Headroom: r + 2^t * delta must stay below 2^{e+1} (margin 2 strides;
-      // the division's rounding can overstate the quotient by at most one).
-      const SimSeconds top = std::ldexp(1.0, e + 1);
-      std::uint64_t room = static_cast<std::uint64_t>((top - r) / delta);
-      room = room > 2 ? room - 2 : 0;
-      if (room < max_jump) max_jump = room;
-    }
-  };
-  JumpWatch watch;
-
-  auto run_chunk_ops = [&slots, &watch](const ChunkCostProfile& p,
-                                        const std::vector<std::size_t>& prefix,
-                                        const std::vector<int>& op_slot, std::uint64_t k,
-                                        SimSeconds ready) {
-    const std::size_t cyc = static_cast<std::size_t>(k % p.cycle);
-    const std::size_t first = prefix[cyc];
-    const std::size_t last = prefix[cyc + 1];
-    if (first == last) return Interval::At(ready);
-    Interval hull;
-    for (std::size_t i = first; i < last; ++i) {
-      Slot& slot = slots[static_cast<std::size_t>(op_slot[i])];
-      SimSeconds start = ready > slot.available ? ready : slot.available;
-      Interval interval{start, start + p.ops[i].seconds};
-      slot.available = interval.end;
-      if (!slot.any) {
-        slot.first_start = start;
-        slot.any = true;
-      }
-      if (watch.active) watch.Observe(interval.end);
-      hull = i == first ? interval : Interval::Hull(hull, interval);
-    }
-    return hull;
-  };
-
-  Interval read_hull;
-  Interval write_hull;
-  SimSeconds first_read_ready = 0.0;
-  SimSeconds first_write_ready = 0.0;
-  std::uint64_t k = 0;
-  // Duration patterns of the current verification period (one term per
-  // chunk); `capture` routes replay_chunk's outputs into them.
-  std::vector<SimSeconds> pattern_read;
-  std::vector<SimSeconds> pattern_write;
-  bool capture_pattern = false;
-
-  auto replay_chunk = [&]() {
-    SimSeconds ready = base_ready;
-    if (plan.streaming) {
-      if (have_read && read_chain > ready) ready = read_chain;
-    } else {
-      if (have_write && write_chain > ready) ready = write_chain;
-    }
-    Interval read_iv = run_chunk_ops(src, src_prefix, src_slot, k, ready);
-    read_durations.Append(read_iv.duration());
-    if (capture_pattern) pattern_read.push_back(read_iv.duration());
-    read_hull = k == 0 ? read_iv : Interval::Hull(read_hull, read_iv);
-    have_read = true;
-    read_chain = read_iv.end;
-    // The write's ready is its read's end (ReadyAfter({read}), which the
-    // chain structure guarantees is at or after the pipeline origin).
-    Interval write_iv = run_chunk_ops(snk, snk_prefix, snk_slot, k, read_iv.end);
-    write_durations.Append(write_iv.duration());
-    if (capture_pattern) pattern_write.push_back(write_iv.duration());
-    write_hull = k == 0 ? write_iv : Interval::Hull(write_hull, write_iv);
-    have_write = true;
-    write_chain = write_iv.end;
-    if (k == 0) {
-      first_read_ready = ready;
-      first_write_ready = read_iv.end;
-    }
-    ++k;
-  };
   auto replay_periods = [&](std::uint64_t count) {
-    for (std::uint64_t c = 0; c < count * period; ++c) replay_chunk();
+    for (std::uint64_t c = 0; c < count * period; ++c) rec.Chunk(src_side, snk_side);
   };
 
   if (plan.commit == CommitMode::kReplay) {
     // The O(chunks) reference: replay every chunk of the window scalar.
     replay_periods(n / period);
   } else {
-    // Closed-form commit: replay scalar until two consecutive periods are
-    // related by one exact uniform translation delta (every recurrence-state
-    // component advanced by delta, each addition exact), then jump 2^t
-    // periods by translating the state — valid by induction because every
-    // value the jumped periods would compute is an even-grid translation of
-    // a value observed in the verified period (JumpWatch above). Any failed
-    // check falls back to scalar replay with exponential backoff, which is
-    // always correct.
+    // Closed-form commit: replay a pre-check period and a watched period;
+    // when both translate the whole recurrence state by one exact delta,
+    // every state component stays in its binade across both, and they
+    // realise the same durations, jump 2^t periods by translating the state
+    // (DESIGN.md §5.1 derives why that is exact). Any failed check falls
+    // back to scalar replay with exponential backoff, which is always
+    // correct.
     std::vector<SimSeconds> state_a;
     std::vector<SimSeconds> state_b;
-    auto snapshot = [&](std::vector<SimSeconds>& out) {
-      out.clear();
-      for (const Slot& slot : slots) out.push_back(slot.available);
-      out.push_back(read_chain);
-      out.push_back(write_chain);
-    };
-    // Exact uniform translation: b[i] == a[i] + delta with a TwoSum error of
-    // zero (the addition is exact, not merely round-tripping).
-    auto translated = [](const std::vector<SimSeconds>& a, const std::vector<SimSeconds>& b,
-                         SimSeconds delta) {
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        const SimSeconds sum = a[i] + delta;
-        if (sum != b[i]) return false;
-        const SimSeconds db = sum - a[i];
-        const SimSeconds err = (delta - db) + (a[i] - (sum - db));
-        if (err != 0.0) return false;
-      }
-      return true;
+    std::vector<SimSeconds> state_c;
+    // Per-chunk durations of the pre-check and of the watched period.
+    std::vector<SimSeconds> check_read;
+    std::vector<SimSeconds> check_write;
+    std::vector<SimSeconds> pattern_read;
+    std::vector<SimSeconds> pattern_write;
+    auto replay_captured = [&](std::vector<SimSeconds>& reads, std::vector<SimSeconds>& writes) {
+      reads.clear();
+      writes.clear();
+      rec.capture_read = &reads;
+      rec.capture_write = &writes;
+      replay_periods(1);
+      rec.capture_read = nullptr;
+      rec.capture_write = nullptr;
     };
     std::uint64_t backoff = 1;
-    while (k < n) {
-      std::uint64_t remaining = (n - k) / period;
+    auto back_off = [&](std::uint64_t remaining) {
+      replay_periods(std::min<std::uint64_t>(backoff, remaining));
+      if (backoff < 64) backoff *= 2;
+    };
+    while (rec.k < n) {
+      std::uint64_t remaining = (n - rec.k) / period;
       if (remaining < 4) {
         replay_periods(remaining);
         break;
       }
-      snapshot(state_a);
-      replay_periods(1);
-      snapshot(state_b);
+      rec.Snapshot(state_a);
+      replay_captured(check_read, check_write);
+      rec.Snapshot(state_b);
       remaining -= 1;
       const SimSeconds delta = state_b.back() - state_a.back();
-      if (!(delta >= 0.0) || !std::isfinite(delta.value()) || !translated(state_a, state_b, delta)) {
-        const std::uint64_t step = std::min<std::uint64_t>(backoff, remaining);
-        replay_periods(step);
-        if (backoff < 64) backoff *= 2;
+      if (!(delta >= 0.0) || !std::isfinite(delta.value()) ||
+          !Translated(state_a, state_b, delta)) {
+        back_off(remaining);
         continue;
       }
       if (delta == 0.0) {
         // Frozen steady state: every further period replays the recurrence
         // from an identical state, so the remaining periods repeat the last
         // period's durations with no state change at all.
-        capture_pattern = true;
-        pattern_read.clear();
-        pattern_write.clear();
-        replay_periods(1);
-        capture_pattern = false;
+        replay_captured(pattern_read, pattern_write);
         remaining -= 1;
-        snapshot(state_a);
-        if (!translated(state_b, state_a, 0.0)) continue;  // not frozen after all
-        read_durations.AppendRun(pattern_read, remaining);
-        write_durations.AppendRun(pattern_write, remaining);
-        k += remaining * period;
+        rec.Snapshot(state_c);
+        if (!Translated(state_b, state_c, 0.0)) continue;  // not frozen after all
+        rec.read_durations.AppendRun(pattern_read, remaining);
+        rec.write_durations.AppendRun(pattern_write, remaining);
+        rec.k += remaining * period;
         break;
       }
-      // Watched verification period: guards accumulate over every computed
-      // value, and the period's durations become the jump's repeat pattern.
-      watch.Arm(delta);
-      capture_pattern = true;
-      pattern_read.clear();
-      pattern_write.clear();
-      replay_periods(1);
-      capture_pattern = false;
-      watch.active = false;
+      JumpWatch watch(delta);
+      rec.watch = &watch;
+      replay_captured(pattern_read, pattern_write);
+      rec.watch = nullptr;
       remaining -= 1;
-      snapshot(state_a);
-      if (!watch.ok || !translated(state_b, state_a, delta)) {
-        const std::uint64_t step = std::min<std::uint64_t>(backoff, remaining);
-        replay_periods(step);
-        if (backoff < 64) backoff *= 2;
-        continue;
-      }
+      rec.Snapshot(state_c);
       const std::uint64_t cap = std::min<std::uint64_t>(watch.max_jump, remaining);
-      int t = watch.t_min;
-      if (t > 62 || cap == 0 || (std::uint64_t{1} << t) > cap) {
-        const std::uint64_t step = std::min<std::uint64_t>(backoff, remaining);
-        replay_periods(step);
-        if (backoff < 64) backoff *= 2;
+      if (!watch.ok || cap == 0 || !Translated(state_b, state_c, delta) ||
+          !SameBinades(state_a, state_c) || check_read != pattern_read ||
+          check_write != pattern_write) {
+        back_off(remaining);
         continue;
       }
+      int t = 0;
       while (t < 62 && (std::uint64_t{2} << t) <= cap) ++t;
       const std::uint64_t jump = std::uint64_t{1} << t;
       const SimSeconds shift = std::ldexp(delta.value(), t);  // exact power-of-two scale
-      for (Slot& slot : slots) slot.available += shift;
-      read_chain += shift;
-      write_chain += shift;
+      for (Recurrence::Slot& slot : rec.slots) slot.available += shift;
+      rec.read_chain += shift;
+      rec.write_chain += shift;
       // Chunk interval ends are monotone along the window, so the hull ends
       // are exactly the (translated) chain ends.
-      read_hull.end = read_chain;
-      write_hull.end = write_chain;
-      read_durations.AppendRun(pattern_read, jump);
-      write_durations.AppendRun(pattern_write, jump);
-      k += jump * period;
+      rec.read_hull.end = rec.read_chain;
+      rec.write_hull.end = rec.write_chain;
+      rec.read_durations.AppendRun(pattern_read, jump);
+      rec.write_durations.AppendRun(pattern_write, jump);
+      rec.k += jump * period;
       backoff = 1;
     }
+  }
+  if (cross_check) {
+    Recurrence replay = start_state;
+    for (std::uint64_t c = 0; c < n; ++c) replay.Chunk(src_side, snk_side);
+    const Divergence d = FirstDivergence(rec, replay);
+    auditor_->OnClosedFormCheck(plan.read_phase, n, d.what, d.closed, d.replay);
   }
 
   // --- Commit --------------------------------------------------------------
@@ -520,28 +575,25 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
     std::vector<ByteCount> bytes;
     const char* tag = "";
   };
-  std::vector<SlotBatch> batches(slots.size());
+  std::vector<SlotBatch> batches(rec.slots.size());
   for (std::uint64_t k = 0; k < period; ++k) {
-    auto fold = [&batches, k](const ChunkCostProfile& p,
-                              const std::vector<std::size_t>& prefix,
-                              const std::vector<int>& op_slot) {
-      const std::size_t cyc = static_cast<std::size_t>(k % p.cycle);
-      for (std::size_t i = prefix[cyc]; i < prefix[cyc + 1]; ++i) {
-        SlotBatch& batch = batches[static_cast<std::size_t>(op_slot[i])];
+    for (const ReplaySide* side : {&src_side, &snk_side}) {
+      const ChunkCostProfile& p = *side->profile;
+      const auto cyc = static_cast<std::size_t>(k % p.cycle);
+      for (std::size_t i = side->prefix[cyc]; i < side->prefix[cyc + 1]; ++i) {
+        SlotBatch& batch = batches[static_cast<std::size_t>(side->op_slot[i])];
         batch.durations.push_back(p.ops[i].seconds);
         batch.bytes.push_back(p.ops[i].bytes);
         batch.tag = p.ops[i].tag;
       }
-    };
-    fold(src, src_prefix, src_slot);
-    fold(snk, snk_prefix, snk_slot);
+    }
   }
   const std::uint64_t cycles = n / period;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (!slots[i].any) continue;
-    slots[i].resource->ScheduleBatch(cycles, batches[i].durations, batches[i].bytes,
-                                     Interval{slots[i].first_start, slots[i].available},
-                                     batches[i].tag);
+  for (std::size_t i = 0; i < rec.slots.size(); ++i) {
+    const Recurrence::Slot& slot = rec.slots[i];
+    if (!slot.any) continue;
+    slot.resource->ScheduleBatch(cycles, batches[i].durations, batches[i].bytes,
+                                 Interval{slot.first_start, slot.available}, batches[i].tag);
   }
   if (src.commit) src.commit(n);
   if (snk.commit) snk.commit(n);
@@ -549,14 +601,15 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
   // Two batched stages, in the order the per-chunk loop first records the
   // phases (read before write).
   StageId read_stage = CommitBatch(plan.read_phase, source.device(), n * chunk, 0,
-                                   first_read_ready, read_hull, n, read_durations);
+                                   rec.first_read_ready, rec.read_hull, n, rec.read_durations);
   StageId write_stage = CommitBatch(plan.write_phase, sink.device(), n * chunk, 0,
-                                    first_write_ready, write_hull, n, write_durations);
+                                    rec.first_write_ready, rec.write_hull, n,
+                                    rec.write_durations);
   if (result.first_read == kNoStage) result.first_read = read_stage;
   result.last_read = read_stage;
   result.last_write = write_stage;
   result.source_done = end(read_stage);
-  result.done = std::max(result.done, std::max(read_hull.end, write_hull.end));
+  result.done = std::max(result.done, std::max(rec.read_hull.end, rec.write_hull.end));
   coalesced_chunks_ += n;
   return n;
 }

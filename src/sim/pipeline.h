@@ -169,14 +169,16 @@ enum class CommitMode {
   /// no checkpoint and retains no per-span trace, the steady-state read/write
   /// recurrence is replayed in O(chunks) scalar form and committed as ONE
   /// batched read stage plus ONE batched write stage. Ineligible windows
-  /// (fault plans, positioning boundaries, tail chunks) fall back per-chunk
-  /// and coalescing re-arms after them.
+  /// (fault plans, seeks that do not repeat, tail chunks) fall back
+  /// per-chunk and coalescing re-arms after them.
   kReplay,
   /// Coalesced as kReplay, but after a scalar warm-up the recurrence repeats
   /// as an exact per-period translation on the float grid, and the remaining
   /// periods are committed with O(1) arithmetic per jump instead of the
   /// O(chunks) replay (the jump fires only when the translation is verified
-  /// exact; see DESIGN.md §5.1). The default.
+  /// exact and stays within each state component's binade; see DESIGN.md
+  /// §5.1). Under SimSan every such batch is re-derived with the O(chunks)
+  /// replay. The default.
   kClosedForm,
 };
 

@@ -23,9 +23,9 @@ std::string RenderGantt(const Simulation& sim, const GanttOptions& options) {
     label_width = std::max(label_width, resource->name().size());
   }
 
-  std::string out = StrFormat("%-*s  %.1fs", static_cast<int>(label_width), "", t0);
+  std::string out = StrFormat("%-*s  %.1fs", static_cast<int>(label_width), "", t0.value());
   out += std::string(width > 12 ? static_cast<size_t>(width - 12) : 0, ' ');
-  out += StrFormat("%.1fs\n", t1);
+  out += StrFormat("%.1fs\n", t1.value());
   for (const auto& resource : sim.resources()) {
     out += StrFormat("%-*s  ", static_cast<int>(label_width), resource->name().c_str());
     if (resource->trace().empty() && resource->stats().op_count > 0) {
@@ -71,9 +71,9 @@ std::string RenderSpanGantt(const SpanTrace& trace, const GanttOptions& options)
     label_width = std::max(label_width, phase.phase.size());
   }
 
-  std::string out = StrFormat("%-*s  %.1fs", static_cast<int>(label_width), "", t0);
+  std::string out = StrFormat("%-*s  %.1fs", static_cast<int>(label_width), "", t0.value());
   out += std::string(width > 12 ? static_cast<size_t>(width - 12) : 0, ' ');
-  out += StrFormat("%.1fs\n", t1);
+  out += StrFormat("%.1fs\n", t1.value());
   for (const PhaseSummary& phase : trace.phases()) {
     out += StrFormat("%-*s  ", static_cast<int>(label_width), phase.phase.c_str());
     std::vector<double> busy(static_cast<size_t>(width), 0.0);

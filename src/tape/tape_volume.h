@@ -9,6 +9,10 @@
 /// moves through a compressing drive. Volumes can be truncated back to a
 /// logical end-of-data marker, which is how scratch space on the R and S
 /// tapes (the paper's T_R and T_S) is reclaimed between experiments.
+///
+/// State is kept per run, not per block: compressibility as maximal runs of
+/// equal values, payloads only for blocks appended with one. A phantom
+/// (timing-only) volume of any size therefore holds O(runs) memory.
 
 #include <cstdint>
 #include <string>
@@ -38,7 +42,7 @@ class TapeVolume {
   const std::string& name() const { return name_; }
   ByteCount block_bytes() const { return block_bytes_; }
   BlockCount capacity_blocks() const { return capacity_blocks_; }
-  BlockCount size_blocks() const { return blocks_.size(); }
+  BlockCount size_blocks() const { return size_; }
   ByteCount size_bytes() const { return size_blocks() * block_bytes_; }
 
   /// Appends one block with a real payload.
@@ -54,8 +58,12 @@ class TapeVolume {
   Result<double> Compressibility(BlockIndex index) const;
 
   /// Mean compressibility over [start, start+count) — used by the drive to
-  /// cost a multi-block transfer.
-  Result<double> MeanCompressibility(BlockIndex start, BlockCount count) const;
+  /// cost a multi-block transfer. Bit-identical to summing the blocks one at
+  /// a time in order and dividing by `count`; the sum proceeds run by run
+  /// through the closed form (sim/closed_form.h). Non-const: a range inside
+  /// one run reuses the last such result (its mean depends only on the
+  /// run's value and `count`).
+  Result<double> MeanCompressibility(BlockIndex start, BlockCount count);
 
   /// Number of leading whole `chunk`-block chunks from `start` (at most
   /// `max_chunks`, clamped to the recorded range) whose blocks all carry the
@@ -74,10 +82,6 @@ class TapeVolume {
   void BindAuditor(sim::Auditor* auditor) { auditor_ = auditor; }
 
  private:
-  struct Entry {
-    BlockPayload payload;  // nullptr = phantom
-    float compressibility;
-  };
   /// One maximal run of equal-compressibility blocks starting at `begin`;
   /// it extends to the next run's begin (or end-of-data). Adjacent runs
   /// always differ in value: appends merge into the last run when they can.
@@ -85,17 +89,35 @@ class TapeVolume {
     BlockIndex begin;
     float compressibility;
   };
+  /// Blocks [begin, begin + count) were appended with real payloads, held
+  /// in payloads_[offset, offset + count). Every other block is phantom.
+  struct PayloadRun {
+    BlockIndex begin;
+    BlockCount count;
+    std::size_t offset;
+  };
+  /// The last single-run MeanCompressibility result.
+  struct MeanMemo {
+    float compressibility = 0.0f;
+    BlockCount count = 0;
+    double mean = 0.0;
+  };
 
   Status CheckRange(BlockIndex start, BlockCount count) const;
   /// Extends the run index for blocks about to be appended at end-of-data.
   void NoteAppendRun(float compressibility);
+  /// The run holding block `index` (< size_).
+  std::vector<Run>::const_iterator RunAt(BlockIndex index) const;
 
   std::string name_;
   ByteCount block_bytes_;
   BlockCount capacity_blocks_;
   sim::Auditor* auditor_ = nullptr;
-  std::vector<Entry> blocks_;
+  BlockCount size_ = 0;
   std::vector<Run> runs_;
+  std::vector<PayloadRun> payload_runs_;
+  std::vector<BlockPayload> payloads_;
+  MeanMemo memo_;
 };
 
 }  // namespace tertio::tape

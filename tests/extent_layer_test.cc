@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -165,7 +166,10 @@ class ReferenceAllocator {
 };
 
 /// Chunk-by-chunk profile: slices every chunk from the list head, checks it,
-/// and compares whole patterns.
+/// and compares whole patterns. A piece that does not continue its disk's
+/// previous request is positioned and costs what DiskVolume::RequestCost
+/// charges; a pattern with positioned pieces must repeat at least twice.
+/// The commit replays the per-request bookkeeping piece by piece.
 sim::ChunkCostProfile ReferenceChunkProfile(StripedDiskGroup& group, const ExtentList& extents,
                                             BlockCount offset, BlockCount chunk,
                                             std::uint64_t max_chunks, bool write) {
@@ -181,10 +185,9 @@ sim::ChunkCostProfile ReferenceChunkProfile(StripedDiskGroup& group, const Exten
   if (max_chunks < n_max) n_max = max_chunks;
   if (n_max < 2) return {};
 
-  using Pattern = std::vector<std::pair<int, BlockCount>>;
+  using Pattern = std::vector<std::tuple<int, BlockCount, bool>>;
   constexpr std::uint64_t kMaxCycle = 64;
   std::vector<Pattern> lead;
-  std::vector<ExtentList> lead_slices;
   std::vector<BlockIndex> next(static_cast<size_t>(disks), 0);
   std::vector<bool> touched(static_cast<size_t>(disks), false);
   std::uint64_t cycle = 0;
@@ -195,23 +198,17 @@ sim::ChunkCostProfile ReferenceChunkProfile(StripedDiskGroup& group, const Exten
     bool ok = true;
     Pattern pattern;
     for (const Extent& piece : *slice) {
-      if (piece.disk < 0 || piece.disk >= disks) {
+      if (piece.disk < 0 || piece.disk >= disks ||
+          piece.start + piece.count > group.disk(piece.disk)->capacity_blocks()) {
         ok = false;
         break;
       }
       auto d = static_cast<size_t>(piece.disk);
-      if (!touched[d]) {
-        if (!group.disk(piece.disk)->IsSequential(piece.start)) {
-          ok = false;
-          break;
-        }
-        touched[d] = true;
-      } else if (piece.start != next[d]) {
-        ok = false;
-        break;
-      }
+      bool positioned = touched[d] ? piece.start != next[d]
+                                   : !group.disk(piece.disk)->IsSequential(piece.start);
+      touched[d] = true;
       next[d] = piece.start + piece.count;
-      pattern.emplace_back(piece.disk, piece.count);
+      pattern.emplace_back(piece.disk, piece.count, positioned);
     }
     if (!ok) break;
     if (cycle == 0) {
@@ -221,7 +218,6 @@ sim::ChunkCostProfile ReferenceChunkProfile(StripedDiskGroup& group, const Exten
         break;
       } else {
         lead.push_back(std::move(pattern));
-        lead_slices.push_back(std::move(*slice));
         verified = c + 1;
         continue;
       }
@@ -233,40 +229,36 @@ sim::ChunkCostProfile ReferenceChunkProfile(StripedDiskGroup& group, const Exten
   if (cycle == 0) return {};
   std::uint64_t chunks = (verified / cycle) * cycle;
   if (chunks < 2) return {};
+  bool seeks = false;
+  for (std::uint64_t c = 0; c < cycle; ++c) {
+    for (const auto& piece : lead[c]) seeks = seeks || std::get<2>(piece);
+  }
+  if (seeks && chunks < 2 * cycle) return {};
 
   sim::ChunkCostProfile profile;
   profile.chunks = chunks;
   profile.cycle = cycle;
   const char* tag = write ? "disk.write" : "disk.read";
-  struct Share {
-    int disk;
-    BlockIndex first;
-    BlockCount blocks;
-    std::uint64_t requests;
-  };
-  std::vector<Share> shares;
   for (std::uint64_t c = 0; c < cycle; ++c) {
-    const ExtentList& slice = lead_slices[c];
-    profile.ops_per_chunk.push_back(static_cast<std::uint32_t>(slice.size()));
-    for (const Extent& piece : slice) {
-      DiskVolume* disk = group.disk(piece.disk);
-      ByteCount bytes = piece.count * group.block_bytes();
-      profile.ops.push_back({disk->resource(), disk->model().TransferSeconds(bytes), bytes, tag});
-      auto it = std::find_if(shares.begin(), shares.end(),
-                             [&](const Share& s) { return s.disk == piece.disk; });
-      if (it == shares.end()) {
-        shares.push_back(Share{piece.disk, piece.start, piece.count, 1});
-      } else {
-        it->blocks += piece.count;
-        it->requests += 1;
-      }
+    profile.ops_per_chunk.push_back(static_cast<std::uint32_t>(lead[c].size()));
+    for (const auto& [disk_index, count, positioned] : lead[c]) {
+      DiskVolume* disk = group.disk(disk_index);
+      ByteCount bytes = count * group.block_bytes();
+      SimSeconds seconds = disk->model().TransferSeconds(bytes);
+      if (positioned) seconds += disk->model().positioning_seconds;
+      profile.ops.push_back({disk->resource(), seconds, bytes, tag});
     }
   }
-  profile.commit = [&group, shares, cycle, write](std::uint64_t committed) {
-    std::uint64_t periods = committed / cycle;
-    for (const Share& share : shares) {
-      group.disk(share.disk)->CommitCoalesced(write, share.first, periods * share.blocks,
-                                              periods * share.requests);
+  profile.commit = [&group, &extents, offset, chunk, write](std::uint64_t committed) {
+    for (std::uint64_t c = 0; c < committed; ++c) {
+      const ExtentList slice = *ReferenceSlice(extents, offset + c * chunk, chunk);
+      for (const Extent& piece : slice) {
+        DiskVolume* disk = group.disk(piece.disk);
+        const bool positioned = !disk->IsSequential(piece.start);
+        disk->CommitCoalesced(write, piece.count, 1, positioned ? 1 : 0,
+                              piece.start + piece.count);
+        if (write) disk->WritePhantom(piece.start, piece.count);
+      }
     }
   };
   return profile;
@@ -532,6 +524,8 @@ struct World {
   std::unique_ptr<StripedDiskGroup> group;
   ExtentList layout;
   BlockCount warm = 0;
+  /// Partitioner flush size of a kBuckets layout (0 otherwise).
+  BlockCount flush = 0;
 };
 
 std::unique_ptr<World> BuildWorld(std::uint64_t seed, Layout kind) {
@@ -554,17 +548,21 @@ std::unique_ptr<World> BuildWorld(std::uint64_t seed, Layout kind) {
       break;
     case Layout::kBuckets: {
       // Interleaved partitioner flushes; freeing other buckets on the way
-      // leaves holes that later flushes refill out of address order.
+      // leaves holes that later flushes refill out of address order. Half
+      // the layouts flush the buckets in turn, as an even hash split does,
+      // so a bucket's flushes repeat one seeking pattern across the disks.
       const std::uint64_t buckets = 2 + rng.NextBelow(4);
       const BlockCount flush = 1 + rng.NextBelow(20);
+      const bool in_turn = rng.NextBelow(2) == 0;
+      world->flush = flush;
       std::vector<ExtentList> lists(buckets);
       const std::uint64_t flushes = 20 + rng.NextBelow(60);
       for (std::uint64_t f = 0; f < flushes; ++f) {
-        ExtentList& list = lists[f == 0 ? 0 : rng.NextBelow(buckets)];
+        ExtentList& list = lists[in_turn ? f % buckets : f == 0 ? 0 : rng.NextBelow(buckets)];
         ExtentList extents = *alloc.Allocate(flush, 0.0, "bucket");
         list.insert(list.end(), extents.begin(), extents.end());
         std::uint64_t other = 1 + rng.NextBelow(buckets - 1);
-        if (rng.NextBelow(8) == 0 && !lists[other].empty()) {
+        if (!in_turn && rng.NextBelow(8) == 0 && !lists[other].empty()) {
           EXPECT_TRUE(alloc.Free(lists[other], 0.0, "bucket").ok());
           lists[other].clear();
         }
@@ -614,6 +612,15 @@ void ExpectSameProfile(const sim::ChunkCostProfile& want, const sim::ChunkCostPr
   EXPECT_EQ(static_cast<bool>(got.commit), static_cast<bool>(want.commit));
 }
 
+/// True when some op of the profile pays positioning time (every World disk
+/// is a QuantumFireball1080).
+bool Seeks(const sim::ChunkCostProfile& profile) {
+  for (const sim::ChunkCostProfile::Op& op : profile.ops) {
+    if (op.seconds != DiskModel::QuantumFireball1080().TransferSeconds(op.bytes)) return true;
+  }
+  return false;
+}
+
 void ExpectSameDisks(StripedDiskGroup& want, StripedDiskGroup& got) {
   for (int d = 0; d < want.disk_count(); ++d) {
     const DiskStats& a = want.disk(d)->stats();
@@ -635,6 +642,8 @@ TEST(ExtentChunkProfileTest, MatchesChunkByChunkReference) {
   std::uint64_t profiles = 0;
   std::uint64_t cyclic = 0;
   std::uint64_t commits = 0;
+  std::uint64_t seeking_profiles = 0;  // on the partitioned-bucket layouts
+  std::uint64_t seeking_commits = 0;
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     for (int k = 0; k < static_cast<int>(Layout::kCount); ++k) {
       const auto kind = static_cast<Layout>(k);
@@ -652,6 +661,11 @@ TEST(ExtentChunkProfileTest, MatchesChunkByChunkReference) {
                                                     : resume;
         BlockCount chunk = rng.NextBelow(2) == 0 ? stripe * (1 + rng.NextBelow(4))
                                                  : 1 + rng.NextBelow(3 * stripe.value());
+        // A bucket is scanned one flush (or two) per chunk, as the GH
+        // methods' probe scans read it.
+        if (kind == Layout::kBuckets && rng.NextBelow(2) == 0) {
+          chunk = world->flush * (1 + rng.NextBelow(2));
+        }
         std::uint64_t cap = kCaps[rng.NextBelow(std::size(kCaps))];
         bool write = rng.NextBelow(2) == 0;
         sim::ChunkCostProfile want = ReferenceChunkProfile(*ref_world->group, ref_world->layout,
@@ -666,6 +680,8 @@ TEST(ExtentChunkProfileTest, MatchesChunkByChunkReference) {
         if (want.chunks == 0) continue;
         ++profiles;
         if (want.cycle > 1) ++cyclic;
+        const bool seeking = kind == Layout::kBuckets && Seeks(want);
+        if (seeking) ++seeking_profiles;
         if (rng.NextBelow(2) == 0) {
           // Commit a whole number of periods on both copies; later queries
           // then start from the committed cursors.
@@ -674,6 +690,7 @@ TEST(ExtentChunkProfileTest, MatchesChunkByChunkReference) {
           got.commit(committed);
           resume = offset + chunk * committed;
           ++commits;
+          if (seeking) ++seeking_commits;
           ExpectSameDisks(*ref_world->group, *world->group);
           if (HasFatalFailure()) return;
         }
@@ -684,6 +701,10 @@ TEST(ExtentChunkProfileTest, MatchesChunkByChunkReference) {
   EXPECT_GT(profiles, 200u);
   EXPECT_GT(cyclic, 50u);
   EXPECT_GT(commits, 100u);
+  // Scans of partitioned buckets seek on every flush; their repeating
+  // patterns must be profiled and committed too.
+  EXPECT_GT(seeking_profiles, 40u);
+  EXPECT_GT(seeking_commits, 20u);
 }
 
 TEST(ExtentChunkProfileTest, PatternPeriodBeyondTheCapStopsAtSixtyFourChunks) {

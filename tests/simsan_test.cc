@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "exec/experiment.h"
+#include "hash/disk_partitioner.h"
 #include "join/join_common.h"
 #include "join/join_method.h"
 #include "sim/auditor.h"
@@ -195,6 +196,27 @@ TEST(SimSanCoalesceTest, SharedTransferHelpersEngageTheCoalescedPath) {
                                      nullptr, nullptr);
   ASSERT_TRUE(scan.ok()) << scan.status();
   EXPECT_GT(pipe.coalesced_chunks(), after_staging);
+
+  // A GH probe scan of one partitioned bucket. The partitioner's flushes of
+  // four buckets interleave on disk, so every write-buffer chunk of the
+  // bucket's scan seeks; the seeking pattern repeats, so the scan coalesces
+  // all but its warm-up chunks.
+  hash::DiskPartitioner::Options options;
+  options.bucket_count = 4;
+  options.write_buffer_blocks = 8;
+  options.alloc_tag = "S-iter-even";
+  hash::DiskPartitioner partitioner(ctx.disks, options);
+  ASSERT_TRUE(partitioner.AddPhantomBlocks(2048, 2048 * 40, pipe.end(*scan)).ok());
+  ASSERT_TRUE(partitioner.Flush().ok());
+  const hash::DiskBucket& bucket = partitioner.buckets()[0];
+  const std::uint64_t bucket_chunks = bucket.blocks / options.write_buffer_blocks;
+  ASSERT_GE(bucket_chunks, 60u);
+  const std::uint64_t before_bucket = pipe.coalesced_chunks();
+  auto bucket_scan = join::ScanDiskAndProbe(ctx, pipe, "s-bucket-scan", bucket.extents,
+                                            options.write_buffer_blocks, {*scan},
+                                            /*phantom=*/true, nullptr, 0, nullptr, nullptr);
+  ASSERT_TRUE(bucket_scan.ok()) << bucket_scan.status();
+  EXPECT_GE(pipe.coalesced_chunks() - before_bucket, bucket_chunks * 3 / 4);
   EXPECT_TRUE(auditor->clean()) << auditor->TraceString();
 }
 
@@ -334,6 +356,16 @@ TEST(SimSanNegativeTest, DetectsUnregisteredSpan) {
   Auditor auditor;
   auditor.OnStage("probee" /* typo'd "probe" */, "disks", 0.0, 0.0, Interval{0.0, 1.0});
   EXPECT_TRUE(HasKind(auditor, AuditKind::kUnregisteredSpan));
+}
+
+TEST(SimSanNegativeTest, DetectsClosedFormDivergence) {
+  Auditor auditor;
+  auditor.OnClosedFormCheck("s-bucket-scan", 64, nullptr, 70.5, 70.5);
+  EXPECT_TRUE(auditor.clean());
+  auditor.OnClosedFormCheck("s-bucket-scan", 64, "read chain end", 0x1.171d558d41e48p+6,
+                            0x1.171d558d41ec8p+6);
+  ASSERT_TRUE(HasKind(auditor, AuditKind::kClosedFormDivergence));
+  EXPECT_NE(auditor.TraceString().find("read chain end"), std::string::npos);
 }
 
 TEST(SimSanDiagnosticTest, CheckCarriesReplayableTrace) {

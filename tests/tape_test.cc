@@ -10,6 +10,7 @@
 #include "tape/tape_library.h"
 #include "tape/tape_model.h"
 #include "tape/tape_volume.h"
+#include "util/rng.h"
 
 namespace tertio::tape {
 namespace {
@@ -74,6 +75,69 @@ TEST(TapeVolumeTest, MeanCompressibilityAverages) {
   ASSERT_TRUE(vol.AppendPhantom(2, 0.0).ok());
   ASSERT_TRUE(vol.AppendPhantom(2, 0.5).ok());
   EXPECT_NEAR(vol.MeanCompressibility(0, 4).value(), 0.25, 1e-9);
+}
+
+// A phantom volume keeps state per run, never per block: a cartridge of 2^40
+// blocks is as cheap as one of ten.
+TEST(TapeVolumeTest, PhantomVolumeHoldsNoPerBlockState) {
+  TapeVolume vol("t", kBlock);
+  const BlockCount huge = std::uint64_t{1} << 40;
+  ASSERT_TRUE(vol.AppendPhantom(huge, 0.25).ok());
+  ASSERT_TRUE(vol.AppendPhantom(huge, 0.5).ok());
+  EXPECT_EQ(vol.size_blocks(), 2 * huge);
+  EXPECT_EQ(vol.ReadBlock(ToIndex(2 * huge - 1)).value(), nullptr);
+  EXPECT_DOUBLE_EQ(vol.Compressibility(ToIndex(huge)).value(), 0.5);
+  EXPECT_NEAR(vol.MeanCompressibility(0, 2 * huge).value(), 0.375, 1e-9);
+  ASSERT_TRUE(vol.Truncate(huge + 1).ok());
+  EXPECT_DOUBLE_EQ(vol.Compressibility(ToIndex(huge)).value(), 0.5);
+  EXPECT_FALSE(vol.Compressibility(ToIndex(huge + 1)).ok());
+}
+
+// MeanCompressibility sums run by run (closed form for long runs, a memo for
+// ranges inside one run); it must equal the block loop bit for bit.
+TEST(TapeVolumeTest, MeanCompressibilityMatchesTheBlockLoop) {
+  Rng rng(7);
+  TapeVolume vol("t", kBlock);
+  std::vector<float> blocks;  // the reference: one value per block
+  for (int run = 0; run < 60; ++run) {
+    const double c = static_cast<double>(rng.NextBelow(1000)) / 1000.0 + 1e-7 * run;
+    const std::uint64_t len = rng.NextBelow(4) == 0 ? 1 + rng.NextBelow(5000) : 1 + rng.NextBelow(40);
+    if (rng.NextBelow(3) == 0) {
+      for (std::uint64_t i = 0; i < len; ++i) ASSERT_TRUE(vol.Append(MakeBlock(1), c).ok());
+    } else {
+      ASSERT_TRUE(vol.AppendPhantom(len, c).ok());
+    }
+    blocks.insert(blocks.end(), len, static_cast<float>(c));
+  }
+  for (int q = 0; q < 3000; ++q) {
+    const std::uint64_t start = rng.NextBelow(blocks.size());
+    const std::uint64_t count = 1 + rng.NextBelow(q % 2 == 0 ? 64 : blocks.size() - start);
+    if (start + count > blocks.size()) continue;
+    double sum = 0.0;
+    for (std::uint64_t i = start; i < start + count; ++i) sum += blocks[i];
+    const double want = sum / static_cast<double>(count);
+    ASSERT_EQ(vol.MeanCompressibility(start, count).value(), want)
+        << "start " << start << " count " << count;
+  }
+}
+
+// Payloads are kept only for blocks appended with one, across phantom gaps
+// and truncation.
+TEST(TapeVolumeTest, PayloadsSurviveMixedAppendsAndTruncation) {
+  TapeVolume vol("t", kBlock);
+  ASSERT_TRUE(vol.Append(MakeBlock(1), 0.1).ok());
+  ASSERT_TRUE(vol.Append(MakeBlock(2), 0.1).ok());
+  ASSERT_TRUE(vol.AppendPhantom(3, 0.1).ok());
+  ASSERT_TRUE(vol.Append(MakeBlock(3), 0.2).ok());
+  EXPECT_EQ((*vol.ReadBlock(1).value())[0], 2);
+  EXPECT_EQ(vol.ReadBlock(3).value(), nullptr);
+  EXPECT_EQ((*vol.ReadBlock(5).value())[0], 3);
+  ASSERT_TRUE(vol.Truncate(1).ok());
+  ASSERT_TRUE(vol.Append(MakeBlock(4), 0.3).ok());
+  EXPECT_EQ((*vol.ReadBlock(0).value())[0], 1);
+  EXPECT_EQ((*vol.ReadBlock(1).value())[0], 4);
+  EXPECT_DOUBLE_EQ(vol.Compressibility(1).value(), static_cast<double>(0.3f));
+  EXPECT_FALSE(vol.ReadBlock(2).ok());
 }
 
 TEST(TapeModelTest, CompressionRaisesEffectiveRate) {

@@ -156,7 +156,7 @@ cost::CostParams ParamsFrom(const Flags& flags) {
 }
 
 std::string Seconds(SimSeconds s) {
-  return StrFormat("%s (%.0f s)", FormatDuration(s).c_str(), s);
+  return StrFormat("%s (%.0f s)", FormatDuration(s).c_str(), s.value());
 }
 
 int CmdAdvise(const Flags& flags) {
