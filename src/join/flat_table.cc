@@ -50,33 +50,136 @@ void FlatJoinTable::Rehash(std::size_t new_capacity) {
   bloom_.assign(new_capacity / 8, 0);
   bloom_mask_ = new_capacity / 8 - 1;
   for (const Slot& slot : old) {
-    if (slot.digest != 0) InsertSlot(slot);
+    if (slot.digest == 0) continue;
+    std::size_t idx = static_cast<std::size_t>(slot.digest) & mask_;
+    while (slots_[idx].digest != 0) idx = (idx + 1) & mask_;
+    slots_[idx] = slot;
+    BloomAdd(slot.digest);
   }
 }
 
-void FlatJoinTable::InsertSlot(const Slot& slot) {
-  std::size_t idx = static_cast<std::size_t>(slot.digest) & mask_;
-  while (slots_[idx].digest != 0) {
+Status FlatJoinTable::ReserveFor(std::span<const BlockPayload> blocks) {
+  // Block headers are cheap to parse twice, and one reservation per batch
+  // grows the slot array once instead of once per doubling.
+  std::uint64_t incoming = 0;
+  for (const BlockPayload& payload : blocks) {
+    TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
+                            rel::BlockReader::Open(payload, build_schema_));
+    incoming += reader.record_count();
+  }
+  if (incoming == 0) return Status::OK();
+  if (records_.size() + incoming > std::numeric_limits<std::uint32_t>::max()) {
+    return Status::ResourceExhausted("flat table exceeds 2^32 - 1 build records");
+  }
+  // Max load factor 0.7 over distinct keys, counting every incoming record
+  // as a possible new key: capacity is the next power of two above
+  // keys / 0.7, never below 16.
+  const std::uint64_t keys = distinct_keys_ + incoming;
+  std::size_t capacity = slots_.empty() ? 16 : slots_.size();
+  while (static_cast<double>(keys) > 0.7 * static_cast<double>(capacity)) capacity *= 2;
+  if (capacity != slots_.size()) Rehash(capacity);
+  return Status::OK();
+}
+
+void FlatJoinTable::Append(std::size_t idx, std::uint64_t digest, std::int64_t key,
+                           std::span<const std::uint8_t> bytes) {
+  const auto index = static_cast<std::uint32_t>(records_.size());
+  const std::uint64_t record_digest = HashBytes(bytes);
+  records_.push_back({record_digest, 0});
+  if (capture_records_) arena_.insert(arena_.end(), bytes.begin(), bytes.end());
+  Slot& slot = slots_[idx];
+  if (slot.digest == 0) {
+    slot = Slot{digest, key, record_digest, index, index};
+    BloomAdd(digest);
+    ++distinct_keys_;
+  } else {
+    records_[slot.last].next = index;
+    slot.last = index;
+  }
+}
+
+Status FlatJoinTable::EmitChain(const Slot& slot, const rel::Tuple& probe, bool pipeline,
+                                JoinOutput* out) const {
+  // The probe record's digest enters the pair checksum; it is computed here,
+  // on the match, so unmatched probes never hash their record bytes.
+  const std::uint64_t probe_digest = HashBytes(probe.bytes());
+  const std::size_t record_bytes = build_schema_->record_bytes().value();
+  std::uint32_t i = slot.first;
+  std::uint64_t build_digest = slot.first_digest;
+  for (;;) {
+    const std::uint64_t r_digest = build_is_r_ ? build_digest : probe_digest;
+    const std::uint64_t s_digest = build_is_r_ ? probe_digest : build_digest;
+    if (pipeline) {
+      rel::Tuple build(std::span<const std::uint8_t>(arena_.data() + i * record_bytes,
+                                                     record_bytes),
+                       build_schema_);
+      TERTIO_RETURN_IF_ERROR(out->AddMatchWithRows(slot.key, build_is_r_ ? build : probe,
+                                                   r_digest, build_is_r_ ? probe : build,
+                                                   s_digest));
+    } else {
+      out->AddMatch(slot.key, r_digest, s_digest);
+    }
+    if (i == slot.last) return Status::OK();
+    i = records_[i].next;
+    build_digest = records_[i].digest;
+  }
+}
+
+std::size_t FlatJoinTable::FindScalar(std::uint64_t digest, std::int64_t key) const {
+  std::size_t idx = static_cast<std::size_t>(digest) & mask_;
+  // Digest first, key bytes only on digest equality: an (injected) digest
+  // collision between unequal keys falls through to the key compare and is
+  // rejected there.
+  while (slots_[idx].digest != 0 && (slots_[idx].digest != digest || slots_[idx].key != key)) {
     idx = (idx + 1) & mask_;
   }
-  slots_[idx] = slot;
-  BloomAdd(slot.digest);
+  return idx;
 }
 
-void FlatJoinTable::Reserve(std::uint64_t entries) {
-  // Max load factor 0.7: capacity is the next power of two above
-  // entries / 0.7, never below 16.
-  std::size_t capacity = slots_.empty() ? 16 : slots_.size();
-  while (static_cast<double>(entries) > 0.7 * static_cast<double>(capacity)) {
-    capacity *= 2;
+std::size_t FlatJoinTable::FindBatched(simd::Level level, std::uint64_t digest,
+                                       std::int64_t key) const {
+  static_assert(sizeof(Slot) == 4 * sizeof(std::uint64_t), "group compares assume 32-byte slots");
+  static_assert(offsetof(Slot, digest) == 0, "group compares read word 0 as the digest");
+  constexpr std::size_t kStride = sizeof(Slot) / sizeof(std::uint64_t);
+  // The home slot settles most lookups below the 0.7 load ceiling, so test
+  // it with one scalar load (its line is the one prefetched) and fall back
+  // to group-of-four scans only when a cluster has to be crossed.
+  std::size_t idx = static_cast<std::size_t>(digest) & mask_;
+  const Slot& home = slots_[idx];
+  if (home.digest == 0 || (home.digest == digest && home.key == key)) return idx;
+  const std::uint64_t* slot_words = reinterpret_cast<const std::uint64_t*>(slots_.data());
+  const std::size_t capacity = slots_.size();
+  idx = (idx + 1) & mask_;
+  for (;;) {
+    if (idx + 4 > capacity) {
+      // Group would run past the array end: scalar-step across the wrap.
+      const Slot& slot = slots_[idx];
+      if (slot.digest == 0 || (slot.digest == digest && slot.key == key)) return idx;
+      idx = (idx + 1) & mask_;
+      continue;
+    }
+    const simd::Group4 g = simd::CompareDigests4(level, slot_words + idx * kStride, kStride, digest);
+    std::uint32_t matches = g.match_mask;
+    // A key's slot precedes the first empty slot of its probe sequence;
+    // digests equal to the probe's beyond it belong to other keys.
+    if (g.empty_mask != 0) matches &= (1u << std::countr_zero(g.empty_mask)) - 1u;
+    while (matches != 0) {
+      const std::size_t j = idx + static_cast<std::size_t>(std::countr_zero(matches));
+      // Digest first, key bytes only on digest equality, as in FindScalar.
+      if (slots_[j].key == key) return j;
+      matches &= matches - 1;
+    }
+    if (g.empty_mask != 0) return idx + static_cast<std::size_t>(std::countr_zero(g.empty_mask));
+    idx += 4;
+    if (idx == capacity) idx = 0;
   }
-  if (capacity != slots_.size()) Rehash(capacity);
 }
 
 void FlatJoinTable::Clear() {
   std::fill(slots_.begin(), slots_.end(), Slot{});
   std::fill(bloom_.begin(), bloom_.end(), 0);
-  size_ = 0;
+  distinct_keys_ = 0;
+  records_.clear();
   arena_.clear();
 }
 
@@ -95,17 +198,7 @@ Status FlatJoinTable::Probe(std::span<const BlockPayload> blocks,
 }
 
 Status FlatJoinTable::AddBlocksScalar(std::span<const BlockPayload> blocks) {
-  // One reservation for the whole batch (block headers are cheap to parse
-  // twice): no rehash can happen mid-insert, so the prefetched slot
-  // addresses below stay valid, and a chunk-sized batch grows the slot
-  // array once instead of once per doubling.
-  std::uint64_t incoming = 0;
-  for (const BlockPayload& payload : blocks) {
-    TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
-                            rel::BlockReader::Open(payload, build_schema_));
-    incoming += reader.record_count();
-  }
-  Reserve(size_ + incoming);
+  TERTIO_RETURN_IF_ERROR(ReserveFor(blocks));
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
                             rel::BlockReader::Open(payload, build_schema_));
@@ -114,7 +207,7 @@ Status FlatJoinTable::AddBlocksScalar(std::span<const BlockPayload> blocks) {
 
     // Software-prefetch pipeline: digests run kPrefetchDistance records
     // ahead of the inserts, so the slot line of record i is (usually) in
-    // cache by the time its insert scan starts.
+    // cache by the time its slot walk starts.
     std::uint64_t digests[kPrefetchDistance];
     const std::uint64_t lead = std::min<std::uint64_t>(n, kPrefetchDistance);
     for (std::uint64_t i = 0; i < lead; ++i) {
@@ -126,30 +219,16 @@ Status FlatJoinTable::AddBlocksScalar(std::span<const BlockPayload> blocks) {
     for (std::uint64_t i = 0; i < n; ++i) {
       // Read the current record's digest out of the ring before the
       // lookahead below reuses the same ring position (i + D ≡ i mod D).
-      const std::uint64_t current_digest = digests[i % kPrefetchDistance];
+      const std::uint64_t digest = digests[i % kPrefetchDistance];
       if (i + kPrefetchDistance < n) {
         rel::Tuple ahead(reader.record(i + kPrefetchDistance), build_schema_);
-        std::uint64_t digest = DigestOf(ahead.GetInt64(build_key_));
-        digests[i % kPrefetchDistance] = digest;
-        PrefetchWrite(&slots_[static_cast<std::size_t>(digest) & mask_]);
+        std::uint64_t ahead_digest = DigestOf(ahead.GetInt64(build_key_));
+        digests[i % kPrefetchDistance] = ahead_digest;
+        PrefetchWrite(&slots_[static_cast<std::size_t>(ahead_digest) & mask_]);
       }
       rel::Tuple tuple(reader.record(i), build_schema_);
-      Slot slot;
-      slot.digest = current_digest;
-      slot.key = tuple.GetInt64(build_key_);
-      slot.record_digest = HashBytes(tuple.bytes());
-      if (capture_records_) {
-        std::span<const std::uint8_t> bytes = tuple.bytes();
-        if (arena_.size() + bytes.size() >
-            static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
-          return Status::ResourceExhausted("flat table arena exceeds 4 GiB of build records");
-        }
-        slot.record_offset = static_cast<std::uint32_t>(arena_.size());
-        slot.record_length = static_cast<std::uint32_t>(bytes.size());
-        arena_.insert(arena_.end(), bytes.begin(), bytes.end());
-      }
-      InsertSlot(slot);
-      ++size_;
+      const std::int64_t key = tuple.GetInt64(build_key_);
+      Append(FindScalar(digest, key), digest, key, tuple.bytes());
     }
   }
   return Status::OK();
@@ -158,7 +237,7 @@ Status FlatJoinTable::AddBlocksScalar(std::span<const BlockPayload> blocks) {
 Status FlatJoinTable::ProbeScalar(std::span<const BlockPayload> blocks,
                                   const rel::Schema* probe_schema,
                                   std::size_t probe_key_column, JoinOutput* out) const {
-  if (size_ == 0) return Status::OK();
+  if (records_.empty()) return Status::OK();
   const bool pipeline = capture_records_ && out->has_sink();
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
@@ -182,59 +261,16 @@ Status FlatJoinTable::ProbeScalar(std::span<const BlockPayload> blocks,
         PrefetchRead(&slots_[static_cast<std::size_t>(ahead_digest) & mask_]);
       }
       rel::Tuple tuple(reader.record(i), probe_schema);
-      const std::int64_t key = tuple.GetInt64(probe_key_column);
-      // The probe record's digest enters the pair checksum; computed lazily
-      // on the first match so unmatched probes cost one slot load only.
-      std::uint64_t probe_digest = 0;
-      bool have_probe_digest = false;
-      std::size_t idx = static_cast<std::size_t>(digest) & mask_;
-      while (slots_[idx].digest != 0) {
-        const Slot& slot = slots_[idx];
-        // Digest first, key bytes only on digest equality: an (injected)
-        // digest collision between unequal keys falls through to the key
-        // compare and is rejected there.
-        if (slot.digest == digest && slot.key == key) {
-          if (!have_probe_digest) {
-            probe_digest = HashBytes(tuple.bytes());
-            have_probe_digest = true;
-          }
-          if (pipeline) {
-            rel::Tuple build_tuple(
-                std::span<const std::uint8_t>(arena_.data() + slot.record_offset,
-                                              slot.record_length),
-                build_schema_);
-            const rel::Tuple& r = build_is_r_ ? build_tuple : tuple;
-            const rel::Tuple& s = build_is_r_ ? tuple : build_tuple;
-            TERTIO_RETURN_IF_ERROR(out->AddMatchWithRows(slot.key, r, s));
-          } else if (build_is_r_) {
-            out->AddMatch(slot.key, slot.record_digest, probe_digest);
-          } else {
-            out->AddMatch(slot.key, probe_digest, slot.record_digest);
-          }
-        }
-        idx = (idx + 1) & mask_;
-      }
+      const Slot& slot = slots_[FindScalar(digest, tuple.GetInt64(probe_key_column))];
+      if (slot.digest != 0) TERTIO_RETURN_IF_ERROR(EmitChain(slot, tuple, pipeline, out));
     }
   }
   return Status::OK();
 }
 
 Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
-  static_assert(sizeof(Slot) == 4 * sizeof(std::uint64_t), "group compares assume 32-byte slots");
-  static_assert(offsetof(Slot, digest) == 0, "group compares read word 0 as the digest");
-  // Same up-front reservation as the scalar path: no rehash mid-insert, so
-  // the word view and prefetched lines below stay valid for the whole batch.
-  std::uint64_t incoming = 0;
-  for (const BlockPayload& payload : blocks) {
-    TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
-                            rel::BlockReader::Open(payload, build_schema_));
-    incoming += reader.record_count();
-  }
-  Reserve(size_ + incoming);
+  TERTIO_RETURN_IF_ERROR(ReserveFor(blocks));
   const simd::Level level = simd::ActiveLevel();
-  constexpr std::size_t kStride = sizeof(Slot) / sizeof(std::uint64_t);
-  const std::uint64_t* slot_words = reinterpret_cast<const std::uint64_t*>(slots_.data());
-  const std::size_t capacity = slots_.size();
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
                             rel::BlockReader::Open(payload, build_schema_));
@@ -242,8 +278,8 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
     if (n == 0) continue;
     // Same paced prefetch ring as the scalar path (one prefetch issued per
     // record keeps the miss queue from overflowing, which a burst of a whole
-    // batch's prefetches does not); the insert scan itself runs the SIMD
-    // group-of-four empty-slot search.
+    // batch's prefetches does not); the slot search itself runs the SIMD
+    // group-of-four compares.
     std::uint64_t digests[kPrefetchDistance];
     std::int64_t keys[kPrefetchDistance];
     auto stage = [&](BlockCount j) {
@@ -259,55 +295,10 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
     for (std::uint64_t i = 0; i < n; ++i) {
       // Read the current record's ring entries before the lookahead below
       // reuses the same ring position (i + D ≡ i mod D).
-      Slot slot;
-      slot.digest = digests[i % kPrefetchDistance];
-      slot.key = keys[i % kPrefetchDistance];
+      const std::uint64_t digest = digests[i % kPrefetchDistance];
+      const std::int64_t key = keys[i % kPrefetchDistance];
       if (i + kPrefetchDistance < n) stage(i + kPrefetchDistance);
-      rel::Tuple tuple(reader.record(i), build_schema_);
-      slot.record_digest = HashBytes(tuple.bytes());
-      if (capture_records_) {
-        std::span<const std::uint8_t> bytes = tuple.bytes();
-        if (arena_.size() + bytes.size() >
-            static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
-          return Status::ResourceExhausted("flat table arena exceeds 4 GiB of build records");
-        }
-        slot.record_offset = static_cast<std::uint32_t>(arena_.size());
-        slot.record_length = static_cast<std::uint32_t>(bytes.size());
-        arena_.insert(arena_.end(), bytes.begin(), bytes.end());
-      }
-      BloomAdd(slot.digest);
-      // Empty-slot scan: the home slot is free for most inserts below the
-      // 0.7 load ceiling, so test it with one scalar load and fall back to
-      // group-of-four scans only when a cluster has to be crossed. The
-      // first empty slot found is the same slot the scalar InsertSlot walk
-      // lands on, so the two kernels build bit-identical tables.
-      std::size_t idx = static_cast<std::size_t>(slot.digest) & mask_;
-      if (slots_[idx].digest == 0) {
-        slots_[idx] = slot;
-        ++size_;
-        continue;
-      }
-      idx = (idx + 1) & mask_;
-      for (;;) {
-        if (idx + 4 <= capacity) {
-          const simd::Group4 g =
-              simd::CompareDigests4(level, slot_words + idx * kStride, kStride, slot.digest);
-          if (g.empty_mask != 0) {
-            slots_[idx + static_cast<std::size_t>(std::countr_zero(g.empty_mask))] = slot;
-            break;
-          }
-          idx += 4;
-          if (idx == capacity) idx = 0;
-        } else {
-          // Group would run past the array end: scalar-step across the wrap.
-          if (slots_[idx].digest == 0) {
-            slots_[idx] = slot;
-            break;
-          }
-          idx = (idx + 1) & mask_;
-        }
-      }
-      ++size_;
+      Append(FindBatched(level, digest, key), digest, key, reader.record(i));
     }
   }
   return Status::OK();
@@ -316,12 +307,9 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
 Status FlatJoinTable::ProbeBatched(std::span<const BlockPayload> blocks,
                                    const rel::Schema* probe_schema,
                                    std::size_t probe_key_column, JoinOutput* out) const {
-  if (size_ == 0) return Status::OK();
+  if (records_.empty()) return Status::OK();
   const simd::Level level = simd::ActiveLevel();
   const bool pipeline = capture_records_ && out->has_sink();
-  constexpr std::size_t kStride = sizeof(Slot) / sizeof(std::uint64_t);
-  const std::uint64_t* slot_words = reinterpret_cast<const std::uint64_t*>(slots_.data());
-  const std::size_t capacity = slots_.size();
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
                             rel::BlockReader::Open(payload, probe_schema));
@@ -364,72 +352,10 @@ Status FlatJoinTable::ProbeBatched(std::span<const BlockPayload> blocks,
       if (i + kFilterDistance < n) stage_digest(i + kFilterDistance);
       if (i + kPrefetchDistance < n) stage_filter(i + kPrefetchDistance);
       if (!walk) continue;
-      rel::Tuple tuple(reader.record(i), probe_schema);
-      // Lazy probe digest, as in the scalar walk: unmatched probes never
-      // hash their record bytes.
-      std::uint64_t probe_digest = 0;
-      bool have_probe_digest = false;
-      auto emit = [&](const Slot& slot) -> Status {
-        if (!have_probe_digest) {
-          probe_digest = HashBytes(tuple.bytes());
-          have_probe_digest = true;
-        }
-        if (pipeline) {
-          rel::Tuple build_tuple(
-              std::span<const std::uint8_t>(arena_.data() + slot.record_offset,
-                                            slot.record_length),
-              build_schema_);
-          const rel::Tuple& r = build_is_r_ ? build_tuple : tuple;
-          const rel::Tuple& s = build_is_r_ ? tuple : build_tuple;
-          return out->AddMatchWithRows(slot.key, r, s);
-        }
-        if (build_is_r_) {
-          out->AddMatch(slot.key, slot.record_digest, probe_digest);
-        } else {
-          out->AddMatch(slot.key, probe_digest, slot.record_digest);
-        }
-        return Status::OK();
-      };
-      std::size_t idx = static_cast<std::size_t>(digest) & mask_;
-      bool open = true;
-      while (open) {
-        if (idx + 4 <= capacity) {
-          const simd::Group4 g =
-              simd::CompareDigests4(level, slot_words + idx * kStride, kStride, digest);
-          std::uint32_t matches = g.match_mask;
-          if (g.empty_mask != 0) {
-            // The chain ends at the first empty slot; digests equal to the
-            // probe's beyond it belong to other chains.
-            matches &= (1u << std::countr_zero(g.empty_mask)) - 1u;
-            open = false;
-          }
-          while (matches != 0) {
-            const Slot& slot =
-                slots_[idx + static_cast<std::size_t>(std::countr_zero(matches))];
-            matches &= matches - 1;
-            // Digest first, key bytes only on digest equality — an
-            // (injected) digest collision between unequal keys is
-            // rejected here, exactly as in the scalar walk.
-            if (slot.key != key) continue;
-            TERTIO_RETURN_IF_ERROR(emit(slot));
-          }
-          if (open) {
-            idx += 4;
-            if (idx == capacity) idx = 0;
-          }
-        } else {
-          // Group would run past the array end: scalar-step across the wrap.
-          const Slot& slot = slots_[idx];
-          if (slot.digest == 0) {
-            open = false;
-          } else {
-            if (slot.digest == digest && slot.key == key) {
-              TERTIO_RETURN_IF_ERROR(emit(slot));
-            }
-            idx = (idx + 1) & mask_;
-          }
-        }
-      }
+      const Slot& slot = slots_[FindBatched(level, digest, key)];
+      if (slot.digest == 0) continue;
+      TERTIO_RETURN_IF_ERROR(EmitChain(slot, rel::Tuple(reader.record(i), probe_schema),
+                                       pipeline, out));
     }
   }
   return Status::OK();

@@ -3,14 +3,20 @@
 /// \file flat_table.h
 /// Cache-friendly build/probe substrate of the full-data join paths.
 ///
-/// FlatJoinTable replaces the original std::unordered_multimap table: slots
-/// live in one contiguous open-addressed array (linear probing) keyed by the
-/// splitmix64 digest of the join key (hash/hasher.h), and captured build
-/// records are packed back-to-back in a per-table arena addressed by
-/// (offset, length) handles — no per-entry heap allocation, no node pointer
-/// chases. AddBlocks and Probe run a short software-prefetch pipeline over
-/// the slot array, so the dependent cache miss per tuple largely overlaps
-/// with decoding the next records.
+/// FlatJoinTable replaces the original std::unordered_multimap table. Each
+/// distinct build key owns exactly one 32-byte slot in a contiguous
+/// open-addressed array (linear probing) keyed by the splitmix64 digest of
+/// the key (hash/hasher.h). The key's build records form an insertion-ordered
+/// chain outside the slot array: one (record digest, next) entry per record,
+/// in insertion order, with the full record bytes (when captured) packed at
+/// the same index in a per-table arena. The slot holds the chain's first and
+/// last record and the first record's digest, so a duplicate insert appends
+/// in O(1) and a unique key's probe touches the slot line only. A hot key
+/// therefore costs one slot however many copies it has: its inserts never
+/// walk past earlier copies, and a probe stops at the key's slot and walks
+/// only that key's records. AddBlocks and Probe run a short
+/// software-prefetch pipeline over the slot array, so the dependent cache
+/// miss per tuple largely overlaps with decoding the next records.
 ///
 /// Probes compare the stored 64-bit key digest first and the key itself only
 /// on digest equality; a digest collision between unequal keys therefore
@@ -18,15 +24,17 @@
 /// tests/join_correctness_test.cc).
 ///
 /// Two kernel generations coexist behind a runtime dispatch (join/simd.h):
-/// the original per-record loops (the forced-scalar reference, selected with
-/// TERTIO_SIMD=scalar or simd::SetLevelForTest) and a batched kernel built
-/// as a two-stage software pipeline. Stage one digests records a full filter
-/// distance ahead and prefetches their blocked-Bloom filter word; stage two
-/// tests the filter half a ring later and prefetches the slot line only for
-/// digests that may be present. Probes the filter rejects — the common case
-/// for selective joins — never touch the slot array at all; survivors walk
-/// their chain with SSE2/NEON group-of-four digest compares. Both kernels
-/// emit the identical match sequence (tests/flat_table_simd_test.cc).
+/// per-record loops with per-slot walks (the forced-scalar reference,
+/// selected with TERTIO_SIMD=scalar or simd::SetLevelForTest) and a batched
+/// kernel built as a two-stage software pipeline. Stage one digests records
+/// a full filter distance ahead and prefetches their blocked-Bloom filter
+/// word; stage two tests the filter half a ring later and prefetches the
+/// slot line only for digests that may be present. Probes the filter
+/// rejects — the common case for selective joins — never touch the slot
+/// array at all; survivors walk the slot array with SSE2/NEON group-of-four
+/// digest compares. Both kernels find the same slot for every key and share
+/// the insert and chain-walk code, so they build identical tables and emit
+/// the identical match sequence (tests/flat_table_simd_test.cc).
 
 #include <cstdint>
 #include <span>
@@ -41,6 +49,10 @@
 
 namespace tertio::join {
 
+namespace simd {
+enum class Level : int;  // join/simd.h
+}  // namespace simd
+
 /// Hash of a join key, used for slot placement and the digest-first probe
 /// compare. Injectable so tests can force digest collisions; production code
 /// always uses hash::HashKey (a 64-bit bijection).
@@ -54,7 +66,8 @@ using KeyHashFn = std::uint64_t (*)(std::int64_t);
 /// `capture_records` is set the full build records are retained (in the
 /// arena) so that probes can pipeline whole joined rows to a MatchSink (the
 /// build side is memory-resident by construction — that is the join methods'
-/// invariant).
+/// invariant). A table that is never filled allocates nothing (phantom joins
+/// construct one per chunk or slice).
 class FlatJoinTable {
  public:
   FlatJoinTable(const rel::Schema* build_schema, std::size_t build_key_column, bool build_is_r,
@@ -69,30 +82,39 @@ class FlatJoinTable {
   Status AddBlocks(std::span<const BlockPayload> blocks);
 
   /// Probes every tuple in `blocks` (from the other relation), emitting all
-  /// matching pairs into `out`.
+  /// matching pairs into `out`: per probe record, its key's build records
+  /// in insertion order.
   Status Probe(std::span<const BlockPayload> blocks, const rel::Schema* probe_schema,
                std::size_t probe_key_column, JoinOutput* out) const;
 
-  std::uint64_t size() const { return size_; }
+  /// Build records in the table.
+  std::uint64_t size() const { return records_.size(); }
+  /// Distinct build keys, i.e. occupied slots.
+  std::uint64_t distinct_keys() const { return distinct_keys_; }
 
-  /// Drops all entries but keeps the slot array and arena capacity (the
-  /// tape-tape methods rebuild per bucket slice).
+  /// Drops all entries but keeps the slot array, record and arena capacity
+  /// (the tape-tape methods rebuild per bucket slice).
   void Clear();
 
-  /// Grows the slot array so `entries` fit without rehashing mid-insert.
-  void Reserve(std::uint64_t entries);
-
  private:
-  /// One slot: 32 bytes, two per cache line. digest == 0 marks an empty
-  /// slot; key digests are remapped off 0 in DigestOf.
+  /// One slot per distinct key: 32 bytes, two per cache line. digest == 0
+  /// marks an empty slot; key digests are remapped off 0 in DigestOf.
   struct Slot {
     std::uint64_t digest = 0;
     std::int64_t key = 0;
-    /// HashBytes of the full build record (enters the pair checksum).
-    std::uint64_t record_digest = 0;
-    /// Arena handle of the captured record bytes (capture_records_ only).
-    std::uint32_t record_offset = 0;
-    std::uint32_t record_length = 0;
+    /// HashBytes of the key's first build record (enters the pair checksum),
+    /// so a unique key's match needs no records_ load.
+    std::uint64_t first_digest = 0;
+    /// records_ indices of the key's first and last build records.
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+  };
+
+  /// One build record, in insertion order. Records of one key are chained
+  /// from Slot::first through `next` to Slot::last.
+  struct Record {
+    std::uint64_t digest = 0;  ///< HashBytes of the full build record
+    std::uint32_t next = 0;    ///< next record of the same key (unset at the tail)
   };
 
   std::uint64_t DigestOf(std::int64_t key) const {
@@ -101,12 +123,29 @@ class FlatJoinTable {
     return digest != 0 ? digest : 0x9E3779B97F4A7C15ULL;
   }
 
+  /// Counts the batch's records and grows the slot array so that every one
+  /// of them could be a new key: no rehash happens mid-batch, so both
+  /// kernels' prefetched lines and word views stay valid. Record indices
+  /// are 32-bit: a table past 2^32 - 1 records is ResourceExhausted.
+  Status ReserveFor(std::span<const BlockPayload> blocks);
   void Rehash(std::size_t new_capacity);
-  void InsertSlot(const Slot& slot);
+  /// The slot of (`digest`, `key`) if the key is present, else the empty
+  /// slot where it would go — the same slot for both walks, since a key's
+  /// slot always precedes the first empty slot of its probe sequence.
+  /// FindScalar steps slot by slot; FindBatched compares groups of four.
+  std::size_t FindScalar(std::uint64_t digest, std::int64_t key) const;
+  std::size_t FindBatched(simd::Level level, std::uint64_t digest, std::int64_t key) const;
+  /// Appends one build record under the key at slot `idx`: either the key's
+  /// own slot or the empty slot where the key goes.
+  void Append(std::size_t idx, std::uint64_t digest, std::int64_t key,
+              std::span<const std::uint8_t> bytes);
+  /// Emits the pairs of `probe` with every build record of `slot`'s key.
+  Status EmitChain(const Slot& slot, const rel::Tuple& probe, bool pipeline,
+                   JoinOutput* out) const;
 
-  /// The original per-record loops — the reference semantics the batched
-  /// kernels must reproduce exactly, and the baseline of the probe_* bench
-  /// speedup metrics.
+  /// Per-record loops with per-slot walks — the reference semantics the
+  /// batched kernels must reproduce exactly, and the baseline of the probe_*
+  /// bench speedup metrics.
   Status AddBlocksScalar(std::span<const BlockPayload> blocks);
   Status ProbeScalar(std::span<const BlockPayload> blocks, const rel::Schema* probe_schema,
                      std::size_t probe_key_column, JoinOutput* out) const;
@@ -119,9 +158,9 @@ class FlatJoinTable {
 
   /// Blocked Bloom prefilter over the stored digests: one 64-bit filter word
   /// per eight slots, four bits per key, all drawn from digest bits the slot
-  /// index (low bits) does not use. Every insert path sets the bits, so a
+  /// index (low bits) does not use. Every new key sets its bits, so a
   /// negative test proves the digest is absent — the filter only ever skips
-  /// chain walks that could not have matched, never real matches.
+  /// slot walks that could not have matched, never real matches.
   static std::uint64_t BloomBitsOf(std::uint64_t digest) {
     return (1ull << ((digest >> 38) & 63)) | (1ull << ((digest >> 44) & 63)) |
            (1ull << ((digest >> 50) & 63)) | (1ull << ((digest >> 56) & 63));
@@ -141,18 +180,22 @@ class FlatJoinTable {
   bool capture_records_;
   KeyHashFn key_hash_;
 
-  /// Power-of-two size, linear probing. Hugepage-backed above 2 MiB: paper-
-  /// scale tables have page working sets far beyond the dTLB on 4 KiB pages,
-  /// and x86 drops prefetches that miss the dTLB — THP backing is what makes
-  /// both kernels' prefetch pipelines effective (util/hugepage.h).
+  /// Power-of-two size, linear probing, max load 0.7 over distinct keys.
+  /// Hugepage-backed above 2 MiB: paper-scale tables have page working sets
+  /// far beyond the dTLB on 4 KiB pages, and x86 drops prefetches that miss
+  /// the dTLB — THP backing is what makes both kernels' prefetch pipelines
+  /// effective (util/hugepage.h).
   std::vector<Slot, util::HugePageAllocator<Slot>> slots_;
   std::size_t mask_ = 0;
   /// One filter word per eight slots (3% of the table), kept in lockstep
-  /// with slots_ by Rehash/Clear and every insert.
+  /// with slots_ by Rehash/Clear and every new key.
   std::vector<std::uint64_t, util::HugePageAllocator<std::uint64_t>> bloom_;
   std::size_t bloom_mask_ = 0;
-  std::uint64_t size_ = 0;
-  std::vector<std::uint8_t> arena_;  // captured record bytes, back-to-back
+  std::uint64_t distinct_keys_ = 0;
+  std::vector<Record> records_;
+  /// Captured record bytes (capture_records_ only): record i at
+  /// i * record_bytes, records being fixed-width.
+  std::vector<std::uint8_t> arena_;
 };
 
 }  // namespace tertio::join

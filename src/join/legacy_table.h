@@ -69,7 +69,9 @@ class LegacyMultimapJoinTable {
             rel::Tuple build_tuple(it->second.bytes, build_schema_);
             const rel::Tuple& r = build_is_r_ ? build_tuple : tuple;
             const rel::Tuple& s = build_is_r_ ? tuple : build_tuple;
-            TERTIO_RETURN_IF_ERROR(out->AddMatchWithRows(key, r, s));
+            const std::uint64_t r_digest = build_is_r_ ? it->second.digest : probe_digest;
+            const std::uint64_t s_digest = build_is_r_ ? probe_digest : it->second.digest;
+            TERTIO_RETURN_IF_ERROR(out->AddMatchWithRows(key, r, r_digest, s, s_digest));
           } else if (build_is_r_) {
             out->AddMatch(key, it->second.digest, probe_digest);
           } else {

@@ -5,14 +5,14 @@
 ///
 /// This is the only file in the repository allowed to contain raw SIMD
 /// intrinsics (tertio_lint rule `simd-intrinsics` pins that boundary). The
-/// rest of the join layer sees three portable operations over a group of
-/// four consecutive table slots:
+/// rest of the join layer sees one portable operation over a group of four
+/// consecutive table slots, used by the table's slot search on both the
+/// insert and the probe side:
 ///
 ///   CompareDigests4  — which of the four slot digests equal a probe digest,
 ///                      and which slots are empty (digest == 0)?
-///   FindEmpty4       — which of the four slots are empty? (insert scans)
 ///
-/// Both return little bitmasks (bit j = slot j), so the callers' chain-walk
+/// It returns little bitmasks (bit j = slot j), so the caller's slot-search
 /// logic is identical across instruction sets and the scalar fallback —
 /// the equivalence tests in tests/flat_table_simd_test.cc hold the SIMD
 /// paths to bit-identical outputs against the forced-scalar reference.

@@ -110,6 +110,21 @@ TEST_P(AllMethodsTest, MatchesReferenceOnZipfSkew) {
   EXPECT_EQ(result->stats.output_checksum, result->reference.checksum());
 }
 
+TEST_P(AllMethodsTest, MatchesReferenceOnBuildSideZipfSkew) {
+  Workload w = DefaultWorkload();
+  // R keys Zipf(1.5): the hottest key holds about a third of R, so the
+  // tables hold long duplicate chains and the hash methods' hot bucket
+  // outgrows memory.
+  w.r.keys = rel::KeySequence::kZipf;
+  w.r.key_domain = 400;
+  w.r.zipf_theta = 1.5;
+  auto result = RunAndReference(SmallSite(), w, GetParam());
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->reference.tuples(), 0u);
+  EXPECT_EQ(result->stats.output_tuples, result->reference.tuples());
+  EXPECT_EQ(result->stats.output_checksum, result->reference.checksum());
+}
+
 TEST_P(AllMethodsTest, MatchesReferenceOnLowSelectivity) {
   Workload w = DefaultWorkload();
   // S keys drawn from a domain 10x wider than R: ~10% of S tuples match.
@@ -308,7 +323,7 @@ TEST(SkewHandlingTest, ExtremeSkewTriggersOverflowPathButStaysCorrect) {
   spec.s = &prepared.s;
   join::JoinContext ctx = session->context();
   for (JoinMethodId method : {JoinMethodId::kDtGh, JoinMethodId::kCdtGh,
-                              JoinMethodId::kCttGh}) {
+                              JoinMethodId::kCttGh, JoinMethodId::kTtGh}) {
     auto stats = CreateJoinMethod(method)->Execute(spec, ctx);
     ASSERT_TRUE(stats.ok()) << JoinMethodName(method) << ": " << stats.status();
     EXPECT_GT(stats->bucket_overflow_slices, 0u) << JoinMethodName(method);
@@ -413,6 +428,26 @@ std::vector<BlockPayload> BlocksForKeys(const rel::Schema* schema,
   }
   if (builder.record_count() > 0) blocks.push_back(builder.Finish());
   return blocks;
+}
+
+/// The record digest's per-word step is a bijection of the hash state, so
+/// every single-bit flip of a record changes HashBytes, and so does
+/// zero-extending it by one byte (only the mixed-in length differs).
+TEST(HashBytesTest, EveryBitFlipAndZeroExtensionChangesTheDigest) {
+  std::vector<std::uint8_t> record(100);
+  for (std::size_t i = 0; i < record.size(); ++i) {
+    record[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  const std::uint64_t digest = HashBytes(record);
+  for (std::size_t bit = 0; bit < 8 * record.size(); ++bit) {
+    std::vector<std::uint8_t> flipped = record;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_NE(HashBytes(flipped), digest) << "bit " << bit;
+  }
+  std::vector<std::uint8_t> extended = record;
+  extended.push_back(0);
+  EXPECT_NE(HashBytes(extended), digest);
+  EXPECT_EQ(HashBytes(record), digest);
 }
 
 std::uint64_t CollidingKeyHash(std::int64_t) { return 42; }
