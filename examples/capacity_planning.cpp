@@ -9,10 +9,9 @@
 #include <cstdio>
 #include <vector>
 
-#include "disk/disk_model.h"
+#include "exec/experiment.h"
 #include "exec/report.h"
 #include "join/advisor.h"
-#include "tape/tape_model.h"
 #include "util/string_util.h"
 
 using namespace tertio;
@@ -22,7 +21,6 @@ int main() {
   constexpr ByteCount kRBytes = 1000 * kMB;
   constexpr ByteCount kSBytes = 4000 * kMB;
   constexpr double kDeadlineHours = 8.0;
-  constexpr ByteCount kBlock = kDefaultBlockBytes;
 
   std::printf("Planning: %s JOIN %s, deadline %.0f h (overnight)\n\n",
               FormatBytes(kRBytes).c_str(), FormatBytes(kSBytes).c_str(), kDeadlineHours);
@@ -35,17 +33,20 @@ int main() {
   for (ByteCount disk : disk_options) {
     std::vector<std::string> row{FormatBytes(disk)};
     for (ByteCount memory : memory_options) {
-      cost::CostParams params;
-      params.r_blocks = BytesToBlocks(kRBytes, kBlock);
-      params.s_blocks = BytesToBlocks(kSBytes, kBlock);
-      params.disk_blocks = BytesToBlocks(disk, kBlock);
-      params.memory_blocks = BytesToBlocks(memory, kBlock);
-      params.block_bytes = kBlock;
-      params.tape_rate_bps = tape::TapeDriveModel::DLT4000().EffectiveRate(0.25);
-      params.disk_rate_bps = 2 * disk::DiskModel::QuantumFireball1080().transfer_rate_bps;
-      params.disk_positioning_seconds =
-          disk::DiskModel::QuantumFireball1080().positioning_seconds;
-      auto advice = join::AdviseJoinMethod(params);
+      // The candidate workstation: the paper's testbed with this D and M,
+      // leased whole to the join, with the relations on tape (timing-only).
+      exec::Site site(exec::SiteConfig::PaperTestbed(disk, memory));
+      std::unique_ptr<exec::QuerySession> session =
+          exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site)).value();
+      exec::WorkloadConfig workload;
+      workload.r_bytes = kRBytes;
+      workload.s_bytes = kSBytes;
+      auto prepared = exec::PrepareWorkload(session.get(), workload);
+      if (!prepared.ok()) return 1;
+      join::JoinSpec spec;
+      spec.r = &prepared->r;
+      spec.s = &prepared->s;
+      auto advice = join::AdviseJoinMethod(exec::CostParamsFor(*session, spec));
       if (!advice.ok()) {
         row.push_back("infeasible");
         continue;

@@ -41,14 +41,22 @@ int main() {
   }
 
   // --- Direct tertiary join: ask the advisor.
-  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(kDiskBytes, kMemoryBytes);
-  exec::Site site(config);
+  exec::Site site(exec::SiteConfig::PaperTestbed(kDiskBytes, kMemoryBytes));
+  std::unique_ptr<exec::QuerySession> session =
+      exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site)).value();
   exec::WorkloadConfig workload;
   workload.r_bytes = kDimBytes;
   workload.s_bytes = kFactBytes;
   workload.phantom = true;  // timing-only at this scale
-  auto params = exec::CostParamsFor(site, workload);
-  auto advice = join::AdviseJoinMethod(params);
+  auto prepared = exec::PrepareWorkload(session.get(), workload);
+  if (!prepared.ok()) {
+    std::fprintf(stderr, "setup failed: %s\n", prepared.status().ToString().c_str());
+    return 1;
+  }
+  join::JoinSpec spec;
+  spec.r = &prepared->r;
+  spec.s = &prepared->s;
+  auto advice = join::AdviseJoinMethod(exec::CostParamsFor(*session, spec));
   if (!advice.ok()) {
     std::fprintf(stderr, "no feasible method: %s\n", advice.status().ToString().c_str());
     return 1;
@@ -65,7 +73,8 @@ int main() {
   }
 
   // --- Execute the pick against the simulated devices.
-  auto stats = exec::RunJoinExperiment(config, workload, advice->best().method);
+  join::JoinContext ctx = session->context();
+  auto stats = join::CreateJoinMethod(advice->best().method)->Execute(spec, ctx);
   if (!stats.ok()) {
     std::fprintf(stderr, "join failed: %s\n", stats.status().ToString().c_str());
     return 1;

@@ -46,9 +46,11 @@ int main() {
               FormatBytes(config.memory_bytes).c_str());
 
   // 3. Ask the advisor (the paper's Section 10 conclusions as an API) which
-  //    method fits this site.
-  auto params = exec::CostParamsFor(site, workload);
-  auto advice = join::AdviseJoinMethod(params);
+  //    method fits this session's share of the site.
+  join::JoinSpec spec;
+  spec.r = &prepared->r;
+  spec.s = &prepared->s;
+  auto advice = join::AdviseJoinMethod(exec::CostParamsFor(*session, spec));
   if (!advice.ok()) {
     std::fprintf(stderr, "no feasible method: %s\n", advice.status().ToString().c_str());
     return 1;
@@ -60,9 +62,6 @@ int main() {
   }
 
   // 4. Execute the winning method against the simulated tapes and disks.
-  join::JoinSpec spec;
-  spec.r = &prepared->r;
-  spec.s = &prepared->s;
   auto method = join::CreateJoinMethod(advice->best().method);
   join::JoinContext ctx = session->context();
   auto stats = method->Execute(spec, ctx);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "hash/bucket_layout.h"
+#include "mem/memory_budget.h"
 #include "util/math_util.h"
 #include "util/string_util.h"
 
@@ -61,22 +62,11 @@ Status ValidateCommon(const CostParams& p) {
   return Status::OK();
 }
 
-/// NB-method buffer split: Mr blocks for scanning R, the rest for S.
-Status NbSplit(const CostParams& p, BlockCount* mr, BlockCount* ms_space) {
-  BlockCount mr_val = static_cast<BlockCount>(p.nb_r_fraction * static_cast<double>(p.memory_blocks.value()));
-  if (mr_val == 0) mr_val = 1;
-  if (mr_val + 1 > p.memory_blocks) {
-    return Status::ResourceExhausted("memory too small for a nested-block join (need >= 2 blocks)");
-  }
-  *mr = mr_val;
-  *ms_space = p.memory_blocks - mr_val;
-  return Status::OK();
-}
-
 Result<CostBreakdown> EstimateDtNb(const CostParams& p) {
   Calc c(p);
-  BlockCount mr = 0, ms = 0;
-  TERTIO_RETURN_IF_ERROR(NbSplit(p, &mr, &ms));
+  TERTIO_ASSIGN_OR_RETURN(mem::NbSplit split, mem::NbSplit::Plan(p.memory_blocks, false));
+  const BlockCount mr = split.r_blocks;
+  const BlockCount ms = split.s_blocks;
   if (p.disk_blocks < p.r_blocks) {
     return Status::ResourceExhausted("DT-NB requires D >= |R| to stage R on disk");
   }
@@ -99,10 +89,9 @@ Result<CostBreakdown> EstimateDtNb(const CostParams& p) {
 
 Result<CostBreakdown> EstimateCdtNbMb(const CostParams& p) {
   Calc c(p);
-  BlockCount mr = 0, ms_space = 0;
-  TERTIO_RETURN_IF_ERROR(NbSplit(p, &mr, &ms_space));
-  BlockCount ms = ms_space / 2;  // two S buffers
-  if (ms == 0) return Status::ResourceExhausted("memory too small to split into two S buffers");
+  TERTIO_ASSIGN_OR_RETURN(mem::NbSplit split, mem::NbSplit::Plan(p.memory_blocks, true));
+  const BlockCount mr = split.r_blocks;
+  const BlockCount ms = split.s_blocks;  // per S buffer; there are two
   if (p.disk_blocks < p.r_blocks) {
     return Status::ResourceExhausted("CDT-NB/MB requires D >= |R| to stage R on disk");
   }
@@ -128,8 +117,10 @@ Result<CostBreakdown> EstimateCdtNbMb(const CostParams& p) {
 
 Result<CostBreakdown> EstimateCdtNbDb(const CostParams& p) {
   Calc c(p);
-  BlockCount mr = 0, ms = 0;
-  TERTIO_RETURN_IF_ERROR(NbSplit(p, &mr, &ms));  // one full-size S buffer in memory
+  // One full-size S buffer in memory.
+  TERTIO_ASSIGN_OR_RETURN(mem::NbSplit split, mem::NbSplit::Plan(p.memory_blocks, false));
+  const BlockCount mr = split.r_blocks;
+  const BlockCount ms = split.s_blocks;
   if (p.disk_blocks < p.r_blocks + ms) {
     return Status::ResourceExhausted("CDT-NB/DB requires D >= |R| + |Si| for the disk buffer");
   }
@@ -167,8 +158,7 @@ struct GraceGeometry {
 
 Result<GraceGeometry> PlanDiskTapeGrace(const CostParams& p) {
   TERTIO_ASSIGN_OR_RETURN(hash::BucketLayout layout,
-                          hash::BucketLayout::Plan(p.r_blocks, p.memory_blocks,
-                                                   p.write_buffer_blocks));
+                          hash::BucketLayout::Plan(p.r_blocks, p.memory_blocks));
   if (p.disk_blocks <= p.r_blocks) {
     return Status::ResourceExhausted(
         StrFormat("disk space of %llu blocks cannot hold R (%llu) plus an S buffer",
@@ -237,8 +227,7 @@ Result<CostBreakdown> EstimateCdtGh(const CostParams& p) {
 Result<CostBreakdown> EstimateCttGh(const CostParams& p) {
   Calc c(p);
   TERTIO_ASSIGN_OR_RETURN(hash::BucketLayout layout,
-                          hash::BucketLayout::Plan(p.r_blocks, p.memory_blocks,
-                                                   p.write_buffer_blocks));
+                          hash::BucketLayout::Plan(p.r_blocks, p.memory_blocks));
   if (p.disk_blocks == 0) return Status::ResourceExhausted("CTT-GH requires some disk space");
   BlockCount w = layout.write_buffer_blocks;
   std::uint64_t scans = CeilDiv<std::uint64_t>(p.r_blocks.value(), p.disk_blocks.value());
@@ -282,8 +271,7 @@ Result<CostBreakdown> EstimateCttGh(const CostParams& p) {
 Result<CostBreakdown> EstimateTtGh(const CostParams& p) {
   Calc c(p);
   TERTIO_ASSIGN_OR_RETURN(hash::BucketLayout layout,
-                          hash::BucketLayout::Plan(p.r_blocks, p.memory_blocks,
-                                                   p.write_buffer_blocks));
+                          hash::BucketLayout::Plan(p.r_blocks, p.memory_blocks));
   if (p.disk_blocks == 0) return Status::ResourceExhausted("TT-GH requires some disk space");
   BlockCount w = layout.write_buffer_blocks;
   std::uint64_t scans_r = CeilDiv<std::uint64_t>(p.r_blocks.value(), p.disk_blocks.value());

@@ -37,10 +37,6 @@ struct CostParams {
   BytesPerSecond disk_rate_bps = 8.0e6;  // aggregate X_D
   /// Per-request disk positioning time; 0 = the paper's transfer-only model.
   SimSeconds disk_positioning_seconds = 0.0;
-  /// Preferred hash write-buffer size w (blocks per bucket flush).
-  BlockCount write_buffer_blocks = 8;
-  /// Fraction of M the NB methods reserve for scanning R (paper: 10%).
-  double nb_r_fraction = 0.1;
   /// Blocks of S resident in the cross-query extent cache
   /// (disk/extent_cache.h). That fraction of every pass over the original S
   /// is served at the disk rate instead of the tape rate, so the estimates

@@ -189,4 +189,35 @@ void DiskSpaceAllocator::Record(SimSeconds now, std::int64_t delta, const std::s
   trace_.push_back(UsageEvent{now, delta, used_, tag});
 }
 
+ExtentLease& ExtentLease::operator=(ExtentLease&& other) noexcept {
+  if (this != &other) {
+    TERTIO_CHECK(Free(allocated_at_).ok(), "extent lease failed to return its space");
+    allocator_ = std::exchange(other.allocator_, nullptr);
+    extents_ = std::move(other.extents_);
+    tag_ = std::move(other.tag_);
+    allocated_at_ = other.allocated_at_;
+  }
+  return *this;
+}
+
+ExtentLease::~ExtentLease() {
+  TERTIO_CHECK(Free(allocated_at_).ok(), "extent lease failed to return its space");
+}
+
+Result<ExtentLease> ExtentLease::Allocate(DiskSpaceAllocator* allocator, BlockCount count,
+                                          SimSeconds now, std::string tag) {
+  ExtentLease lease;
+  TERTIO_ASSIGN_OR_RETURN(lease.extents_, allocator->Allocate(count, now, tag));
+  lease.allocator_ = allocator;
+  lease.tag_ = std::move(tag);
+  lease.allocated_at_ = now;
+  return lease;
+}
+
+Status ExtentLease::Free(SimSeconds now) {
+  if (allocator_ == nullptr) return Status::OK();
+  DiskSpaceAllocator* allocator = std::exchange(allocator_, nullptr);
+  return allocator->Free(std::exchange(extents_, {}), now, tag_);
+}
+
 }  // namespace tertio::disk

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "disk/extent.h"
@@ -112,6 +113,36 @@ class DiskSpaceAllocator {
   sim::Auditor* auditor_ = nullptr;
   bool trace_enabled_ = false;
   std::vector<UsageEvent> trace_;
+};
+
+/// RAII owner of one allocation: scratch space a join holds. Free() returns
+/// it at the virtual time the caller names; an owner destroyed while still
+/// holding space (a join that stopped on an error) returns it itself,
+/// stamped with the allocation time, so the allocator is left as it was.
+/// Move-only.
+class ExtentLease {
+ public:
+  ExtentLease() = default;
+  ExtentLease(const ExtentLease&) = delete;
+  ExtentLease& operator=(const ExtentLease&) = delete;
+  ExtentLease(ExtentLease&& other) noexcept { *this = std::move(other); }
+  ExtentLease& operator=(ExtentLease&& other) noexcept;
+  ~ExtentLease();
+
+  /// Allocates `count` blocks from `allocator` at `now` under `tag`.
+  static Result<ExtentLease> Allocate(DiskSpaceAllocator* allocator, BlockCount count,
+                                      SimSeconds now, std::string tag);
+
+  const ExtentList& extents() const { return extents_; }
+
+  /// Returns the space to the allocator at `now`. Idempotent.
+  Status Free(SimSeconds now);
+
+ private:
+  DiskSpaceAllocator* allocator_ = nullptr;
+  ExtentList extents_;
+  std::string tag_;
+  SimSeconds allocated_at_ = 0.0;
 };
 
 }  // namespace tertio::disk

@@ -62,19 +62,4 @@ Result<join::JoinStats> RunJoinExperiment(const SiteConfig& site_config,
   return executor->Execute(spec, ctx);
 }
 
-cost::CostParams CostParamsFor(const Site& site, const WorkloadConfig& workload) {
-  cost::CostParams params;
-  const SiteConfig& config = site.config();
-  ByteCount bb = config.block_bytes;
-  params.block_bytes = bb;
-  params.r_blocks = BytesToBlocks(workload.r_bytes, bb);
-  params.s_blocks = BytesToBlocks(workload.s_bytes, bb);
-  params.memory_blocks = BytesToBlocks(config.memory_bytes, bb);
-  params.disk_blocks = BytesToBlocks(config.disk_space_bytes, bb);
-  params.tape_rate_bps = site.EffectiveTapeRate(workload.compressibility);
-  params.disk_rate_bps = site.AggregateDiskRate();
-  params.disk_positioning_seconds = config.disk_model.positioning_seconds;
-  return params;
-}
-
 }  // namespace tertio::exec

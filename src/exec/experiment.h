@@ -8,7 +8,6 @@
 #include <memory>
 #include <string>
 
-#include "cost/cost_model.h"
 #include "exec/query_session.h"
 #include "exec/site.h"
 #include "join/join_method.h"
@@ -56,9 +55,5 @@ Result<PreparedWorkload> PrepareWorkload(QuerySession* session, const rel::Gener
 /// or Site::Create's status for an invalid configuration.
 Result<join::JoinStats> RunJoinExperiment(const SiteConfig& site_config,
                                           const WorkloadConfig& workload, JoinMethodId method);
-
-/// Cost-model parameters matching a site + workload (for analytical
-/// cross-checks and the advisor).
-cost::CostParams CostParamsFor(const Site& site, const WorkloadConfig& workload);
 
 }  // namespace tertio::exec

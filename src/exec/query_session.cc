@@ -131,4 +131,24 @@ join::JoinContext QuerySession::context(SimSeconds not_before) {
   return ctx;
 }
 
+cost::CostParams CostParamsFor(QuerySession& session, const join::JoinSpec& spec) {
+  TERTIO_CHECK(spec.r != nullptr && spec.s != nullptr, "cost inputs need both relations");
+  Site& site = *session.site();
+  const rel::Relation& s = *spec.s;
+  cost::CostParams params;
+  params.r_blocks = spec.r->blocks;
+  params.s_blocks = s.blocks;
+  params.memory_blocks = session.memory().total_blocks();
+  params.disk_blocks = session.disks().allocator().capacity_blocks();
+  params.block_bytes = site.block_bytes();
+  params.tape_rate_bps = site.EffectiveTapeRate(s.compressibility);
+  params.disk_rate_bps = site.AggregateDiskRate();
+  params.disk_positioning_seconds = site.config().disk_model.positioning_seconds;
+  const disk::ExtentCache* cache = site.extent_cache();
+  if (cache != nullptr && cache->Contains(s.volume, s.start_block, s.blocks)) {
+    params.s_cached_blocks = s.blocks;
+  }
+  return params;
+}
+
 }  // namespace tertio::exec

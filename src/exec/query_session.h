@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "cost/cost_model.h"
 #include "exec/site.h"
 #include "join/join_spec.h"
 #include "mem/memory_budget.h"
@@ -111,5 +112,15 @@ class QuerySession {
   /// True while this session has a cache window armed on its S drive.
   bool cache_window_armed_ = false;
 };
+
+/// The cost-model inputs (cost/cost_model.h) for running `spec` on
+/// `session`: the library's one builder of cost::CostParams, which the
+/// advisor, tertio_cli and the examples plan with. M and D are the
+/// session's own budget and disk carve, which is what the executors get;
+/// X_T is the site's tape rate at S's compressibility; X_D and the
+/// per-request positioning time come from the site's disks; s_cached_blocks
+/// is |S| when the site's extent cache holds S (checked without counting a
+/// lookup). `spec` must name both relations.
+cost::CostParams CostParamsFor(QuerySession& session, const join::JoinSpec& spec);
 
 }  // namespace tertio::exec

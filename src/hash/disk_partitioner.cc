@@ -25,6 +25,14 @@ DiskPartitioner::DiskPartitioner(disk::StripedDiskGroup* disks, Options options)
   }
 }
 
+DiskPartitioner::~DiskPartitioner() {
+  for (DiskBucket& bucket : buckets_) {
+    if (bucket.extents.empty()) continue;
+    Status freed = disks_->allocator().Free(bucket.extents, last_write_end_, options_.alloc_tag);
+    TERTIO_CHECK(freed.ok(), "partitioner failed to return its bucket space");
+  }
+}
+
 bool DiskPartitioner::Materialized(std::uint32_t bucket) const {
   return bucket >= options_.first_bucket && bucket < options_.first_bucket + span_;
 }
@@ -103,6 +111,9 @@ Status DiskPartitioner::MaybeFlush(std::uint32_t local, bool final) {
     TERTIO_ASSIGN_OR_RETURN(disk::ExtentList extents,
                             disks_->allocator().Allocate(chunk, ready, options_.alloc_tag,
                                                          options_.disk_mask));
+    // The bucket owns the space from here on, so a failed write cannot leak it.
+    DiskBucket& bucket = buckets_[local];
+    for (const disk::Extent& e : extents) bucket.extents.push_back(e);
     sim::Interval interval;
     if (!p.full_blocks.empty()) {
       BlockCount real = p.full_blocks.size() < chunk ? p.full_blocks.size() : chunk;
@@ -118,8 +129,6 @@ Status DiskPartitioner::MaybeFlush(std::uint32_t local, bool final) {
       p.phantom_pending -= chunk;
     }
 
-    DiskBucket& bucket = buckets_[local];
-    for (const disk::Extent& e : extents) bucket.extents.push_back(e);
     bucket.blocks += chunk;
     if (interval.end > bucket.ready) bucket.ready = interval.end;
     if (interval.end > last_write_end_) last_write_end_ = interval.end;

@@ -72,6 +72,12 @@ class DiskPartitioner {
   };
 
   DiskPartitioner(disk::StripedDiskGroup* disks, Options options);
+  /// Returns the space the buckets still hold, stamped at the last flush,
+  /// so a join that stops early leaves no disk allocated. A caller that
+  /// frees a bucket itself clears its extents.
+  ~DiskPartitioner();
+  DiskPartitioner(const DiskPartitioner&) = delete;
+  DiskPartitioner& operator=(const DiskPartitioner&) = delete;
 
   /// Hashes every tuple of `blocks` (which became available at `ready`).
   Status AddBlocks(std::span<const BlockPayload> blocks, SimSeconds ready);

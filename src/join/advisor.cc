@@ -15,6 +15,10 @@ Result<AdvisorReport> AdviseJoinMethod(const cost::CostParams& params) {
     }
   }
   if (report.ranked.empty()) {
+    // Every estimate runs the same input check first, so invalid input
+    // rejects all seven alike: report it as such, not as a shortage.
+    const Status& first = report.rejected.front().reason;
+    if (first.code() == StatusCode::kInvalidArgument) return first;
     return Status::ResourceExhausted(
         "no join method is feasible for this configuration (too little memory?)");
   }

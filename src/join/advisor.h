@@ -39,7 +39,8 @@ struct AdvisorReport {
 };
 
 /// Ranks all seven methods for the given configuration. Fails only if *no*
-/// method is feasible.
+/// method is feasible: with the shared input check's InvalidArgument when
+/// the inputs are invalid (e.g. |R| > |S|), ResourceExhausted otherwise.
 Result<AdvisorReport> AdviseJoinMethod(const cost::CostParams& params);
 
 }  // namespace tertio::join

@@ -23,6 +23,7 @@
 #include "join/join_common.h"
 #include "join/join_method.h"
 #include "mem/double_buffer.h"
+#include "mem/memory_budget.h"
 #include "util/string_util.h"
 
 namespace tertio::join {
@@ -152,7 +153,9 @@ Result<JoinStats> ExecuteGh(GhMode mode, JoinMethodId id, const JoinSpec& spec,
         "full-data mode needs |R| plus two blocks per bucket of disk space");
   }
   StatsScope scope(ctx);
-  TERTIO_RETURN_IF_ERROR(ctx.memory->Reserve(layout.memory_blocks, "gh/memory"));
+  TERTIO_ASSIGN_OR_RETURN(mem::BudgetLease memory,
+                          mem::BudgetLease::Acquire(ctx.memory, layout.memory_blocks,
+                                                    "gh/memory"));
 
   JoinStats stats;
   stats.method = std::string(JoinMethodName(id));
@@ -260,9 +263,10 @@ Result<JoinStats> ExecuteGh(GhMode mode, JoinMethodId id, const JoinSpec& spec,
   for (hash::DiskBucket& rb : r_partitioner.buckets()) {
     if (!rb.extents.empty()) {
       TERTIO_RETURN_IF_ERROR(ctx.disks->allocator().Free(rb.extents, finish, "R-buckets"));
+      rb.extents.clear();
     }
   }
-  TERTIO_RETURN_IF_ERROR(ctx.memory->ReleaseAll("gh/memory"));
+  memory.ReleaseNow();
   return stats;
 }
 

@@ -133,14 +133,13 @@ Result<StagedRelation> StageRelationToDisk(const JoinContext& ctx, sim::Pipeline
                                            const std::string& alloc_tag,
                                            std::span<const sim::StageId> deps) {
   if (chunk_blocks == 0) chunk_blocks = 1;
-  TERTIO_ASSIGN_OR_RETURN(disk::ExtentList extents,
-                          ctx.disks->allocator().Allocate(relation.blocks, pipe.ReadyAfter(deps),
-                                                          alloc_tag));
   StagedRelation staged;
-  staged.extents = std::move(extents);
+  TERTIO_ASSIGN_OR_RETURN(staged.space,
+                          disk::ExtentLease::Allocate(&ctx.disks->allocator(), relation.blocks,
+                                                      pipe.ReadyAfter(deps), alloc_tag));
 
   tape::TapeReadSource source(drive, relation.start_block);
-  disk::ExtentWriteSink sink(ctx.disks, &staged.extents);
+  disk::ExtentWriteSink sink(ctx.disks, &staged.space.extents());
   sim::Pipeline::TransferPlan plan;
   plan.read_phase = "stage:tape-read";
   plan.write_phase = "stage:disk-write";

@@ -7,8 +7,10 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "disk/allocator.h"
 #include "disk/extent.h"
 #include "join/flat_table.h"
 #include "join/join_output.h"
@@ -91,9 +93,32 @@ class StatsScope {
 /// zero when no device carries an injector.
 sim::FaultStats ContextFaultStats(const JoinContext& ctx);
 
+/// Scratch a join appends to a tape volume (Table 2's T_R and T_S).
+/// Restore() truncates the volume back to its size when the owner was made;
+/// an owner destroyed before Restore() (the join stopped on an error)
+/// truncates it itself.
+class TapeScratch {
+ public:
+  explicit TapeScratch(tape::TapeVolume* volume)
+      : volume_(volume), size_(volume->size_blocks()) {}
+  TapeScratch(const TapeScratch&) = delete;
+  TapeScratch& operator=(const TapeScratch&) = delete;
+  ~TapeScratch() { TERTIO_CHECK(Restore().ok(), "tape scratch failed to truncate"); }
+
+  /// Truncates the appended scratch away. Idempotent.
+  Status Restore() {
+    if (volume_ == nullptr) return Status::OK();
+    return std::exchange(volume_, nullptr)->Truncate(size_);
+  }
+
+ private:
+  tape::TapeVolume* volume_;
+  BlockCount size_;
+};
+
 /// Result of staging (copying) a relation from tape to disk.
 struct StagedRelation {
-  disk::ExtentList extents;  // in tape order
+  disk::ExtentLease space;  // extents in tape order
   /// Stage marking the copy complete (last read and last write done).
   sim::StageId done_stage = sim::kNoStage;
   SimSeconds done = 0.0;

@@ -22,16 +22,9 @@ namespace tertio::join {
 /// Tuning knobs shared by all executors.
 struct ExecutionOptions {
   /// Preferred hash write-buffer size w (blocks per bucket flush; the
-  /// planner shrinks it under memory pressure).
-  BlockCount preferred_write_buffer = 8;
-  /// Fraction of M the NB methods reserve for scanning R (paper: 10%).
-  double nb_r_fraction = 0.1;
-  /// Sub-chunks per buffer for interleaved double-buffering granularity.
-  int interleave_slices = 8;
-  /// On drives implementing SCSI READ REVERSE, let CTT-GH alternate scan
-  /// direction over the hashed R run (the paper's footnote 2: bi-directional
-  /// drives make repositioning between iterations unnecessary).
-  bool use_read_reverse = true;
+  /// planner shrinks it under memory pressure). 0 = the library default
+  /// (hash::BucketLayout::Plan).
+  BlockCount preferred_write_buffer = 0;
 };
 
 /// The join to compute: R |><| S on an equality key.

@@ -23,6 +23,7 @@
 #include "join/join_common.h"
 #include "join/join_method.h"
 #include "mem/double_buffer.h"
+#include "mem/memory_budget.h"
 #include "mem/pipeline_buffers.h"
 #include "util/string_util.h"
 
@@ -30,6 +31,10 @@ namespace tertio::join {
 namespace {
 
 enum class NbMode { kSequential, kMemoryBuffered, kDiskBuffered };
+
+/// Sub-chunks per S chunk in CDT-NB/DB's interleaved disk ring: the
+/// granularity at which freed ring space is refilled (Section 4).
+constexpr std::uint64_t kInterleaveSlices = 8;
 
 /// Geometry shared by the NB methods: Mr blocks for scanning R, Ms per
 /// S chunk.
@@ -41,20 +46,13 @@ struct NbGeometry {
 };
 
 Result<NbGeometry> PlanNb(NbMode mode, const JoinSpec& spec, const JoinContext& ctx) {
-  BlockCount m = ctx.memory->total_blocks();
-  auto mr = static_cast<BlockCount>(spec.options.nb_r_fraction * static_cast<double>(m.value()));
-  if (mr == 0) mr = 1;
-  if (m <= mr) {
-    return Status::ResourceExhausted("memory too small for a nested-block join");
-  }
-  BlockCount ms_space = m - mr;
+  const bool two_buffers = mode == NbMode::kMemoryBuffered;
+  TERTIO_ASSIGN_OR_RETURN(mem::NbSplit split,
+                          mem::NbSplit::Plan(ctx.memory->total_blocks(), two_buffers));
   NbGeometry g;
-  g.mr = mr;
-  g.ms = mode == NbMode::kMemoryBuffered ? ms_space / 2 : ms_space;
-  if (g.ms == 0) {
-    return Status::ResourceExhausted("memory too small to hold an S chunk");
-  }
-  g.memory_needed = mr + (mode == NbMode::kMemoryBuffered ? 2 * g.ms : g.ms);
+  g.mr = split.r_blocks;
+  g.ms = split.s_blocks;
+  g.memory_needed = g.mr + (two_buffers ? 2 * g.ms : g.ms);
   g.disk_needed = spec.r->blocks + (mode == NbMode::kDiskBuffered ? g.ms : 0);
   return g;
 }
@@ -92,9 +90,11 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
                   static_cast<unsigned long long>(ctx.disks->allocator().free_blocks().value())));
   }
   StatsScope scope(ctx);
-  TERTIO_RETURN_IF_ERROR(ctx.memory->Reserve(g.mr, "nb/r-scan"));
-  TERTIO_RETURN_IF_ERROR(
-      ctx.memory->Reserve(g.memory_needed - g.mr, "nb/s-buffer"));
+  TERTIO_ASSIGN_OR_RETURN(mem::BudgetLease r_scan_memory,
+                          mem::BudgetLease::Acquire(ctx.memory, g.mr, "nb/r-scan"));
+  TERTIO_ASSIGN_OR_RETURN(
+      mem::BudgetLease s_buffer_memory,
+      mem::BudgetLease::Acquire(ctx.memory, g.memory_needed - g.mr, "nb/s-buffer"));
 
   JoinStats stats;
   stats.method = std::string(JoinMethodName(id));
@@ -106,6 +106,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       StagedRelation staged,
       StageRelationToDisk(ctx, pipe, ctx.drive_r, r, g.ms, mode != NbMode::kSequential,
                           "R-copy", {}));
+  const disk::ExtentList& r_extents = staged.space.extents();
   stats.step1_seconds = staged.done - scope.start();
   stats.peak_disk_blocks = ctx.disks->allocator().used_blocks();
 
@@ -123,8 +124,8 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
           sim::StageId read,
           ctx.drive_s->IssueRead(pipe, "s-read", {chain}, s.start_block + off, take,
                                  phantom ? nullptr : &chunk, ctx.chunk_retry_limit));
-      TERTIO_ASSIGN_OR_RETURN(chain, JoinChunkAgainstR(ctx, spec, pipe, staged.extents, g.mr,
-                                                       chunk, phantom, {read}, &output));
+      TERTIO_ASSIGN_OR_RETURN(chain, JoinChunkAgainstR(ctx, spec, pipe, r_extents, g.mr, chunk,
+                                                       phantom, {read}, &output));
       stats.iterations += 1;
     }
     finish_stage = chain;
@@ -143,7 +144,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
                                  s.start_block + off, take, phantom ? nullptr : &chunk,
                                  ctx.chunk_retry_limit));
       TERTIO_ASSIGN_OR_RETURN(
-          join_chain, JoinChunkAgainstR(ctx, spec, pipe, staged.extents, g.mr, chunk, phantom,
+          join_chain, JoinChunkAgainstR(ctx, spec, pipe, r_extents, g.mr, chunk, phantom,
                                         {read, join_chain}, &output));
       buffers.SetBusyUntil(i, join_chain);
       stats.iterations += 1;
@@ -152,12 +153,12 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
   } else {  // kDiskBuffered
     // Interleaved double-buffered disk ring of Ms blocks (Section 4).
     TERTIO_ASSIGN_OR_RETURN(
-        disk::ExtentList ring_extents,
-        ctx.disks->allocator().Allocate(g.ms, staged.done, "S-ring"));
+        disk::ExtentLease ring_space,
+        disk::ExtentLease::Allocate(&ctx.disks->allocator(), g.ms, staged.done, "S-ring"));
+    const disk::ExtentList& ring_extents = ring_space.extents();
     stats.peak_disk_blocks = ctx.disks->allocator().used_blocks();
     mem::InterleavedBuffer ring(g.ms);
-    BlockCount sub = std::max<BlockCount>(
-        1, g.ms / static_cast<BlockCount>(std::max(1, spec.options.interleave_slices)));
+    BlockCount sub = std::max<BlockCount>(1, g.ms / kInterleaveSlices);
 
     struct Piece {
       BlockCount ring_off = 0;
@@ -281,7 +282,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
         }
       }
       TERTIO_ASSIGN_OR_RETURN(join_chain,
-                              JoinChunkAgainstR(ctx, spec, pipe, staged.extents, g.mr, chunk,
+                              JoinChunkAgainstR(ctx, spec, pipe, r_extents, g.mr, chunk,
                                                 phantom, {t}, &output));
       stats.iterations += 1;
       current = std::move(next);
@@ -289,8 +290,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       take = next_take;
     }
     finish_stage = join_chain;
-    TERTIO_RETURN_IF_ERROR(
-        ctx.disks->allocator().Free(ring_extents, pipe.end(finish_stage), "S-ring"));
+    TERTIO_RETURN_IF_ERROR(ring_space.Free(pipe.end(finish_stage)));
   }
 
   SimSeconds finish = pipe.end(finish_stage);
@@ -305,9 +305,9 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
   stats.peak_disk_blocks = std::max(stats.peak_disk_blocks, ctx.disks->allocator().used_blocks());
 
   // Restore scratch state.
-  TERTIO_RETURN_IF_ERROR(ctx.disks->allocator().Free(staged.extents, finish, "R-copy"));
-  TERTIO_RETURN_IF_ERROR(ctx.memory->ReleaseAll("nb/r-scan"));
-  TERTIO_RETURN_IF_ERROR(ctx.memory->ReleaseAll("nb/s-buffer"));
+  TERTIO_RETURN_IF_ERROR(staged.space.Free(finish));
+  r_scan_memory.ReleaseNow();
+  s_buffer_memory.ReleaseNow();
   return stats;
 }
 

@@ -27,6 +27,7 @@
 #include "join/join_common.h"
 #include "join/join_method.h"
 #include "mem/double_buffer.h"
+#include "mem/memory_budget.h"
 #include "util/math_util.h"
 #include "util/string_util.h"
 
@@ -169,8 +170,10 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
   BlockCount disk_free = ctx.disks->allocator().free_blocks();
   TERTIO_ASSIGN_OR_RETURN(hash::BucketLayout layout, PlanTt(spec, ctx, disk_free, spec.r->blocks));
   StatsScope scope(ctx);
-  TERTIO_RETURN_IF_ERROR(ctx.memory->Reserve(layout.memory_blocks, "ctt/memory"));
-  BlockCount r_tape_size_before = r.volume->size_blocks();
+  TERTIO_ASSIGN_OR_RETURN(mem::BudgetLease memory,
+                          mem::BudgetLease::Acquire(ctx.memory, layout.memory_blocks,
+                                                    "ctt/memory"));
+  TapeScratch r_tape_scratch(r.volume);
 
   JoinStats stats;
   stats.method = std::string(JoinMethodName(JoinMethodId::kCttGh));
@@ -245,8 +248,8 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
     // READ REVERSE (the paper's footnote 2, after Knuth), odd iterations
     // walk the bucket run backwards so no locate back to the run's start is
     // ever needed; otherwise every iteration seeks back and reads forward.
-    const bool reverse_pass = ctx.drive_r->model().supports_read_reverse &&
-                              spec.options.use_read_reverse && stats.iterations % 2 == 1;
+    const bool reverse_pass =
+        ctx.drive_r->model().supports_read_reverse && stats.iterations % 2 == 1;
     for (std::uint32_t bi = 0; bi < layout.bucket_count; ++bi) {
       std::uint32_t b = reverse_pass ? layout.bucket_count - 1 - bi : bi;
       const hash::TapeBucketRegion& region = run.regions[b];
@@ -344,8 +347,8 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
   stats.peak_disk_blocks = ctx.disks->allocator().used_blocks();
 
   // Reclaim the scratch region appended to the R tape.
-  TERTIO_RETURN_IF_ERROR(r.volume->Truncate(r_tape_size_before));
-  TERTIO_RETURN_IF_ERROR(ctx.memory->ReleaseAll("ctt/memory"));
+  TERTIO_RETURN_IF_ERROR(r_tape_scratch.Restore());
+  memory.ReleaseNow();
   return stats;
 }
 
@@ -359,9 +362,11 @@ Result<JoinStats> ExecuteTtGh(const JoinSpec& spec, const JoinContext& ctx) {
   BlockCount disk_free = ctx.disks->allocator().free_blocks();
   TERTIO_ASSIGN_OR_RETURN(hash::BucketLayout layout, PlanTt(spec, ctx, disk_free, spec.s->blocks));
   StatsScope scope(ctx);
-  TERTIO_RETURN_IF_ERROR(ctx.memory->Reserve(layout.memory_blocks, "tt/memory"));
-  BlockCount r_tape_size_before = r.volume->size_blocks();
-  BlockCount s_tape_size_before = s.volume->size_blocks();
+  TERTIO_ASSIGN_OR_RETURN(mem::BudgetLease memory,
+                          mem::BudgetLease::Acquire(ctx.memory, layout.memory_blocks,
+                                                    "tt/memory"));
+  TapeScratch r_tape_scratch(r.volume);
+  TapeScratch s_tape_scratch(s.volume);
 
   JoinStats stats;
   stats.method = std::string(JoinMethodName(JoinMethodId::kTtGh));
@@ -454,9 +459,9 @@ Result<JoinStats> ExecuteTtGh(const JoinSpec& spec, const JoinContext& ctx) {
   stats.output_checksum = output.checksum();
   stats.peak_disk_blocks = ctx.disks->allocator().used_blocks();
 
-  TERTIO_RETURN_IF_ERROR(r.volume->Truncate(r_tape_size_before));
-  TERTIO_RETURN_IF_ERROR(s.volume->Truncate(s_tape_size_before));
-  TERTIO_RETURN_IF_ERROR(ctx.memory->ReleaseAll("tt/memory"));
+  TERTIO_RETURN_IF_ERROR(r_tape_scratch.Restore());
+  TERTIO_RETURN_IF_ERROR(s_tape_scratch.Restore());
+  memory.ReleaseNow();
   return stats;
 }
 

@@ -3,10 +3,13 @@
 /// \file double_buffer.h
 /// Timing primitives for the two double-buffering schemes of Section 4.
 ///
-/// *Split* double-buffering (SplitDoubleBuffer) divides buffer space into two
-/// halves: the producer fills one while the consumer drains the other. Each
-/// chunk is half the size, doubling the number of iterations — the scheme the
-/// paper describes only to reject, kept here for the ablation bench.
+/// *Split* double-buffering divides buffer space into two halves: the
+/// producer fills one while the consumer drains the other. Each chunk is
+/// half the size, doubling the number of iterations — the scheme the paper
+/// rejects for disk buffers. CDT-NB/MB still uses it for its memory buffers,
+/// where interleaving is impossible because the consumer needs its chunk
+/// resident for the whole iteration (mem::SplitBufferStages in
+/// pipeline_buffers.h).
 ///
 /// *Interleaved* double-buffering (InterleavedBuffer) shares one physical
 /// buffer between two logical buffers: space released by the consumer of
@@ -57,23 +60,6 @@ class InterleavedBuffer {
   BlockCount occupied_ = 0;
   SimSeconds last_release_ = 0.0;
   std::deque<Segment> free_segments_;
-};
-
-/// Two fixed half-buffers used alternately (the rejected scheme, and the
-/// memory buffers of CDT-NB/MB where interleaving is impossible because the
-/// consumer needs its chunk resident for the whole iteration).
-class SplitDoubleBuffer {
- public:
-  SplitDoubleBuffer() = default;
-
-  /// Time at which buffer `iteration % 2` is free for refill.
-  SimSeconds FreeAt(std::uint64_t iteration) const { return free_at_[iteration % 2]; }
-
-  /// Marks buffer `iteration % 2` as in use until `when`.
-  void SetBusyUntil(std::uint64_t iteration, SimSeconds when) { free_at_[iteration % 2] = when; }
-
- private:
-  SimSeconds free_at_[2] = {0.0, 0.0};
 };
 
 }  // namespace tertio::mem

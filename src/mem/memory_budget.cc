@@ -1,5 +1,7 @@
 #include "mem/memory_budget.h"
 
+#include <algorithm>
+
 #include "sim/auditor.h"
 #include "util/string_util.h"
 
@@ -51,6 +53,20 @@ Status MemoryBudget::ReleaseAll(const std::string& tag) {
 BlockCount MemoryBudget::ReservedUnder(const std::string& tag) const {
   auto it = by_tag_.find(tag);
   return it == by_tag_.end() ? 0 : it->second;
+}
+
+Result<NbSplit> NbSplit::Plan(BlockCount memory_blocks, bool two_s_buffers) {
+  NbSplit split;
+  split.r_blocks = std::max<BlockCount>(1, memory_blocks / 10);
+  if (memory_blocks <= split.r_blocks) {
+    return Status::ResourceExhausted("memory too small for a nested-block join (need >= 2 blocks)");
+  }
+  BlockCount s_space = memory_blocks - split.r_blocks;
+  split.s_blocks = two_s_buffers ? s_space / 2 : s_space;
+  if (split.s_blocks == 0) {
+    return Status::ResourceExhausted("memory too small to split into two S buffers");
+  }
+  return split;
 }
 
 Result<BudgetLease> BudgetLease::Acquire(MemoryBudget* parent, BlockCount blocks,

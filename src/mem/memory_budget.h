@@ -64,6 +64,21 @@ class MemoryBudget {
   std::map<std::string, BlockCount> by_tag_;
 };
 
+/// The nested-block methods' split of M (Section 5.1): M_r =
+/// max(1, floor(0.1 M)) blocks scan R and the remaining M_s = M - M_r hold
+/// S; CDT-NB/MB halves M_s into two S buffers. The NB executors and the
+/// cost model both plan with it, as the hash methods both plan with
+/// hash::BucketLayout::Plan.
+struct NbSplit {
+  /// M_r: blocks reserved for scanning R.
+  BlockCount r_blocks = 0;
+  /// Blocks of one S buffer (M_s, or M_s / 2 with two buffers).
+  BlockCount s_blocks = 0;
+
+  /// Fails with ResourceExhausted when M leaves no room for an S buffer.
+  static Result<NbSplit> Plan(BlockCount memory_blocks, bool two_s_buffers);
+};
+
 /// RAII partition of a parent budget: Acquire() reserves `blocks` under
 /// `tag` in the parent; destruction (or ReleaseNow) returns them. Move-only.
 class BudgetLease {

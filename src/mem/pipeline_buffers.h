@@ -9,7 +9,7 @@
 /// virtual time; these adapters let a Pipeline-based executor declare "this
 /// production may not begin before k slots are free" (InterleavedBuffer) or
 /// "this refill may not begin before half-buffer i is drained"
-/// (SplitDoubleBuffer) as dependencies, keeping the whole schedule inside
+/// (SplitBufferStages) as dependencies, keeping the whole schedule inside
 /// the stage graph.
 
 #include "mem/double_buffer.h"
@@ -24,9 +24,10 @@ namespace tertio::mem {
 Result<sim::StageId> AcquireFreeStage(InterleavedBuffer& buffer, sim::Pipeline& pipe,
                                       std::string_view phase, BlockCount count);
 
-/// SplitDoubleBuffer tracked with stages: FreeStage(i) is the stage that
-/// last drained half-buffer i%2 (kNoStage while untouched); executors set it
-/// to the consumer's final stage each iteration.
+/// Split double-buffering (two fixed half-buffers used alternately)
+/// tracked with stages: FreeStage(i) is the stage that last drained
+/// half-buffer i%2 (kNoStage while untouched); executors set it to the
+/// consumer's final stage each iteration.
 class SplitBufferStages {
  public:
   sim::StageId FreeStage(std::uint64_t iteration) const { return free_[iteration % 2]; }

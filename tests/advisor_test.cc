@@ -100,6 +100,16 @@ TEST(AdvisorTest, NothingFeasibleIsAnError) {
   EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(AdvisorTest, InvalidInputIsInvalidArgumentNotAShortage) {
+  // |R| > |S| and |R| = 0 fail the input check every estimate shares, on
+  // a machine with ample memory and disk.
+  for (const cost::CostParams& params :
+       {Params(4000, 1000, 2000, 60000), Params(0, 1000, 2000, 60000)}) {
+    auto report = AdviseJoinMethod(params);
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument) << report.status();
+  }
+}
+
 TEST(AdvisorTest, RejectionsCarryReasons) {
   auto report = AdviseJoinMethod(Params(500000, 2000000, 2000, 60000));
   ASSERT_TRUE(report.ok());

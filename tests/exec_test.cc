@@ -111,17 +111,106 @@ TEST(ExperimentTest, InvalidSiteConfigReturnsInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(ExperimentTest, CostParamsMatchMachine) {
-  Site site(SiteConfig::PaperTestbed(500 * kMB, 16 * kMB));
+/// A whole-site session on `config` with a workload prepared on it, and
+/// the cost inputs CostParamsFor builds for the join.
+struct PlannedJoin {
+  std::unique_ptr<Site> site;
+  std::unique_ptr<QuerySession> session;
+  PreparedWorkload prepared;
+  cost::CostParams params;
+};
+
+PlannedJoin PlanJoin(const SiteConfig& config, const WorkloadConfig& workload) {
+  PlannedJoin plan;
+  plan.site = std::make_unique<Site>(config);
+  plan.session = WholeSiteSession(*plan.site);
+  plan.prepared = PrepareWorkload(plan.session.get(), workload).value();
+  join::JoinSpec spec;
+  spec.r = &plan.prepared.r;
+  spec.s = &plan.prepared.s;
+  plan.params = CostParamsFor(*plan.session, spec);
+  return plan;
+}
+
+WorkloadConfig PhantomWorkload(ByteCount r_bytes, ByteCount s_bytes) {
   WorkloadConfig workload;
-  workload.r_bytes = 100 * kMB;
-  workload.s_bytes = 400 * kMB;
-  workload.compressibility = 0.25;
-  auto params = CostParamsFor(site, workload);
-  EXPECT_EQ(params.r_blocks, BytesToBlocks(100 * kMB, kDefaultBlockBytes));
-  EXPECT_EQ(params.memory_blocks, site.memory_blocks());
-  EXPECT_NEAR((params.tape_rate_bps).value(), 2.0e6, 1e3);
-  EXPECT_NEAR((params.disk_rate_bps).value(), 8.4e6, 1.0);
+  workload.r_bytes = r_bytes;
+  workload.s_bytes = s_bytes;
+  workload.phantom = true;
+  return workload;
+}
+
+TEST(ExperimentTest, CostParamsMatchMachine) {
+  // Every input besides D follows from the configuration alone, on the
+  // quickstart and README configurations.
+  SiteConfig quickstart;
+  quickstart.block_bytes = 8 * kKiB;
+  quickstart.disk_space_bytes = 16 * kMB;
+  quickstart.memory_bytes = 2 * kMB;
+  WorkloadConfig quickstart_workload;
+  quickstart_workload.r_bytes = 8 * kMB;
+  quickstart_workload.s_bytes = 48 * kMB;
+  quickstart_workload.phantom = false;
+  const struct {
+    SiteConfig config;
+    WorkloadConfig workload;
+  } cases[] = {
+      {quickstart, quickstart_workload},
+      {SiteConfig::PaperTestbed(500 * kMB, 16 * kMB), PhantomWorkload(2500 * kMB, 10000 * kMB)},
+  };
+  for (const auto& c : cases) {
+    PlannedJoin plan = PlanJoin(c.config, c.workload);
+    const ByteCount bb = c.config.block_bytes;
+    const cost::CostParams& params = plan.params;
+    EXPECT_EQ(params.block_bytes, bb);
+    EXPECT_EQ(params.r_blocks, BytesToBlocks(c.workload.r_bytes, bb));
+    EXPECT_EQ(params.s_blocks, BytesToBlocks(c.workload.s_bytes, bb));
+    EXPECT_EQ(params.memory_blocks, BytesToBlocks(c.config.memory_bytes, bb));
+    EXPECT_EQ(params.tape_rate_bps, plan.site->EffectiveTapeRate(c.workload.compressibility));
+    EXPECT_EQ(params.disk_rate_bps, 2 * c.config.disk_model.transfer_rate_bps);
+    EXPECT_EQ(params.disk_positioning_seconds, c.config.disk_model.positioning_seconds);
+    EXPECT_EQ(params.s_cached_blocks, 0u);
+    // Both run the paper's DLT-4000 and Fireball models.
+    EXPECT_NEAR(params.tape_rate_bps.value(), 2.0e6, 1e3);
+    EXPECT_NEAR(params.disk_rate_bps.value(), 8.4e6, 1.0);
+  }
+}
+
+TEST(ExperimentTest, CostParamsPlanWithTheSessionsDisk) {
+  // Striping rounds each disk's share up, so a whole-site session at
+  // D = 36 MB leases one block more than 36 MB / 8 KiB rounds to.
+  PlannedJoin plan = PlanJoin(SiteConfig::PaperTestbed(36 * kMB, 1800 * kKB),
+                              PhantomWorkload(18 * kMB, 1000 * kMB));
+  EXPECT_EQ(plan.session->disks().allocator().capacity_blocks(), 4396u);
+  EXPECT_EQ(plan.params.disk_blocks, 4396u);
+}
+
+TEST(ExperimentTest, CostParamsLeaveOutTheExtentCacheCarve) {
+  SiteConfig config = SiteConfig::PaperTestbed(50 * kMB, 5400 * kKB);
+  config.cache_blocks = 1000;
+  PlannedJoin plan = PlanJoin(config, PhantomWorkload(18 * kMB, 100 * kMB));
+  EXPECT_EQ(plan.site->disk_blocks(), 6104u);
+  EXPECT_EQ(plan.params.disk_blocks, 5104u);
+}
+
+TEST(ExperimentTest, CostParamsCountSOnlyWhenTheCacheHoldsIt) {
+  SiteConfig config = SiteConfig::PaperTestbed(50 * kMB, 5400 * kKB);
+  config.cache_blocks = 2000;
+  PlannedJoin plan = PlanJoin(config, PhantomWorkload(4 * kMB, 12 * kMB));
+  const rel::Relation& s = plan.prepared.s;
+  EXPECT_EQ(plan.params.s_cached_blocks, 0u);
+
+  disk::ExtentCache* cache = plan.site->extent_cache();
+  ASSERT_NE(cache, nullptr);
+  auto admitted = cache->Admit(s.volume, s.start_block, s.blocks,
+                               plan.site->EffectiveTapeRate(s.compressibility), 0.0);
+  ASSERT_TRUE(admitted.ok() && *admitted) << admitted.status();
+  join::JoinSpec spec;
+  spec.r = &plan.prepared.r;
+  spec.s = &s;
+  EXPECT_EQ(CostParamsFor(*plan.session, spec).s_cached_blocks, s.blocks);
+  // The check does not count as a cache lookup.
+  EXPECT_EQ(cache->stats().lookups, 0u);
 }
 
 TEST(ReportTest, TableAlignsColumns) {

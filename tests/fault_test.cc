@@ -614,7 +614,7 @@ TEST(CoalesceFaultFallback, FaultyMachineForcesThePerChunkPath) {
   ASSERT_TRUE(staged.ok()) << staged.status();
   EXPECT_EQ(pipe.coalesced_chunks(), 0u);
 
-  auto scan = ScanDiskAndProbe(ctx, pipe, "r-scan", staged->extents, chunk,
+  auto scan = ScanDiskAndProbe(ctx, pipe, "r-scan", staged->space.extents(), chunk,
                                {staged->done_stage}, /*phantom=*/true, nullptr, 0,
                                nullptr, nullptr);
   ASSERT_TRUE(scan.ok()) << scan.status();

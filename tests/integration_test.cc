@@ -9,8 +9,8 @@
 
 #include "disk/allocator.h"
 #include "exec/experiment.h"
+#include "join/advisor.h"
 #include "join/join_method.h"
-#include "query/query.h"
 #include "sim/trace_report.h"
 #include "whole_site.h"
 
@@ -98,7 +98,7 @@ TEST(ParallelIoIntegration, ConcurrentMethodOverlapsDevicesSequentialDoesNot) {
 
 TEST(EndToEndIntegration, QueryOverAdvisorChosenJoinOnFreshMachine) {
   // The full stack in one shot: machine -> workload -> advisor -> join ->
-  // pipelined aggregation, verified against an independent computation.
+  // pipelined consumer, verified against an independent computation.
   exec::SiteConfig config;
   config.block_bytes = 1024;
   config.memory_bytes = 32 * 1024;
@@ -113,17 +113,23 @@ TEST(EndToEndIntegration, QueryOverAdvisorChosenJoinOnFreshMachine) {
   auto prepared = exec::PrepareWorkload(session.get(), workload);
   ASSERT_TRUE(prepared.ok());
 
-  query::CountSink count;
-  query::TertiaryQuery query;
-  query.r = &prepared->r;
-  query.s = &prepared->s;
-  query.pipeline = &count;
+  std::uint64_t count = 0;
+  join::JoinSpec spec;
+  spec.r = &prepared->r;
+  spec.s = &prepared->s;
+  spec.match_sink = [&count](const rel::Tuple&, const rel::Tuple&) {
+    ++count;
+    return Status::OK();
+  };
+  auto advice = join::AdviseJoinMethod(exec::CostParamsFor(*session, spec));
+  ASSERT_TRUE(advice.ok()) << advice.status();
   join::JoinContext ctx = session->context();
-  auto stats = query::ExecuteQuery(query, ctx);
+  auto stats = join::CreateJoinMethod(advice->best().method)->Execute(spec, ctx);
   ASSERT_TRUE(stats.ok()) << stats.status();
   // FK-uniform workload: every S tuple matches exactly once.
-  EXPECT_EQ(count.count(), prepared->s.tuple_count);
-  EXPECT_GT(stats->join.response_seconds, 0.0);
+  EXPECT_EQ(count, prepared->s.tuple_count);
+  EXPECT_EQ(stats->output_tuples, count);
+  EXPECT_GT(stats->response_seconds, 0.0);
 }
 
 TEST(TraceIntegration, GanttRendersAfterARealJoin) {

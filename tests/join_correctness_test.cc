@@ -209,6 +209,119 @@ TEST_P(AllMethodsTest, BackToBackRunsAgree) {
               second->response_seconds.value() * 0.01);
 }
 
+// ---- The pipelined consumer (JoinSpec::match_sink, Section 3.2). ------
+
+/// A whole-site session on a 1 KiB-block site with M = 24 and D = 96
+/// blocks, holding R (200 unique keys) and S (1,000 foreign keys into R).
+struct SinkSession {
+  std::unique_ptr<exec::Site> site;
+  std::unique_ptr<exec::QuerySession> session;
+  exec::PreparedWorkload prepared;
+
+  explicit SinkSession(bool phantom = false) {
+    site = std::make_unique<exec::Site>(SmallSite(96 * kBlock, 24 * kBlock));
+    session = test::WholeSiteSession(*site);
+    rel::GeneratorConfig r;
+    r.name = "R";
+    r.tuple_count = 200;
+    r.keys = rel::KeySequence::kSequentialUnique;
+    r.phantom = phantom;
+    rel::GeneratorConfig s;
+    s.name = "S";
+    s.tuple_count = 1000;
+    s.keys = rel::KeySequence::kForeignKeyUniform;
+    s.key_domain = 200;
+    s.seed = 77;
+    s.phantom = phantom;
+    prepared = exec::PrepareWorkload(session.get(), r, s).value();
+  }
+
+  JoinSpec Spec() const {
+    JoinSpec spec;
+    spec.r = &prepared.r;
+    spec.s = &prepared.s;
+    return spec;
+  }
+};
+
+TEST_P(AllMethodsTest, MatchSinkSeesExactlyTheReferencePairs) {
+  SinkSession fixture;
+  JoinOutput seen;  // digests computed in the sink, from the pairs it receives
+  JoinSpec spec = fixture.Spec();
+  spec.match_sink = [&seen](const rel::Tuple& r, const rel::Tuple& s) {
+    seen.AddMatch(r.GetInt64(0), HashBytes(r.bytes()), HashBytes(s.bytes()));
+    return Status::OK();
+  };
+  JoinContext ctx = fixture.session->context();
+  auto stats = CreateJoinMethod(GetParam())->Execute(spec, ctx);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  auto reference = ReferenceJoin(fixture.prepared.r, fixture.prepared.s, 0, 0);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(seen.tuples(), reference->tuples());
+  EXPECT_EQ(seen.checksum(), reference->checksum());
+  EXPECT_EQ(stats->output_tuples, seen.tuples());
+  EXPECT_EQ(stats->output_checksum, seen.checksum());
+}
+
+TEST_P(AllMethodsTest, TimingOnlyRunNeverCallsTheSink) {
+  SinkSession fixture(/*phantom=*/true);
+  std::uint64_t calls = 0;
+  JoinSpec spec = fixture.Spec();
+  spec.match_sink = [&calls](const rel::Tuple&, const rel::Tuple&) {
+    ++calls;
+    return Status::OK();
+  };
+  JoinContext ctx = fixture.session->context();
+  auto stats = CreateJoinMethod(GetParam())->Execute(spec, ctx);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_FALSE(stats->output_valid);
+  EXPECT_EQ(calls, 0u);
+}
+
+/// Runs the fixture's join with a sink that fails on its 10th pair.
+/// \returns the join's status; `calls` counts the sink's invocations.
+Status RunWithSinkFailingAtTenthPair(SinkSession& fixture, JoinMethodId method,
+                                     std::uint64_t* calls) {
+  JoinSpec spec = fixture.Spec();
+  spec.match_sink = [calls](const rel::Tuple&, const rel::Tuple&) {
+    return ++*calls == 10 ? Status::FailedPrecondition("consumer gave up") : Status::OK();
+  };
+  JoinContext ctx = fixture.session->context();
+  return CreateJoinMethod(method)->Execute(spec, ctx).status();
+}
+
+TEST_P(AllMethodsTest, FailingSinkStopsTheJoinAndRestoresScratch) {
+  // The scratch contract of join_method.h holds on the error path too: a
+  // join stopped by its consumer returns its memory, disk space and tape
+  // appends, exactly as ScratchStateRestoredAfterRun checks on success.
+  SinkSession fixture;
+  BlockCount tape_r_size = fixture.prepared.tape_r->size_blocks();
+  BlockCount tape_s_size = fixture.prepared.tape_s->size_blocks();
+  std::uint64_t calls = 0;
+  Status status = RunWithSinkFailingAtTenthPair(fixture, GetParam(), &calls);
+  EXPECT_EQ(calls, 10u);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(status.message(), "consumer gave up");
+  EXPECT_EQ(fixture.session->memory().reserved_blocks(), 0u);
+  EXPECT_EQ(fixture.session->disks().allocator().used_blocks(), 0u);
+  EXPECT_EQ(fixture.prepared.tape_r->size_blocks(), tape_r_size);
+  EXPECT_EQ(fixture.prepared.tape_s->size_blocks(), tape_s_size);
+}
+
+TEST_P(AllMethodsTest, JoinRerunsAfterAFailedSink) {
+  SinkSession fixture;
+  std::uint64_t calls = 0;
+  ASSERT_FALSE(RunWithSinkFailingAtTenthPair(fixture, GetParam(), &calls).ok());
+  JoinSpec spec = fixture.Spec();
+  JoinContext ctx = fixture.session->context();
+  auto stats = CreateJoinMethod(GetParam())->Execute(spec, ctx);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  auto reference = ReferenceJoin(fixture.prepared.r, fixture.prepared.s, 0, 0);
+  ASSERT_TRUE(reference.ok());
+  EXPECT_EQ(stats->output_tuples, reference->tuples());
+  EXPECT_EQ(stats->output_checksum, reference->checksum());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSeven, AllMethodsTest, ::testing::ValuesIn(kAllJoinMethods),
                          [](const ::testing::TestParamInfo<JoinMethodId>& info) {
                            std::string name(JoinMethodName(info.param));

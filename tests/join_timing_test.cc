@@ -185,13 +185,19 @@ TEST(CrossValidationTest, CostModelTracksSimulator) {
   };
   for (const Case& c : cases) {
     for (JoinMethodId method : kAllJoinMethods) {
-      auto stats = RunPhantom(c.s_mb * kMB, c.r_mb * kMB, c.d_mb * kMB, c.m_kb * kKB, method);
       exec::Site site(exec::SiteConfig::PaperTestbed(c.d_mb * kMB, c.m_kb * kKB));
+      std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
       exec::WorkloadConfig workload;
       workload.r_bytes = c.r_mb * kMB;
       workload.s_bytes = c.s_mb * kMB;
-      auto params = exec::CostParamsFor(site, workload);
-      auto estimate = cost::Estimate(method, params);
+      auto prepared = exec::PrepareWorkload(session.get(), workload);
+      ASSERT_TRUE(prepared.ok()) << prepared.status();
+      JoinSpec spec;
+      spec.r = &prepared->r;
+      spec.s = &prepared->s;
+      auto estimate = cost::Estimate(method, exec::CostParamsFor(*session, spec));
+      JoinContext ctx = session->context();
+      auto stats = CreateJoinMethod(method)->Execute(spec, ctx);
       ASSERT_EQ(stats.ok(), estimate.ok()) << JoinMethodName(method) << " feasibility disagrees";
       if (!stats.ok()) continue;
       double ratio = stats->response_seconds / estimate->total_seconds;

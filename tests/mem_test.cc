@@ -106,14 +106,5 @@ TEST(InterleavedBufferTest, SteadyStatePipelinesAtFullCapacity) {
   EXPECT_EQ(buf.occupied_blocks(), 80u);
 }
 
-TEST(SplitDoubleBufferTest, AlternatesHalves) {
-  SplitDoubleBuffer db;
-  EXPECT_DOUBLE_EQ((db.FreeAt(0)).value(), 0.0);
-  db.SetBusyUntil(0, 15.0);
-  db.SetBusyUntil(1, 25.0);
-  EXPECT_DOUBLE_EQ((db.FreeAt(2)).value(), 15.0);  // buffer 0 again
-  EXPECT_DOUBLE_EQ((db.FreeAt(3)).value(), 25.0);
-}
-
 }  // namespace
 }  // namespace tertio::mem

@@ -191,7 +191,7 @@ TEST(SimSanCoalesceTest, SharedTransferHelpersEngageTheCoalescedPath) {
   BlockCount total_chunks = prepared->r.blocks / chunk;
   EXPECT_GE(after_staging, total_chunks / 2);
 
-  auto scan = join::ScanDiskAndProbe(ctx, pipe, "r-scan", staged->extents, chunk,
+  auto scan = join::ScanDiskAndProbe(ctx, pipe, "r-scan", staged->space.extents(), chunk,
                                      {staged->done_stage}, /*phantom=*/true, nullptr, 0,
                                      nullptr, nullptr);
   ASSERT_TRUE(scan.ok()) << scan.status();

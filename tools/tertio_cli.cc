@@ -13,7 +13,7 @@
 /// --spans (run only: print the per-phase span table and phase timeline).
 ///
 /// Exit codes: 0 success, 1 a well-formed request the system cannot serve
-/// (e.g. an infeasible method), 2 invalid input (bad flags, or a
+/// (e.g. an infeasible method), 2 invalid input (bad flags, |R| > |S|, or a
 /// configuration SiteConfig::Validate rejects).
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -141,18 +142,43 @@ Result<Flags> Parse(int argc, char** argv) {
   return flags;
 }
 
-cost::CostParams ParamsFrom(const Flags& flags) {
-  cost::CostParams params;
-  params.r_blocks = BytesToBlocks(flags.GetMegabytes("r-mb"), kDefaultBlockBytes);
-  params.s_blocks = BytesToBlocks(flags.GetMegabytes("s-mb"), kDefaultBlockBytes);
-  params.disk_blocks = BytesToBlocks(flags.GetMegabytes("disk-mb"), kDefaultBlockBytes);
-  params.memory_blocks = BytesToBlocks(flags.GetMegabytes("memory-mb"), kDefaultBlockBytes);
-  double c = flags.GetDouble("compressibility", 0.25);
-  params.tape_rate_bps = tape::TapeDriveModel::DLT4000().EffectiveRate(c);
-  params.disk_rate_bps = 2 * disk::DiskModel::QuantumFireball1080().transfer_rate_bps;
-  params.disk_positioning_seconds =
-      disk::DiskModel::QuantumFireball1080().positioning_seconds;
-  return params;
+// The single join `run` executes and `advise`/`estimate` plan for: a
+// validated paper-testbed site, one session leasing all of it, and a
+// phantom workload at the flags' sizes.
+struct WholeSiteJoin {
+  std::unique_ptr<exec::Site> site;
+  std::unique_ptr<exec::QuerySession> session;
+  exec::PreparedWorkload workload;
+
+  join::JoinSpec Spec() const {
+    join::JoinSpec spec;
+    spec.r = &workload.r;
+    spec.s = &workload.s;
+    return spec;
+  }
+};
+
+Result<WholeSiteJoin> SetUpJoin(const Flags& flags) {
+  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(flags.GetMegabytes("disk-mb"),
+                                                           flags.GetMegabytes("memory-mb"));
+  if (flags.Has("faults")) {
+    TERTIO_ASSIGN_OR_RETURN(config.faults, sim::FaultPlan::Parse(flags.GetString("faults", "")));
+  }
+  WholeSiteJoin setup;
+  TERTIO_ASSIGN_OR_RETURN(setup.site, exec::Site::Create(config));
+  if (flags.gantt) {
+    for (const auto& resource : setup.site->sim().resources()) resource->EnableTrace();
+  }
+  TERTIO_ASSIGN_OR_RETURN(setup.session,
+                          exec::QuerySession::Open(setup.site.get(),
+                                                   exec::SessionResources::WholeSite(*setup.site)));
+  exec::WorkloadConfig workload;
+  workload.r_bytes = flags.GetMegabytes("r-mb");
+  workload.s_bytes = flags.GetMegabytes("s-mb");
+  workload.compressibility = flags.GetDouble("compressibility", 0.25);
+  workload.phantom = true;
+  TERTIO_ASSIGN_OR_RETURN(setup.workload, exec::PrepareWorkload(setup.session.get(), workload));
+  return setup;
 }
 
 std::string Seconds(SimSeconds s) {
@@ -160,7 +186,9 @@ std::string Seconds(SimSeconds s) {
 }
 
 int CmdAdvise(const Flags& flags) {
-  auto report = join::AdviseJoinMethod(ParamsFrom(flags));
+  auto setup = SetUpJoin(flags);
+  if (!setup.ok()) return Fail(setup.status());
+  auto report = join::AdviseJoinMethod(exec::CostParamsFor(*setup->session, setup->Spec()));
   if (!report.ok()) return Fail(report.status());
   exec::TableReport table({"rank", "method", "est. response", "Step I", "iterations",
                            "disk traffic (MB)"});
@@ -189,16 +217,18 @@ int CmdEstimate(const Flags& flags) {
     std::fprintf(stderr, "unknown or missing --method\n");
     return 2;
   }
-  auto estimate = cost::Estimate(method, ParamsFrom(flags));
+  auto setup = SetUpJoin(flags);
+  if (!setup.ok()) return Fail(setup.status());
+  const cost::CostParams params = exec::CostParamsFor(*setup->session, setup->Spec());
+  auto estimate = cost::Estimate(method, params);
   if (!estimate.ok()) return Fail(estimate.status());
   std::printf("method           %s\n", std::string(JoinMethodName(method)).c_str());
   std::printf("Step I           %s\n", Seconds(estimate->step1_seconds).c_str());
   std::printf("Step II          %s\n", Seconds(estimate->step2_seconds).c_str());
   std::printf("total            %s\n", Seconds(estimate->total_seconds).c_str());
-  std::printf("optimum (read S) %s\n",
-              Seconds(cost::OptimumJoinSeconds(ParamsFrom(flags))).c_str());
+  std::printf("optimum (read S) %s\n", Seconds(cost::OptimumJoinSeconds(params)).c_str());
   std::printf("overhead         %.0f%%\n",
-              100.0 * cost::RelativeJoinOverhead(estimate->total_seconds, ParamsFrom(flags)));
+              100.0 * cost::RelativeJoinOverhead(estimate->total_seconds, params));
   std::printf("iterations       %llu, R scans %llu\n",
               (unsigned long long)estimate->iterations, (unsigned long long)estimate->r_scans);
   std::printf("disk traffic     %s, tape traffic %s\n",
@@ -224,36 +254,13 @@ int CmdRun(const Flags& flags) {
     std::fprintf(stderr, "unknown or missing --method\n");
     return 2;
   }
-  exec::SiteConfig config = exec::SiteConfig::PaperTestbed(flags.GetMegabytes("disk-mb"),
-                                                           flags.GetMegabytes("memory-mb"));
-  if (flags.Has("faults")) {
-    auto plan = sim::FaultPlan::Parse(flags.GetString("faults", ""));
-    if (!plan.ok()) {
-      std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
-      return 2;
-    }
-    config.faults = *plan;
-  }
-  auto created = exec::Site::Create(config);
-  if (!created.ok()) return Fail(created.status());
-  exec::Site& site = **created;
-  if (flags.gantt) {
-    for (const auto& resource : site.sim().resources()) resource->EnableTrace();
-  }
-  auto session = exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site));
-  if (!session.ok()) return Fail(session.status());
-  exec::WorkloadConfig workload;
-  workload.r_bytes = flags.GetMegabytes("r-mb");
-  workload.s_bytes = flags.GetMegabytes("s-mb");
-  workload.compressibility = flags.GetDouble("compressibility", 0.25);
-  workload.phantom = true;
-  auto prepared = exec::PrepareWorkload(session->get(), workload);
-  if (!prepared.ok()) return Fail(prepared.status());
-  join::JoinSpec spec;
-  spec.r = &prepared->r;
-  spec.s = &prepared->s;
+  auto setup = SetUpJoin(flags);
+  if (!setup.ok()) return Fail(setup.status());
+  exec::Site& site = *setup->site;
+  const ByteCount block_bytes = site.block_bytes();
+  join::JoinSpec spec = setup->Spec();
   auto executor = join::CreateJoinMethod(method);
-  join::JoinContext ctx = (*session)->context();
+  join::JoinContext ctx = setup->session->context();
   ctx.retain_spans = flags.spans;
   auto stats = executor->Execute(spec, ctx);
   if (!stats.ok()) return Fail(stats.status());
@@ -264,12 +271,10 @@ int CmdRun(const Flags& flags) {
   std::printf("iterations   %llu, R scans %llu\n", (unsigned long long)stats->iterations,
               (unsigned long long)stats->r_scans);
   std::printf("tape         %s read, %s written\n",
-              FormatBytes(BlocksToBytes(stats->tape_blocks_read, config.block_bytes)).c_str(),
-              FormatBytes(BlocksToBytes(stats->tape_blocks_written, config.block_bytes))
-                  .c_str());
+              FormatBytes(BlocksToBytes(stats->tape_blocks_read, block_bytes)).c_str(),
+              FormatBytes(BlocksToBytes(stats->tape_blocks_written, block_bytes)).c_str());
   std::printf("disk         %s moved in %llu requests\n",
-              FormatBytes(BlocksToBytes(stats->disk_traffic_blocks(), config.block_bytes))
-                  .c_str(),
+              FormatBytes(BlocksToBytes(stats->disk_traffic_blocks(), block_bytes)).c_str(),
               (unsigned long long)stats->disk_requests);
   if (site.faults_enabled()) {
     std::printf("faults       %llu injected, %llu retries, %llu chunk retries, "

@@ -3,7 +3,8 @@
 # installed), then tier-1 build + tests (RelWithDebInfo), a bench smoke run
 # that must produce BENCH_joins.json, the benchmark/ project's build and smoke
 # workloads, then the sanitizer passes — ASan+UBSan over the fault/error-path,
-# SimSan, cache, disk-layer, query-service and join-table tests and TSan over the
+# SimSan, cache, disk-layer, query-service and join-table tests, the six
+# examples and the tertio_cli exit-code checks, and TSan over the
 # parallel-sweep and query-service tests — so every recovery branch and every
 # driver interleaving runs sanitizer-checked. The asan/tsan presets build with
 # TERTIO_SIMSAN=ON, so every test in those passes also runs under the
@@ -124,10 +125,10 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-echo "== sanitizers: ASan+UBSan build + fault/simsan/cache/disk/service/join tests (preset: asan) =="
+echo "== sanitizers: ASan+UBSan build + fault/simsan/cache/disk/service/join/examples/cli tests (preset: asan) =="
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
-ctest --preset asan -L 'faults|simsan|cache|disk|service|join' -j"$(nproc)"
+ctest --preset asan -L 'faults|simsan|cache|disk|service|join|examples|cli' -j"$(nproc)"
 
 echo "== sanitizers: TSan build + parallel-sweep + service tests (preset: tsan) =="
 cmake --preset tsan
