@@ -109,8 +109,7 @@ Status DiskPartitioner::MaybeFlush(std::uint32_t local, bool final) {
       if (space_ready > ready) ready = space_ready;
     }
     TERTIO_ASSIGN_OR_RETURN(disk::ExtentList extents,
-                            disks_->allocator().Allocate(chunk, ready, options_.alloc_tag,
-                                                         options_.disk_mask));
+                            disks_->allocator().Allocate(chunk, ready, options_.alloc_tag));
     // The bucket owns the space from here on, so a failed write cannot leak it.
     DiskBucket& bucket = buckets_[local];
     for (const disk::Extent& e : extents) bucket.extents.push_back(e);
@@ -132,7 +131,6 @@ Status DiskPartitioner::MaybeFlush(std::uint32_t local, bool final) {
     bucket.blocks += chunk;
     if (interval.end > bucket.ready) bucket.ready = interval.end;
     if (interval.end > last_write_end_) last_write_end_ = interval.end;
-    blocks_written_ += chunk;
     if (!final) break;  // non-final flush drains exactly one chunk at a time
   }
   return Status::OK();
@@ -154,10 +152,8 @@ Result<sim::Interval> PartitionerSink::Write(BlockCount offset, BlockCount count
                                              std::vector<BlockPayload>* payloads) {
   (void)offset;
   if (payloads == nullptr) {
-    std::uint64_t tuples =
-        std::min<std::uint64_t>(count.value() * tuples_per_block_,
-                                chunk_tuple_cap_);
-    TERTIO_RETURN_IF_ERROR(partitioner_->AddPhantomBlocks(count, tuples, ready));
+    TERTIO_RETURN_IF_ERROR(
+        partitioner_->AddPhantomBlocks(count, count.value() * tuples_per_block_, ready));
   } else {
     TERTIO_RETURN_IF_ERROR(partitioner_->AddBlocks(*payloads, ready));
   }

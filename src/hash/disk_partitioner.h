@@ -64,8 +64,6 @@ class DiskPartitioner {
     std::uint32_t bucket_span = 0;  // 0 = all buckets
     /// Allocator tag for the buckets' disk space.
     std::string alloc_tag = "buckets";
-    /// Restrict bucket space to these disks (empty = all).
-    std::vector<bool> disk_mask;
     /// When set, flushes additionally wait for this shared buffer space
     /// (interleaved double-buffering of Section 4) and claim blocks from it.
     mem::InterleavedBuffer* space = nullptr;
@@ -96,9 +94,6 @@ class DiskPartitioner {
   /// Completion time of the last flushed write.
   SimSeconds last_write_end() const { return last_write_end_; }
 
-  /// Total blocks written to disk so far.
-  BlockCount blocks_written() const { return blocks_written_; }
-
  private:
   struct PendingBucket {
     std::vector<BlockPayload> full_blocks;  // encoded, not yet flushed
@@ -118,7 +113,6 @@ class DiskPartitioner {
   std::vector<PendingBucket> pending_;
   std::vector<DiskBucket> buckets_;
   SimSeconds last_write_end_ = 0.0;
-  BlockCount blocks_written_ = 0;
   // Remainder accounting for spreading phantom blocks/tuples over buckets.
   std::uint64_t phantom_block_carry_ = 0;
   std::uint64_t phantom_tuple_carry_ = 0;
@@ -127,18 +121,14 @@ class DiskPartitioner {
 
 /// Pipeline sink hashing a Transfer's chunks into disk buckets. Real chunks
 /// feed AddBlocks; phantom chunks (null payloads) feed AddPhantomBlocks
-/// with `tuples_per_block` tuples each, capped at `chunk_tuple_cap` per
-/// chunk. The sink's write interval ends at the partitioner's trailing
-/// flush, so a lock-step Transfer reproduces the sequential methods'
-/// "tape waits for the hash writes" structure while a streaming Transfer
-/// lets the writes trail (the concurrent methods).
+/// with `tuples_per_block` tuples each. The sink's write interval ends at
+/// the partitioner's trailing flush, so a lock-step Transfer reproduces the
+/// sequential methods' "tape waits for the hash writes" structure while a
+/// streaming Transfer lets the writes trail (the concurrent methods).
 class PartitionerSink final : public sim::BlockSink {
  public:
-  PartitionerSink(DiskPartitioner* partitioner, std::uint64_t tuples_per_block,
-                  std::uint64_t chunk_tuple_cap = std::numeric_limits<std::uint64_t>::max())
-      : partitioner_(partitioner),
-        tuples_per_block_(tuples_per_block),
-        chunk_tuple_cap_(chunk_tuple_cap) {}
+  PartitionerSink(DiskPartitioner* partitioner, std::uint64_t tuples_per_block)
+      : partitioner_(partitioner), tuples_per_block_(tuples_per_block) {}
 
   Result<sim::Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
                               std::vector<BlockPayload>* payloads) override;
@@ -152,7 +142,6 @@ class PartitionerSink final : public sim::BlockSink {
  private:
   DiskPartitioner* partitioner_;
   std::uint64_t tuples_per_block_;
-  std::uint64_t chunk_tuple_cap_;
 };
 
 }  // namespace tertio::hash

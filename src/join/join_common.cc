@@ -4,19 +4,61 @@
 
 #include "relation/block.h"
 #include "relation/tuple.h"
-#include "util/string_util.h"
 
 namespace tertio::join {
+namespace {
 
-Result<sim::Interval> ProbeSink::Write(BlockCount offset, BlockCount count, SimSeconds ready,
-                                       std::vector<BlockPayload>* payloads) {
-  (void)offset;
-  (void)count;
-  if (payloads != nullptr && table_ != nullptr) {
-    TERTIO_RETURN_IF_ERROR(table_->Probe(*payloads, schema_, key_, out_));
+/// Pipeline sink probing a Transfer's chunks through a hash table — the
+/// "consumer is the CPU" end of a scan. Probing is free in the system model
+/// (Section 3.2); the sink exists so consumption is a declared stage.
+class ProbeSink final : public sim::BlockSink {
+ public:
+  /// `table` may be null (scan without probing, e.g. an empty build side).
+  ProbeSink(const FlatJoinTable* table, const rel::Schema* probe_schema,
+            std::size_t probe_key_column, JoinOutput* out)
+      : table_(table), schema_(probe_schema), key_(probe_key_column), out_(out) {}
+
+  Result<sim::Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
+                              std::vector<BlockPayload>* payloads) override {
+    (void)offset;
+    (void)count;
+    if (payloads != nullptr && table_ != nullptr) {
+      TERTIO_RETURN_IF_ERROR(table_->Probe(*payloads, schema_, key_, out_));
+    }
+    return sim::Interval::At(ready);
   }
-  return sim::Interval::At(ready);
+  /// Probing is free in the system model, so phantom chunks coalesce freely.
+  sim::ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
+                                    std::uint64_t max_chunks) override {
+    (void)offset;
+    (void)chunk;
+    return sim::ChunkCostProfile::Free(max_chunks);
+  }
+  std::string_view device() const override { return "mem"; }
+
+ private:
+  const FlatJoinTable* table_;
+  const rel::Schema* schema_;
+  std::size_t key_;
+  JoinOutput* out_;
+};
+
+/// Aggregated fault counters of every device in `ctx` (drives + disks);
+/// zero when no device carries an injector.
+sim::FaultStats ContextFaultStats(const JoinContext& ctx) {
+  sim::FaultStats total;
+  if (ctx.drive_r != nullptr && ctx.drive_r->fault_injector() != nullptr) {
+    total.Add(ctx.drive_r->fault_injector()->stats());
+  }
+  if (ctx.drive_s != nullptr && ctx.drive_s->fault_injector() != nullptr &&
+      ctx.drive_s != ctx.drive_r) {
+    total.Add(ctx.drive_s->fault_injector()->stats());
+  }
+  if (ctx.disks != nullptr) total.Add(ctx.disks->TotalFaultStats());
+  return total;
 }
+
+}  // namespace
 
 Status ValidateSpecAndContext(const JoinSpec& spec, const JoinContext& ctx) {
   if (spec.r == nullptr || spec.s == nullptr) {
@@ -46,19 +88,6 @@ Status ValidateSpecAndContext(const JoinSpec& spec, const JoinContext& ctx) {
     return Status::InvalidArgument("relation and disk block sizes disagree");
   }
   return Status::OK();
-}
-
-sim::FaultStats ContextFaultStats(const JoinContext& ctx) {
-  sim::FaultStats total;
-  if (ctx.drive_r != nullptr && ctx.drive_r->fault_injector() != nullptr) {
-    total.Add(ctx.drive_r->fault_injector()->stats());
-  }
-  if (ctx.drive_s != nullptr && ctx.drive_s->fault_injector() != nullptr &&
-      ctx.drive_s != ctx.drive_r) {
-    total.Add(ctx.drive_s->fault_injector()->stats());
-  }
-  if (ctx.disks != nullptr) total.Add(ctx.disks->TotalFaultStats());
-  return total;
 }
 
 StatsScope::StatsScope(const JoinContext& ctx)
@@ -126,6 +155,29 @@ void StatsScope::Fill(JoinStats* stats) const {
   stats->recovery_seconds = faults.recovery_seconds - faults_before_.recovery_seconds;
 }
 
+JoinRun::JoinRun(JoinMethodId id, const JoinSpec& spec, const JoinContext& ctx)
+    : spec(spec),
+      ctx(ctx),
+      phantom(spec.r->phantom),
+      scope(ctx),
+      pipe(scope.start(), &stats.spans, ctx.sim->auditor()) {
+  stats.method = std::string(JoinMethodName(id));
+  stats.spans.set_retain(ctx.retain_spans);
+  if (!phantom && spec.match_sink) output.set_sink(spec.match_sink);
+}
+
+void JoinRun::Finish(SimSeconds step1_end, SimSeconds finish) {
+  stats.step1_seconds = step1_end - scope.start();
+  stats.step2_seconds = finish - step1_end;
+  stats.chunk_retries = pipe.chunk_retries();
+  scope.Fill(&stats);
+  stats.response_seconds = std::max(stats.response_seconds, finish - scope.start());
+  stats.output_valid = !phantom;
+  stats.output_tuples = output.tuples();
+  stats.output_checksum = output.checksum();
+  stats.peak_disk_blocks = std::max(stats.peak_disk_blocks, ctx.disks->allocator().used_blocks());
+}
+
 Result<StagedRelation> StageRelationToDisk(const JoinContext& ctx, sim::Pipeline& pipe,
                                            tape::TapeDrive* drive,
                                            const rel::Relation& relation,
@@ -147,7 +199,7 @@ Result<StagedRelation> StageRelationToDisk(const JoinContext& ctx, sim::Pipeline
   plan.chunk = chunk_blocks;
   plan.streaming = concurrent;
   plan.move_payloads = !relation.phantom;
-  plan.chunk_retry_limit = ctx.chunk_retry_limit;
+  plan.chunk_retry_limit = kChunkRetryLimit;
   plan.commit = ctx.commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           pipe.Transfer(plan, source, sink, deps));
@@ -156,28 +208,37 @@ Result<StagedRelation> StageRelationToDisk(const JoinContext& ctx, sim::Pipeline
   return staged;
 }
 
-Result<sim::StageId> ScanDiskAndProbe(const JoinContext& ctx, sim::Pipeline& pipe,
-                                      std::string_view phase, const disk::ExtentList& extents,
-                                      BlockCount chunk_blocks,
-                                      std::span<const sim::StageId> deps, bool phantom,
-                                      const rel::Schema* probe_schema, std::size_t probe_key,
-                                      const HashJoinTable* table, JoinOutput* out) {
-  if (chunk_blocks == 0) chunk_blocks = 1;
-  disk::ExtentReadSource source(ctx.disks, &extents);
+Result<sim::StageId> ScanAndProbe(const JoinContext& ctx, sim::Pipeline& pipe,
+                                  std::string_view phase, sim::BlockSource& source,
+                                  BlockCount total, BlockCount chunk_blocks,
+                                  std::span<const sim::StageId> deps, bool phantom,
+                                  const rel::Schema* probe_schema, std::size_t probe_key,
+                                  const FlatJoinTable* table, JoinOutput* out) {
   ProbeSink sink(table, probe_schema, probe_key, out);
   sim::Pipeline::TransferPlan plan;
   plan.read_phase = phase;
   plan.write_phase = "probe";
-  plan.total = disk::TotalBlocks(extents);
-  plan.chunk = chunk_blocks;
+  plan.total = total;
+  plan.chunk = chunk_blocks == 0 ? 1 : chunk_blocks;
   plan.streaming = true;  // reads chain read-to-read; probing is free
   plan.move_payloads = !phantom;
-  plan.chunk_retry_limit = ctx.chunk_retry_limit;
+  plan.chunk_retry_limit = kChunkRetryLimit;
   plan.commit = ctx.commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           pipe.Transfer(plan, source, sink, deps));
   if (result.last_read == sim::kNoStage) return pipe.Barrier(phase, deps);
   return result.last_read;
+}
+
+Result<sim::StageId> ScanDiskAndProbe(const JoinContext& ctx, sim::Pipeline& pipe,
+                                      std::string_view phase, const disk::ExtentList& extents,
+                                      BlockCount chunk_blocks,
+                                      std::span<const sim::StageId> deps, bool phantom,
+                                      const rel::Schema* probe_schema, std::size_t probe_key,
+                                      const FlatJoinTable* table, JoinOutput* out) {
+  disk::ExtentReadSource source(ctx.disks, &extents);
+  return ScanAndProbe(ctx, pipe, phase, source, disk::TotalBlocks(extents), chunk_blocks, deps,
+                      phantom, probe_schema, probe_key, table, out);
 }
 
 BlockCount DefaultTapeChunk(const rel::Relation& relation) {
@@ -187,6 +248,52 @@ BlockCount DefaultTapeChunk(const rel::Relation& relation) {
   if (chunk > 2048) chunk = 2048;
   if (chunk > relation.blocks) chunk = relation.blocks;
   return chunk;
+}
+
+hash::DiskPartitioner::Options BucketOptions(const rel::Relation& relation,
+                                             std::size_t key_column,
+                                             const hash::BucketLayout& layout,
+                                             std::string alloc_tag,
+                                             mem::InterleavedBuffer* space,
+                                             std::uint32_t first_bucket,
+                                             std::uint32_t bucket_span) {
+  hash::DiskPartitioner::Options options;
+  options.schema = relation.phantom ? nullptr : &relation.schema;
+  options.key_column = key_column;
+  options.bucket_count = layout.bucket_count;
+  options.write_buffer_blocks = layout.write_buffer_blocks;
+  options.first_bucket = first_bucket;
+  options.bucket_span = bucket_span;
+  options.alloc_tag = std::move(alloc_tag);
+  options.space = space;
+  return options;
+}
+
+Result<HashedScan> HashTapeToDisk(JoinRun& run, const HashPhases& phases,
+                                  tape::TapeDrive* drive, const rel::Relation& relation,
+                                  BlockCount offset, BlockCount count, BlockCount chunk,
+                                  bool streaming, hash::DiskPartitioner* partitioner,
+                                  sim::StageId after) {
+  std::uint64_t tuples_per_block =
+      relation.blocks > 0 ? (relation.tuple_count + relation.blocks - 1) / relation.blocks : 0;
+  tape::TapeReadSource source(drive, relation.start_block + offset);
+  hash::PartitionerSink sink(partitioner, tuples_per_block);
+  sim::Pipeline::TransferPlan plan;
+  plan.read_phase = phases.read_phase;
+  plan.write_phase = phases.write_phase;
+  plan.total = count;
+  plan.chunk = chunk;
+  plan.streaming = streaming;
+  plan.move_payloads = !relation.phantom;
+  plan.chunk_retry_limit = kChunkRetryLimit;
+  plan.commit = run.ctx.commit;
+  TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
+                          run.pipe.Transfer(plan, source, sink, {after}));
+  HashedScan scan;
+  scan.tape = streaming ? result.last_read : result.last_write;
+  TERTIO_ASSIGN_OR_RETURN(scan.flush,
+                          sink.IssueFlush(run.pipe, phases.flush_phase, {scan.tape}));
+  return scan;
 }
 
 }  // namespace tertio::join

@@ -66,11 +66,6 @@ struct JoinContext {
   /// Retain every pipeline span in JoinStats::spans (per-phase summaries are
   /// always collected; full span lists of paper-scale joins are large).
   bool retain_spans = false;
-  /// Chunk-level re-attempts the shared transfer helpers grant after a
-  /// kDeviceError (a device fault that survived the device's own bounded
-  /// retries). Every method inherits this recovery through
-  /// StageRelationToDisk / ScanDiskAndProbe.
-  int chunk_retry_limit = 3;
   /// How every transfer of the join commits its steady state
   /// (sim::CommitMode; bit-identical in simulated time and all aggregates).
   /// Tests and benches pin the per-chunk or replay reference paths.

@@ -2,9 +2,10 @@
 /// The Nested Block Join family: DT-NB (Section 5.1.1), CDT-NB/MB and
 /// CDT-NB/DB (Section 5.1.3).
 ///
-/// All three stage R on disk (Step I) and then iterate over S in memory-
-/// sized chunks, scanning R from disk per chunk (Step II). They differ only
-/// in how the S chunks are buffered:
+/// All three stage R on disk (Step I, StageRelationToDisk) and then iterate
+/// over S in memory-sized chunks, building a table over each chunk and
+/// streaming R from disk through it (Step II, ScanDiskAndProbe). They differ
+/// only in how the S chunks are buffered:
 ///   DT-NB      — one memory buffer, strictly sequential;
 ///   CDT-NB/MB  — two half-size memory buffers, tape read of chunk i+1
 ///                overlaps the join of chunk i;
@@ -12,10 +13,11 @@
 ///                double-buffered disk ring (Section 4), tape-to-disk
 ///                refill overlaps the join.
 ///
-/// All scheduling runs on sim::Pipeline: every tape read, disk transfer and
-/// join pass is a stage, and the overlap of the concurrent variants comes
-/// from the declared dependencies (buffer-free stages, staging-done stage)
-/// instead of hand-threaded completion times.
+/// Like every executor they run inside one JoinRun (join_common.h), whose
+/// pipeline makes every tape read, disk transfer and join pass a stage: the
+/// overlap of the concurrent variants comes from the declared dependencies
+/// (buffer-free stages, staging-done stage), not hand-threaded completion
+/// times.
 
 #include <algorithm>
 #include <vector>
@@ -60,19 +62,19 @@ Result<NbGeometry> PlanNb(NbMode mode, const JoinSpec& spec, const JoinContext& 
 /// Joins one memory-resident S chunk against disk-resident R: builds a hash
 /// table over the chunk and streams R through it in Mr-block requests.
 /// \returns the stage completing the pass over R.
-Result<sim::StageId> JoinChunkAgainstR(const JoinContext& ctx, const JoinSpec& spec,
-                                       sim::Pipeline& pipe,
-                                       const disk::ExtentList& r_extents, BlockCount mr,
-                                       const std::vector<BlockPayload>& chunk, bool phantom,
-                                       std::initializer_list<sim::StageId> deps,
-                                       JoinOutput* output) {
-  HashJoinTable table(&spec.s->schema, spec.s_key_column, /*build_is_r=*/false,
-                      /*capture_records=*/output->has_sink());
-  if (!phantom) {
+Result<sim::StageId> JoinChunkAgainstR(JoinRun& run, const disk::ExtentList& r_extents,
+                                       BlockCount mr, const std::vector<BlockPayload>& chunk,
+                                       std::initializer_list<sim::StageId> deps) {
+  const JoinContext& ctx = run.ctx;
+  sim::Pipeline& pipe = run.pipe;
+  FlatJoinTable table(&run.spec.s->schema, run.spec.s_key_column, /*build_is_r=*/false,
+                      /*capture_records=*/run.output.has_sink());
+  if (!run.phantom) {
     TERTIO_RETURN_IF_ERROR(table.AddBlocks(chunk));
   }
-  return ScanDiskAndProbe(ctx, pipe, "r-scan", r_extents, mr, deps, phantom, &spec.r->schema,
-                          spec.r_key_column, phantom ? nullptr : &table, output);
+  return ScanDiskAndProbe(ctx, pipe, "r-scan", r_extents, mr, deps, run.phantom,
+                          &run.spec.r->schema, run.spec.r_key_column,
+                          run.phantom ? nullptr : &table, &run.output);
 }
 
 Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
@@ -89,17 +91,14 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
                   static_cast<unsigned long long>(g.disk_needed.value()),
                   static_cast<unsigned long long>(ctx.disks->allocator().free_blocks().value())));
   }
-  StatsScope scope(ctx);
+  JoinRun run(id, spec, ctx);
+  JoinStats& stats = run.stats;
+  sim::Pipeline& pipe = run.pipe;
   TERTIO_ASSIGN_OR_RETURN(mem::BudgetLease r_scan_memory,
                           mem::BudgetLease::Acquire(ctx.memory, g.mr, "nb/r-scan"));
   TERTIO_ASSIGN_OR_RETURN(
       mem::BudgetLease s_buffer_memory,
       mem::BudgetLease::Acquire(ctx.memory, g.memory_needed - g.mr, "nb/s-buffer"));
-
-  JoinStats stats;
-  stats.method = std::string(JoinMethodName(id));
-  stats.spans.set_retain(ctx.retain_spans);
-  sim::Pipeline pipe(scope.start(), &stats.spans, ctx.sim->auditor());
 
   // ---- Step I: copy R from tape to disk.
   TERTIO_ASSIGN_OR_RETURN(
@@ -107,11 +106,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       StageRelationToDisk(ctx, pipe, ctx.drive_r, r, g.ms, mode != NbMode::kSequential,
                           "R-copy", {}));
   const disk::ExtentList& r_extents = staged.space.extents();
-  stats.step1_seconds = staged.done - scope.start();
   stats.peak_disk_blocks = ctx.disks->allocator().used_blocks();
-
-  JoinOutput output;
-  if (!phantom && spec.match_sink) output.set_sink(spec.match_sink);
   sim::StageId finish_stage = staged.done_stage;
 
   // ---- Step II: iterate over S.
@@ -123,9 +118,8 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       TERTIO_ASSIGN_OR_RETURN(
           sim::StageId read,
           ctx.drive_s->IssueRead(pipe, "s-read", {chain}, s.start_block + off, take,
-                                 phantom ? nullptr : &chunk, ctx.chunk_retry_limit));
-      TERTIO_ASSIGN_OR_RETURN(chain, JoinChunkAgainstR(ctx, spec, pipe, r_extents, g.mr, chunk,
-                                                       phantom, {read}, &output));
+                                 phantom ? nullptr : &chunk, kChunkRetryLimit));
+      TERTIO_ASSIGN_OR_RETURN(chain, JoinChunkAgainstR(run, r_extents, g.mr, chunk, {read}));
       stats.iterations += 1;
     }
     finish_stage = chain;
@@ -142,10 +136,9 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
           sim::StageId read,
           ctx.drive_s->IssueRead(pipe, "s-read", {staged.done_stage, buffers.FreeStage(i)},
                                  s.start_block + off, take, phantom ? nullptr : &chunk,
-                                 ctx.chunk_retry_limit));
-      TERTIO_ASSIGN_OR_RETURN(
-          join_chain, JoinChunkAgainstR(ctx, spec, pipe, r_extents, g.mr, chunk, phantom,
-                                        {read, join_chain}, &output));
+                                 kChunkRetryLimit));
+      TERTIO_ASSIGN_OR_RETURN(join_chain,
+                              JoinChunkAgainstR(run, r_extents, g.mr, chunk, {read, join_chain}));
       buffers.SetBusyUntil(i, join_chain);
       stats.iterations += 1;
     }
@@ -213,12 +206,12 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       TERTIO_RETURN_IF_ERROR(read_cursor.Slice(piece.ring_off, first, &read_slice));
       TERTIO_ASSIGN_OR_RETURN(sim::StageId r1,
                               ctx.disks->IssueRead(pipe, "ring-read", deps, read_slice, out,
-                                                   ctx.chunk_retry_limit));
+                                                   kChunkRetryLimit));
       if (first < piece.count) {
         TERTIO_RETURN_IF_ERROR(read_cursor.Slice(0, piece.count - first, &read_slice));
         TERTIO_ASSIGN_OR_RETURN(sim::StageId r2,
                                 ctx.disks->IssueRead(pipe, "ring-read", deps, read_slice, out,
-                                                     ctx.chunk_retry_limit));
+                                                     kChunkRetryLimit));
         return pipe.Barrier("ring-piece", {r1, r2});
       }
       return r1;
@@ -234,7 +227,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
           sim::StageId read,
           ctx.drive_s->IssueRead(pipe, "s-read", {space, staged.done_stage},
                                  s.start_block + off, take, phantom ? nullptr : &payloads,
-                                 ctx.chunk_retry_limit));
+                                 kChunkRetryLimit));
       return ring_write(take, read, phantom ? nullptr : &payloads);
     };
 
@@ -281,9 +274,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
           next.push_back(piece);
         }
       }
-      TERTIO_ASSIGN_OR_RETURN(join_chain,
-                              JoinChunkAgainstR(ctx, spec, pipe, r_extents, g.mr, chunk,
-                                                phantom, {t}, &output));
+      TERTIO_ASSIGN_OR_RETURN(join_chain, JoinChunkAgainstR(run, r_extents, g.mr, chunk, {t}));
       stats.iterations += 1;
       current = std::move(next);
       off = next_off;
@@ -294,21 +285,14 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
   }
 
   SimSeconds finish = pipe.end(finish_stage);
-  stats.step2_seconds = finish - staged.done;
   stats.r_scans = stats.iterations;
-  stats.chunk_retries = pipe.chunk_retries();
-  scope.Fill(&stats);
-  stats.response_seconds = std::max(stats.response_seconds, finish - scope.start());
-  stats.output_valid = !phantom;
-  stats.output_tuples = output.tuples();
-  stats.output_checksum = output.checksum();
-  stats.peak_disk_blocks = std::max(stats.peak_disk_blocks, ctx.disks->allocator().used_blocks());
+  run.Finish(staged.done, finish);
 
   // Restore scratch state.
   TERTIO_RETURN_IF_ERROR(staged.space.Free(finish));
   r_scan_memory.ReleaseNow();
   s_buffer_memory.ReleaseNow();
-  return stats;
+  return std::move(run.stats);
 }
 
 class NbJoinMethod final : public JoinMethod {

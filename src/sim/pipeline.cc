@@ -605,7 +605,6 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
   StageId write_stage = CommitBatch(plan.write_phase, sink.device(), n * chunk, 0,
                                     rec.first_write_ready, rec.write_hull, n,
                                     rec.write_durations);
-  if (result.first_read == kNoStage) result.first_read = read_stage;
   result.last_read = read_stage;
   result.last_write = write_stage;
   result.source_done = end(read_stage);
@@ -676,7 +675,6 @@ Result<Pipeline::TransferResult> Pipeline::Transfer(const TransferPlan& plan,
       }
       if (read.ok() && write.ok()) {
         sunk_blocks += take;
-        if (result.first_read == kNoStage) result.first_read = *read;
         result.last_read = *read;
         result.last_write = *write;
         result.source_done = end(*read);

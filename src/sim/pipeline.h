@@ -384,7 +384,6 @@ class Pipeline {
   };
 
   struct TransferResult {
-    StageId first_read = kNoStage;
     StageId last_read = kNoStage;
     StageId last_write = kNoStage;
     /// Finish of the producer (last read).

@@ -146,6 +146,33 @@ TEST_P(AllMethodsTest, MatchesReferenceWhenRelationsEqualSize) {
   EXPECT_EQ(result->stats.output_checksum, result->reference.checksum());
 }
 
+TEST_P(AllMethodsTest, MatchesReferenceWhenAllRKeysAreEqual) {
+  // One R key: every R tuple hashes to one bucket, so the hash methods join
+  // empty R buckets against full S buckets, and the one full R bucket
+  // outgrows memory.
+  Workload w = DefaultWorkload();
+  w.r.keys = rel::KeySequence::kUniformRandom;
+  w.r.key_domain = 1;
+  auto result = RunAndReference(SmallSite(300 * kBlock, 20 * kBlock), w, GetParam());
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->reference.tuples(), 0u);
+  EXPECT_EQ(result->stats.output_tuples, result->reference.tuples());
+  EXPECT_EQ(result->stats.output_checksum, result->reference.checksum());
+}
+
+TEST_P(AllMethodsTest, MatchesReferenceWhenAllSKeysAreEqual) {
+  // One S key: every S tuple hashes to one bucket, so the hash methods read
+  // R buckets whose S buckets are empty.
+  Workload w = DefaultWorkload();
+  w.s.keys = rel::KeySequence::kUniformRandom;
+  w.s.key_domain = 1;
+  auto result = RunAndReference(SmallSite(300 * kBlock, 20 * kBlock), w, GetParam());
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_GT(result->reference.tuples(), 0u);
+  EXPECT_EQ(result->stats.output_tuples, result->reference.tuples());
+  EXPECT_EQ(result->stats.output_checksum, result->reference.checksum());
+}
+
 TEST_P(AllMethodsTest, TimingInvariantsHold) {
   auto result = RunAndReference(SmallSite(), DefaultWorkload(), GetParam());
   ASSERT_TRUE(result.ok()) << result.status();
@@ -449,6 +476,27 @@ TEST(SkewHandlingTest, UniformKeysNeverOverflow) {
   auto result = RunAndReference(SmallSite(), DefaultWorkload(), JoinMethodId::kCdtGh);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.bucket_overflow_slices, 0u);
+}
+
+TEST(EmptyBucketTest, ScanOfAnEmptyRBucketsSBucketWaitsForItsLastWrite) {
+  // With one R key, all but one R bucket is empty, and their S buckets are
+  // scanned without a table. Such a scan, like every other S-bucket scan,
+  // starts only once the bucket's last write hit the disk. CDT-GH's joins
+  // trail its tape reads, so that wait moves its response time; DT-GH's
+  // joins already wait for the slab's flush.
+  Workload w = DefaultWorkload();
+  w.r.keys = rel::KeySequence::kUniformRandom;
+  w.r.key_domain = 1;
+  auto cdt = RunAndReference(SmallSite(64 * kBlock, 20 * kBlock), w, JoinMethodId::kCdtGh);
+  ASSERT_TRUE(cdt.ok()) << cdt.status();
+  EXPECT_NEAR(cdt->stats.response_seconds.value(), 5.024369905, 1e-9);
+  auto dt = RunAndReference(SmallSite(64 * kBlock, 20 * kBlock), w, JoinMethodId::kDtGh);
+  ASSERT_TRUE(dt.ok()) << dt.status();
+  EXPECT_NEAR(dt->stats.response_seconds.value(), 5.138740952, 1e-9);
+  for (const auto* result : {&cdt, &dt}) {
+    EXPECT_EQ((*result)->stats.output_tuples, (*result)->reference.tuples());
+    EXPECT_EQ((*result)->stats.output_checksum, (*result)->reference.checksum());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -66,6 +66,27 @@ TEST(Experiment1Test, StepOneScansRAsExpected) {
   EXPECT_LT(stats->step1_seconds, 8.5 * read_r_once);
 }
 
+TEST(Experiment1Test, TtGhCountsEveryStepOneScanAsAnIteration) {
+  // TT-GH's Step I scans R, then S, once per group of whole buckets that
+  // fits on disk; each scan ends in one assemble-flush stage. Bucket
+  // granularity can add a scan to ceil(|R|/D) + ceil(|S|/D) (6 and 14 here).
+  struct Geometry {
+    ByteCount r, s, d, m;
+    std::uint64_t scans;
+  } geometries[] = {{18 * kMB, 100 * kMB, 20 * kMB, ByteCount{1'800'000}, 7},
+                    {40 * kMB, 400 * kMB, 35 * kMB, 4 * kMB, 15}};
+  for (const Geometry& g : geometries) {
+    auto stats = RunPhantom(g.s, g.r, g.d, g.m, JoinMethodId::kTtGh);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    std::uint64_t flushes = 0;
+    for (const sim::PhaseSummary& phase : stats->spans.phases()) {
+      if (phase.phase == "assemble-flush") flushes = phase.stage_count;
+    }
+    EXPECT_EQ(stats->iterations, flushes) << g.r;
+    EXPECT_EQ(stats->iterations, g.scans) << g.r;
+  }
+}
+
 TEST(Experiment2Test, CdtGhExplodesAsDiskApproachesR) {
   // Figure 5: at D = 20 MB, CDT-GH buffers S in ~2 MB pieces -> ~500 scans
   // of R; CTT-GH keeps all 20 MB -> ~50 scans.

@@ -360,9 +360,9 @@ REPORT_FILES = ("src/sim/trace_report.cc", "src/exec/report.cc")
 
 PHASE_PATTERNS = [
     re.compile(r"\b(?:Stage|StageWithRetry|Event|Barrier|Record)\(\s*\"([^\"]+)\""),
-    re.compile(r"\b(?:read_phase|write_phase)\s*=\s*\"([^\"]+)\""),
+    re.compile(r"\b(?:read_phase|write_phase|flush_phase)\s*=\s*\"([^\"]+)\""),
     re.compile(r"\bIssue(?:Read|Write|Flush)\(\s*\w+,\s*\"([^\"]+)\""),
-    re.compile(r"\bScanDiskAndProbe\(\s*\w+,\s*\w+,\s*\"([^\"]+)\""),
+    re.compile(r"\bScan(?:Disk)?AndProbe\(\s*\w+,\s*\w+,\s*\"([^\"]+)\""),
     re.compile(r"\bAcquireFreeStage\(\s*\w+,\s*\w+,\s*\"([^\"]+)\""),
 ]
 

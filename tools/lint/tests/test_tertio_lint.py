@@ -208,6 +208,37 @@ class DriveLeaseTest(unittest.TestCase):
             self.assertEqual(code, 0, out)
 
 
+class SpanRegistryTest(unittest.TestCase):
+    REGISTRY = ('constexpr std::string_view kRegisteredSpans[] = {\n'
+                '    "hash-flush",\n    "tape-scan",\n};\n')
+
+    def tree_with(self, tree: LintTree, code: str) -> None:
+        tree.write("src/sim/span_registry.h", self.REGISTRY)
+        tree.write("src/sim/trace_report.cc", "")
+        tree.write("src/exec/report.cc", "")
+        tree.write("src/join/j.cc", code)
+
+    def test_flush_phase_and_scan_and_probe_labels_are_uses(self):
+        with LintTree() as tree:
+            self.tree_with(tree,
+                           'HashTapeToDisk(run, {.flush_phase = "hash-flush"});\n'
+                           'ScanAndProbe(ctx, pipe, "tape-scan", source);\n')
+            code, out = tree.run("--rules=span-registry")
+            self.assertEqual(code, 0, out)
+
+    def test_unregistered_labels_in_those_forms_are_flagged(self):
+        with LintTree() as tree:
+            self.tree_with(tree,
+                           'HashTapeToDisk(run, {.flush_phase = "hash-flush"});\n'
+                           'ScanAndProbe(ctx, pipe, "tape-scan", source);\n'
+                           'HashTapeToDisk(run, {.flush_phase = "hash-flsh"});\n'
+                           'ScanAndProbe(ctx, pipe, "tape-scn", source);\n')
+            code, out = tree.run("--rules=span-registry")
+            self.assertEqual(code, 1)
+            self.assertIn('src/join/j.cc:3: [span-registry] phase label "hash-flsh"', out)
+            self.assertIn('src/join/j.cc:4: [span-registry] phase label "tape-scn"', out)
+
+
 class PackSelectionTest(unittest.TestCase):
     def test_units_pack_skips_hot_path_rules(self):
         with LintTree() as tree:

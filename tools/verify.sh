@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verify flow: static analysis first (tertio_lint, and clang-tidy when
-# installed), then tier-1 build + tests (RelWithDebInfo), a bench smoke run
+# installed), then tier-1 build + tests (RelWithDebInfo) with the figure-record
+# check (ctest label golden) called out, a bench smoke run
 # that must produce BENCH_joins.json, the benchmark/ project's build and smoke
 # workloads, then the sanitizer passes — ASan+UBSan over the fault/error-path,
 # SimSan, cache, disk-layer, query-service and join-table tests, the six
@@ -39,6 +40,11 @@ echo "== tier-1: configure + build + ctest (preset: default) =="
 cmake --preset default
 cmake --build --preset default -j"$(nproc)"
 ctest --preset default -j"$(nproc)"
+
+echo "== tier-1: figure record (ctest label golden) =="
+# The figure, table, ablation, fault and service harnesses re-run into a
+# temporary file; every run's simulated seconds must equal BENCH_joins.json.
+ctest --preset default -L golden --output-on-failure
 
 echo "== tier-1: forced-scalar ctest (TERTIO_SIMD=scalar) =="
 # The SIMD probe/build kernels must be pair-set-identical to the portable
