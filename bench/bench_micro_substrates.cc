@@ -354,7 +354,7 @@ void BM_PhantomPartitioner(benchmark::State& state) {
     options.write_buffer_blocks = 3;
     hash::DiskPartitioner partitioner(&group, options);
     state.ResumeTiming();
-    TERTIO_CHECK(partitioner.AddPhantomBlocks(100000, 1000000, 0.0).ok(), "add failed");
+    TERTIO_CHECK(partitioner.AddPhantomBlocks(100000, 0.0).ok(), "add failed");
     TERTIO_CHECK(partitioner.Flush().ok(), "flush failed");
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 100000);

@@ -29,36 +29,29 @@ SimSeconds DiskVolume::RequestCost(BlockIndex start, BlockCount count) {
 Result<sim::Interval> DiskVolume::Read(BlockIndex start, BlockCount count, SimSeconds ready,
                                        std::vector<BlockPayload>* out) {
   TERTIO_RETURN_IF_ERROR(CheckRange(start, count));
+  sim::FaultInjector::ReadOutcome outcome;
+  outcome.clean_blocks = count;
   if (faults_ != nullptr && faults_->enabled()) {
-    sim::FaultInjector::ReadOutcome outcome = faults_->SimulateRead(
-        start, count, model_.TransferSeconds(block_bytes_), model_.positioning_seconds);
-    if (!outcome.completed) {
-      // The request dies mid-flight: charge the blocks transferred before the
-      // fault plus the recovery time the drive burned, deliver nothing, and
-      // leave the head at the failed position so a retry repositions.
-      SimSeconds wasted = RequestCost(start, outcome.clean_blocks) + outcome.recovery_seconds;
-      stats_.blocks_read += outcome.clean_blocks;
-      resource_->Schedule(ready, wasted, outcome.clean_blocks * block_bytes_,
-                          "disk.read-failed");
-      return Status::DeviceError(
-          StrFormat("disk %s: unrecoverable read error at block %llu", name_.c_str(),
-                    static_cast<unsigned long long>(outcome.failed_block.value())));
-    }
-    SimSeconds duration = RequestCost(start, count) + outcome.recovery_seconds;
-    if (out != nullptr) {
-      out->reserve(out->size() + count.value());
-      for (BlockIndex i = start; i < start + count; ++i) out->push_back(store_[(i).value()]);
-    }
-    stats_.blocks_read += count;
-    return resource_->Schedule(ready, duration, count * block_bytes_, "disk.read");
+    outcome = faults_->SimulateRead(start, count, model_.TransferSeconds(block_bytes_),
+                                    model_.positioning_seconds);
   }
-  SimSeconds duration = RequestCost(start, count);
+  // A request that dies mid-flight is charged for the blocks transferred
+  // before the fault plus the recovery time the drive burned, and leaves the
+  // head at the failed position so a retry repositions.
+  SimSeconds duration = RequestCost(start, outcome.clean_blocks) + outcome.recovery_seconds;
+  stats_.blocks_read += outcome.clean_blocks;
+  ByteCount bytes = outcome.clean_blocks * block_bytes_;
+  if (!outcome.completed) {
+    resource_->Schedule(ready, duration, bytes, "disk.read-failed");
+    return Status::DeviceError(
+        StrFormat("disk %s: unrecoverable read error at block %llu", name_.c_str(),
+                  static_cast<unsigned long long>(outcome.failed_block.value())));
+  }
   if (out != nullptr) {
     out->reserve(out->size() + count.value());
     for (BlockIndex i = start; i < start + count; ++i) out->push_back(store_[(i).value()]);
   }
-  stats_.blocks_read += count;
-  return resource_->Schedule(ready, duration, count * block_bytes_, "disk.read");
+  return resource_->Schedule(ready, duration, bytes, "disk.read");
 }
 
 void DiskVolume::CommitCoalesced(bool write, BlockCount blocks, std::uint64_t requests,

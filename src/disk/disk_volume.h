@@ -55,7 +55,8 @@ class DiskVolume {
   sim::FaultInjector* fault_injector() const { return faults_; }
 
   /// Reads `count` blocks at `start` as one request. Payloads are appended to
-  /// `out` when non-null.
+  /// `out` when non-null and the request succeeded; a failed read delivers
+  /// nothing.
   Result<sim::Interval> Read(BlockIndex start, BlockCount count, SimSeconds ready,
                              std::vector<BlockPayload>* out = nullptr);
 

@@ -49,11 +49,4 @@ Status ExtentCursor::Slice(BlockCount offset, BlockCount count, ExtentList* out)
                                  std::to_string(TotalBlocks(list).value()) + "-block sequence");
 }
 
-Result<ExtentList> SliceExtents(const ExtentList& extents, BlockCount offset, BlockCount count) {
-  ExtentCursor cursor(&extents);
-  ExtentList out;
-  TERTIO_RETURN_IF_ERROR(cursor.Slice(offset, count, &out));
-  return out;
-}
-
 }  // namespace tertio::disk

@@ -70,11 +70,4 @@ class ExtentCursor {
   BlockCount base_ = 0;
 };
 
-/// \returns the sub-range of `extents` covering blocks
-/// [offset, offset + count) of the logical sequence they describe, or
-/// InvalidArgument when the requested range extends past the sequence —
-/// callers degrade gracefully instead of crashing the process. One-shot
-/// convenience over ExtentCursor::Slice; per-chunk callers keep a cursor.
-Result<ExtentList> SliceExtents(const ExtentList& extents, BlockCount offset, BlockCount count);
-
 }  // namespace tertio::disk

@@ -59,16 +59,23 @@ BytesPerSecond StripedDiskGroup::aggregate_rate_bps() const {
 
 Result<sim::Interval> StripedDiskGroup::ReadExtents(const ExtentList& extents, SimSeconds ready,
                                                     std::vector<BlockPayload>* out) {
+  // A failed extent fails the whole list: the earlier extents' payloads are
+  // dropped again, so a failed read delivers nothing.
+  const std::size_t delivered = out != nullptr ? out->size() : 0;
+  auto fail = [&](Status status) -> Result<sim::Interval> {
+    if (out != nullptr) out->resize(delivered);
+    return status;
+  };
   sim::Interval hull = sim::Interval::At(ready);
   bool first = true;
   for (const Extent& extent : extents) {
     if (extent.disk < 0 || extent.disk >= disk_count()) {
-      return Status::InvalidArgument(StrFormat("extent names unknown disk %d", extent.disk));
+      return fail(Status::InvalidArgument(StrFormat("extent names unknown disk %d", extent.disk)));
     }
-    TERTIO_ASSIGN_OR_RETURN(
-        sim::Interval interval,
-        disks_[static_cast<size_t>(extent.disk)]->Read(extent.start, extent.count, ready, out));
-    hull = first ? interval : sim::Interval::Hull(hull, interval);
+    Result<sim::Interval> interval =
+        disks_[static_cast<size_t>(extent.disk)]->Read(extent.start, extent.count, ready, out);
+    if (!interval.ok()) return fail(interval.status());
+    hull = first ? *interval : sim::Interval::Hull(hull, *interval);
     first = false;
   }
   return hull;
@@ -105,17 +112,9 @@ Result<sim::StageId> StripedDiskGroup::IssueRead(sim::Pipeline& pipe, std::strin
                                                  std::vector<BlockPayload>* out,
                                                  int retry_limit) {
   BlockCount blocks = TotalBlocks(extents);
-  // A mid-extent-list failure may already have delivered the earlier
-  // extents' payloads; drop them at the top of every attempt so a retry
-  // produces the list exactly once.
-  const std::size_t restore = out != nullptr ? out->size() : 0;
   return pipe.StageWithRetry(
       phase, "disks", deps, blocks, blocks * block_bytes_,
-      [&](SimSeconds ready) {
-        if (out != nullptr) out->resize(restore);
-        return ReadExtents(extents, ready, out);
-      },
-      retry_limit);
+      [&](SimSeconds ready) { return ReadExtents(extents, ready, out); }, retry_limit);
 }
 
 Result<sim::StageId> StripedDiskGroup::IssueWrite(sim::Pipeline& pipe, std::string_view phase,

@@ -88,7 +88,8 @@ class StripedDiskGroup {
 
   /// Reads every extent in `extents` (one disk request per extent, issued at
   /// `ready`, parallel across disks). Payloads append to `out` in extent
-  /// order when non-null. \returns the hull of the per-disk intervals.
+  /// order when non-null; when any extent fails, `out` is left as it was.
+  /// \returns the hull of the per-disk intervals.
   Result<sim::Interval> ReadExtents(const ExtentList& extents, SimSeconds ready,
                                     std::vector<BlockPayload>* out = nullptr);
 
@@ -122,8 +123,8 @@ class StripedDiskGroup {
 
   /// Emits a whole-extent-list read as one pipeline stage ready after
   /// `deps`, re-attempted in place up to `retry_limit` times on kDeviceError
-  /// (payloads delivered by a failed attempt's earlier extents are discarded
-  /// before the re-read). \returns the stage.
+  /// (a failed read delivers nothing, so a re-read is clean). \returns the
+  /// stage.
   Result<sim::StageId> IssueRead(sim::Pipeline& pipe, std::string_view phase,
                                  std::span<const sim::StageId> deps, const ExtentList& extents,
                                  std::vector<BlockPayload>* out = nullptr, int retry_limit = 0);

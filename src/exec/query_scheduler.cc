@@ -190,84 +190,16 @@ std::vector<int> QueryScheduler::PreferredDrivesFor(const Entry& entry) const {
   return {want_r, want_s};
 }
 
-QueryOutcome QueryScheduler::ExecuteOne(const Entry& entry, bool scan_shared) {
+QueryOutcome QueryScheduler::Execute(const Entry& entry, SimSeconds dispatch, bool scan_shared,
+                                     std::unique_ptr<QuerySession>* session_out) {
   const JoinRequest& request = entry.request;
   QueryOutcome out;
   out.id = request.id;
   out.arrival = request.arrival;
   out.scan_shared = scan_shared;
-
-  SessionResources res;
-  res.name = StrFormat("q%llu", static_cast<unsigned long long>(request.id));
-  res.memory_blocks = request.memory_blocks;
-  res.disk_blocks = request.disk_blocks;
-  // Route the session onto drives already holding its cartridges. On a
-  // 2-drive site with the legacy R-in-drive-0 / S-in-drive-1 mount history
-  // this reproduces the legacy [0, 1] pick exactly; on wider sites it keeps
-  // a query whose cartridge another session left mounted executable.
-  res.preferred_drives = PreferredDrivesFor(entry);
-  Result<std::unique_ptr<QuerySession>> session = QuerySession::Open(site_, res);
-  if (!session.ok()) {
-    out.status = session.status();
-    out.completion = site_->sim().Horizon();
-    return out;
-  }
-
-  SimSeconds cursor = std::max(site_->sim().Horizon(), request.arrival);
-  Result<sim::Interval> mounted_r = (*session)->MountR(entry.r_slot, cursor);
-  Result<sim::Interval> mounted_s =
-      mounted_r.ok() ? (*session)->MountS(entry.s_slot, cursor) : mounted_r;
-  if (!mounted_s.ok()) {
-    out.status = mounted_s.status();
-    out.completion = site_->sim().Horizon();
-    return out;
-  }
-
-  // A scan-shared follower rides the leader's multicast window for free;
-  // otherwise probe the extent cache, arming the S drive's cache window on
-  // a hit so the S passes read the disk copy.
-  disk::ExtentCache* cache = site_->extent_cache();
-  bool cache_hit = false;
-  if (cache != nullptr && !scan_shared) {
-    cache_hit = (*session)->EnableCachedSRead(*request.spec.s, site_->sim().Horizon());
-  }
-
-  join::JoinContext ctx = (*session)->context(request.arrival);
-  std::unique_ptr<join::JoinMethod> executor = join::CreateJoinMethod(request.method);
-  TERTIO_CHECK(executor != nullptr, "unknown join method");
-  // The join anchors exactly here (join_common.h StatsScope), so the
-  // service-level start is known before execution.
-  out.start = std::max(site_->sim().Horizon(), request.arrival);
-  Result<join::JoinStats> stats = executor->Execute(request.spec, ctx);
-  if (!stats.ok()) {
-    out.status = stats.status();
-    out.completion = site_->sim().Horizon();
-    return out;
-  }
-  out.stats = std::move(*stats);
-  out.completion = out.start + out.stats.response_seconds;
-  out.scan_shared = out.stats.tape_blocks_shared > 0;
-  out.cached = out.stats.tape_blocks_cached > 0;
-
-  if (cache != nullptr && !cache_hit && !out.scan_shared) {
-    // The join just paid a physical pass over S; admit the extent so the
-    // next query on it reads disk. Admission failure (e.g. a faulted fill
-    // write) only costs the copy — the query itself already succeeded.
-    const rel::Relation& s = *request.spec.s;
-    (void)cache->Admit(s.volume, s.start_block, s.blocks,  // failure only skips the copy
-                       site_->EffectiveTapeRate(s.compressibility), site_->sim().Horizon());
-  }
-  return out;
-}
-
-QueryOutcome QueryScheduler::ExecuteConcurrent(const Entry& entry, SimSeconds dispatch,
-                                               std::unique_ptr<QuerySession>* session_out) {
-  const JoinRequest& request = entry.request;
-  QueryOutcome out;
-  out.id = request.id;
-  out.arrival = request.arrival;
-  // A failure below completes the query at its dispatch time (the global
-  // horizon is another in-flight session's future, not this query's).
+  // A failure below stamps the query at its dispatch: start = completion =
+  // dispatch (the global horizon may be another in-flight session's future,
+  // not this query's).
   out.start = dispatch;
   out.completion = dispatch;
 
@@ -275,6 +207,10 @@ QueryOutcome QueryScheduler::ExecuteConcurrent(const Entry& entry, SimSeconds di
   res.name = StrFormat("q%llu", static_cast<unsigned long long>(request.id));
   res.memory_blocks = request.memory_blocks;
   res.disk_blocks = request.disk_blocks;
+  // Route the session onto drives already holding its cartridges. On a
+  // 2-drive site whose R and S cartridges sit in drives 0 and 1 this is the
+  // lowest-indexed [0, 1] pick; on wider sites it keeps a query whose
+  // cartridge another session left mounted executable.
   res.preferred_drives = PreferredDrivesFor(entry);
   Result<std::unique_ptr<QuerySession>> session = QuerySession::Open(site_, res);
   if (!session.ok()) {
@@ -290,12 +226,16 @@ QueryOutcome QueryScheduler::ExecuteConcurrent(const Entry& entry, SimSeconds di
     return out;
   }
   // The join anchors exactly when this query's mounts are done — not at the
-  // global horizon, which includes the other in-flight sessions' work.
+  // global horizon, which includes the other in-flight sessions' work. On an
+  // otherwise idle site that is the horizon after the mounts.
   SimSeconds start = std::max(dispatch, std::max(mounted_r->end, mounted_s->end));
 
+  // A scan-shared follower rides the leader's multicast window for free;
+  // otherwise probe the extent cache, arming the S drive's cache window on
+  // a hit so the S passes read the disk copy.
   disk::ExtentCache* cache = site_->extent_cache();
   bool cache_hit = false;
-  if (cache != nullptr) {
+  if (cache != nullptr && !scan_shared) {
     cache_hit = (*session)->EnableCachedSRead(*request.spec.s, start);
   }
 
@@ -303,24 +243,28 @@ QueryOutcome QueryScheduler::ExecuteConcurrent(const Entry& entry, SimSeconds di
   ctx.exact_anchor = true;
   std::unique_ptr<join::JoinMethod> executor = join::CreateJoinMethod(request.method);
   TERTIO_CHECK(executor != nullptr, "unknown join method");
-  out.start = start;
   Result<join::JoinStats> stats = executor->Execute(request.spec, ctx);
   if (!stats.ok()) {
     out.status = stats.status();
     return out;
   }
   out.stats = std::move(*stats);
+  out.start = start;
   out.completion = out.start + out.stats.response_seconds;
   out.scan_shared = out.stats.tape_blocks_shared > 0;
   out.cached = out.stats.tape_blocks_cached > 0;
 
   if (cache != nullptr && !cache_hit && !out.scan_shared) {
+    // The join just paid a physical pass over S; admit the extent so the
+    // next query on it reads disk. Admission failure (e.g. a faulted fill
+    // write) only costs the copy — the query itself already succeeded.
     const rel::Relation& s = *request.spec.s;
     (void)cache->Admit(s.volume, s.start_block, s.blocks,  // failure only skips the copy
                        site_->EffectiveTapeRate(s.compressibility), out.completion);
   }
-  // The session stays open (drives, M_q, D_q held) until the query retires
-  // in virtual-completion order.
+  // The session stays open (drives, M_q, D_q held) until the caller closes
+  // it: at once on serial dispatch, at retirement in virtual-completion
+  // order otherwise.
   *session_out = std::move(*session);
   return out;
 }
@@ -360,8 +304,8 @@ void QueryScheduler::RetireEarliest() {
   }
   InFlight record = std::move(in_flight_[pick]);
   in_flight_.erase(in_flight_.begin() + static_cast<std::ptrdiff_t>(pick));
-  // Close the session first (legacy order: resources return before the
-  // completion callback observes the outcome).
+  // Close the session first (as serial dispatch does: resources return
+  // before the completion callback observes the outcome).
   record.session.reset();
   clock_ = std::max(clock_, record.outcome.completion);
   outcomes_.push_back(std::move(record.outcome));
@@ -369,6 +313,13 @@ void QueryScheduler::RetireEarliest() {
 }
 
 void QueryScheduler::RunSerialGroup(const Entry& leader) {
+  // Each query of the group runs on an otherwise idle site: it is dispatched
+  // at max(horizon, arrival) and its session closes as soon as it returns.
+  auto execute = [&](const Entry& entry, bool scan_shared) {
+    std::unique_ptr<QuerySession> session;
+    SimSeconds dispatch = std::max(site_->sim().Horizon(), entry.request.arrival);
+    return Execute(entry, dispatch, scan_shared, &session);
+  };
   SimSeconds leader_start = std::max(site_->sim().Horizon(), leader.request.arrival);
 
   // Under kSharedScan, queued joins on the leader's S cartridge that have
@@ -382,7 +333,7 @@ void QueryScheduler::RunSerialGroup(const Entry& leader) {
     }
   }
 
-  QueryOutcome lead_out = ExecuteOne(leader, /*scan_shared=*/false);
+  QueryOutcome lead_out = execute(leader, /*scan_shared=*/false);
   if (!lead_out.status.ok()) {
     // The leader failed, so its pass never swept S and there is nothing to
     // ride. Executing the followers here anyway would jump them over every
@@ -409,7 +360,7 @@ void QueryScheduler::RunSerialGroup(const Entry& leader) {
   tape::TapeDrive* holder = site_->library()->MountedIn(leader.s_slot);
   if (holder != nullptr) holder->SetSharedPassWindow(leader_s.start_block, leader_s.blocks);
   for (const Entry& follower : followers) {
-    QueryOutcome out = ExecuteOne(follower, holder != nullptr);
+    QueryOutcome out = execute(follower, holder != nullptr);
     clock_ = std::max(clock_, out.completion);
     outcomes_.push_back(std::move(out));
     if (on_complete_) on_complete_(outcomes_.back());
@@ -438,9 +389,9 @@ Status QueryScheduler::Run() {
       continue;
     }
     if (options_.max_in_flight <= 1) {
-      // Serial capacity: the legacy path, bit-identical to the serial
-      // scheduler. Admission shortfalls execute anyway and fail into their
-      // outcomes, as the legacy scheduler did.
+      // Serial capacity: one query (or shared-scan group) at a time on an
+      // idle site. Admission shortfalls execute anyway and fail into their
+      // outcomes.
       RunSerialGroup(queue_.Take(candidate_id));
       continue;
     }
@@ -464,7 +415,7 @@ Status QueryScheduler::Run() {
     if (!fits) {
       if (in_flight_.empty()) {
         // The demand exceeds even an idle site: execute serially anyway and
-        // fail into the outcome, exactly the legacy behavior.
+        // fail into the outcome.
         RunSerialGroup(queue_.Take(candidate_id));
       } else {
         RetireEarliest();
@@ -487,7 +438,8 @@ Status QueryScheduler::Run() {
     InFlight record;
     record.seq = next_seq_++;
     clock_ = dispatch;
-    record.outcome = ExecuteConcurrent(queue_.Take(candidate_id), dispatch, &record.session);
+    record.outcome = Execute(queue_.Take(candidate_id), dispatch, /*scan_shared=*/false,
+                             &record.session);
     in_flight_.push_back(std::move(record));
     peak_in_flight_ =
         std::max<std::uint64_t>(peak_in_flight_, in_flight_.size());

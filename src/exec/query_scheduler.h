@@ -46,10 +46,11 @@ enum class ServicePolicy : std::uint8_t {
 
 /// Dispatch-loop knobs (policy-independent).
 struct SchedulerOptions {
-  /// Maximum QuerySessions in flight at once. 1 (the default) reproduces
-  /// the serial scheduler bit-for-bit; higher values overlap admitted
-  /// queries in virtual time whenever the site's free drives, memory and
-  /// session disk space cover another request.
+  /// Maximum QuerySessions in flight at once. At 1 (the default) each query
+  /// (or shared-scan group) runs alone on an idle site, dispatched at
+  /// max(horizon, arrival); higher values overlap admitted queries in
+  /// virtual time whenever the site's free drives, memory and session disk
+  /// space cover another request.
   int max_in_flight = 1;
   /// kElevator only: once a queued, already-arrived query has been bypassed
   /// by the sweep for longer than this, it is dispatched next regardless of
@@ -79,9 +80,13 @@ struct QueryOutcome {
   Status status;
   join::JoinStats stats;
   SimSeconds arrival = 0.0;
-  /// Virtual time the join itself was anchored (>= arrival).
+  /// Virtual time the join itself was anchored: its mounts' end, and never
+  /// before its dispatch (>= arrival).
   SimSeconds start = 0.0;
-  /// Virtual time the join completed.
+  /// Virtual time the join completed (>= start). A query that failed — its
+  /// session could not open, a mount failed or the join returned an error —
+  /// is stamped start = completion = its dispatch time, so
+  /// arrival <= start <= completion holds for every outcome.
   SimSeconds completion = 0.0;
   /// True when this query's S scan rode another query's pass.
   bool scan_shared = false;
@@ -213,10 +218,9 @@ class QueryScheduler {
   /// spare, the policy's next candidate is dispatched on its own session;
   /// otherwise the earliest completion retires first (virtual-time order, so
   /// closed-loop clients observe completions in order). With
-  /// max_in_flight=1 every dispatch happens on an otherwise-idle service and
-  /// takes the serial path, bit-identical to the legacy scheduler. Per-query
-  /// failures land in their outcomes; Run itself fails only on
-  /// service-level invariants.
+  /// max_in_flight=1 every dispatch happens on an otherwise-idle service, at
+  /// max(horizon, arrival). Per-query failures land in their outcomes; Run
+  /// itself fails only on service-level invariants.
   Status Run();
 
   const std::vector<QueryOutcome>& outcomes() const { return outcomes_; }
@@ -234,18 +238,17 @@ class QueryScheduler {
 
   using Entry = RequestQueue::Entry;
 
-  /// Executes one query on its own session; fills and records the outcome.
-  /// The serial path: anchors at the global horizon, exactly the legacy
-  /// scheduler's behavior.
-  QueryOutcome ExecuteOne(const Entry& entry, bool scan_shared);
-  /// Executes one query dispatched at `dispatch` while other sessions are in
-  /// flight: the join anchors exactly at its own mount-completion time
-  /// (JoinContext::exact_anchor), not the poisoned global horizon. On
-  /// success `*session_out` keeps the session alive until retirement.
-  QueryOutcome ExecuteConcurrent(const Entry& entry, SimSeconds dispatch,
-                                 std::unique_ptr<QuerySession>* session_out);
-  /// Runs one serial leader iteration (plus its shared-scan followers under
-  /// kSharedScan) exactly as the legacy scheduler did.
+  /// Executes one query dispatched at `dispatch` on its own session: mounts
+  /// its cartridges at `dispatch`, anchors the join exactly at the mounts'
+  /// end (JoinContext::exact_anchor — the global horizon may include other
+  /// in-flight sessions' work) and fills the outcome. `scan_shared` marks a
+  /// follower riding a leader's multicast window (no cache probe). On
+  /// success `*session_out` holds the session, whose leases the caller
+  /// returns by closing it; a failure stamps start = completion = dispatch.
+  QueryOutcome Execute(const Entry& entry, SimSeconds dispatch, bool scan_shared,
+                       std::unique_ptr<QuerySession>* session_out);
+  /// Runs one leader (plus its shared-scan followers under kSharedScan) on
+  /// an otherwise idle site, one query at a time.
   void RunSerialGroup(const Entry& leader);
   /// The id of the request the policy would dispatch next (0 = empty queue).
   std::uint64_t PickCandidate();

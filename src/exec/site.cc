@@ -157,13 +157,23 @@ DriveLease& DriveLease::operator=(DriveLease&& other) noexcept {
 
 void DriveLease::Release() {
   if (site_ == nullptr) return;
-  site_->ReleaseDrivesTagged(drives_, holder_);
+  site_->ReleaseDrives(drives_, holder_);
   site_ = nullptr;
   drives_.clear();
 }
 
-Result<std::vector<int>> Site::PickDrives(int n, std::string_view holder,
-                                          const std::vector<int>& preferred) {
+void Site::ReleaseDrives(const std::vector<int>& indices, std::string_view holder) {
+  for (int i : indices) {
+    if (i < 0 || i >= drive_count()) continue;
+    drive_leased_[static_cast<size_t>(i)] = false;
+    if (sim_.auditor() != nullptr) {
+      sim_.auditor()->OnDriveRelease(drives_[static_cast<size_t>(i)]->name(), holder);
+    }
+  }
+}
+
+Result<DriveLease> Site::LeaseDrives(int n, std::string_view holder,
+                                     const std::vector<int>& preferred) {
   std::vector<int> picked;
   auto take = [&](int i) {
     if (i < 0 || i >= drive_count()) return;
@@ -185,29 +195,7 @@ Result<std::vector<int>> Site::PickDrives(int n, std::string_view holder,
       sim_.auditor()->OnDriveLease(drives_[static_cast<size_t>(i)]->name(), holder);
     }
   }
-  return picked;
-}
-
-void Site::ReleaseDrivesTagged(const std::vector<int>& indices, std::string_view holder) {
-  for (int i : indices) {
-    if (i < 0 || i >= drive_count()) continue;
-    drive_leased_[static_cast<size_t>(i)] = false;
-    if (sim_.auditor() != nullptr) {
-      sim_.auditor()->OnDriveRelease(drives_[static_cast<size_t>(i)]->name(), holder);
-    }
-  }
-}
-
-Result<DriveLease> Site::LeaseDrives(int n, std::string_view holder,
-                                     const std::vector<int>& preferred) {
-  TERTIO_ASSIGN_OR_RETURN(std::vector<int> picked, PickDrives(n, holder, preferred));
   return DriveLease(this, std::move(picked), std::string(holder));
-}
-
-Result<std::vector<int>> Site::AcquireDrives(int n) { return PickDrives(n, "", {}); }
-
-void Site::ReleaseDrives(const std::vector<int>& indices) {
-  ReleaseDrivesTagged(indices, "");
 }
 
 int Site::free_drives() const {

@@ -65,11 +65,11 @@ struct SiteConfig {
 
 class Site;
 
-/// RAII lease over a set of tape drives. The only sanctioned way to take
-/// drives out of the Site pool (tertio_lint flags raw AcquireDrives calls
-/// outside src/exec): error paths that unwind a half-built session release
-/// their drives through the guard's destructor, so no admission failure can
-/// leak a drive. Movable, not copyable.
+/// RAII lease over a set of tape drives. The only way to take drives out of
+/// the Site pool (tertio_lint flags LeaseDrives calls outside src/exec):
+/// error paths that unwind a half-built session release their drives
+/// through the guard's destructor, so no admission failure can leak a
+/// drive. Movable, not copyable.
 class DriveLease {
  public:
   DriveLease() = default;
@@ -144,10 +144,6 @@ class Site {
   Result<DriveLease> LeaseDrives(int n, std::string_view holder,
                                  const std::vector<int>& preferred = {});
 
-  /// Raw (non-RAII) lease of the lowest-indexed `n` free drives. Prefer
-  /// LeaseDrives; tertio_lint flags calls to this outside src/exec.
-  Result<std::vector<int>> AcquireDrives(int n);
-  void ReleaseDrives(const std::vector<int>& indices);
   int free_drives() const;
   bool drive_leased(int i) const {
     return i >= 0 && i < drive_count() && drive_leased_[static_cast<size_t>(i)];
@@ -177,11 +173,9 @@ class Site {
 
   void BindAuditor(sim::Auditor* auditor);
 
-  /// Marks `n` drives leased (preferred first, then lowest-indexed) and
-  /// reports each to the auditor's lease ledger under `holder`.
-  Result<std::vector<int>> PickDrives(int n, std::string_view holder,
-                                      const std::vector<int>& preferred);
-  void ReleaseDrivesTagged(const std::vector<int>& indices, std::string_view holder);
+  /// Returns `indices` to the pool and reports each to the auditor's lease
+  /// ledger under `holder` (DriveLease::Release).
+  void ReleaseDrives(const std::vector<int>& indices, std::string_view holder);
 
   SiteConfig config_;
   sim::Simulation sim_;

@@ -52,7 +52,6 @@ Status DiskPartitioner::AddBlocks(std::span<const BlockPayload> blocks, SimSecon
       std::uint32_t local = bucket - options_.first_bucket;
       PendingBucket& p = pending_[local];
       TERTIO_RETURN_IF_ERROR(p.builder->Append(tuple.bytes()));
-      buckets_[local].tuples += 1;
       if (p.data_ready < ready) p.data_ready = ready;
       if (p.builder->full()) {
         p.full_blocks.push_back(p.builder->Finish());
@@ -63,16 +62,12 @@ Status DiskPartitioner::AddBlocks(std::span<const BlockPayload> blocks, SimSecon
   return Status::OK();
 }
 
-Status DiskPartitioner::AddPhantomBlocks(BlockCount count, std::uint64_t tuples,
-                                         SimSeconds ready) {
+Status DiskPartitioner::AddPhantomBlocks(BlockCount count, SimSeconds ready) {
   // Spread `count` blocks uniformly over all B buckets; only the local span
   // materializes. Remainders carry across calls so long runs stay exact.
   std::uint64_t gross_blocks = count.value() * span_ + phantom_block_carry_;
   BlockCount local_blocks = gross_blocks / options_.bucket_count;
   phantom_block_carry_ = gross_blocks % options_.bucket_count;
-  std::uint64_t gross_tuples = tuples * span_ + phantom_tuple_carry_;
-  std::uint64_t local_tuples = gross_tuples / options_.bucket_count;
-  phantom_tuple_carry_ = gross_tuples % options_.bucket_count;
 
   // Round-robin the materialized blocks across the span.
   for (BlockCount i = 0; i < local_blocks; ++i) {
@@ -82,14 +77,6 @@ Status DiskPartitioner::AddPhantomBlocks(BlockCount count, std::uint64_t tuples,
     p.phantom_pending += 1;
     if (p.data_ready < ready) p.data_ready = ready;
     TERTIO_RETURN_IF_ERROR(MaybeFlush(local, /*final=*/false));
-  }
-  // Tuple counts spread evenly (used only for statistics in phantom runs).
-  if (span_ > 0 && local_tuples > 0) {
-    std::uint64_t per = local_tuples / span_;
-    std::uint64_t extra = local_tuples % span_;
-    for (std::uint32_t b = 0; b < span_; ++b) {
-      buckets_[b].tuples += per + (b < extra ? 1 : 0);
-    }
   }
   return Status::OK();
 }
@@ -152,8 +139,7 @@ Result<sim::Interval> PartitionerSink::Write(BlockCount offset, BlockCount count
                                              std::vector<BlockPayload>* payloads) {
   (void)offset;
   if (payloads == nullptr) {
-    TERTIO_RETURN_IF_ERROR(
-        partitioner_->AddPhantomBlocks(count, count.value() * tuples_per_block_, ready));
+    TERTIO_RETURN_IF_ERROR(partitioner_->AddPhantomBlocks(count, ready));
   } else {
     TERTIO_RETURN_IF_ERROR(partitioner_->AddBlocks(*payloads, ready));
   }

@@ -18,8 +18,8 @@
 ///    bucket space on disk is the shared double buffer of Section 4, so a
 ///    write may not begin before the consumer of the previous iteration has
 ///    freed the blocks being overwritten;
-///  * phantom input — timing-only runs distribute blocks and tuple counts
-///    uniformly across buckets (the paper's uniform-hashing assumption).
+///  * phantom input — timing-only runs distribute blocks uniformly across
+///    buckets (the paper's uniform-hashing assumption).
 
 #include <cstdint>
 #include <span>
@@ -41,7 +41,6 @@ namespace tertio::hash {
 struct DiskBucket {
   disk::ExtentList extents;
   BlockCount blocks = 0;
-  std::uint64_t tuples = 0;
   /// Virtual time at which the bucket's last block hit the disk.
   SimSeconds ready = 0.0;
 };
@@ -80,9 +79,9 @@ class DiskPartitioner {
   /// Hashes every tuple of `blocks` (which became available at `ready`).
   Status AddBlocks(std::span<const BlockPayload> blocks, SimSeconds ready);
 
-  /// Accounts `count` phantom blocks holding `tuples` tuples, spread
-  /// uniformly over all B buckets (available at `ready`).
-  Status AddPhantomBlocks(BlockCount count, std::uint64_t tuples, SimSeconds ready);
+  /// Accounts `count` phantom blocks, spread uniformly over all B buckets
+  /// (available at `ready`).
+  Status AddPhantomBlocks(BlockCount count, SimSeconds ready);
 
   /// Flushes all partial write buffers. Must be called before buckets().
   Status Flush();
@@ -99,7 +98,6 @@ class DiskPartitioner {
     std::vector<BlockPayload> full_blocks;  // encoded, not yet flushed
     std::unique_ptr<rel::BlockBuilder> builder;
     BlockCount phantom_pending = 0;
-    std::uint64_t phantom_tuples_pending = 0;
     SimSeconds data_ready = 0.0;
   };
 
@@ -113,22 +111,20 @@ class DiskPartitioner {
   std::vector<PendingBucket> pending_;
   std::vector<DiskBucket> buckets_;
   SimSeconds last_write_end_ = 0.0;
-  // Remainder accounting for spreading phantom blocks/tuples over buckets.
+  // Remainder accounting for spreading phantom blocks over buckets.
   std::uint64_t phantom_block_carry_ = 0;
-  std::uint64_t phantom_tuple_carry_ = 0;
   std::uint32_t phantom_cursor_ = 0;
 };
 
 /// Pipeline sink hashing a Transfer's chunks into disk buckets. Real chunks
-/// feed AddBlocks; phantom chunks (null payloads) feed AddPhantomBlocks
-/// with `tuples_per_block` tuples each. The sink's write interval ends at
+/// feed AddBlocks; phantom chunks (null payloads) feed AddPhantomBlocks.
+/// The sink's write interval ends at
 /// the partitioner's trailing flush, so a lock-step Transfer reproduces the
 /// sequential methods' "tape waits for the hash writes" structure while a
 /// streaming Transfer lets the writes trail (the concurrent methods).
 class PartitionerSink final : public sim::BlockSink {
  public:
-  PartitionerSink(DiskPartitioner* partitioner, std::uint64_t tuples_per_block)
-      : partitioner_(partitioner), tuples_per_block_(tuples_per_block) {}
+  explicit PartitionerSink(DiskPartitioner* partitioner) : partitioner_(partitioner) {}
 
   Result<sim::Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
                               std::vector<BlockPayload>* payloads) override;
@@ -141,7 +137,6 @@ class PartitionerSink final : public sim::BlockSink {
 
  private:
   DiskPartitioner* partitioner_;
-  std::uint64_t tuples_per_block_;
 };
 
 }  // namespace tertio::hash

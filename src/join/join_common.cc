@@ -274,10 +274,8 @@ Result<HashedScan> HashTapeToDisk(JoinRun& run, const HashPhases& phases,
                                   BlockCount offset, BlockCount count, BlockCount chunk,
                                   bool streaming, hash::DiskPartitioner* partitioner,
                                   sim::StageId after) {
-  std::uint64_t tuples_per_block =
-      relation.blocks > 0 ? (relation.tuple_count + relation.blocks - 1) / relation.blocks : 0;
   tape::TapeReadSource source(drive, relation.start_block + offset);
-  hash::PartitionerSink sink(partitioner, tuples_per_block);
+  hash::PartitionerSink sink(partitioner);
   sim::Pipeline::TransferPlan plan;
   plan.read_phase = phases.read_phase;
   plan.write_phase = phases.write_phase;

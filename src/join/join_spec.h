@@ -52,16 +52,16 @@ struct JoinContext {
   sim::Resource* robot = nullptr;
   /// Earliest virtual time the join may begin. The single-query path leaves
   /// this 0 (the join anchors at the current horizon, the seed behavior);
-  /// the service layer sets it to the query's admission time so a join on an
-  /// idle site still starts no earlier than its arrival.
+  /// the service layer sets it to the end of the query's mounts, which is
+  /// never before the query's dispatch or its arrival.
   SimSeconds not_before = 0.0;
   /// Anchor the join at exactly not_before instead of
   /// max(Horizon(), not_before), and measure response_seconds from
   /// per-resource horizon deltas instead of the global horizon. Set by the
-  /// concurrent scheduler when other sessions are in flight: the global
-  /// horizon then includes the *other* sessions' queued work, so anchoring
-  /// or measuring against it would serialize independent joins. Off (the
-  /// seed behavior) for the single-query path and for serial dispatch.
+  /// query scheduler for every query it runs: with other sessions in flight
+  /// the global horizon includes *their* queued work, so anchoring or
+  /// measuring against it would serialize independent joins; on an idle
+  /// site both ways give the same bits. Off for the single-query path.
   bool exact_anchor = false;
   /// Retain every pipeline span in JoinStats::spans (per-phase summaries are
   /// always collected; full span lists of paper-scale joins are large).

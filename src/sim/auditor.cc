@@ -148,11 +148,6 @@ void Auditor::OnScheduleBatch(std::string_view resource, Interval hull, std::uin
   Remember(state, hull);
 }
 
-void Auditor::OnResourceReset(std::string_view resource) {
-  auto it = resources_.find(resource);
-  if (it != resources_.end()) it->second = ResourceState{};
-}
-
 void Auditor::OnStage(std::string_view phase, std::string_view device,
                       SimSeconds pipeline_start, SimSeconds ready, Interval interval) {
   checks_ += 4;
@@ -344,8 +339,7 @@ void Auditor::OnHorizonCheck(SimSeconds cached, SimSeconds recomputed) {
   checks_ += 1;
   if (cached != recomputed) {
     Report(AuditKind::kHorizonIncoherence, "simulation",
-           StrFormat("cached horizon %.9f != recomputed maximum %.9f over all resources "
-                     "(stale horizon cell?)",
+           StrFormat("cached horizon %.9f != recomputed maximum %.9f over all resources",
                      cached.value(), recomputed.value()),
            {Interval::At(cached), Interval::At(recomputed)});
   }

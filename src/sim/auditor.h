@@ -108,9 +108,6 @@ class Auditor {
   void OnScheduleBatch(std::string_view resource, Interval hull, std::uint64_t op_count,
                        ByteCount bytes);
 
-  /// A Resource was individually reset: its timeline restarts at zero.
-  void OnResourceReset(std::string_view resource);
-
   /// A Pipeline committed a stage under `phase` on `device`.
   void OnStage(std::string_view phase, std::string_view device, SimSeconds pipeline_start,
                SimSeconds ready, Interval interval);

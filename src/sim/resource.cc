@@ -64,14 +64,4 @@ double Resource::Utilization(SimSeconds until) const {
   return u > 1.0 ? 1.0 : u;
 }
 
-void Resource::Reset() {
-  available_ = 0.0;
-  stats_ = ResourceStats{};
-  trace_.clear();
-  // The cell's cached maximum may rest on this resource's discarded
-  // timeline; only the owner of all bound resources can recompute it.
-  if (horizon_cell_ != nullptr) horizon_cell_->stale = true;
-  if (auditor_ != nullptr) auditor_->OnResourceReset(name_);
-}
-
 }  // namespace tertio::sim

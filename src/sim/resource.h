@@ -33,12 +33,9 @@ namespace tertio::sim {
 class Auditor;
 
 /// The Simulation's O(1) horizon cache. Resources bound to a cell push their
-/// operation end times into `max_end`; an individually reset resource cannot
-/// recompute the maximum alone, so Reset() marks the cell stale and the
-/// owner (Simulation::Horizon()) lazily recomputes from its resources.
+/// operation end times into `max_end`.
 struct HorizonCell {
   SimSeconds max_end = 0.0;
-  bool stale = false;
 };
 
 /// One completed operation, retained when tracing is enabled.
@@ -106,16 +103,11 @@ class Resource {
   bool trace_enabled() const { return trace_enabled_; }
   const std::vector<OpRecord>& trace() const { return trace_; }
 
-  /// Clears the timeline, statistics and trace. Marks any bound horizon
-  /// cell stale so the owning Simulation recomputes its cached horizon
-  /// instead of serving a value that includes this resource's old timeline.
-  void Reset();
-
   /// Registers a max-horizon cell maintained on every Schedule() — the
   /// Simulation's O(1) Horizon() cache. The cell must outlive the resource.
   void BindHorizonCell(HorizonCell* cell) { horizon_cell_ = cell; }
 
-  /// Registers a SimSan auditor observing every Schedule()/Reset() (see
+  /// Registers a SimSan auditor observing every Schedule() (see
   /// sim/auditor.h). Auditing never changes scheduling; a null pointer
   /// detaches. The auditor must outlive the resource.
   void BindAuditor(Auditor* auditor) { auditor_ = auditor; }

@@ -4,9 +4,9 @@
 /// Registry of the resources participating in one simulated system.
 ///
 /// A Simulation owns nothing but names: modules register the Resources they
-/// create so that experiments can reset the whole system between runs and
-/// report per-device utilization in one place. It also owns the optional
-/// SimSan auditor (sim/auditor.h) observing those resources.
+/// create so that experiments can report per-device utilization and the
+/// system's horizon in one place. It also owns the optional SimSan auditor
+/// (sim/auditor.h) observing those resources.
 
 #include <memory>
 #include <string>
@@ -49,27 +49,10 @@ class Simulation {
   }
 
   /// Latest horizon across all resources — the response time of whatever was
-  /// scheduled, measured from time zero. O(1) on the hot path: maintained
-  /// incrementally on every operation commit (StatsScope and the bench loops
-  /// poll this constantly). Resetting an individual registered Resource
-  /// marks the cache stale, and the next call recomputes it from the
-  /// surviving timelines — an O(resources) step that only follows a reset.
-  SimSeconds Horizon() const {
-    if (horizon_.stale) {
-      horizon_.max_end = 0.0;
-      for (const auto& r : resources_) {
-        if (r->stats().horizon > horizon_.max_end) horizon_.max_end = r->stats().horizon;
-      }
-      horizon_.stale = false;
-    }
-    return horizon_.max_end;
-  }
-
-  /// Resets every registered resource (and the cached horizon) to time zero.
-  void Reset() {
-    for (auto& r : resources_) r->Reset();
-    horizon_ = HorizonCell{};
-  }
+  /// scheduled, measured from time zero. O(1): maintained incrementally on
+  /// every operation commit (StatsScope and the bench loops poll this
+  /// constantly); timelines only ever grow, so the maximum never goes stale.
+  SimSeconds Horizon() const { return horizon_.max_end; }
 
   /// Creates the SimSan auditor (if absent) and binds it to every current
   /// and future resource. Idempotent. Automatic under TERTIO_SIMSAN;
@@ -101,7 +84,7 @@ class Simulation {
  private:
   std::vector<std::unique_ptr<Resource>> resources_;
   std::unique_ptr<Auditor> auditor_;
-  mutable HorizonCell horizon_;
+  HorizonCell horizon_;
 };
 
 }  // namespace tertio::sim

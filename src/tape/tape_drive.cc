@@ -50,73 +50,28 @@ Result<sim::Interval> TapeDrive::Read(BlockIndex start, BlockCount count, SimSec
                                       std::vector<BlockPayload>* out) {
   TERTIO_RETURN_IF_ERROR(CheckLoaded());
   TERTIO_ASSIGN_OR_RETURN(double mean_c, volume_->MeanCompressibility(start, count));
+  // Decide who serves the range and charge it first; payloads are delivered
+  // only once that charge succeeded, so a failed read delivers nothing and a
+  // chunk-level retry re-reads cleanly.
+  sim::Interval served;
+  BlockCount* counter = nullptr;
   if (InSharedPassWindow(start, count)) {
-    // The requested range is covered by another query's in-flight sequential
-    // pass: multicast its data instead of re-reading the tape. No head
-    // motion, no drive occupancy, no fault draw — the physical pass already
-    // paid (and drew) for these blocks.
-    if (out != nullptr) {
-      out->reserve(out->size() + count.value());
-      for (BlockIndex i = start; i < start + count; ++i) {
-        TERTIO_ASSIGN_OR_RETURN(BlockPayload payload, volume_->ReadBlock(i));
-        out->push_back(std::move(payload));
-      }
-    }
-    stats_.blocks_shared += count;
-    return sim::Interval::At(ready);
-  }
-  if (InCacheWindow(start, count)) {
+    // Another query's in-flight sequential pass covers the range: multicast
+    // its data. No head motion, no drive occupancy, no fault draw — the
+    // physical pass already paid (and drew) for these blocks.
+    served = sim::Interval::At(ready);
+    counter = &stats_.blocks_shared;
+  } else if (InCacheWindow(start, count)) {
     // The range is resident in the cross-query extent cache: the disk copy
-    // serves it at disk cost while the drive stays parked — no head motion,
-    // no drive occupancy, no fault draw. Payloads still come from the
-    // volume's block store, so data delivered through the cache is
-    // bit-identical to a physical read.
-    if (out != nullptr) {
-      out->reserve(out->size() + count.value());
-      for (BlockIndex i = start; i < start + count; ++i) {
-        TERTIO_ASSIGN_OR_RETURN(BlockPayload payload, volume_->ReadBlock(i));
-        out->push_back(std::move(payload));
-      }
-    }
-    stats_.blocks_cached += count;
-    return cache_reader_(start, count, ready);
+    // serves it at disk cost (and may fail there) while the drive stays
+    // parked. Payloads still come from the volume's block store, so data
+    // delivered through the cache is bit-identical to a physical read.
+    TERTIO_ASSIGN_OR_RETURN(served, cache_reader_(start, count, ready));
+    counter = &stats_.blocks_cached;
+  } else {
+    TERTIO_ASSIGN_OR_RETURN(served, ReadFromTape(start, count, mean_c, ready));
+    counter = &stats_.blocks_read;
   }
-  if (faults_ != nullptr && faults_->enabled()) {
-    sim::FaultInjector::ReadOutcome outcome =
-        faults_->SimulateRead(start, count, model_.TransferSeconds(volume_->block_bytes(), mean_c),
-                              model_.reposition_seconds);
-    if (!outcome.completed) {
-      // Unrecoverable media error: charge the seek, the blocks streamed
-      // before the fault, and the recovery time burned retrying; deliver
-      // nothing and leave the head at the failed position. A chunk-level
-      // retry (pipeline) will reposition and re-read from `start`.
-      ByteCount clean_bytes = outcome.clean_blocks * volume_->block_bytes();
-      SimSeconds wasted = SeekCost(start) + model_.TransferSeconds(clean_bytes, mean_c) +
-                          outcome.recovery_seconds;
-      head_ = outcome.failed_block;
-      stats_.blocks_read += outcome.clean_blocks;
-      resource_->Schedule(ready, wasted, clean_bytes, "tape.read-failed");
-      return Status::DeviceError(
-          StrFormat("drive %s: unrecoverable read error at block %llu", name_.c_str(),
-                    static_cast<unsigned long long>(outcome.failed_block.value())));
-    }
-    SimSeconds duration = SeekCost(start);
-    ByteCount bytes = count * volume_->block_bytes();
-    duration += model_.TransferSeconds(bytes, mean_c) + outcome.recovery_seconds;
-    if (out != nullptr) {
-      out->reserve(out->size() + count.value());
-      for (BlockIndex i = start; i < start + count; ++i) {
-        TERTIO_ASSIGN_OR_RETURN(BlockPayload payload, volume_->ReadBlock(i));
-        out->push_back(std::move(payload));
-      }
-    }
-    head_ = start + count;
-    stats_.blocks_read += count;
-    return resource_->Schedule(ready, duration, bytes, "tape.read");
-  }
-  SimSeconds duration = SeekCost(start);
-  ByteCount bytes = count * volume_->block_bytes();
-  duration += model_.TransferSeconds(bytes, mean_c);
   if (out != nullptr) {
     out->reserve(out->size() + count.value());
     for (BlockIndex i = start; i < start + count; ++i) {
@@ -124,9 +79,41 @@ Result<sim::Interval> TapeDrive::Read(BlockIndex start, BlockCount count, SimSec
       out->push_back(std::move(payload));
     }
   }
+  *counter += count;
+  return served;
+}
+
+Result<sim::Interval> TapeDrive::ReadFromTape(BlockIndex start, BlockCount count, double mean_c,
+                                              SimSeconds ready) {
+  sim::FaultInjector::ReadOutcome outcome;
+  outcome.clean_blocks = count;
+  if (faults_ != nullptr && faults_->enabled()) {
+    outcome =
+        faults_->SimulateRead(start, count, model_.TransferSeconds(volume_->block_bytes(), mean_c),
+                              model_.reposition_seconds);
+  }
+  ByteCount bytes = outcome.clean_blocks * volume_->block_bytes();
+  SimSeconds seek = SeekCost(start);
+  SimSeconds transfer = model_.TransferSeconds(bytes, mean_c);
+  if (!outcome.completed) {
+    // Unrecoverable media error: charge the seek, the blocks streamed
+    // before the fault, and the recovery time burned retrying, and leave the
+    // head at the failed position. A chunk-level retry (pipeline) will
+    // reposition and re-read from `start`.
+    head_ = outcome.failed_block;
+    stats_.blocks_read += outcome.clean_blocks;
+    resource_->Schedule(ready, seek + transfer + outcome.recovery_seconds, bytes,
+                        "tape.read-failed");
+    return Status::DeviceError(
+        StrFormat("drive %s: unrecoverable read error at block %llu", name_.c_str(),
+                  static_cast<unsigned long long>(outcome.failed_block.value())));
+  }
   head_ = start + count;
-  stats_.blocks_read += count;
-  return resource_->Schedule(ready, duration, bytes, "tape.read");
+  // Recovery joins the transfer before the seek, the rounding order the
+  // recorded fault runs were computed in; with no fault plan it is +0.0,
+  // which leaves seek + transfer exact.
+  return resource_->Schedule(ready, seek + (transfer + outcome.recovery_seconds), bytes,
+                             "tape.read");
 }
 
 Result<sim::Interval> TapeDrive::Append(const std::vector<BlockPayload>& payloads,

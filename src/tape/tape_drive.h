@@ -78,8 +78,11 @@ class TapeDrive {
   /// Ejects the current volume (costed as a load).
   Result<sim::Interval> Unload(SimSeconds ready);
 
-  /// Reads `count` blocks starting at `start`. If `out` is non-null the
-  /// payloads are appended to it (phantom blocks append nullptr).
+  /// Reads `count` blocks starting at `start`, served by the shared-pass
+  /// window, the cache window or the tape, in that order of preference. If
+  /// `out` is non-null the payloads are appended to it (phantom blocks append
+  /// nullptr) — but only once the serving device succeeded: a failed read
+  /// appends nothing and counts no block as shared or cached.
   Result<sim::Interval> Read(BlockIndex start, BlockCount count, SimSeconds ready,
                              std::vector<BlockPayload>* out = nullptr);
 
@@ -205,6 +208,12 @@ class TapeDrive {
   /// Seconds to move the head to `target` (0 if already there), charging a
   /// locate + reposition when the access is discontiguous.
   SimSeconds SeekCost(BlockIndex target);
+
+  /// The physical half of Read(): seek, transfer and fault draw on the
+  /// drive's own timeline. Delivers nothing; fails with kDeviceError once the
+  /// fault plan gives up, leaving the head at the failed block.
+  Result<sim::Interval> ReadFromTape(BlockIndex start, BlockCount count, double mean_c,
+                                     SimSeconds ready);
 
   /// True when [start, start+count) lies inside the active shared window.
   bool InSharedPassWindow(BlockIndex start, BlockCount count) const {

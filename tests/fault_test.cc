@@ -4,7 +4,8 @@
 //  - retry cost accounting (reposition + re-read + exponential backoff,
 //    skip-and-remap) is exact where the draw sequence is forced;
 //  - devices surface kDeviceError after bounded retries, charging the wasted
-//    time and delivering nothing;
+//    time and delivering nothing — through every tape window and across a
+//    striped extent list;
 //  - Pipeline::Transfer / StageWithRetry recover at chunk granularity and
 //    checkpoints resume where a failed transfer stopped;
 //  - a join under injected faults produces exactly the fault-free result
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "disk/striped_group.h"
 #include "exec/experiment.h"
 #include "join/join_common.h"
 #include "join/join_method.h"
@@ -22,6 +24,7 @@
 #include "relation/generator.h"
 #include "sim/pipeline.h"
 #include "sim/simulation.h"
+#include "tape/tape_drive.h"
 #include "tape/tape_library.h"
 #include "whole_site.h"
 
@@ -260,6 +263,68 @@ TEST(DeviceFaults, DiskReadFailsHardAfterBoundedRetries) {
   EXPECT_EQ(injector.stats().retries, 1u);
   // Writes never consult the injector.
   EXPECT_TRUE(disk.Write(0, 10, 0.0).ok());
+}
+
+/// `n` real 1 KiB blocks whose first byte is their index.
+std::vector<BlockPayload> NumberedBlocks(std::uint8_t n) {
+  std::vector<BlockPayload> blocks;
+  for (std::uint8_t i = 0; i < n; ++i) {
+    blocks.push_back(MakePayload(std::vector<std::uint8_t>(1024, i)));
+  }
+  return blocks;
+}
+
+TEST(DeviceFaults, FailedCacheWindowReadDeliversNothingSoARetryDeliversOnce) {
+  // The cache window's disk copy fails its first read. The drive must not
+  // deliver (or count) the blocks before that disk charge succeeds, or the
+  // stage's in-place retry hands every block to the join twice.
+  Simulation sim;
+  tape::TapeVolume volume("t", 1024);
+  tape::TapeDrive drive("tapeS", tape::TapeDriveModel::DLT4000(), sim.CreateResource("tape"));
+  ASSERT_TRUE(drive.Load(&volume, 0.0).ok());
+  ASSERT_TRUE(drive.Append(NumberedBlocks(10), 0.0, 0.0).ok());
+  int disk_reads = 0;
+  drive.SetCacheWindow(0, 10, [&](BlockIndex, BlockCount, SimSeconds ready) -> Result<Interval> {
+    if (++disk_reads == 1) return Status::DeviceError("cache copy read failed");
+    return Interval{ready, ready + 1.0};
+  });
+
+  Pipeline pipe(0.0);
+  std::vector<BlockPayload> out;
+  auto stage = drive.IssueRead(pipe, "s-read", std::initializer_list<StageId>{}, 0, 10, &out,
+                               /*retry_limit=*/1);
+  ASSERT_TRUE(stage.ok()) << stage.status();
+  EXPECT_EQ(disk_reads, 2);
+  EXPECT_EQ(pipe.chunk_retries(), 1u);
+  ASSERT_EQ(out.size(), 10u);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ((*out[i])[0], i) << i;
+  EXPECT_EQ(drive.stats().blocks_cached, 10u);
+  EXPECT_EQ(drive.stats().blocks_read, 0u);
+}
+
+TEST(DeviceFaults, FailedExtentListReadLeavesTheOutputAsItWas) {
+  Simulation sim;
+  disk::StripedDiskGroup group(
+      disk::DiskGroupConfig::Uniform(2, disk::DiskModel::QuantumFireball1080(), 200, 1024),
+      &sim);
+  const disk::ExtentList extents{{0, 0, 4}, {1, 0, 4}};
+  const std::vector<BlockPayload> blocks = NumberedBlocks(8);
+  ASSERT_TRUE(group.WriteExtents(extents, 0.0, &blocks).ok());
+  // Only the second extent's disk fails.
+  FaultProfile profile;
+  profile.transient_read_error_rate = 1.0;
+  profile.max_retries = 0;
+  FaultInjector injector(profile, 1, "disk1");
+  group.disk(1)->set_fault_injector(&injector);
+
+  const BlockPayload earlier = MakePayload(std::vector<std::uint8_t>(1024, 0xee));
+  std::vector<BlockPayload> out{earlier};
+  auto read = group.ReadExtents(extents, 10.0, &out);
+  EXPECT_EQ(read.status().code(), StatusCode::kDeviceError);
+  ASSERT_EQ(out.size(), 1u);  // disk 0's four blocks were dropped again
+  EXPECT_EQ(out[0], earlier);
+  EXPECT_EQ(group.disk(0)->stats().blocks_read, 4u);
+  EXPECT_EQ(injector.stats().hard_failures, 1u);
 }
 
 // ---- Chunk retry and checkpoint resume -------------------------------------

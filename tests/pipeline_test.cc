@@ -1,6 +1,6 @@
 // Unit tests for the pipeline engine (sim/pipeline.h) and the extent
 // slicing under it: stage dependencies, Transfer dependency structure
-// (lock-step vs streaming), span aggregation, SliceExtents edge cases.
+// (lock-step vs streaming), span aggregation, ExtentCursor slice edge cases.
 
 #include <gtest/gtest.h>
 
@@ -421,25 +421,33 @@ TEST(PipelineCoalesceTest, ClosedFormMatchesPerChunkAcrossBinadeCrossings) {
 
 class SliceExtentsTest : public ::testing::Test {
  protected:
+  // One cursor slice of `extents_`, as an endpoint cuts a chunk.
+  Result<disk::ExtentList> Slice(BlockCount offset, BlockCount count) {
+    disk::ExtentCursor cursor(&extents_);
+    disk::ExtentList out;
+    TERTIO_RETURN_IF_ERROR(cursor.Slice(offset, count, &out));
+    return out;
+  }
+
   // 8 logical blocks: 5 on disk 0 at 10, then 3 on disk 1 at 0.
   disk::ExtentList extents_{{0, 10, 5}, {1, 0, 3}};
 };
 
 TEST_F(SliceExtentsTest, ZeroCountSliceIsEmpty) {
-  EXPECT_TRUE(disk::SliceExtents(extents_, 0, 0)->empty());
-  EXPECT_TRUE(disk::SliceExtents(extents_, 4, 0)->empty());
-  EXPECT_TRUE(disk::SliceExtents(extents_, 8, 0)->empty());
+  EXPECT_TRUE(Slice(0, 0)->empty());
+  EXPECT_TRUE(Slice(4, 0)->empty());
+  EXPECT_TRUE(Slice(8, 0)->empty());
 }
 
 TEST_F(SliceExtentsTest, SliceWithinOneExtent) {
-  auto slice = disk::SliceExtents(extents_, 1, 3);
+  auto slice = Slice(1, 3);
   ASSERT_TRUE(slice.ok());
   ASSERT_EQ(slice->size(), 1u);
   EXPECT_EQ((*slice)[0], (disk::Extent{0, 11, 3}));
 }
 
 TEST_F(SliceExtentsTest, SliceSpansExtentBoundary) {
-  auto slice = disk::SliceExtents(extents_, 3, 4);
+  auto slice = Slice(3, 4);
   ASSERT_TRUE(slice.ok());
   ASSERT_EQ(slice->size(), 2u);
   EXPECT_EQ((*slice)[0], (disk::Extent{0, 13, 2}));
@@ -447,16 +455,15 @@ TEST_F(SliceExtentsTest, SliceSpansExtentBoundary) {
 }
 
 TEST_F(SliceExtentsTest, FullSliceReturnsWholeList) {
-  EXPECT_EQ(*disk::SliceExtents(extents_, 0, 8), extents_);
+  EXPECT_EQ(*Slice(0, 8), extents_);
 }
 
 TEST_F(SliceExtentsTest, OffsetPastEndReturnsInvalidArgument) {
-  auto past_end = disk::SliceExtents(extents_, 6, 5);
+  auto past_end = Slice(6, 5);
   ASSERT_FALSE(past_end.ok());
   EXPECT_EQ(past_end.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(past_end.status().message().find("extent slice out of range"), std::string::npos);
-  EXPECT_EQ(disk::SliceExtents(extents_, 9, 1).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Slice(9, 1).status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -227,6 +227,50 @@ TEST(SchedulerConcurrencyTest, OutcomesAreIndependentOfSubmitInterleaving) {
   }
 }
 
+TEST(SchedulerConcurrencyTest, FailedQueriesAreStampedAtTheirDispatch) {
+  // Mount faults (a failed exchange trip with no retries left) and join
+  // failures both land in outcomes; query 8's disk carve is far below what
+  // CDT-GH needs, so its join fails after its mounts. Whatever failed, an
+  // outcome reads arrival <= start <= completion, and a failed query is
+  // stamped start = completion = its dispatch, in the serial and the event
+  // loop.
+  std::uint64_t failed = 0;
+  for (ServicePolicy policy : {ServicePolicy::kFifo, ServicePolicy::kElevator}) {
+    for (int cap : {1, 2}) {
+      SCOPED_TRACE("policy " + std::to_string(static_cast<int>(policy)) + " cap " +
+                   std::to_string(cap));
+      SiteConfig site_config = WideSite();
+      auto plan = sim::FaultPlan::Parse(
+          "seed=5,tape-transient=2e-4,disk-transient=2e-4,exchange=0.05,retries=0");
+      ASSERT_TRUE(plan.ok()) << plan.status();
+      site_config.faults = *plan;
+      auto site = std::make_unique<Site>(site_config);
+      auto workload = PrepareServiceWorkload(site.get(), DisjointWorkload(6, 2, 3));
+      ASSERT_TRUE(workload.ok()) << workload.status();
+      SchedulerOptions options;
+      options.max_in_flight = cap;
+      QueryScheduler scheduler(site.get(), policy, options);
+      for (int q = 0; q < 18; ++q) {
+        JoinRequest request = HalfSiteRequest(site.get(), *workload, q % 6, q % 3, 40.0 * q);
+        if (q == 7) request.disk_blocks = 2;
+        ASSERT_TRUE(scheduler.Submit(std::move(request)).ok());
+      }
+      ASSERT_TRUE(scheduler.Run().ok());
+      ASSERT_EQ(scheduler.outcomes().size(), 18u);
+      for (const QueryOutcome& out : scheduler.outcomes()) {
+        SCOPED_TRACE("query " + std::to_string(out.id) + ": " + out.status.ToString());
+        EXPECT_LE(out.arrival, out.start);
+        EXPECT_LE(out.start, out.completion);
+        if (!out.status.ok()) {
+          ++failed;
+          EXPECT_EQ(out.start, out.completion);
+        }
+      }
+    }
+  }
+  EXPECT_GT(failed, 0u);  // the plan really failed queries
+}
+
 TEST(SchedulerElevatorTest, SweepOrdersDispatchBySlotAndAgingPromotesTheOldest) {
   // Slot layout: the shared R cartridge sits in slot 0, then S0..S2 in
   // slots 1..3. Arrivals are staggered so only the S2 query has arrived

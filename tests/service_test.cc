@@ -21,6 +21,7 @@
 #include "join/join_method.h"
 #include "relation/generator.h"
 #include "sim/auditor.h"
+#include "sim/fault.h"
 #include "sim/simulation.h"
 #include "tape/tape_drive.h"
 #include "tape/tape_volume.h"
@@ -717,6 +718,67 @@ TEST(ExtentCacheServiceTest, CachedReadsDeliverIdenticalJoinResults) {
     EXPECT_EQ(plain[i].stats.output_tuples, cached[i].stats.output_tuples) << i;
     EXPECT_EQ(plain[i].stats.output_checksum, cached[i].stats.output_checksum) << i;
   }
+}
+
+// --- The read contract under faults, end to end ----------------------------
+
+// Three FIFO joins of three small R relations with one full-data S, on a
+// site with `cache_blocks` of extent cache and the fault plan `faults`.
+std::vector<QueryOutcome> RunThreeJoinsOnOneS(JoinMethodId method, BlockCount cache_blocks,
+                                              std::string_view faults) {
+  SiteConfig config;
+  config.with_library = true;
+  config.cache_blocks = cache_blocks;
+  if (!faults.empty()) {
+    auto plan = sim::FaultPlan::Parse(faults);
+    TERTIO_CHECK(plan.ok(), plan.status().ToString());
+    config.faults = *plan;
+  }
+  auto site = std::make_unique<Site>(config);
+  ServiceWorkloadConfig shape;
+  shape.s_cartridges = 1;
+  shape.s_bytes = 256 * kKB;
+  shape.r_relations = 3;
+  shape.r_bytes = 16 * kKB;
+  shape.phantom = false;
+  auto workload = PrepareServiceWorkload(site.get(), shape);
+  TERTIO_CHECK(workload.ok(), "workload setup failed");
+  QueryScheduler scheduler(site.get(), ServicePolicy::kFifo);
+  for (int j = 0; j < 3; ++j) {
+    JoinRequest request = RequestFor(site.get(), *workload, j, 0, 0.0);
+    request.method = method;
+    TERTIO_CHECK(scheduler.Submit(std::move(request)).ok(), "submit failed");
+  }
+  Status ran = scheduler.Run();
+  TERTIO_CHECK(ran.ok(), "run failed");
+  return scheduler.outcomes();
+}
+
+TEST(ServiceFaultTest, CachedQueriesJoinEachSBlockOnceUnderDiskFaults) {
+  // A cache-window read whose disk copy fails is retried in place. It must
+  // deliver nothing on the failed attempt, or the retried chunk is joined
+  // twice and the query returns OK with doubled output. Each of these seeds
+  // fails one cached S read of both methods.
+  const BlockCount cache = BytesToBlocks(1 * kMB, SiteConfig{}.block_bytes);
+  std::uint64_t cached_checked = 0;
+  for (JoinMethodId method : {JoinMethodId::kDtNb, JoinMethodId::kCdtNbMb}) {
+    const std::vector<QueryOutcome> want = RunThreeJoinsOnOneS(method, 0, "");
+    ASSERT_EQ(want.size(), 3u);
+    for (int seed : {3, 12, 20}) {
+      SCOPED_TRACE(std::string(JoinMethodName(method)) + " seed " + std::to_string(seed));
+      const std::string plan =
+          "seed=" + std::to_string(seed) + ",disk-transient=3e-3,retries=0";
+      for (const QueryOutcome& out : RunThreeJoinsOnOneS(method, cache, plan)) {
+        if (!out.status.ok() || !out.cached) continue;
+        ++cached_checked;
+        const QueryOutcome& reference = want[out.id - 1];
+        ASSERT_EQ(reference.id, out.id);
+        EXPECT_EQ(out.stats.output_tuples, reference.stats.output_tuples) << out.id;
+        EXPECT_EQ(out.stats.output_checksum, reference.stats.output_checksum) << out.id;
+      }
+    }
+  }
+  EXPECT_GT(cached_checked, 0u);
 }
 
 }  // namespace

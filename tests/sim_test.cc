@@ -109,16 +109,6 @@ TEST(ResourceTest, TraceOffByDefault) {
   EXPECT_TRUE(r.trace().empty());
 }
 
-TEST(ResourceTest, ResetClearsEverything) {
-  Resource r("dev");
-  r.EnableTrace();
-  r.Schedule(0.0, 5.0, 100, "x");
-  r.Reset();
-  EXPECT_DOUBLE_EQ((r.available_at()).value(), 0.0);
-  EXPECT_EQ(r.stats().op_count, 0u);
-  EXPECT_TRUE(r.trace().empty());
-}
-
 TEST(SimulationTest, HorizonSpansResources) {
   Simulation sim;
   Resource* a = sim.CreateResource("a");
@@ -126,8 +116,6 @@ TEST(SimulationTest, HorizonSpansResources) {
   a->Schedule(0.0, 7.0);
   b->Schedule(0.0, 11.0);
   EXPECT_DOUBLE_EQ((sim.Horizon()).value(), 11.0);
-  sim.Reset();
-  EXPECT_DOUBLE_EQ((sim.Horizon()).value(), 0.0);
   EXPECT_EQ(sim.resources().size(), 2u);
 }
 

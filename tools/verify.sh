@@ -4,13 +4,13 @@
 # check (ctest label golden) called out, a bench smoke run
 # that must produce BENCH_joins.json, the benchmark/ project's build and smoke
 # workloads, then the sanitizer passes — ASan+UBSan over the fault/error-path,
-# SimSan, cache, disk-layer, query-service and join-table tests, the six
-# examples and the tertio_cli exit-code checks, and TSan over the
-# parallel-sweep and query-service tests — so every recovery branch and every
-# driver interleaving runs sanitizer-checked. The asan/tsan presets build with
-# TERTIO_SIMSAN=ON, so every test in those passes also runs under the
-# simulation invariant auditor (sim/auditor.h) with hard-fail at Simulation
-# destruction.
+# SimSan, cache, disk-layer, query-service and join-table tests, the tape,
+# hash and sim unit tests, the six examples and the tertio_cli exit-code
+# checks, and TSan over the parallel-sweep and query-service tests — so
+# every recovery branch and every driver interleaving runs sanitizer-checked.
+# The asan/tsan presets build with TERTIO_SIMSAN=ON, so every test in those
+# passes also runs under the simulation invariant auditor (sim/auditor.h)
+# with hard-fail at Simulation destruction.
 # Presets live in CMakePresets.json.
 #
 # Usage: tools/verify.sh [--fast]
@@ -131,10 +131,10 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-echo "== sanitizers: ASan+UBSan build + fault/simsan/cache/disk/service/join/examples/cli tests (preset: asan) =="
+echo "== sanitizers: ASan+UBSan build + fault/simsan/cache/disk/service/join/examples/cli/tape/hash/sim tests (preset: asan) =="
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
-ctest --preset asan -L 'faults|simsan|cache|disk|service|join|examples|cli' -j"$(nproc)"
+ctest --preset asan -L 'faults|simsan|cache|disk|service|join|examples|cli|tape|hash|sim' -j"$(nproc)"
 
 echo "== sanitizers: TSan build + parallel-sweep + service tests (preset: tsan) =="
 cmake --preset tsan
