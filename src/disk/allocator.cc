@@ -43,14 +43,34 @@ BlockCount DiskSpaceAllocator::FreeBlocksOn(int disk) const {
 Result<ExtentList> DiskSpaceAllocator::Allocate(BlockCount count, SimSeconds now,
                                                 const std::string& tag,
                                                 const std::vector<bool>& disk_mask) {
-  if (count == 0) return ExtentList{};
-  const int n = static_cast<int>(free_lists_.size());
-  auto enabled = [&](int d) {
-    return disk_mask.empty() || (d < static_cast<int>(disk_mask.size()) && disk_mask[d]);
-  };
+  ExtentList extents;
+  Run run(this, &disk_mask);
+  TERTIO_RETURN_IF_ERROR(run.Allocate(count, now, tag, &extents));
+  return extents;
+}
+
+DiskSpaceAllocator::Run::Run(DiskSpaceAllocator* allocator, const std::vector<bool>* disk_mask)
+    : allocator_(allocator), disk_mask_(disk_mask) {
+  TERTIO_CHECK(!allocator_->walking_, "allocator already has an open run");
+  allocator_->walking_ = true;
+  for (std::size_t i = 0; i < allocator_->free_lists_.size(); ++i) {
+    allocator_->hole_cursors_[i] = HoleCursor{allocator_->free_lists_[i].begin(), 0};
+  }
+}
+
+DiskSpaceAllocator::Run::~Run() {
+  allocator_->CommitWalk();
+  allocator_->walking_ = false;
+}
+
+Status DiskSpaceAllocator::Run::Allocate(BlockCount count, SimSeconds now,
+                                         const std::string& tag, ExtentList* out) {
+  if (count == 0) return Status::OK();
+  DiskSpaceAllocator& a = *allocator_;
+  const int n = static_cast<int>(a.free_lists_.size());
   BlockCount available = 0;
   for (int d = 0; d < n; ++d) {
-    if (enabled(d)) available += free_per_disk_[static_cast<size_t>(d)];
+    if (Enabled(d)) available += a.free_per_disk_[static_cast<size_t>(d)];
   }
   if (available < count) {
     return Status::ResourceExhausted(
@@ -59,45 +79,46 @@ Result<ExtentList> DiskSpaceAllocator::Allocate(BlockCount count, SimSeconds now
                   static_cast<unsigned long long>(available.value()), tag.c_str()));
   }
 
-  // Plan the round-robin stripe walk against per-disk cursors into the free
+  // The round-robin stripe walk against per-disk cursors into the free
   // lists, first fit (each disk hands out its lowest-addressed hole first,
-  // keeping data packed and sequential requests adjacent). The lists are
-  // edited once per touched hole after the walk.
-  for (int d = 0; d < n; ++d) {
-    auto i = static_cast<size_t>(d);
-    hole_cursors_[i] = HoleCursor{free_lists_[i].begin(), 0, free_per_disk_[i]};
-  }
-  ExtentList extents;
+  // keeping data packed and sequential requests adjacent).
+  const std::size_t first = out->size();
   BlockCount remaining = count;
   int guard = 0;
   while (remaining > 0) {
     TERTIO_CHECK(guard++ < 1'000'000, "allocator failed to converge");
-    int disk = rr_cursor_;
-    rr_cursor_ = (rr_cursor_ + 1) % n;
-    HoleCursor& cursor = hole_cursors_[static_cast<size_t>(disk)];
-    if (!enabled(disk) || cursor.left == 0) continue;
-    BlockCount take = std::min({remaining, stripe_unit_, cursor.hole->second - cursor.taken});
+    const int disk = a.rr_cursor_;
+    a.rr_cursor_ = (a.rr_cursor_ + 1) % n;
+    const auto i = static_cast<std::size_t>(disk);
+    if (!Enabled(disk) || a.free_per_disk_[i] == 0) continue;
+    HoleCursor& cursor = a.hole_cursors_[i];
+    BlockCount take = std::min({remaining, a.stripe_unit_, cursor.hole->second - cursor.taken});
     Extent extent{disk, cursor.hole->first + cursor.taken, take};
     cursor.taken += take;
-    cursor.left -= take;
+    a.free_per_disk_[i] -= take;
     remaining -= take;
     if (cursor.taken == cursor.hole->second) {
       ++cursor.hole;
       cursor.taken = 0;
     }
     // Coalesce with the previous extent when contiguous on the same disk.
-    if (!extents.empty() && extents.back().disk == extent.disk &&
-        extents.back().start + extents.back().count == extent.start) {
-      extents.back().count += extent.count;
+    if (out->size() > first && out->back().disk == extent.disk &&
+        out->back().start + out->back().count == extent.start) {
+      out->back().count += extent.count;
     } else {
-      extents.push_back(extent);
+      out->push_back(extent);
     }
   }
-  for (int d = 0; d < n; ++d) {
-    auto i = static_cast<size_t>(d);
+  a.used_ += count;
+  a.Record(now, static_cast<std::int64_t>(count.value()), tag);
+  return Status::OK();
+}
+
+void DiskSpaceAllocator::CommitWalk() {
+  for (std::size_t i = 0; i < free_lists_.size(); ++i) {
     HoleCursor& cursor = hole_cursors_[i];
-    if (cursor.left == free_per_disk_[i]) continue;
     FreeList& list = free_lists_[i];
+    if (cursor.hole == list.begin() && cursor.taken == 0) continue;
     list.erase(list.begin(), cursor.hole);
     if (cursor.taken > 0) {
       // The partly used hole keeps its node; only its key moves up.
@@ -106,11 +127,7 @@ Result<ExtentList> DiskSpaceAllocator::Allocate(BlockCount count, SimSeconds now
       node.mapped() -= cursor.taken;
       list.insert(list.begin(), std::move(node));
     }
-    free_per_disk_[i] = cursor.left;
   }
-  used_ += count;
-  Record(now, static_cast<std::int64_t>(count.value()), tag);
-  return extents;
 }
 
 void DiskSpaceAllocator::FreeRun(const Extent& run) {
@@ -167,6 +184,7 @@ void DiskSpaceAllocator::FreeRuns(const ExtentList& extents) {
 
 Status DiskSpaceAllocator::Free(const ExtentList& extents, SimSeconds now,
                                 const std::string& tag) {
+  TERTIO_CHECK(!walking_, "free while an allocation run is open");
   BlockCount total = TotalBlocks(extents);
   if (total > used_) {
     if (auditor_ != nullptr) {

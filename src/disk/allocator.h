@@ -56,9 +56,11 @@ class DiskSpaceAllocator {
 
   /// Allocates `count` blocks striped round-robin across the disks enabled in
   /// `disk_mask` (empty mask = all disks). The event is timestamped `now` in
-  /// the utilization trace under `tag`.
+  /// the utilization trace under `tag`. The one-allocation case of a Run.
   Result<ExtentList> Allocate(BlockCount count, SimSeconds now, const std::string& tag,
                               const std::vector<bool>& disk_mask = {});
+
+  class Run;
 
   /// Returns `extents` to the free lists. Freeing a block that is already
   /// free (any overlap with a free hole or with another extent of the same
@@ -86,13 +88,17 @@ class DiskSpaceAllocator {
   // start -> length, non-overlapping, coalesced.
   using FreeList = std::map<BlockIndex, BlockCount>;
 
-  /// Allocate's planning position on one disk: `taken` blocks of `hole`
-  /// are already handed out, `left` blocks of the disk remain free.
+  /// A run's planning position on one disk: `taken` blocks of `hole` are
+  /// already handed out. The disk's free count (free_per_disk_) is kept
+  /// live; its free map is edited when the run ends.
   struct HoleCursor {
     FreeList::iterator hole;
     BlockCount taken = 0;
-    BlockCount left = 0;
   };
+
+  /// Ends a stripe walk: drops every hole the walk used up and shortens the
+  /// one it stopped in.
+  void CommitWalk();
 
   /// Frees `extents`, first merging each disk's pieces into contiguous runs
   /// so the free map is edited once per run rather than once per piece.
@@ -103,16 +109,48 @@ class DiskSpaceAllocator {
 
   std::vector<FreeList> free_lists_;
   std::vector<BlockCount> free_per_disk_;
-  /// Per-disk scratch of Allocate and Free, sized once to the disk count.
+  /// Per-disk scratch of Run and Free, sized once to the disk count.
   std::vector<HoleCursor> hole_cursors_;
   std::vector<Extent> open_runs_;
   BlockCount stripe_unit_;
   BlockCount capacity_ = 0;
   BlockCount used_ = 0;
   int rr_cursor_ = 0;
+  /// A Run is walking the free maps; they are stale until it ends.
+  bool walking_ = false;
   sim::Auditor* auditor_ = nullptr;
   bool trace_enabled_ = false;
   std::vector<UsageEvent> trace_;
+};
+
+/// One stripe walk shared by consecutive allocations (a partitioner's run of
+/// bucket flushes). Each allocation continues where the previous one left
+/// the per-disk hole cursors and the round-robin position, so k allocations
+/// of a run hand out exactly the extents, trace events and free counts of k
+/// Allocate calls; each disk's free map is edited once, when the run ends.
+/// The allocator takes no other Allocate or Free while a run is open.
+class DiskSpaceAllocator::Run {
+ public:
+  /// `disk_mask` (null = all disks) must outlive the run.
+  explicit Run(DiskSpaceAllocator* allocator, const std::vector<bool>* disk_mask = nullptr);
+  ~Run();
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
+
+  /// Allocates `count` blocks as Allocate would and appends their extents
+  /// to `out` (pieces of this allocation coalesce with each other, never
+  /// with what `out` already held). A failed allocation changes nothing.
+  Status Allocate(BlockCount count, SimSeconds now, const std::string& tag, ExtentList* out);
+
+ private:
+  bool Enabled(int disk) const {
+    return disk_mask_ == nullptr || disk_mask_->empty() ||
+           (disk < static_cast<int>(disk_mask_->size()) &&
+            (*disk_mask_)[static_cast<size_t>(disk)]);
+  }
+
+  DiskSpaceAllocator* allocator_;
+  const std::vector<bool>* disk_mask_;
 };
 
 /// RAII owner of one allocation: scratch space a join holds. Free() returns

@@ -1,15 +1,18 @@
 #include "disk/disk_volume.h"
 
+#include <algorithm>
+
 #include "util/string_util.h"
 
 namespace tertio::disk {
 
 Status DiskVolume::CheckRange(BlockIndex start, BlockCount count) const {
-  if (start + count > store_.size()) {
+  if (start + count > capacity_) {
     return Status::InvalidArgument(
-        StrFormat("request [%llu, %llu) exceeds capacity of disk %s (%zu blocks)",
+        StrFormat("request [%llu, %llu) exceeds capacity of disk %s (%llu blocks)",
                   static_cast<unsigned long long>(start.value()),
-                  static_cast<unsigned long long>((start + count).value()), name_.c_str(), store_.size()));
+                  static_cast<unsigned long long>((start + count).value()), name_.c_str(),
+                  static_cast<unsigned long long>(capacity_.value())));
   }
   return Status::OK();
 }
@@ -48,15 +51,19 @@ Result<sim::Interval> DiskVolume::Read(BlockIndex start, BlockCount count, SimSe
                   static_cast<unsigned long long>(outcome.failed_block.value())));
   }
   if (out != nullptr) {
-    out->reserve(out->size() + count.value());
-    for (BlockIndex i = start; i < start + count; ++i) out->push_back(store_[(i).value()]);
+    if (store_.empty()) {
+      out->resize(out->size() + count.value());
+    } else {
+      out->insert(out->end(), store_.begin() + static_cast<long>(start.value()),
+                  store_.begin() + static_cast<long>((start + count).value()));
+    }
   }
   return resource_->Schedule(ready, duration, bytes, "disk.read");
 }
 
 void DiskVolume::CommitCoalesced(bool write, BlockCount blocks, std::uint64_t requests,
                                  std::uint64_t positioned, BlockIndex next) {
-  TERTIO_CHECK(next <= store_.size(), "coalesced disk commit exceeds capacity");
+  TERTIO_CHECK(next <= capacity_, "coalesced disk commit exceeds capacity");
   stats_.requests += requests;
   stats_.positioned_requests += positioned;
   any_request_ = true;
@@ -69,16 +76,20 @@ void DiskVolume::CommitCoalesced(bool write, BlockCount blocks, std::uint64_t re
 }
 
 void DiskVolume::WritePhantom(BlockIndex start, BlockCount count) {
-  TERTIO_CHECK(start + count <= store_.size(), "phantom disk write exceeds capacity");
-  for (BlockCount i = 0; i < count; ++i) store_[(start + i).value()] = nullptr;
+  TERTIO_CHECK(start + count <= capacity_, "phantom disk write exceeds capacity");
+  if (store_.empty()) return;  // every block already reads back null
+  std::fill_n(store_.begin() + static_cast<long>(start.value()), count.value(), nullptr);
 }
 
 Result<sim::Interval> DiskVolume::Write(BlockIndex start, BlockCount count, SimSeconds ready,
                                         const BlockPayload* payloads) {
   TERTIO_RETURN_IF_ERROR(CheckRange(start, count));
   SimSeconds duration = RequestCost(start, count);
-  for (BlockCount i = 0; i < count; ++i) {
-    store_[(start + i).value()] = payloads != nullptr ? payloads[i.value()] : nullptr;
+  if (payloads == nullptr) {
+    WritePhantom(start, count);
+  } else {
+    if (store_.empty()) store_.resize(capacity_.value());
+    std::copy_n(payloads, count.value(), store_.begin() + static_cast<long>(start.value()));
   }
   stats_.blocks_written += count;
   return resource_->Schedule(ready, duration, count * block_bytes_, "disk.write");

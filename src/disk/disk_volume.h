@@ -26,7 +26,8 @@ struct DiskStats {
 
 /// One disk drive bound to a sim::Resource. Requests are block-extent
 /// granular; a request sequentially continuing the previous one (same start
-/// as the previous end) pays no positioning time.
+/// as the previous end) pays no positioning time. Blocks never written with
+/// a real payload read back as null (phantom) payloads.
 class DiskVolume {
  public:
   DiskVolume(std::string name, DiskModel model, sim::Resource* resource,
@@ -35,8 +36,7 @@ class DiskVolume {
         model_(model),
         resource_(resource),
         block_bytes_(block_bytes),
-        // tertio-lint: allow(units-unwrap) — std::vector sizing needs the raw count.
-        store_(capacity_blocks.value()) {
+        capacity_(capacity_blocks) {
     TERTIO_CHECK(resource != nullptr, "disk requires a resource");
     TERTIO_CHECK(block_bytes > 0, "block size must be positive");
   }
@@ -45,7 +45,7 @@ class DiskVolume {
   const DiskModel& model() const { return model_; }
   sim::Resource* resource() { return resource_; }
   const DiskStats& stats() const { return stats_; }
-  BlockCount capacity_blocks() const { return store_.size(); }
+  BlockCount capacity_blocks() const { return capacity_; }
   ByteCount block_bytes() const { return block_bytes_; }
 
   /// Attaches a fault source (not owned; may be null). Reads then draw
@@ -93,6 +93,9 @@ class DiskVolume {
   DiskModel model_;
   sim::Resource* resource_;
   ByteCount block_bytes_;
+  BlockCount capacity_;
+  /// One payload slot per block, allocated at the first real-payload write:
+  /// a volume that only ever sees phantoms holds no per-block state.
   std::vector<BlockPayload> store_;
   BlockIndex next_sequential_ = 0;
   bool any_request_ = false;

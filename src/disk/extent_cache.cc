@@ -133,7 +133,7 @@ Result<sim::Interval> ExtentCache::ReadThrough(const void* volume, BlockIndex en
 
 void ExtentCache::BindAuditor(sim::Auditor* auditor) {
   auditor_ = auditor;
-  view_->allocator().BindAuditor(auditor);
+  view_->BindAuditor(auditor);
 }
 
 }  // namespace tertio::disk

@@ -1,6 +1,7 @@
 #include "disk/striped_group.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/string_util.h"
@@ -30,7 +31,7 @@ StripedDiskGroup::StripedDiskGroup(const DiskGroupConfig& config, sim::Simulatio
                "disk models and capacities must align");
   for (size_t i = 0; i < config.disks.size(); ++i) {
     // Allocator sizing: each spindle's capacity must be expressible in
-    // bytes before the volume materializes its block store.
+    // bytes.
     Result<ByteCount> sized =
         CheckedBlocksToBytes(config.per_disk_capacity[i], config.block_bytes);
     TERTIO_CHECK(sized.ok(), sized.status().ToString());
@@ -140,6 +141,31 @@ Result<sim::Interval> ExtentWriteSink::Write(BlockCount offset, BlockCount count
   return group_->WriteExtents(walk_.slice, ready, payloads);
 }
 
+namespace {
+
+/// The first field in which two answers to one question differ; null when
+/// they agree in every bit.
+const char* AnswerDifference(const ExtentWalk::Answer& a, const ExtentWalk::Answer& b) {
+  if (a.touches != b.touches) return "first-touch answers";
+  if (a.chunks != b.chunks) return "chunk count";
+  if (a.cycle != b.cycle) return "cycle";
+  if (a.ops_per_chunk != b.ops_per_chunk) return "ops per chunk";
+  if (a.ops.size() != b.ops.size()) return "op count";
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    const sim::ChunkCostProfile::Op& x = a.ops[i];
+    const sim::ChunkCostProfile::Op& y = b.ops[i];
+    if (x.resource != y.resource || x.bytes != y.bytes || x.tag != y.tag ||
+        std::bit_cast<std::uint64_t>(x.seconds.value()) !=
+            std::bit_cast<std::uint64_t>(y.seconds.value())) {
+      return "op";
+    }
+  }
+  if (a.shares != b.shares) return "disk shares";
+  return nullptr;
+}
+
+}  // namespace
+
 sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, BlockCount offset,
                                                            BlockCount chunk,
                                                            std::uint64_t max_chunks, bool write) {
@@ -150,7 +176,48 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
   for (const auto& d : disks_) {
     if (d->fault_injector() != nullptr && d->fault_injector()->enabled()) return {};
   }
+  const ExtentWalk::Question question{offset, chunk, max_chunks, write,
+                                      walk.cursor.extents()->size()};
+  if (offset < walk.next_offset) walk.rescanned = true;
+  walk.next_offset = offset + 1;
+  if (!walk.rescanned) return ProfileOf(walk, WalkChunks(walk, question));
 
+  // The answer is a function of the question, the list (fixed by its size:
+  // it only grows at the back) and the disks' first-touch answers.
+  auto it = std::lower_bound(
+      walk.memo.begin(), walk.memo.end(), question,
+      [](const ExtentWalk::Answer& a, const ExtentWalk::Question& q) { return a.question < q; });
+  const bool asked = it != walk.memo.end() && it->question == question;
+  if (asked && std::all_of(it->touches.begin(), it->touches.end(),
+                           [&](const ExtentWalk::FirstTouch& t) {
+                             return disks_[static_cast<size_t>(t.disk)]->IsSequential(t.start) ==
+                                    t.sequential;
+                           })) {
+    if (auditor_ != nullptr) {
+      ExtentWalk::Answer fresh = WalkChunks(walk, question);
+      fresh.touches = walk.touches;
+      auditor_->OnProfileMemoCheck(write ? "disk.write" : "disk.read", offset,
+                                   AnswerDifference(*it, fresh));
+    }
+    return ProfileOf(walk, *it);
+  }
+  ExtentWalk::Answer answer = WalkChunks(walk, question);
+  answer.touches = walk.touches;
+  if (asked) {
+    *it = answer;
+  } else {
+    walk.memo.insert(it, answer);
+  }
+  return ProfileOf(walk, std::move(answer));
+}
+
+ExtentWalk::Answer StripedDiskGroup::WalkChunks(ExtentWalk& walk,
+                                                const ExtentWalk::Question& question) {
+  const BlockCount offset = question.offset;
+  const BlockCount chunk = question.chunk;
+  const std::uint64_t max_chunks = question.max_chunks;
+  ExtentWalk::Answer answer;
+  answer.question = question;
   // A chunk dissolves into a sequence of per-disk pieces, each one disk
   // request. A piece that does not continue its disk's previous request
   // (the disk's live cursor on first touch) is *positioned*: it pays
@@ -172,6 +239,7 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
   walk.lead_positioned.clear();
   walk.lead_ends.clear();
   walk.disk_next.assign(disks_.size(), ExtentWalk::DiskNext{});
+  walk.touches.clear();
   std::size_t i = walk.cursor.Seek(offset);
   BlockCount used = i < extents.size() ? offset - walk.cursor.base() : 0;  // of extents[i]
   std::uint64_t cycle = 0;
@@ -212,8 +280,11 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
       }
       auto d = static_cast<size_t>(piece.disk);
       ExtentWalk::DiskNext& next = walk.disk_next[d];
-      const bool positioned =
-          next.touched ? piece.start != next.start : !disks_[d]->IsSequential(piece.start);
+      bool positioned = piece.start != next.start;
+      if (!next.touched) {
+        positioned = !disks_[d]->IsSequential(piece.start);
+        walk.touches.push_back(ExtentWalk::FirstTouch{piece.disk, piece.start, !positioned});
+      }
       next.touched = true;
       next.start = piece.start + piece.count;
       seeks = seeks || positioned;
@@ -245,7 +316,7 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
         lead_seeks = lead_seeks || seeks;
         // A seeking pattern must repeat twice within `max_chunks` (below),
         // and its cycle is at least this lead long.
-        if (lead_seeks && max_chunks / 2 < verified) return {};
+        if (lead_seeks && max_chunks / 2 < verified) return answer;
         continue;
       }
     }
@@ -254,34 +325,25 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
   }
   // A prefix that never repeated is itself the cycle (it was verified whole).
   if (cycle == 0) cycle = verified;
-  if (cycle == 0) return {};
+  if (cycle == 0) return answer;
   std::uint64_t chunks = (verified / cycle) * cycle;
-  if (chunks < 2) return {};
+  if (chunks < 2) return answer;
   // A pattern with positioned pieces is accepted only once it has repeated
   // at least twice. A scan whose first chunk seeks and whose later chunks
   // stream would otherwise pass as one long non-repeating cycle; it keeps
   // the per-chunk path for that chunk, as an all-sequential window does.
-  if (lead_seeks && chunks < 2 * cycle) return {};
+  if (lead_seeks && chunks < 2 * cycle) return answer;
 
-  sim::ChunkCostProfile profile;
-  profile.chunks = chunks;
-  profile.cycle = cycle;
-  profile.ops_per_chunk.reserve(cycle);
-  profile.ops.reserve(walk.lead.size());
-  const char* tag = write ? "disk.write" : "disk.read";
+  answer.chunks = chunks;
+  answer.cycle = cycle;
+  answer.ops_per_chunk.reserve(cycle);
+  answer.ops.reserve(walk.lead.size());
+  const char* tag = question.write ? "disk.write" : "disk.read";
   std::uint32_t begin = 0;
   for (std::uint32_t end : walk.lead_ends) {
-    profile.ops_per_chunk.push_back(end - begin);
+    answer.ops_per_chunk.push_back(end - begin);
     begin = end;
   }
-  // Per-disk share of one period, for the commit's counters.
-  struct Share {
-    int disk;
-    BlockCount blocks;
-    std::uint64_t requests;
-    std::uint64_t positioned;
-  };
-  std::vector<Share> shares;
   for (std::size_t j = 0; j < walk.lead.size(); ++j) {
     const Extent& piece = walk.lead[j];
     const bool positioned = walk.lead_positioned[j];
@@ -290,23 +352,35 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
     ByteCount bytes = piece.count * disk->block_bytes();
     SimSeconds seconds = disk->model().TransferSeconds(bytes);
     if (positioned) seconds += disk->model().positioning_seconds;
-    profile.ops.push_back({disk->resource(), seconds, bytes, tag});
-    auto it = std::find_if(shares.begin(), shares.end(),
-                           [&](const Share& s) { return s.disk == piece.disk; });
-    if (it == shares.end()) {
-      shares.push_back(Share{piece.disk, piece.count, 1, positioned ? 1u : 0u});
+    answer.ops.push_back({disk->resource(), seconds, bytes, tag});
+    auto it = std::find_if(answer.shares.begin(), answer.shares.end(),
+                           [&](const ExtentWalk::DiskShare& s) { return s.disk == piece.disk; });
+    if (it == answer.shares.end()) {
+      answer.shares.push_back(
+          ExtentWalk::DiskShare{piece.disk, piece.count, 1, positioned ? 1u : 0u});
     } else {
       it->blocks += piece.count;
       it->requests += 1;
       it->positioned += positioned ? 1 : 0;
     }
   }
+  return answer;
+}
+
+sim::ChunkCostProfile StripedDiskGroup::ProfileOf(ExtentWalk& walk, ExtentWalk::Answer answer) {
+  if (answer.chunks == 0) return {};
+  sim::ChunkCostProfile profile;
+  profile.chunks = answer.chunks;
+  profile.cycle = answer.cycle;
+  profile.ops_per_chunk = std::move(answer.ops_per_chunk);
+  profile.ops = std::move(answer.ops);
   // Counters scale with whole periods. A disk's cursor ends where its last
   // committed piece ends, which lies in the last period (every period
   // touches every disk of the pattern); phantom writes cover every piece.
   // The walk belongs to the endpoint, which outlives the commit.
-  profile.commit = [this, &walk, offset, chunk, cycle, write,
-                    shares = std::move(shares)](std::uint64_t committed) {
+  profile.commit = [this, &walk, offset = answer.question.offset, chunk = answer.question.chunk,
+                    cycle = answer.cycle, write = answer.question.write,
+                    shares = std::move(answer.shares)](std::uint64_t committed) {
     const BlockCount end = offset + committed * chunk;
     const BlockCount from = write ? offset : end - cycle * chunk;
     const ExtentList& list = *walk.cursor.extents();
@@ -327,7 +401,7 @@ sim::ChunkCostProfile StripedDiskGroup::ExtentChunkProfile(ExtentWalk& walk, Blo
       need -= take;
     }
     const std::uint64_t periods = committed / cycle;
-    for (const Share& share : shares) {
+    for (const ExtentWalk::DiskShare& share : shares) {
       const auto d = static_cast<size_t>(share.disk);
       disks_[d]->CommitCoalesced(write, periods * share.blocks, periods * share.requests,
                                  periods * share.positioned, walk.disk_next[d].start);

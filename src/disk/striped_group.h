@@ -27,6 +27,7 @@ namespace tertio::disk {
 /// Caller-owned walk state over one ExtentList: the forward cursor that an
 /// endpoint's per-chunk slices and chunk profiles start from, plus the
 /// buffers they refill, so an endpoint's steady state allocates nothing.
+/// The list may only grow at the back while the walk is bound to it.
 struct ExtentWalk {
   explicit ExtentWalk(const ExtentList* extents) : cursor(extents) {}
 
@@ -34,6 +35,47 @@ struct ExtentWalk {
   struct DiskNext {
     BlockIndex start = 0;
     bool touched = false;
+  };
+
+  /// One ExtentChunkProfile question.
+  struct Question {
+    BlockCount offset = 0;
+    BlockCount chunk = 0;
+    std::uint64_t max_chunks = 0;
+    bool write = false;
+    std::size_t list_size = 0;
+    friend auto operator<=>(const Question&, const Question&) = default;
+  };
+
+  /// A disk's first-touch answer a profile walk read: whether a request at
+  /// `start` continues the disk's previous one. These are the only live
+  /// device state the walk reads.
+  struct FirstTouch {
+    int disk = 0;
+    BlockIndex start = 0;
+    bool sequential = false;
+    bool operator==(const FirstTouch&) const = default;
+  };
+
+  /// One disk's share of a profile period, for the commit's counters.
+  struct DiskShare {
+    int disk = 0;
+    BlockCount blocks = 0;
+    std::uint64_t requests = 0;
+    std::uint64_t positioned = 0;
+    bool operator==(const DiskShare&) const = default;
+  };
+
+  /// A question's answer, rejections included (chunks == 0): the profile
+  /// less its commit, and the first-touch answers it rests on.
+  struct Answer {
+    Question question;
+    std::vector<FirstTouch> touches;
+    std::uint64_t chunks = 0;
+    std::uint64_t cycle = 0;
+    std::vector<std::uint32_t> ops_per_chunk;
+    std::vector<sim::ChunkCostProfile::Op> ops;
+    std::vector<DiskShare> shares;
   };
 
   ExtentCursor cursor;
@@ -46,6 +88,15 @@ struct ExtentWalk {
   std::vector<bool> lead_positioned;
   std::vector<std::uint32_t> lead_ends;
   std::vector<DiskNext> disk_next;
+  /// The first-touch answers of the latest profile walk.
+  std::vector<FirstTouch> touches;
+  /// Answers kept once the list is scanned again, sorted by question. A
+  /// scan asks ascending offsets, so a question below `next_offset` (one
+  /// past the previous question's) starts a re-scan; a list scanned once
+  /// keeps nothing.
+  std::vector<Answer> memo;
+  BlockCount next_offset = 0;
+  bool rescanned = false;
 };
 
 /// Configuration of one disk group.
@@ -111,8 +162,18 @@ class StripedDiskGroup {
   /// does not repeat at least twice. One forward pass from the walk's
   /// cursor; it stops at the first piece that breaks the pattern. The
   /// profile's commit reads `walk`, so it must run while the endpoint lives.
+  /// Once the list is scanned again, an answer the walk keeps is reused
+  /// while every disk it touched gives the same first-touch answer; under a
+  /// bound auditor every reuse is re-walked and compared.
   sim::ChunkCostProfile ExtentChunkProfile(ExtentWalk& walk, BlockCount offset, BlockCount chunk,
                                            std::uint64_t max_chunks, bool write);
+
+  /// Binds a SimSan auditor (sim/auditor.h) to the allocator and to the
+  /// profile memo's cross-check. Null detaches.
+  void BindAuditor(sim::Auditor* auditor) {
+    auditor_ = auditor;
+    allocator_.BindAuditor(auditor);
+  }
 
   /// Aggregated statistics across all disks.
   DiskStats TotalStats() const;
@@ -157,6 +218,13 @@ class StripedDiskGroup {
   std::vector<DiskVolume*> disks_;
   DiskSpaceAllocator allocator_;
   ByteCount block_bytes_;
+  sim::Auditor* auditor_ = nullptr;
+
+  /// Walks the pieces of `question` and answers it (touches excepted; the
+  /// walk leaves them in walk.touches).
+  ExtentWalk::Answer WalkChunks(ExtentWalk& walk, const ExtentWalk::Question& question);
+  /// The profile of an answer, its commit bound to `walk`.
+  sim::ChunkCostProfile ProfileOf(ExtentWalk& walk, ExtentWalk::Answer answer);
 };
 
 /// Pipeline source streaming a disk-resident logical sequence: block

@@ -66,7 +66,7 @@ QuerySession::QuerySession(Site* site, SessionResources res, DriveLease drives,
                                                     site_->block_bytes());
   if (site_->auditor() != nullptr) {
     memory_.BindAuditor(site_->auditor());
-    disks_->allocator().BindAuditor(site_->auditor());
+    disks_->BindAuditor(site_->auditor());
   }
 }
 

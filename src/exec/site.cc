@@ -125,7 +125,7 @@ sim::Auditor* Site::EnableAudit() {
 
 void Site::BindAuditor(sim::Auditor* auditor) {
   memory_.BindAuditor(auditor);
-  disks_->allocator().BindAuditor(auditor);
+  disks_->BindAuditor(auditor);
   if (extent_cache_ != nullptr) extent_cache_->BindAuditor(auditor);
   if (library_ != nullptr) {
     for (int slot = 0; slot < library_->slot_count(); ++slot) {

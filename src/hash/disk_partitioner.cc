@@ -1,5 +1,7 @@
 #include "hash/disk_partitioner.h"
 
+#include <algorithm>
+
 #include "hash/hasher.h"
 #include "relation/relation.h"
 #include "relation/tuple.h"
@@ -41,6 +43,7 @@ Status DiskPartitioner::AddBlocks(std::span<const BlockPayload> blocks, SimSecon
   if (options_.schema == nullptr) {
     return Status::FailedPrecondition("partitioner was configured without a schema");
   }
+  disk::DiskSpaceAllocator::Run run(&disks_->allocator());
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
                             rel::BlockReader::Open(payload, options_.schema));
@@ -55,7 +58,7 @@ Status DiskPartitioner::AddBlocks(std::span<const BlockPayload> blocks, SimSecon
       if (p.data_ready < ready) p.data_ready = ready;
       if (p.builder->full()) {
         p.full_blocks.push_back(p.builder->Finish());
-        TERTIO_RETURN_IF_ERROR(MaybeFlush(local, /*final=*/false));
+        TERTIO_RETURN_IF_ERROR(MaybeFlush(run, local, /*final=*/false));
       }
     }
   }
@@ -65,23 +68,86 @@ Status DiskPartitioner::AddBlocks(std::span<const BlockPayload> blocks, SimSecon
 Status DiskPartitioner::AddPhantomBlocks(BlockCount count, SimSeconds ready) {
   // Spread `count` blocks uniformly over all B buckets; only the local span
   // materializes. Remainders carry across calls so long runs stay exact.
-  std::uint64_t gross_blocks = count.value() * span_ + phantom_block_carry_;
-  BlockCount local_blocks = gross_blocks / options_.bucket_count;
-  phantom_block_carry_ = gross_blocks % options_.bucket_count;
+  const std::uint64_t gross_blocks = count.value() * span_ + phantom_block_carry_;
+  const std::uint64_t n = gross_blocks / options_.bucket_count;
+  const std::uint64_t span = span_;
+  const std::uint64_t w = options_.write_buffer_blocks.value();
 
-  // Round-robin the materialized blocks across the span.
-  for (BlockCount i = 0; i < local_blocks; ++i) {
-    std::uint32_t local = phantom_cursor_;
-    phantom_cursor_ = (phantom_cursor_ + 1) % span_;
-    PendingBucket& p = pending_[local];
-    p.phantom_pending += 1;
-    if (p.data_ready < ready) p.data_ready = ready;
-    TERTIO_RETURN_IF_ERROR(MaybeFlush(local, /*final=*/false));
+  // The materialized blocks go round-robin over the span: block i of the
+  // call to the bucket at offset i % span from the cursor. The bucket at
+  // offset o, holding p pending blocks, fills at block o + (w - p - 1) span
+  // and again every w span blocks after that.
+  fills_.clear();
+  for (std::uint64_t o = 0; o < std::min(n, span); ++o) {
+    const auto local = static_cast<std::uint32_t>((phantom_cursor_ + o) % span);
+    const std::uint64_t pending = pending_[local].phantom_pending.value();
+    if (pending >= w) {
+      return Status::FailedPrecondition("partitioner fed phantom blocks after a failed flush");
+    }
+    const std::uint64_t first = o + (w - pending - 1) * span;
+    if (first < n) fills_.push_back(Fill{first, local});
   }
+  phantom_block_carry_ = gross_blocks % options_.bucket_count;
+  std::sort(fills_.begin(), fills_.end(),
+            [](const Fill& a, const Fill& b) { return a.block < b.block; });
+
+  // Flush in ascending block index, the order a block-by-block pass meets
+  // the fills: each period of w span blocks fills every scheduled bucket
+  // once, in its first fill's order.
+  std::uint64_t delivered = n;  // blocks that reached their buckets
+  std::uint32_t failed = span_;
+  Status status;
+  {
+    disk::DiskSpaceAllocator::Run run(&disks_->allocator());
+    for (std::uint64_t base = 0; base < n && status.ok(); base += w * span) {
+      for (const Fill& fill : fills_) {
+        if (base + fill.block >= n) break;
+        const PendingBucket& p = pending_[fill.local];
+        status = WriteFlush(run, fill.local, w, std::max(p.data_ready, ready), nullptr);
+        if (!status.ok()) {
+          delivered = base + fill.block + 1;
+          failed = fill.local;
+          break;
+        }
+      }
+    }
+  }
+
+  // Settle the blocks delivered: a bucket keeps what its flushes left of
+  // them, and the one whose flush failed keeps its full write buffer.
+  for (std::uint64_t o = 0; o < std::min(delivered, span); ++o) {
+    const auto local = static_cast<std::uint32_t>((phantom_cursor_ + o) % span);
+    PendingBucket& p = pending_[local];
+    const std::uint64_t received = (delivered - o + span - 1) / span;
+    p.phantom_pending = (p.phantom_pending.value() + received) % w + (local == failed ? w : 0);
+    if (p.data_ready < ready) p.data_ready = ready;
+  }
+  phantom_cursor_ = static_cast<std::uint32_t>((phantom_cursor_ + delivered) % span);
+  return status;
+}
+
+Status DiskPartitioner::WriteFlush(disk::DiskSpaceAllocator::Run& run, std::uint32_t local,
+                                   BlockCount chunk, SimSeconds ready,
+                                   const std::vector<BlockPayload>* payloads) {
+  if (options_.space != nullptr) {
+    TERTIO_ASSIGN_OR_RETURN(SimSeconds space_ready, options_.space->AcquireFree(chunk));
+    if (space_ready > ready) ready = space_ready;
+  }
+  flush_extents_.clear();
+  TERTIO_RETURN_IF_ERROR(run.Allocate(chunk, ready, options_.alloc_tag, &flush_extents_));
+  // The bucket owns the space from here on, so a failed write cannot leak it.
+  DiskBucket& bucket = buckets_[local];
+  bucket.extents.insert(bucket.extents.end(), flush_extents_.begin(), flush_extents_.end());
+  TERTIO_ASSIGN_OR_RETURN(sim::Interval interval,
+                          disks_->WriteExtents(flush_extents_, ready, payloads));
+  bucket.blocks += chunk;
+  if (interval.end > bucket.ready) bucket.ready = interval.end;
+  if (interval.end > last_write_end_) last_write_end_ = interval.end;
   return Status::OK();
 }
 
-Status DiskPartitioner::MaybeFlush(std::uint32_t local, bool final) {
+Status DiskPartitioner::MaybeFlush(disk::DiskSpaceAllocator::Run& run, std::uint32_t local,
+                                   bool final) {
   PendingBucket& p = pending_[local];
   while (true) {
     BlockCount encoded = p.full_blocks.size() + p.phantom_pending;
@@ -89,47 +155,31 @@ Status DiskPartitioner::MaybeFlush(std::uint32_t local, bool final) {
     if (encoded < options_.write_buffer_blocks && !final) break;
     BlockCount chunk =
         encoded < options_.write_buffer_blocks ? encoded : options_.write_buffer_blocks;
-
-    SimSeconds ready = p.data_ready;
-    if (options_.space != nullptr) {
-      TERTIO_ASSIGN_OR_RETURN(SimSeconds space_ready, options_.space->AcquireFree(chunk));
-      if (space_ready > ready) ready = space_ready;
-    }
-    TERTIO_ASSIGN_OR_RETURN(disk::ExtentList extents,
-                            disks_->allocator().Allocate(chunk, ready, options_.alloc_tag));
-    // The bucket owns the space from here on, so a failed write cannot leak it.
-    DiskBucket& bucket = buckets_[local];
-    for (const disk::Extent& e : extents) bucket.extents.push_back(e);
-    sim::Interval interval;
     if (!p.full_blocks.empty()) {
-      BlockCount real = p.full_blocks.size() < chunk ? p.full_blocks.size() : chunk;
-      std::vector<BlockPayload> batch(p.full_blocks.begin(),
-                                      p.full_blocks.begin() + static_cast<long>(real.value()));
       // A mixed real/phantom flush cannot happen: a partitioner sees either
       // real or phantom input exclusively.
-      TERTIO_CHECK(real == chunk, "mixed real/phantom bucket flush");
-      TERTIO_ASSIGN_OR_RETURN(interval, disks_->WriteExtents(extents, ready, &batch));
-      p.full_blocks.erase(p.full_blocks.begin(), p.full_blocks.begin() + static_cast<long>(real.value()));
+      TERTIO_CHECK(p.full_blocks.size() >= chunk, "mixed real/phantom bucket flush");
+      const auto real = static_cast<long>(chunk.value());
+      std::vector<BlockPayload> batch(p.full_blocks.begin(), p.full_blocks.begin() + real);
+      TERTIO_RETURN_IF_ERROR(WriteFlush(run, local, chunk, p.data_ready, &batch));
+      p.full_blocks.erase(p.full_blocks.begin(), p.full_blocks.begin() + real);
     } else {
-      TERTIO_ASSIGN_OR_RETURN(interval, disks_->WriteExtents(extents, ready, nullptr));
+      TERTIO_RETURN_IF_ERROR(WriteFlush(run, local, chunk, p.data_ready, nullptr));
       p.phantom_pending -= chunk;
     }
-
-    bucket.blocks += chunk;
-    if (interval.end > bucket.ready) bucket.ready = interval.end;
-    if (interval.end > last_write_end_) last_write_end_ = interval.end;
     if (!final) break;  // non-final flush drains exactly one chunk at a time
   }
   return Status::OK();
 }
 
 Status DiskPartitioner::Flush() {
+  disk::DiskSpaceAllocator::Run run(&disks_->allocator());
   for (std::uint32_t local = 0; local < span_; ++local) {
     PendingBucket& p = pending_[local];
     if (p.builder != nullptr && !p.builder->empty()) {
       p.full_blocks.push_back(p.builder->Finish());
     }
-    TERTIO_RETURN_IF_ERROR(MaybeFlush(local, /*final=*/true));
+    TERTIO_RETURN_IF_ERROR(MaybeFlush(run, local, /*final=*/true));
   }
   return Status::OK();
 }

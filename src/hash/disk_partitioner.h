@@ -80,7 +80,10 @@ class DiskPartitioner {
   Status AddBlocks(std::span<const BlockPayload> blocks, SimSeconds ready);
 
   /// Accounts `count` phantom blocks, spread uniformly over all B buckets
-  /// (available at `ready`).
+  /// (available at `ready`). The call's flushes are computed from the
+  /// round-robin, not found block by block, and share one allocation run:
+  /// its cost grows with the flushes it issues, not with `count`. After a
+  /// failed flush the partitioner takes no more phantom blocks.
   Status AddPhantomBlocks(BlockCount count, SimSeconds ready);
 
   /// Flushes all partial write buffers. Must be called before buckets().
@@ -101,9 +104,21 @@ class DiskPartitioner {
     SimSeconds data_ready = 0.0;
   };
 
+  /// A bucket's first fill within one AddPhantomBlocks call: the call's
+  /// block index that brings its write buffer to w blocks.
+  struct Fill {
+    std::uint64_t block;
+    std::uint32_t local;
+  };
+
   bool Materialized(std::uint32_t bucket) const;
   /// Flushes `chunk` blocks (or whatever is pending if fewer and `final`).
-  Status MaybeFlush(std::uint32_t local, bool final);
+  Status MaybeFlush(disk::DiskSpaceAllocator::Run& run, std::uint32_t local, bool final);
+  /// Writes one `chunk`-block flush of bucket `local` whose data is ready at
+  /// `ready`: waits for shared buffer space, allocates through `run` and
+  /// writes `payloads` (null: phantoms).
+  Status WriteFlush(disk::DiskSpaceAllocator::Run& run, std::uint32_t local, BlockCount chunk,
+                    SimSeconds ready, const std::vector<BlockPayload>* payloads);
 
   disk::StripedDiskGroup* disks_;
   Options options_;
@@ -114,6 +129,9 @@ class DiskPartitioner {
   // Remainder accounting for spreading phantom blocks over buckets.
   std::uint64_t phantom_block_carry_ = 0;
   std::uint32_t phantom_cursor_ = 0;
+  /// Scratch reused by every call: one flush's extents, one call's fills.
+  disk::ExtentList flush_extents_;
+  std::vector<Fill> fills_;
 };
 
 /// Pipeline sink hashing a Transfer's chunks into disk buckets. Real chunks

@@ -4,7 +4,7 @@
 ///
 /// All three stage R on disk (Step I, StageRelationToDisk) and then iterate
 /// over S in memory-sized chunks, building a table over each chunk and
-/// streaming R from disk through it (Step II, ScanDiskAndProbe). They differ
+/// streaming R from disk through it (Step II, ScanAndProbe). They differ
 /// only in how the S chunks are buffered:
 ///   DT-NB      — one memory buffer, strictly sequential;
 ///   CDT-NB/MB  — two half-size memory buffers, tape read of chunk i+1
@@ -61,8 +61,10 @@ Result<NbGeometry> PlanNb(NbMode mode, const JoinSpec& spec, const JoinContext& 
 
 /// Joins one memory-resident S chunk against disk-resident R: builds a hash
 /// table over the chunk and streams R through it in Mr-block requests.
+/// Every pass reads through the one `r_source` of Step II, so the chunk
+/// profiles of a pass are reused by the next (disk/striped_group.h).
 /// \returns the stage completing the pass over R.
-Result<sim::StageId> JoinChunkAgainstR(JoinRun& run, const disk::ExtentList& r_extents,
+Result<sim::StageId> JoinChunkAgainstR(JoinRun& run, disk::ExtentReadSource& r_source,
                                        BlockCount mr, const std::vector<BlockPayload>& chunk,
                                        std::initializer_list<sim::StageId> deps) {
   const JoinContext& ctx = run.ctx;
@@ -72,9 +74,10 @@ Result<sim::StageId> JoinChunkAgainstR(JoinRun& run, const disk::ExtentList& r_e
   if (!run.phantom) {
     TERTIO_RETURN_IF_ERROR(table.AddBlocks(chunk));
   }
-  return ScanDiskAndProbe(ctx, pipe, "r-scan", r_extents, mr, deps, run.phantom,
-                          &run.spec.r->schema, run.spec.r_key_column,
-                          run.phantom ? nullptr : &table, &run.output);
+  return ScanAndProbe(ctx, pipe, "r-scan", r_source, run.spec.r->blocks, mr,
+                      std::span<const sim::StageId>(deps.begin(), deps.size()), run.phantom,
+                      &run.spec.r->schema, run.spec.r_key_column,
+                      run.phantom ? nullptr : &table, &run.output);
 }
 
 Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
@@ -105,7 +108,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       StagedRelation staged,
       StageRelationToDisk(ctx, pipe, ctx.drive_r, r, g.ms, mode != NbMode::kSequential,
                           "R-copy", {}));
-  const disk::ExtentList& r_extents = staged.space.extents();
+  disk::ExtentReadSource r_source(ctx.disks, &staged.space.extents());
   stats.peak_disk_blocks = ctx.disks->allocator().used_blocks();
   sim::StageId finish_stage = staged.done_stage;
 
@@ -119,7 +122,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
           sim::StageId read,
           ctx.drive_s->IssueRead(pipe, "s-read", {chain}, s.start_block + off, take,
                                  phantom ? nullptr : &chunk, kChunkRetryLimit));
-      TERTIO_ASSIGN_OR_RETURN(chain, JoinChunkAgainstR(run, r_extents, g.mr, chunk, {read}));
+      TERTIO_ASSIGN_OR_RETURN(chain, JoinChunkAgainstR(run, r_source, g.mr, chunk, {read}));
       stats.iterations += 1;
     }
     finish_stage = chain;
@@ -138,7 +141,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
                                  s.start_block + off, take, phantom ? nullptr : &chunk,
                                  kChunkRetryLimit));
       TERTIO_ASSIGN_OR_RETURN(join_chain,
-                              JoinChunkAgainstR(run, r_extents, g.mr, chunk, {read, join_chain}));
+                              JoinChunkAgainstR(run, r_source, g.mr, chunk, {read, join_chain}));
       buffers.SetBusyUntil(i, join_chain);
       stats.iterations += 1;
     }
@@ -274,7 +277,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
           next.push_back(piece);
         }
       }
-      TERTIO_ASSIGN_OR_RETURN(join_chain, JoinChunkAgainstR(run, r_extents, g.mr, chunk, {t}));
+      TERTIO_ASSIGN_OR_RETURN(join_chain, JoinChunkAgainstR(run, r_source, g.mr, chunk, {t}));
       stats.iterations += 1;
       current = std::move(next);
       off = next_off;

@@ -220,10 +220,21 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
                         t, pipe.Stage("r-run-locate", drive->name(), {t}, 0, 0,
                                       [&](SimSeconds ready) { return drive->Locate(end, ready); }));
                   }
-                  return pipe.Stage("r-run-read", drive->name(), {t}, take,
-                                    take * r.block_bytes, [&](SimSeconds ready) {
-                                      return drive->ReadReverse(take, ready, payloads);
-                                    });
+                  // A failed reverse read stops the head at the failed block
+                  // and delivers nothing: a retry locates back first.
+                  return pipe.StageWithRetry(
+                      "r-run-read", drive->name(), std::span<const sim::StageId>(&t, 1), take,
+                      take * r.block_bytes,
+                      [&](SimSeconds ready) -> Result<sim::Interval> {
+                        if (drive->head_position() == end) {
+                          return drive->ReadReverse(take, ready, payloads);
+                        }
+                        TERTIO_ASSIGN_OR_RETURN(sim::Interval locate, drive->Locate(end, ready));
+                        TERTIO_ASSIGN_OR_RETURN(sim::Interval read,
+                                                drive->ReadReverse(take, locate.end, payloads));
+                        return sim::Interval::Hull(locate, read);
+                      },
+                      kChunkRetryLimit);
                 });
           }));
   run.stats.r_scans += run.stats.iterations;  // one pass over hashed R per iteration

@@ -41,6 +41,8 @@ std::string_view AuditKindToString(AuditKind kind) {
       return "LeaseExclusivity";
     case AuditKind::kClosedFormDivergence:
       return "ClosedFormDivergence";
+    case AuditKind::kProfileMemoDivergence:
+      return "ProfileMemoDivergence";
   }
   return "Unknown";
 }
@@ -239,6 +241,17 @@ void Auditor::OnClosedFormCheck(std::string_view phase, std::uint64_t chunks,
                      static_cast<unsigned long long>(chunks), divergence, closed.value(),
                      replay.value()),
            {Interval::At(closed), Interval::At(replay)});
+  }
+}
+
+void Auditor::OnProfileMemoCheck(std::string_view device, BlockCount offset,
+                                 const char* divergence) {
+  checks_ += 1;
+  if (divergence != nullptr) {
+    Report(AuditKind::kProfileMemoDivergence, device,
+           StrFormat("reused chunk profile at offset %llu differs from a fresh walk in its %s",
+                     ull(offset), divergence),
+           {});
   }
 }
 

@@ -73,6 +73,9 @@ enum class AuditKind : int {
   /// A closed-form coalesced batch disagreed, in some bit, with the
   /// O(chunks) replay of the same window (sim/pipeline.h CommitMode).
   kClosedFormDivergence,
+  /// A reused disk chunk profile disagreed, in some bit, with a fresh walk
+  /// of the same question (disk/striped_group.h ExtentChunkProfile).
+  kProfileMemoDivergence,
 };
 
 std::string_view AuditKindToString(AuditKind kind);
@@ -132,6 +135,12 @@ class Auditor {
   /// closed-form and replayed values; null when every value agrees.
   void OnClosedFormCheck(std::string_view phase, std::uint64_t chunks, const char* divergence,
                          SimSeconds closed, SimSeconds replay);
+
+  /// A StripedDiskGroup reused a kept chunk-profile answer for the question
+  /// at `offset` of a `device` ("disk.read" / "disk.write") walk and
+  /// re-walked it. `divergence` names the first field of the answer whose
+  /// bits differ; null when the two agree.
+  void OnProfileMemoCheck(std::string_view device, BlockCount offset, const char* divergence);
 
   /// MemoryBudget committed (or refused) a reservation; `reserved_after` is
   /// the occupancy after the call.

@@ -131,10 +131,11 @@ bool FaultInjector::IsLatentBadBlock(BlockIndex position) const {
 
 FaultInjector::ReadOutcome FaultInjector::SimulateRead(BlockIndex start, BlockCount count,
                                                        SimSeconds seconds_per_block,
-                                                       SimSeconds reposition_seconds) {
+                                                       SimSeconds reposition_seconds,
+                                                       bool backwards) {
   ReadOutcome outcome;
   for (BlockCount i = 0; i < count; ++i) {
-    const BlockIndex position = start + i;
+    const BlockIndex position = backwards ? start + (count - 1 - i) : start + i;
 
     if (IsLatentBadBlock(position)) {
       // One wasted attempt discovers the defect, then the device skips and

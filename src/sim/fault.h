@@ -120,9 +120,11 @@ class FaultInjector {
   /// Simulates reading [start, start+count): draws transient faults per
   /// block attempt, discovers latent bad blocks, and prices every recovery
   /// action at `seconds_per_block` (one wasted re-read) plus
-  /// `reposition_seconds` (backing the head up) plus backoff.
+  /// `reposition_seconds` (backing the head up) plus backoff. The blocks
+  /// are drawn in the order they pass the head: ascending, or descending
+  /// for a `backwards` (READ REVERSE) read.
   ReadOutcome SimulateRead(BlockIndex start, BlockCount count, SimSeconds seconds_per_block,
-                           SimSeconds reposition_seconds);
+                           SimSeconds reposition_seconds, bool backwards = false);
 
   /// Outcome of one cartridge exchange through the fault model.
   struct ExchangeOutcome {

@@ -173,8 +173,27 @@ Result<sim::Interval> TapeDrive::ReadReverse(BlockCount count, SimSeconds ready,
   }
   BlockIndex start = head_ - count;
   TERTIO_ASSIGN_OR_RETURN(double mean_c, volume_->MeanCompressibility(start, count));
-  ByteCount bytes = count * volume_->block_bytes();
-  SimSeconds duration = model_.TransferSeconds(bytes, mean_c);
+  // The fault plan draws as for a forward read, over the blocks in the
+  // order they pass the head.
+  sim::FaultInjector::ReadOutcome outcome;
+  outcome.clean_blocks = count;
+  if (faults_ != nullptr && faults_->enabled()) {
+    outcome =
+        faults_->SimulateRead(start, count, model_.TransferSeconds(volume_->block_bytes(), mean_c),
+                              model_.reposition_seconds, /*backwards=*/true);
+  }
+  ByteCount bytes = outcome.clean_blocks * volume_->block_bytes();
+  SimSeconds duration = model_.TransferSeconds(bytes, mean_c) + outcome.recovery_seconds;
+  stats_.blocks_read += outcome.clean_blocks;
+  if (!outcome.completed) {
+    // Charged like a failed forward read; the head stops at the failed
+    // block and nothing is delivered.
+    head_ = outcome.failed_block;
+    resource_->Schedule(ready, duration, bytes, "tape.read-reverse-failed");
+    return Status::DeviceError(
+        StrFormat("drive %s: unrecoverable read-reverse error at block %llu", name_.c_str(),
+                  static_cast<unsigned long long>(outcome.failed_block.value())));
+  }
   if (out != nullptr) {
     for (BlockIndex i = head_; i-- > start;) {
       TERTIO_ASSIGN_OR_RETURN(BlockPayload payload, volume_->ReadBlock(i));
@@ -182,7 +201,6 @@ Result<sim::Interval> TapeDrive::ReadReverse(BlockCount count, SimSeconds ready,
     }
   }
   head_ = start;
-  stats_.blocks_read += count;
   return resource_->Schedule(ready, duration, bytes, "tape.read-reverse");
 }
 

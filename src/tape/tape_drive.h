@@ -102,6 +102,8 @@ class TapeDrive {
 
   /// Reads `count` blocks *backwards*, ending at the current head position
   /// (SCSI READ REVERSE). Errors with kUnimplemented if the model lacks it.
+  /// Draws from the fault plan as a forward read does; a failed read charges
+  /// its time, leaves the head at the failed block and delivers nothing.
   Result<sim::Interval> ReadReverse(BlockCount count, SimSeconds ready,
                                     std::vector<BlockPayload>* out = nullptr);
 

@@ -1,12 +1,17 @@
 // Unit tests for tertio_disk: disk model, volume, allocator, striped group.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <memory>
 
 #include "disk/allocator.h"
 #include "disk/disk_model.h"
 #include "disk/disk_volume.h"
 #include "disk/striped_group.h"
 #include "sim/simulation.h"
+#include "util/rng.h"
 
 namespace tertio::disk {
 namespace {
@@ -69,6 +74,64 @@ TEST(DiskVolumeTest, OutOfRangeRejected) {
   DiskVolume disk("d0", DiskModel::Ideal(1e6), sim.CreateResource("d0"), 10, kBlock);
   EXPECT_FALSE(disk.Read(5, 6, 0.0).ok());
   EXPECT_FALSE(disk.Write(10, 1, 0.0).ok());
+}
+
+/// Resident set size of this process, from /proc/self/statm (0 when the
+/// file cannot be read).
+std::uint64_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  unsigned long long size = 0;
+  unsigned long long resident = 0;
+  const int read = std::fscanf(f, "%llu %llu", &size, &resident);
+  std::fclose(f);
+  if (read != 2) return 0;
+  return resident * static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(DiskVolumeTest, PhantomOnlyVolumeHoldsNoBlockStore) {
+  // 2^24 blocks: a per-block payload slot would be 256 MiB.
+  constexpr std::uint64_t kBlocks = std::uint64_t{1} << 24;
+  sim::Simulation sim;
+  const std::uint64_t before = ResidentBytes();
+  ASSERT_GT(before, 0u);
+  auto disk = std::make_unique<DiskVolume>("d0", DiskModel::Ideal(1e9), sim.CreateResource("d0"),
+                                           kBlocks, kBlock);
+  EXPECT_EQ(disk->capacity_blocks(), kBlocks);
+  constexpr std::uint64_t kRequest = kBlocks / 16;
+  SimSeconds t = 0.0;
+  for (std::uint64_t start = 0; start < kBlocks; start += kRequest) {
+    auto w = disk->Write(start, kRequest, t);
+    ASSERT_TRUE(w.ok());
+    disk->WritePhantom(start, kRequest);
+    auto r = disk->Read(start, kRequest, w->end);
+    ASSERT_TRUE(r.ok());
+    t = r->end;
+  }
+  const std::uint64_t after = ResidentBytes();
+  EXPECT_LT(after > before ? after - before : 0, std::uint64_t{16} << 20);
+  EXPECT_FALSE(disk->Write(kBlocks - 1, 2, t).ok());  // the capacity still bounds requests
+
+  // Phantom blocks read back as null payloads; a real payload, once
+  // written, reads back beside them.
+  std::vector<BlockPayload> out;
+  ASSERT_TRUE(disk->Read(kBlocks - 3, 3, t, &out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  for (const BlockPayload& payload : out) EXPECT_EQ(payload, nullptr);
+  BlockPayload real = MakePayload(std::vector<uint8_t>(kBlock.value(), 0xCC));
+  ASSERT_TRUE(disk->Write(kBlocks - 2, 1, t, &real).ok());
+  out.clear();
+  ASSERT_TRUE(disk->Read(kBlocks - 3, 3, t, &out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0], nullptr);
+  ASSERT_NE(out[1], nullptr);
+  EXPECT_EQ((*out[1])[0], 0xCC);
+  EXPECT_EQ(out[2], nullptr);
+  // A phantom write over a real payload clears it again.
+  disk->WritePhantom(kBlocks - 2, 1);
+  out.clear();
+  ASSERT_TRUE(disk->Read(kBlocks - 2, 1, t, &out).ok());
+  EXPECT_EQ(out[0], nullptr);
 }
 
 TEST(AllocatorTest, StripesAcrossDisks) {
@@ -138,6 +201,80 @@ TEST(AllocatorTest, FirstFitKeepsDataPacked) {
   auto b = alloc.Allocate(10, 2.0, "b");
   ASSERT_TRUE(b.ok());
   EXPECT_EQ((*b)[0].start, 0u);  // reuses the lowest hole
+}
+
+/// An allocator over 1-4 disks (`*disks`), fragmented by a seeded mix of
+/// allocations and frees and tracing its utilization; one seed, one state.
+std::unique_ptr<DiskSpaceAllocator> FragmentedAllocator(std::uint64_t seed, int* disks) {
+  Rng rng(seed);
+  *disks = 1 + static_cast<int>(rng.NextBelow(4));
+  std::vector<BlockCount> capacity;
+  for (int d = 0; d < *disks; ++d) capacity.push_back(100 + rng.NextBelow(400));
+  constexpr BlockCount kStripes[] = {1, 4, 8, 32};
+  auto alloc = std::make_unique<DiskSpaceAllocator>(capacity, kStripes[rng.NextBelow(4)]);
+  alloc->EnableTrace();
+  std::vector<ExtentList> held;
+  for (int i = 0; i < 40; ++i) {
+    const BlockCount count = 1 + rng.NextBelow(30);
+    if (count <= alloc->free_blocks()) held.push_back(*alloc->Allocate(count, 0.0, "fill"));
+    if (!held.empty() && rng.NextBelow(3) == 0) {
+      const std::size_t victim = rng.NextBelow(held.size());
+      EXPECT_TRUE(alloc->Free(held[victim], 0.0, "fill").ok());
+      held.erase(held.begin() + static_cast<long>(victim));
+    }
+  }
+  return alloc;
+}
+
+void ExpectSameAllocator(const DiskSpaceAllocator& want, const DiskSpaceAllocator& got,
+                         int disks) {
+  EXPECT_EQ(got.used_blocks(), want.used_blocks());
+  for (int d = 0; d < disks; ++d) EXPECT_EQ(got.FreeBlocksOn(d), want.FreeBlocksOn(d)) << d;
+  ASSERT_EQ(got.trace().size(), want.trace().size());
+  for (std::size_t i = 0; i < want.trace().size(); ++i) {
+    EXPECT_EQ(got.trace()[i].time, want.trace()[i].time) << i;
+    EXPECT_EQ(got.trace()[i].delta_blocks, want.trace()[i].delta_blocks) << i;
+    EXPECT_EQ(got.trace()[i].used_after, want.trace()[i].used_after) << i;
+    EXPECT_EQ(got.trace()[i].tag, want.trace()[i].tag) << i;
+  }
+}
+
+TEST(AllocatorRunTest, RunOfAllocationsEqualsOneAllocateEach) {
+  int exhausted = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    int disks = 0;
+    std::unique_ptr<DiskSpaceAllocator> want = FragmentedAllocator(seed, &disks);
+    std::unique_ptr<DiskSpaceAllocator> got = FragmentedAllocator(seed, &disks);
+    Rng rng(seed * 31);
+    const int k = 1 + static_cast<int>(rng.NextBelow(12));
+    {
+      DiskSpaceAllocator::Run run(got.get());
+      for (int j = 0; j < k; ++j) {
+        // Sometimes more than is left, so the run fails where Allocate does.
+        const BlockCount count = 1 + rng.NextBelow(rng.NextBelow(4) == 0 ? 200 : 40);
+        const SimSeconds now = static_cast<double>(j);
+        Result<ExtentList> one = want->Allocate(count, now, "flush");
+        ExtentList extents{{9, 9, 9}};  // the run appends after what the list holds
+        Status status = run.Allocate(count, now, "flush", &extents);
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " allocation " << j);
+        ASSERT_EQ(status.ToString(), one.status().ToString());
+        if (!one.ok()) {
+          ++exhausted;
+          break;
+        }
+        ASSERT_EQ(extents.front(), (Extent{9, 9, 9}));
+        EXPECT_EQ(ExtentList(extents.begin() + 1, extents.end()), *one);
+      }
+    }
+    ExpectSameAllocator(*want, *got, disks);
+    // The free maps agree: the next allocation lands alike.
+    const BlockCount next = std::min<BlockCount>(1 + rng.NextBelow(50), want->free_blocks());
+    if (next > 0) {
+      EXPECT_EQ(*got->Allocate(next, 99.0, "next"), *want->Allocate(next, 99.0, "next"))
+          << "seed " << seed;
+    }
+  }
+  EXPECT_GT(exhausted, 10);
 }
 
 TEST(StripedGroupTest, UniformConfigSplitsCapacity) {

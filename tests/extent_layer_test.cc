@@ -22,6 +22,7 @@
 #include "disk/disk_model.h"
 #include "disk/extent.h"
 #include "disk/striped_group.h"
+#include "sim/auditor.h"
 #include "sim/pipeline.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
@@ -724,6 +725,143 @@ TEST(ExtentChunkProfileTest, PatternPeriodBeyondTheCapStopsAtSixtyFourChunks) {
     EXPECT_EQ(got.cycle, std::min<std::uint64_t>(cap, 64)) << cap;
     EXPECT_EQ(got.chunks, got.cycle) << cap;
   }
+}
+
+/// The kept answer to `question` in `walk`'s memo, or null.
+const ExtentWalk::Answer* MemoAnswer(const ExtentWalk& walk,
+                                     const ExtentWalk::Question& question) {
+  for (const ExtentWalk::Answer& answer : walk.memo) {
+    if (answer.question == question) return &answer;
+  }
+  return nullptr;
+}
+
+TEST(ExtentChunkProfileTest, ReusedAnswersMatchAFreshWalk) {
+  std::uint64_t hits = 0;
+  std::uint64_t flips = 0;  // positioned requests that changed a kept answer's disk
+  std::uint64_t appends = 0;
+  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
+    for (int k = 0; k < static_cast<int>(Layout::kCount); ++k) {
+      const auto kind = static_cast<Layout>(k);
+      std::unique_ptr<World> ref_world = BuildWorld(seed, kind);
+      std::unique_ptr<World> world = BuildWorld(seed, kind);
+      // Every reuse is counted by the auditor's memo cross-check.
+      sim::Auditor* auditor = world->sim.EnableAudit();
+      world->group->BindAuditor(auditor);
+      Rng rng(seed * 6151 + static_cast<std::uint64_t>(k));
+      const BlockCount stripe = world->group->allocator().stripe_unit();
+      BlockCount chunk = rng.NextBelow(2) == 0 ? stripe * (1 + rng.NextBelow(4))
+                                               : 1 + rng.NextBelow(3 * stripe.value());
+      if (kind == Layout::kBuckets && rng.NextBelow(2) == 0) chunk = world->flush;
+      // Every scan asks at least one question.
+      chunk = std::min(chunk, TotalBlocks(world->layout));
+      if (chunk == 0) continue;
+      const bool write = rng.NextBelow(2) == 0;
+      ExtentWalk walk(&world->layout);
+      // One scan asks what a Transfer over the whole list asks at each
+      // full-chunk offset; nothing is committed, so the disks stay put.
+      // `reuse` says which questions must be answered from the memo: all,
+      // none, or those whose first-touch answers still hold.
+      enum class Reuse { kAll, kNone, kWhereTouchesHold };
+      auto scan = [&](Reuse reuse) {
+        const BlockCount total = TotalBlocks(world->layout);
+        for (BlockCount offset = 0; offset + chunk <= total; offset += chunk) {
+          const std::uint64_t cap = (total - offset) / chunk;
+          const ExtentWalk::Question question{offset, chunk, cap, write, world->layout.size()};
+          bool expect_hit = reuse == Reuse::kAll;
+          if (reuse == Reuse::kWhereTouchesHold) {
+            const ExtentWalk::Answer* kept = MemoAnswer(walk, question);
+            expect_hit = kept != nullptr;
+            for (std::size_t i = 0; expect_hit && i < kept->touches.size(); ++i) {
+              const ExtentWalk::FirstTouch& t = kept->touches[i];
+              expect_hit = world->group->disk(t.disk)->IsSequential(t.start) == t.sequential;
+            }
+          }
+          const std::uint64_t checks = auditor->checks_performed();
+          sim::ChunkCostProfile got =
+              world->group->ExtentChunkProfile(walk, offset, chunk, cap, write);
+          const bool hit = auditor->checks_performed() > checks;
+          SCOPED_TRACE(testing::Message() << "seed " << seed << " layout " << k << " reuse "
+                                          << static_cast<int>(reuse) << " offset " << offset
+                                          << " chunk " << chunk << " cap " << cap);
+          EXPECT_EQ(hit, expect_hit);
+          hits += hit ? 1 : 0;
+          ExpectSameProfile(ReferenceChunkProfile(*ref_world->group, ref_world->layout, offset,
+                                                  chunk, cap, write),
+                            got);
+          if (HasFatalFailure()) return;
+        }
+      };
+      scan(Reuse::kNone);  // a list scanned once keeps nothing
+      scan(Reuse::kNone);  // the re-scan keeps its answers
+      scan(Reuse::kAll);
+      if (HasFatalFailure()) return;
+
+      // A positioned request elsewhere: flip the first-touch answer the
+      // first question rests on, on both copies.
+      const ExtentWalk::Answer* first = MemoAnswer(
+          walk, ExtentWalk::Question{0, chunk, TotalBlocks(world->layout) / chunk, write,
+                                     world->layout.size()});
+      if (first != nullptr && !first->touches.empty()) {
+        const ExtentWalk::FirstTouch t = first->touches.front();
+        const std::uint64_t capacity = world->group->disk(t.disk)->capacity_blocks().value();
+        // Ending a read at `start` makes it sequential; ending one anywhere
+        // else makes it positioned.
+        std::uint64_t at = t.sequential ? (t.start.value() + 7) % capacity : t.start.value() - 1;
+        if (t.sequential || t.start > 0) {
+          if (t.sequential && at + 1 == t.start.value()) at = (at + 2) % capacity;
+          for (World* w : {ref_world.get(), world.get()}) {
+            EXPECT_TRUE(w->group->disk(t.disk)->Read(at, 1, 0.0).ok());
+          }
+          ASSERT_NE(world->group->disk(t.disk)->IsSequential(t.start), t.sequential);
+          ++flips;
+          scan(Reuse::kWhereTouchesHold);
+          if (HasFatalFailure()) return;
+        }
+      }
+
+      // An extent appended at the back is a new list: every question walks.
+      const BlockCount more = std::min<BlockCount>(1 + rng.NextBelow(100),
+                                                   world->group->allocator().free_blocks());
+      if (more > 0) {
+        for (World* w : {ref_world.get(), world.get()}) {
+          ExtentList extents = *w->group->allocator().Allocate(more, 0.0, "append");
+          w->layout.insert(w->layout.end(), extents.begin(), extents.end());
+        }
+        ASSERT_EQ(world->layout, ref_world->layout);
+        ++appends;
+        scan(Reuse::kNone);
+        scan(Reuse::kAll);
+        if (HasFatalFailure()) return;
+      }
+      EXPECT_TRUE(auditor->clean()) << auditor->TraceString();
+    }
+  }
+  EXPECT_GT(hits, 2000u);
+  EXPECT_GT(flips, 100u);
+  EXPECT_GT(appends, 150u);
+}
+
+TEST(ExtentChunkProfileTest, CrossCheckCatchesACorruptedAnswer) {
+  sim::Simulation sim;
+  StripedDiskGroup group(
+      DiskGroupConfig::Uniform(2, DiskModel::QuantumFireball1080(), 4096, kBlock, 32), &sim);
+  sim::Auditor* auditor = sim.EnableAudit();
+  group.BindAuditor(auditor);
+  ExtentList layout = *group.allocator().Allocate(2048, 0.0, "layout");
+  ASSERT_TRUE(group.ReadExtents(*ReferenceSlice(layout, 0, 64), 0.0).ok());
+  ExtentWalk walk(&layout);
+  for (int scan = 0; scan < 2; ++scan) {
+    ASSERT_GT(group.ExtentChunkProfile(walk, 64, 32, 60, false).chunks, 0u);
+  }
+  ASSERT_EQ(walk.memo.size(), 1u);
+  EXPECT_TRUE(auditor->clean());
+  walk.memo.front().ops.front().seconds += 1.0;
+  (void)group.ExtentChunkProfile(walk, 64, 32, 60, false);
+  ASSERT_FALSE(auditor->clean());
+  EXPECT_EQ(auditor->violations().front().kind, sim::AuditKind::kProfileMemoDivergence);
+  EXPECT_NE(auditor->violations().front().detail.find("op"), std::string::npos);
+  auditor->Clear();  // a SimSan build fails a Simulation that ends unclean
 }
 
 }  // namespace

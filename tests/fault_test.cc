@@ -16,6 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
+
 #include "disk/striped_group.h"
 #include "exec/experiment.h"
 #include "join/join_common.h"
@@ -223,6 +226,56 @@ TEST(DeviceFaults, TapeReadFailsHardChargesTimeDeliversNothing) {
   // The wasted attempt occupies the drive's timeline.
   EXPECT_EQ(drive.resource()->stats().op_count, 2u);  // load + failed read
   EXPECT_EQ(injector.stats().hard_failures, 1u);
+}
+
+TEST(DeviceFaults, TapeReadReverseDrawsFromTheFaultPlan) {
+  Simulation sim;
+  tape::TapeVolume volume("t", 1024);
+  ASSERT_TRUE(volume.AppendPhantom(100, 0.25).ok());
+  tape::TapeDrive drive("tapeR", tape::TapeDriveModel::Ideal(1e6), sim.CreateResource("tape"));
+  ASSERT_TRUE(drive.Load(&volume, 0.0).ok());
+  ASSERT_TRUE(drive.Locate(80, 0.0).ok());
+  FaultProfile profile;
+  profile.transient_read_error_rate = 1.0;
+  profile.max_retries = 0;
+  FaultInjector injector(profile, 1, "tapeR");
+  drive.set_fault_injector(&injector);
+
+  std::vector<BlockPayload> out;
+  auto read = drive.ReadReverse(50, 0.0, &out);
+  EXPECT_EQ(read.status().code(), StatusCode::kDeviceError);
+  EXPECT_TRUE(out.empty());
+  // The first block to pass the head is the last of the range.
+  EXPECT_EQ(drive.head_position(), 79u);
+  EXPECT_EQ(injector.stats().hard_failures, 1u);
+  // The wasted attempt occupies the drive's timeline.
+  EXPECT_EQ(drive.resource()->stats().op_count, 3u);  // load + locate + failed read
+}
+
+TEST(DeviceFaults, TapeReadReverseRecoveryDrawsInHeadOrder) {
+  // A recovered reverse read draws the same stream as a forward read of the
+  // same blocks, and pays the same recovery time.
+  auto run = [](bool backwards) {
+    Simulation sim;
+    tape::TapeVolume volume("t", 1024);
+    TERTIO_CHECK(volume.AppendPhantom(2000, 0.25).ok(), "");
+    tape::TapeDrive drive("tapeR", tape::TapeDriveModel::Ideal(1e6), sim.CreateResource("tape"));
+    TERTIO_CHECK(drive.Load(&volume, 0.0).ok(), "");
+    TERTIO_CHECK(drive.Locate(backwards ? 2000 : 0, 0.0).ok(), "");
+    FaultProfile profile;
+    profile.transient_read_error_rate = 0.05;
+    FaultInjector injector(profile, 11, "tapeR");
+    drive.set_fault_injector(&injector);
+    auto read = backwards ? drive.ReadReverse(2000, 0.0) : drive.Read(0, 2000, 0.0);
+    TERTIO_CHECK(read.ok(), read.status().ToString());
+    return std::make_pair(read->duration(), injector.stats().transient_faults);
+  };
+  const auto forward = run(false);
+  const auto reverse = run(true);
+  EXPECT_GT(reverse.second, 0u);
+  EXPECT_EQ(reverse.second, forward.second);
+  EXPECT_EQ(reverse.first, forward.first);
+  EXPECT_GT(reverse.first, SimSeconds(2000 * 1024 / 1e6));
 }
 
 TEST(DeviceFaults, TapeRecoverySlowsTheReadButDeliversEverything) {
@@ -538,6 +591,88 @@ sim::FaultPlan ModeratePlan() {
   plan.disk.transient_read_error_rate = 0.005;
   plan.disk.bad_block_rate = 0.001;
   return plan;
+}
+
+/// CTT-GH on READ REVERSE drives (TapeDriveModel::Ideal), D < |R| so Step
+/// II takes several passes and the odd ones read backwards, under `plan`.
+struct ReverseRun {
+  JoinStats stats;
+  JoinOutput reference;
+  /// The R drive's operations, in order.
+  std::vector<sim::OpRecord> drive_ops;
+};
+
+Result<ReverseRun> RunCttGhOnReverseDrives(const sim::FaultPlan& plan) {
+  exec::SiteConfig config = FaultySite(plan);
+  config.memory_bytes = 20 * kBlock;
+  config.disk_space_bytes = 30 * kBlock;
+  config.tape_model = tape::TapeDriveModel::Ideal(1e6);
+  exec::Site site(config);
+  std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
+  rel::GeneratorConfig rc, sc;
+  rc.tuple_count = 400;
+  sc.tuple_count = 2000;
+  sc.keys = rel::KeySequence::kForeignKeyUniform;
+  sc.key_domain = 400;
+  sc.seed = 5;
+  TERTIO_ASSIGN_OR_RETURN(exec::PreparedWorkload prepared,
+                          exec::PrepareWorkload(session.get(), rc, sc));
+  session->drive_r()->resource()->EnableTrace();
+  JoinSpec spec;
+  spec.r = &prepared.r;
+  spec.s = &prepared.s;
+  ReverseRun run;
+  TERTIO_ASSIGN_OR_RETURN(run.stats,
+                          CreateJoinMethod(JoinMethodId::kCttGh)->Execute(spec, session->context()));
+  TERTIO_ASSIGN_OR_RETURN(run.reference, ReferenceJoin(prepared.r, prepared.s, 0, 0));
+  run.drive_ops = session->drive_r()->resource()->trace();
+  return run;
+}
+
+TEST(FaultyReadReverse, ReversePassesDrawFaultsAndMatchTheReference) {
+  sim::FaultPlan plan;
+  plan.seed = 3;
+  plan.tape.transient_read_error_rate = 0.02;
+  auto run = RunCttGhOnReverseDrives(plan);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_GE(run->stats.iterations, 2u);  // reverse passes happened
+  EXPECT_GT(run->stats.faults_injected, 0u);
+  // Some reverse pass paid recovery time beyond its clean transfer.
+  const tape::TapeDriveModel model = tape::TapeDriveModel::Ideal(1e6);
+  int reverse_reads = 0;
+  int recovered = 0;
+  for (const sim::OpRecord& op : run->drive_ops) {
+    if (std::string_view(op.tag) != "tape.read-reverse") continue;
+    ++reverse_reads;
+    if (op.interval.duration() > model.TransferSeconds(op.bytes, 0.0)) ++recovered;
+  }
+  EXPECT_GT(reverse_reads, 0);
+  EXPECT_GT(recovered, 0);
+  EXPECT_EQ(run->stats.output_tuples, run->reference.tuples());
+  EXPECT_EQ(run->stats.output_checksum, run->reference.checksum());
+}
+
+TEST(FaultyReadReverse, AFailedReversePassIsRetried) {
+  // No device-level retries: a faulted block fails its read outright, and
+  // the chunk-level retry locates back to the run's end and re-reads it.
+  std::int64_t failed_reverse = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    sim::FaultPlan plan;
+    plan.seed = seed;
+    plan.tape.transient_read_error_rate = 0.01;
+    plan.tape.max_retries = 0;
+    auto run = RunCttGhOnReverseDrives(plan);
+    ASSERT_TRUE(run.ok()) << "seed " << seed << ": " << run.status();
+    const auto failed =
+        std::count_if(run->drive_ops.begin(), run->drive_ops.end(), [](const sim::OpRecord& op) {
+          return std::string_view(op.tag) == "tape.read-reverse-failed";
+        });
+    EXPECT_GE(run->stats.chunk_retries, static_cast<std::uint64_t>(failed)) << seed;
+    EXPECT_EQ(run->stats.output_tuples, run->reference.tuples()) << seed;
+    EXPECT_EQ(run->stats.output_checksum, run->reference.checksum()) << seed;
+    failed_reverse += failed;
+  }
+  EXPECT_GT(failed_reverse, 0);
 }
 
 class FaultyJoinTest : public ::testing::TestWithParam<JoinMethodId> {};

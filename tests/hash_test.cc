@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
+#include <optional>
 
 #include "disk/striped_group.h"
 #include "hash/bucket_layout.h"
@@ -15,6 +18,7 @@
 #include "sim/simulation.h"
 #include "tape/tape_volume.h"
 #include "util/math_util.h"
+#include "util/rng.h"
 
 namespace tertio::hash {
 namespace {
@@ -263,6 +267,279 @@ TEST_F(DiskPartitionerTest, AddBlocksWithoutSchemaRejected) {
   DiskPartitioner part(&group_, options);
   std::vector<BlockPayload> input(1);
   EXPECT_EQ(part.AddBlocks(input, 0.0).code(), StatusCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// The per-call phantom flush schedule against the block-by-block reference
+// ---------------------------------------------------------------------------
+
+/// The block-by-block phantom partitioner that the per-call flush schedule
+/// replaced: each block goes to the next bucket of the round-robin, and a
+/// bucket flushes the moment its write buffer holds w blocks, each flush
+/// with its own Allocate. DiskPartitioner must match it bit for bit.
+class BlockByBlockPartitioner {
+ public:
+  BlockByBlockPartitioner(disk::StripedDiskGroup* disks, const DiskPartitioner::Options& options)
+      : disks_(disks),
+        options_(options),
+        span_(options.bucket_span == 0 ? options.bucket_count : options.bucket_span),
+        pending_(span_, 0),
+        data_ready_(span_, 0.0),
+        buckets_(span_),
+        last_end_(static_cast<std::size_t>(disks->disk_count()), 0) {}
+
+  Status AddPhantomBlocks(BlockCount count, SimSeconds ready) {
+    const std::uint64_t gross = count.value() * span_ + carry_;
+    const std::uint64_t blocks = gross / options_.bucket_count;
+    carry_ = gross % options_.bucket_count;
+    for (std::uint64_t i = 0; i < blocks; ++i) {
+      const std::uint32_t local = cursor_;
+      cursor_ = (cursor_ + 1) % span_;
+      pending_[local] += 1;
+      if (data_ready_[local] < ready) data_ready_[local] = ready;
+      TERTIO_RETURN_IF_ERROR(MaybeFlush(local, /*final=*/false));
+    }
+    return Status::OK();
+  }
+
+  Status Flush() {
+    for (std::uint32_t local = 0; local < span_; ++local) {
+      TERTIO_RETURN_IF_ERROR(MaybeFlush(local, /*final=*/true));
+    }
+    return Status::OK();
+  }
+
+  const std::vector<DiskBucket>& buckets() const { return buckets_; }
+  SimSeconds last_write_end() const { return last_write_end_; }
+  /// Where the reference's last write on `disk` ended (0 before any).
+  BlockIndex last_end(int disk) const { return last_end_[static_cast<std::size_t>(disk)]; }
+
+ private:
+  Status MaybeFlush(std::uint32_t local, bool final) {
+    const BlockCount w = options_.write_buffer_blocks;
+    while (pending_[local] > 0 && (final || pending_[local] >= w)) {
+      const BlockCount chunk = std::min(pending_[local], w);
+      SimSeconds ready = data_ready_[local];
+      if (options_.space != nullptr) {
+        TERTIO_ASSIGN_OR_RETURN(SimSeconds space_ready, options_.space->AcquireFree(chunk));
+        if (space_ready > ready) ready = space_ready;
+      }
+      TERTIO_ASSIGN_OR_RETURN(disk::ExtentList extents,
+                              disks_->allocator().Allocate(chunk, ready, options_.alloc_tag));
+      DiskBucket& bucket = buckets_[local];
+      bucket.extents.insert(bucket.extents.end(), extents.begin(), extents.end());
+      TERTIO_ASSIGN_OR_RETURN(sim::Interval interval, disks_->WriteExtents(extents, ready));
+      for (const disk::Extent& e : extents) {
+        last_end_[static_cast<std::size_t>(e.disk)] = e.start + e.count;
+      }
+      pending_[local] -= chunk;
+      bucket.blocks += chunk;
+      bucket.ready = std::max(bucket.ready, interval.end);
+      last_write_end_ = std::max(last_write_end_, interval.end);
+      if (!final) break;
+    }
+    return Status::OK();
+  }
+
+  disk::StripedDiskGroup* disks_;
+  DiskPartitioner::Options options_;
+  std::uint32_t span_;
+  std::vector<BlockCount> pending_;
+  std::vector<SimSeconds> data_ready_;
+  std::vector<DiskBucket> buckets_;
+  std::vector<BlockIndex> last_end_;
+  SimSeconds last_write_end_ = 0.0;
+  std::uint64_t carry_ = 0;
+  std::uint32_t cursor_ = 0;
+};
+
+/// A disk group (and, for the concurrent methods, the shared buffer that
+/// gates flushes), built deterministically from a seed so two copies evolve
+/// identically.
+struct PartitionWorld {
+  sim::Simulation sim;
+  std::unique_ptr<disk::StripedDiskGroup> group;
+  std::unique_ptr<mem::InterleavedBuffer> space;
+  DiskPartitioner::Options options;
+};
+
+std::unique_ptr<PartitionWorld> BuildPartitionWorld(std::uint64_t seed) {
+  Rng rng(seed);
+  auto world = std::make_unique<PartitionWorld>();
+  const int disks = 1 + static_cast<int>(rng.NextBelow(3));
+  constexpr BlockCount kStripes[] = {4, 8, 32};
+  const BlockCount stripe = kStripes[rng.NextBelow(3)];
+  // Every fourth world is tight enough to run out of disk mid-call.
+  const BlockCount capacity = rng.NextBelow(4) == 0 ? 40 + rng.NextBelow(400) : 20000;
+  world->group = std::make_unique<disk::StripedDiskGroup>(
+      disk::DiskGroupConfig::Uniform(disks, disk::DiskModel::QuantumFireball1080(), capacity,
+                                     kBlock, stripe),
+      &world->sim);
+  world->group->allocator().EnableTrace();
+  DiskPartitioner::Options& options = world->options;
+  options.bucket_count = 1 + static_cast<std::uint32_t>(rng.NextBelow(40));
+  constexpr BlockCount kWriteBuffers[] = {1, 2, 5, 32};
+  options.write_buffer_blocks = kWriteBuffers[rng.NextBelow(4)];
+  if (rng.NextBelow(3) == 0) {
+    // TT-GH / CTT-GH materialize a sub-range of the buckets per scan.
+    options.first_bucket = static_cast<std::uint32_t>(rng.NextBelow(options.bucket_count));
+    options.bucket_span = 1 + static_cast<std::uint32_t>(
+                                  rng.NextBelow(options.bucket_count - options.first_bucket));
+  }
+  if (rng.NextBelow(2) == 0) {
+    // The shared double buffer of CDT-GH / CTT-GH: slots freed over time,
+    // and sometimes fewer of them than the flushes will claim.
+    const BlockCount slots = rng.NextBelow(3) == 0 ? 10 + rng.NextBelow(200) : 100000;
+    world->space = std::make_unique<mem::InterleavedBuffer>(slots);
+    EXPECT_TRUE(world->space->AcquireFree(slots).ok());
+    SimSeconds when = 0.0;
+    for (BlockCount freed = 0; freed < slots;) {
+      const BlockCount piece = std::min<BlockCount>(slots - freed, 1 + rng.NextBelow(64));
+      when += rng.NextDouble() * 5.0;
+      EXPECT_TRUE(world->space->Release(piece, when).ok());
+      freed += piece;
+    }
+    options.space = world->space.get();
+  }
+  return world;
+}
+
+void ExpectSamePartitioning(const PartitionWorld& ref, const BlockByBlockPartitioner& want,
+                            const PartitionWorld& world, const DiskPartitioner& got) {
+  ASSERT_EQ(got.buckets().size(), want.buckets().size());
+  for (std::size_t b = 0; b < want.buckets().size(); ++b) {
+    EXPECT_EQ(got.buckets()[b].extents, want.buckets()[b].extents) << "bucket " << b;
+    EXPECT_EQ(got.buckets()[b].blocks, want.buckets()[b].blocks) << "bucket " << b;
+    EXPECT_EQ(got.buckets()[b].ready.value(), want.buckets()[b].ready.value()) << "bucket " << b;
+  }
+  EXPECT_EQ(got.last_write_end().value(), want.last_write_end().value());
+  for (int d = 0; d < ref.group->disk_count(); ++d) {
+    disk::DiskVolume* a = ref.group->disk(d);
+    disk::DiskVolume* b = world.group->disk(d);
+    EXPECT_EQ(b->stats().blocks_written, a->stats().blocks_written) << d;
+    EXPECT_EQ(b->stats().requests, a->stats().requests) << d;
+    EXPECT_EQ(b->stats().positioned_requests, a->stats().positioned_requests) << d;
+    // The sequential cursor rests where the reference's last write ended.
+    EXPECT_EQ(b->IsSequential(want.last_end(d)), a->IsSequential(want.last_end(d))) << d;
+    const sim::ResourceStats& ra = a->resource()->stats();
+    const sim::ResourceStats& rb = b->resource()->stats();
+    EXPECT_EQ(b->resource()->available_at().value(), a->resource()->available_at().value()) << d;
+    EXPECT_EQ(rb.busy_seconds.value(), ra.busy_seconds.value()) << d;
+    EXPECT_EQ(rb.op_count, ra.op_count) << d;
+    EXPECT_EQ(rb.bytes_transferred, ra.bytes_transferred) << d;
+    EXPECT_EQ(world.group->allocator().FreeBlocksOn(d), ref.group->allocator().FreeBlocksOn(d))
+        << d;
+  }
+  const std::vector<disk::UsageEvent>& ta = ref.group->allocator().trace();
+  const std::vector<disk::UsageEvent>& tb = world.group->allocator().trace();
+  ASSERT_EQ(tb.size(), ta.size());
+  for (std::size_t i = 0; i < ta.size(); ++i) {
+    EXPECT_EQ(tb[i].time.value(), ta[i].time.value()) << "event " << i;
+    EXPECT_EQ(tb[i].delta_blocks, ta[i].delta_blocks) << "event " << i;
+    EXPECT_EQ(tb[i].used_after, ta[i].used_after) << "event " << i;
+    EXPECT_EQ(tb[i].tag, ta[i].tag) << "event " << i;
+  }
+  if (ref.space != nullptr) {
+    EXPECT_EQ(world.space->occupied_blocks(), ref.space->occupied_blocks());
+  }
+}
+
+TEST(PhantomFlushScheduleTest, MatchesBlockByBlockReference) {
+  std::uint64_t flushes = 0;
+  std::uint64_t multi_fill_calls = 0;  // calls in which some bucket filled twice
+  std::uint64_t disk_errors = 0;
+  std::uint64_t space_errors = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    std::unique_ptr<PartitionWorld> ref = BuildPartitionWorld(seed);
+    std::unique_ptr<PartitionWorld> world = BuildPartitionWorld(seed);
+    BlockByBlockPartitioner want(ref->group.get(), ref->options);
+    DiskPartitioner got(world->group.get(), world->options);
+    const DiskPartitioner::Options& options = world->options;
+    const std::uint64_t bucket_count = options.bucket_count;
+    const std::uint64_t span = options.bucket_span == 0 ? bucket_count : options.bucket_span;
+    const std::uint64_t w = options.write_buffer_blocks.value();
+    Rng rng(seed * 104729);
+    SimSeconds ready = 0.0;
+    bool failed = false;
+    const int calls = 1 + static_cast<int>(rng.NextBelow(12));
+    for (int c = 0; c < calls && !failed; ++c) {
+      // Call sizes, in blocks of the input: one block, below the span, at
+      // it, and many periods of it, leaving carries over.
+      std::uint64_t count = 1;
+      switch (rng.NextBelow(5)) {
+        case 0:
+          break;
+        case 1:
+          count = 1 + rng.NextBelow(bucket_count);
+          break;
+        case 2:
+          count = bucket_count;
+          break;
+        case 3:
+          count = bucket_count * w * (1 + rng.NextBelow(6)) + rng.NextBelow(bucket_count);
+          break;
+        default:
+          count = 1 + rng.NextBelow(3 * bucket_count * w + 5);
+          break;
+      }
+      ready += rng.NextDouble() * 3.0;
+      const std::uint64_t delivered = (count * span) / bucket_count;
+      if (delivered > w * span) ++multi_fill_calls;
+      const std::uint64_t events_before = ref->group->allocator().trace().size();
+      Status a = want.AddPhantomBlocks(count, ready);
+      Status b = got.AddPhantomBlocks(count, ready);
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " call " << c << " count " << count
+                                      << " B " << bucket_count << " span " << span << " w "
+                                      << w);
+      ASSERT_EQ(b.code(), a.code()) << a.ToString() << " vs " << b.ToString();
+      EXPECT_EQ(b.ToString(), a.ToString());
+      flushes += ref->group->allocator().trace().size() - events_before;
+      ExpectSamePartitioning(*ref, want, *world, got);
+      if (HasFatalFailure()) return;
+      if (!a.ok()) {
+        failed = true;
+        if (a.ToString().find("buffer acquire") != std::string::npos) {
+          ++space_errors;
+        } else {
+          ++disk_errors;
+        }
+      }
+    }
+    if (failed) continue;
+    Status a = want.Flush();
+    Status b = got.Flush();
+    ASSERT_EQ(b.code(), a.code()) << "seed " << seed;
+    ExpectSamePartitioning(*ref, want, *world, got);
+    if (HasFatalFailure()) return;
+    // The allocator's free maps agree too: the next allocation lands alike.
+    const BlockCount next = std::min<BlockCount>(1 + rng.NextBelow(64),
+                                                 ref->group->allocator().free_blocks());
+    if (next > 0) {
+      EXPECT_EQ(*world->group->allocator().Allocate(next, ready, "after"),
+                *ref->group->allocator().Allocate(next, ready, "after"))
+          << "seed " << seed;
+    }
+  }
+  // The grid must reach the interesting cases.
+  EXPECT_GT(flushes, 10000u);
+  EXPECT_GT(multi_fill_calls, 200u);
+  EXPECT_GT(disk_errors, 10u);
+  EXPECT_GT(space_errors, 10u);
+}
+
+TEST(PhantomFlushScheduleTest, RefusesPhantomBlocksAfterAFailedFlush) {
+  sim::Simulation sim;
+  disk::StripedDiskGroup group(
+      disk::DiskGroupConfig::Uniform(1, disk::DiskModel::Ideal(1e6), 8, kBlock, 8), &sim);
+  DiskPartitioner::Options options;
+  options.bucket_count = 2;
+  options.write_buffer_blocks = 4;
+  DiskPartitioner part(&group, options);
+  // Both buckets flush 4 blocks and fill the disk; bucket 0's next fill
+  // cannot be placed, and its write buffer stays full.
+  EXPECT_TRUE(part.AddPhantomBlocks(8, 0.0).ok());
+  EXPECT_EQ(part.AddPhantomBlocks(8, 1.0).code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(part.AddPhantomBlocks(2, 2.0).code(), StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -131,10 +131,10 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-echo "== sanitizers: ASan+UBSan build + fault/simsan/cache/disk/service/join/examples/cli/tape/hash/sim tests (preset: asan) =="
+echo "== sanitizers: ASan+UBSan build + the whole tier-1 suite (preset: asan) =="
 cmake --preset asan
 cmake --build --preset asan -j"$(nproc)"
-ctest --preset asan -L 'faults|simsan|cache|disk|service|join|examples|cli|tape|hash|sim' -j"$(nproc)"
+ctest --preset asan -j"$(nproc)"
 
 echo "== sanitizers: TSan build + parallel-sweep + service tests (preset: tsan) =="
 cmake --preset tsan
