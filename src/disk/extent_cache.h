@@ -11,7 +11,7 @@
 /// DiskSpaceAllocator, so it is disjoint from every session's D_q carve and
 /// Table 2's scratch bounds keep holding per session. A hit turns a tape
 /// pass into striped disk reads at disk cost (the drive stays parked —
-/// tape/tape_drive.h cache window); misses can be admitted after the join
+/// a TapeDrive::SetWindow with a reader); misses can be admitted after the join
 /// that paid the physical pass.
 ///
 /// Eviction is cost-aware (GreedyDual flavor): each entry's score is its

@@ -358,14 +358,14 @@ void QueryScheduler::RunSerialGroup(const Entry& leader) {
   // mounted.)
   const rel::Relation& leader_s = *leader.request.spec.s;
   tape::TapeDrive* holder = site_->library()->MountedIn(leader.s_slot);
-  if (holder != nullptr) holder->SetSharedPassWindow(leader_s.start_block, leader_s.blocks);
+  if (holder != nullptr) holder->SetWindow(leader_s.start_block, leader_s.blocks);
   for (const Entry& follower : followers) {
     QueryOutcome out = execute(follower, holder != nullptr);
     clock_ = std::max(clock_, out.completion);
     outcomes_.push_back(std::move(out));
     if (on_complete_) on_complete_(outcomes_.back());
   }
-  if (holder != nullptr) holder->ClearSharedPassWindow();
+  if (holder != nullptr) holder->ClearWindow();
 }
 
 Status QueryScheduler::Run() {

@@ -9,7 +9,7 @@
 /// their outer (S) relation lives on; under the kSharedScan policy, queued
 /// joins whose S cartridge is about to be swept piggyback on the leader's
 /// sequential pass — their S reads are multicast from the one physical pass
-/// (tape/tape_drive.h shared-pass window) instead of re-reading the tape.
+/// (a multicast TapeDrive::SetWindow) instead of re-reading the tape.
 /// This is the service-level counterpart of the Postgres/Paradise batching
 /// the paper cites in Section 2.
 

@@ -74,7 +74,7 @@ QuerySession::~QuerySession() {
   // A cache window is session intent on shared drive state; disarm it so a
   // later session on the same drive cannot inherit a window pointing at an
   // entry this session looked up (it may be evicted by then).
-  if (cache_window_armed_) drive_s()->ClearCacheWindow();
+  if (cache_window_armed_) drive_s()->ClearWindow();
   Status freed = site_->disks().allocator().Free(carve_, site_->sim().Horizon(),
                                                  StrFormat("session:%s", name_.c_str()));
   TERTIO_CHECK(freed.ok(), "session failed to return its disk carve");
@@ -109,7 +109,7 @@ bool QuerySession::EnableCachedSRead(const rel::Relation& s, SimSeconds now) {
   const void* token = s.volume;
   BlockIndex entry_start = s.start_block;
   BlockCount entry_count = s.blocks;
-  drive_s()->SetCacheWindow(
+  drive_s()->SetWindow(
       entry_start, entry_count,
       [cache, token, entry_start, entry_count](BlockIndex start, BlockCount count,
                                                SimSeconds ready) {

@@ -128,8 +128,8 @@ struct JoinStats {
   std::uint64_t fault_retries = 0;
   /// Latent bad blocks discovered and skip-and-remapped.
   std::uint64_t blocks_remapped = 0;
-  /// Chunk-granular transfer re-issues after a hard device error (the
-  /// pipeline's checkpoint-resume recovery).
+  /// Chunk-granular re-issues after a hard device error (the pipeline's
+  /// in-place chunk retry).
   std::uint64_t chunk_retries = 0;
   /// Device time spent detecting and recovering from faults.
   SimSeconds recovery_seconds = 0.0;

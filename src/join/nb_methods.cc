@@ -26,7 +26,6 @@
 #include "join/join_method.h"
 #include "mem/double_buffer.h"
 #include "mem/memory_budget.h"
-#include "mem/pipeline_buffers.h"
 #include "util/string_util.h"
 
 namespace tertio::join {
@@ -113,23 +112,12 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
   sim::StageId finish_stage = staged.done_stage;
 
   // ---- Step II: iterate over S.
-  if (mode == NbMode::kSequential) {
-    sim::StageId chain = staged.done_stage;
-    for (BlockCount off = 0; off < s.blocks; off += g.ms) {
-      BlockCount take = std::min<BlockCount>(g.ms, s.blocks - off);
-      std::vector<BlockPayload> chunk;
-      TERTIO_ASSIGN_OR_RETURN(
-          sim::StageId read,
-          ctx.drive_s->IssueRead(pipe, "s-read", {chain}, s.start_block + off, take,
-                                 phantom ? nullptr : &chunk, kChunkRetryLimit));
-      TERTIO_ASSIGN_OR_RETURN(chain, JoinChunkAgainstR(run, r_source, g.mr, chunk, {read}));
-      stats.iterations += 1;
-    }
-    finish_stage = chain;
-  } else if (mode == NbMode::kMemoryBuffered) {
-    // Two half-size buffers: the tape read of chunk i waits only for the
-    // join that drained buffer i%2, overlapping with the join of chunk i-1.
-    mem::SplitBufferStages buffers;
+  if (mode != NbMode::kDiskBuffered) {
+    // One S buffer (DT-NB) or two half-size ones (CDT-NB/MB): the tape read
+    // of chunk i waits for the join that drained buffer i % buffers, so with
+    // two buffers it overlaps the join of chunk i-1.
+    const std::uint64_t buffers = mode == NbMode::kMemoryBuffered ? 2 : 1;
+    sim::StageId drained[2] = {sim::kNoStage, sim::kNoStage};
     sim::StageId join_chain = staged.done_stage;
     std::uint64_t i = 0;
     for (BlockCount off = 0; off < s.blocks; off += g.ms, ++i) {
@@ -137,17 +125,20 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       std::vector<BlockPayload> chunk;
       TERTIO_ASSIGN_OR_RETURN(
           sim::StageId read,
-          ctx.drive_s->IssueRead(pipe, "s-read", {staged.done_stage, buffers.FreeStage(i)},
+          ctx.drive_s->IssueRead(pipe, "s-read", {staged.done_stage, drained[i % buffers]},
                                  s.start_block + off, take, phantom ? nullptr : &chunk,
                                  kChunkRetryLimit));
       TERTIO_ASSIGN_OR_RETURN(join_chain,
                               JoinChunkAgainstR(run, r_source, g.mr, chunk, {read, join_chain}));
-      buffers.SetBusyUntil(i, join_chain);
+      drained[i % buffers] = join_chain;
       stats.iterations += 1;
     }
     finish_stage = join_chain;
-  } else {  // kDiskBuffered
-    // Interleaved double-buffered disk ring of Ms blocks (Section 4).
+  } else {
+    // Interleaved double-buffered disk ring of Ms blocks (Section 4). Every
+    // chunk but the last is exactly Ms blocks, so each chunk fills the ring
+    // from offset 0: a piece's ring offset is its offset within its chunk,
+    // and piece j of chunk i+1 refills the space piece j of chunk i frees.
     TERTIO_ASSIGN_OR_RETURN(
         disk::ExtentLease ring_space,
         disk::ExtentLease::Allocate(&ctx.disks->allocator(), g.ms, staged.done, "S-ring"));
@@ -161,94 +152,48 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       BlockCount count = 0;
       sim::StageId write_stage = sim::kNoStage;
     };
-    BlockCount ring_pos = 0;
-    // Writes and reads circle the ring at different positions, so each
-    // side keeps its own cursor and slice buffer.
+    // Writes and reads sit at different ring positions, so each side keeps
+    // its own cursor and slice buffer.
     disk::ExtentCursor write_cursor(&ring_extents);
     disk::ExtentCursor read_cursor(&ring_extents);
     disk::ExtentList write_slice;
     disk::ExtentList read_slice;
 
-    // Writes `count` blocks into the ring (splitting on wrap-around); both
-    // halves depend only on the producing read.
-    auto ring_write = [&](BlockCount count, sim::StageId read,
-                          const std::vector<BlockPayload>* payloads) -> Result<Piece> {
-      Piece piece{ring_pos, count, sim::kNoStage};
-      BlockCount first = std::min<BlockCount>(count, g.ms - ring_pos);
-      TERTIO_RETURN_IF_ERROR(write_cursor.Slice(ring_pos, first, &write_slice));
-      std::vector<BlockPayload> head, tail;
-      const std::vector<BlockPayload>* head_ptr = nullptr;
-      const std::vector<BlockPayload>* tail_ptr = nullptr;
-      if (payloads != nullptr) {
-        head.assign(payloads->begin(), payloads->begin() + static_cast<long>(first.value()));
-        head_ptr = &head;
-      }
-      TERTIO_ASSIGN_OR_RETURN(
-          sim::StageId w1,
-          ctx.disks->IssueWrite(pipe, "ring-write", {read}, write_slice, head_ptr));
-      piece.write_stage = w1;
-      if (first < count) {
-        TERTIO_RETURN_IF_ERROR(write_cursor.Slice(0, count - first, &write_slice));
-        if (payloads != nullptr) {
-          tail.assign(payloads->begin() + static_cast<long>(first.value()), payloads->end());
-          tail_ptr = &tail;
-        }
-        TERTIO_ASSIGN_OR_RETURN(
-            sim::StageId w2,
-            ctx.disks->IssueWrite(pipe, "ring-write", {read}, write_slice, tail_ptr));
-        piece.write_stage = pipe.Barrier("ring-piece", {w1, w2});
-      }
-      ring_pos = (ring_pos + count) % g.ms;
-      return piece;
-    };
-
-    // Reads a piece back; both halves of a wrapped piece start together.
-    auto ring_read = [&](const Piece& piece, std::initializer_list<sim::StageId> deps,
-                         std::vector<BlockPayload>* out) -> Result<sim::StageId> {
-      BlockCount first = std::min<BlockCount>(piece.count, g.ms - piece.ring_off);
-      TERTIO_RETURN_IF_ERROR(read_cursor.Slice(piece.ring_off, first, &read_slice));
-      TERTIO_ASSIGN_OR_RETURN(sim::StageId r1,
-                              ctx.disks->IssueRead(pipe, "ring-read", deps, read_slice, out,
-                                                   kChunkRetryLimit));
-      if (first < piece.count) {
-        TERTIO_RETURN_IF_ERROR(read_cursor.Slice(0, piece.count - first, &read_slice));
-        TERTIO_ASSIGN_OR_RETURN(sim::StageId r2,
-                                ctx.disks->IssueRead(pipe, "ring-read", deps, read_slice, out,
-                                                     kChunkRetryLimit));
-        return pipe.Barrier("ring-piece", {r1, r2});
-      }
-      return r1;
-    };
-
-    // Produces the sub-chunk at S offset `off` (`take` blocks): waits for
-    // ring space (an event stage), reads tape, writes the ring.
-    auto produce_piece = [&](BlockCount off, BlockCount take) -> Result<Piece> {
-      TERTIO_ASSIGN_OR_RETURN(sim::StageId space,
-                              mem::AcquireFreeStage(ring, pipe, "ring-space", take));
+    // Produces the piece at `ring_off` of the chunk at S offset `chunk_off`
+    // (`count` blocks): waits for ring space (an event stage), reads tape,
+    // writes the ring.
+    auto produce_piece = [&](BlockCount chunk_off, BlockCount ring_off,
+                             BlockCount count) -> Result<Piece> {
+      TERTIO_ASSIGN_OR_RETURN(SimSeconds free_at, ring.AcquireFree(count));
+      sim::StageId space = pipe.Event("ring-space", free_at);
       std::vector<BlockPayload> payloads;
       TERTIO_ASSIGN_OR_RETURN(
           sim::StageId read,
           ctx.drive_s->IssueRead(pipe, "s-read", {space, staged.done_stage},
-                                 s.start_block + off, take, phantom ? nullptr : &payloads,
-                                 kChunkRetryLimit));
-      return ring_write(take, read, phantom ? nullptr : &payloads);
+                                 s.start_block + chunk_off + ring_off, count,
+                                 phantom ? nullptr : &payloads, kChunkRetryLimit));
+      TERTIO_RETURN_IF_ERROR(write_cursor.Slice(ring_off, count, &write_slice));
+      TERTIO_ASSIGN_OR_RETURN(sim::StageId write,
+                              ctx.disks->IssueWrite(pipe, "ring-write", {read}, write_slice,
+                                                    phantom ? nullptr : &payloads));
+      return Piece{ring_off, count, write};
     };
 
-    // Splits chunk [off, off+take) into sub-chunk descriptors.
-    auto sub_offsets = [&](BlockCount off, BlockCount take) {
-      std::vector<std::pair<BlockCount, BlockCount>> subs;
+    // Splits a chunk of `take` blocks into (ring offset, count) pieces.
+    auto pieces_of = [&](BlockCount take) {
+      std::vector<std::pair<BlockCount, BlockCount>> pieces;
       for (BlockCount done = 0; done < take; done += sub) {
-        subs.emplace_back(off + done, std::min<BlockCount>(sub, take - done));
+        pieces.emplace_back(done, std::min<BlockCount>(sub, take - done));
       }
-      return subs;
+      return pieces;
     };
 
     sim::StageId join_chain = staged.done_stage;
     BlockCount off = 0;
     BlockCount take = std::min<BlockCount>(g.ms, s.blocks);
     std::vector<Piece> current;
-    for (auto [o, n] : sub_offsets(off, take)) {
-      TERTIO_ASSIGN_OR_RETURN(Piece piece, produce_piece(o, n));
+    for (auto [ring_off, n] : pieces_of(take)) {
+      TERTIO_ASSIGN_OR_RETURN(Piece piece, produce_piece(off, ring_off, n));
       current.push_back(piece);
     }
 
@@ -256,24 +201,26 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       BlockCount next_off = off + take;
       BlockCount next_take =
           next_off < s.blocks ? std::min<BlockCount>(g.ms, s.blocks - next_off) : 0;
-      auto next_subs = sub_offsets(next_off, next_take);
+      auto next_pieces = pieces_of(next_take);
 
       // Consume current chunk piece-by-piece, producing the next chunk into
       // the space each piece frees (the interleaving of Section 4).
       std::vector<BlockPayload> chunk;
       std::vector<Piece> next;
-      size_t piece_count = std::max(current.size(), next_subs.size());
+      size_t piece_count = std::max(current.size(), next_pieces.size());
       sim::StageId t = join_chain;
       for (size_t j = 0; j < piece_count; ++j) {
         if (j < current.size()) {
+          TERTIO_RETURN_IF_ERROR(
+              read_cursor.Slice(current[j].ring_off, current[j].count, &read_slice));
           TERTIO_ASSIGN_OR_RETURN(
-              t, ring_read(current[j], {t, current[j].write_stage},
-                           phantom ? nullptr : &chunk));
+              t, ctx.disks->IssueRead(pipe, "ring-read", {t, current[j].write_stage}, read_slice,
+                                      phantom ? nullptr : &chunk, kChunkRetryLimit));
           TERTIO_RETURN_IF_ERROR(ring.Release(current[j].count, pipe.end(t)));
         }
-        if (j < next_subs.size()) {
-          TERTIO_ASSIGN_OR_RETURN(Piece piece,
-                                  produce_piece(next_subs[j].first, next_subs[j].second));
+        if (j < next_pieces.size()) {
+          TERTIO_ASSIGN_OR_RETURN(
+              Piece piece, produce_piece(next_off, next_pieces[j].first, next_pieces[j].second));
           next.push_back(piece);
         }
       }

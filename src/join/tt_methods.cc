@@ -195,8 +195,8 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
   // ---- Step II: S buckets on disk (all of D, double-buffered); R buckets
   // streamed from tape once per iteration. A backward pass reads a bucket
   // that fits in memory in one READ REVERSE (the head already rests at its
-  // end when buckets are visited in descending order); any other bucket is
-  // read forward.
+  // end when buckets are visited in descending order; otherwise the read
+  // seeks there first); any other bucket is read forward.
   tape::TapeDrive* drive = ctx.drive_r;
   const BucketOrder order = drive->model().supports_read_reverse ? BucketOrder::kAlternate
                                                                  : BucketOrder::kForward;
@@ -210,31 +210,9 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
                 run, layout, region.blocks, sb, after,
                 [&](BlockCount offset, BlockCount take, sim::StageId t,
                     std::vector<BlockPayload>* payloads) -> Result<sim::StageId> {
-                  if (!backwards || take != region.blocks) {
-                    return drive->IssueRead(pipe, "r-run-read", {t}, region.start + offset,
-                                            take, payloads, kChunkRetryLimit);
-                  }
-                  BlockIndex end = region.start + region.blocks;
-                  if (drive->head_position() != end) {
-                    TERTIO_ASSIGN_OR_RETURN(
-                        t, pipe.Stage("r-run-locate", drive->name(), {t}, 0, 0,
-                                      [&](SimSeconds ready) { return drive->Locate(end, ready); }));
-                  }
-                  // A failed reverse read stops the head at the failed block
-                  // and delivers nothing: a retry locates back first.
-                  return pipe.StageWithRetry(
-                      "r-run-read", drive->name(), std::span<const sim::StageId>(&t, 1), take,
-                      take * r.block_bytes,
-                      [&](SimSeconds ready) -> Result<sim::Interval> {
-                        if (drive->head_position() == end) {
-                          return drive->ReadReverse(take, ready, payloads);
-                        }
-                        TERTIO_ASSIGN_OR_RETURN(sim::Interval locate, drive->Locate(end, ready));
-                        TERTIO_ASSIGN_OR_RETURN(sim::Interval read,
-                                                drive->ReadReverse(take, locate.end, payloads));
-                        return sim::Interval::Hull(locate, read);
-                      },
-                      kChunkRetryLimit);
+                  return drive->IssueRead(pipe, "r-run-read", {t}, region.start + offset, take,
+                                          payloads, kChunkRetryLimit,
+                                          backwards && take == region.blocks);
                 });
           }));
   run.stats.r_scans += run.stats.iterations;  // one pass over hashed R per iteration

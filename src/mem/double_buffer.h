@@ -8,8 +8,8 @@
 /// half the size, doubling the number of iterations — the scheme the paper
 /// rejects for disk buffers. CDT-NB/MB still uses it for its memory buffers,
 /// where interleaving is impossible because the consumer needs its chunk
-/// resident for the whole iteration (mem::SplitBufferStages in
-/// pipeline_buffers.h).
+/// resident for the whole iteration (join/nb_methods.cc tracks the two
+/// halves as the join stages that last drained them).
 ///
 /// *Interleaved* double-buffering (InterleavedBuffer) shares one physical
 /// buffer between two logical buffers: space released by the consumer of

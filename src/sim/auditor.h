@@ -121,7 +121,7 @@ class Auditor {
                     SimSeconds ready, Interval hull, std::uint64_t stages);
 
   /// A Pipeline::Transfer finished. `expected` is the block count the plan
-  /// promised (total minus resume offset), `completed` the blocks whose read
+  /// promised (its total), `completed` the blocks whose read
   /// and write both committed, `issued` every block handed to the source
   /// (including failed attempts), `dropped` blocks of failed attempts
   /// discarded to chunk retries.

@@ -97,14 +97,6 @@ void SpanTrace::RecordBatch(std::string_view phase, std::string_view device, Blo
   has_window_ = true;
 }
 
-void SpanTrace::Clear() {
-  spans_.clear();
-  phases_.clear();
-  by_phase_.clear();
-  window_ = Interval{};
-  has_window_ = false;
-}
-
 ChunkCostProfile ChunkCostProfile::Free(std::uint64_t max_chunks) {
   ChunkCostProfile profile;
   profile.chunks = max_chunks;
@@ -622,24 +614,20 @@ Result<Pipeline::TransferResult> Pipeline::Transfer(const TransferPlan& plan,
   result.done = result.source_done;
   std::vector<StageId> read_deps(deps.begin(), deps.end());
   read_deps.push_back(kNoStage);  // slot for the chaining dependency
-  // A resumed transfer (checkpoint from an earlier failed attempt) skips
-  // chunks that already completed both their read and their write.
-  const BlockCount resume_at = plan.checkpoint != nullptr ? plan.checkpoint->completed_blocks : 0;
   // SimSan conservation ledger: every block handed to the source is either
   // sunk (read and write both committed) or dropped to a chunk retry.
   BlockCount issued_blocks = 0;
   BlockCount sunk_blocks = 0;
   BlockCount dropped_blocks = 0;
   // The coalesced fast path needs a plan with no per-chunk obligations:
-  // payload movement and checkpoints demand per-chunk work, retained spans
+  // payload movement demands per-chunk work, retained spans
   // demand per-chunk records, and distinct phases keep the batched
   // busy-seconds accumulation order identical to the interleaved per-chunk
   // one (reads and writes land in different phase summaries).
-  const bool plan_coalescible = plan.commit != CommitMode::kPerChunk &&
-                                plan.checkpoint == nullptr && !plan.move_payloads &&
+  const bool plan_coalescible = plan.commit != CommitMode::kPerChunk && !plan.move_payloads &&
                                 plan.read_phase != plan.write_phase &&
                                 (trace_ == nullptr || !trace_->retain());
-  for (BlockCount offset = resume_at; offset < plan.total; offset += chunk) {
+  for (BlockCount offset = 0; offset < plan.total; offset += chunk) {
     BlockCount take = std::min<BlockCount>(chunk, plan.total - offset);
     // Re-attempt coalescing at every full-chunk offset: ineligible windows
     // (a cold head position, a fresh allocation's first seek, a fault plan)
@@ -651,7 +639,6 @@ Result<Pipeline::TransferResult> Pipeline::Transfer(const TransferPlan& plan,
         if (did > 0) {
           issued_blocks += did * chunk;
           sunk_blocks += did * chunk;
-          if (plan.checkpoint != nullptr) plan.checkpoint->completed_blocks = offset + did * chunk;
           offset += (did - 1) * chunk;
           continue;
         }
@@ -692,7 +679,6 @@ Result<Pipeline::TransferResult> Pipeline::Transfer(const TransferPlan& plan,
       ++attempts;
       ++chunk_retries_;
       dropped_blocks += take;
-      if (plan.checkpoint != nullptr) ++plan.checkpoint->chunk_retries;
       // Surface the recovery in the span trace (a marker, not a stage: the
       // failed attempt's device time is inside the device's own timeline).
       if (trace_ != nullptr) {
@@ -700,13 +686,11 @@ Result<Pipeline::TransferResult> Pipeline::Transfer(const TransferPlan& plan,
                        Interval::At(ReadyAfter(std::span<const StageId>(read_deps))));
       }
     }
-    if (plan.checkpoint != nullptr) plan.checkpoint->completed_blocks = offset + take;
   }
   // Conservation is audited only for transfers that ran to completion; an
-  // aborted transfer returns above with its checkpoint mid-stream.
+  // aborted transfer returns above.
   if (auditor_ != nullptr) {
-    BlockCount expected = plan.total > resume_at ? plan.total - resume_at : 0;
-    auditor_->OnTransferEnd(plan.read_phase, expected, sunk_blocks, issued_blocks,
+    auditor_->OnTransferEnd(plan.read_phase, plan.total, sunk_blocks, issued_blocks,
                             dropped_blocks);
   }
   return result;

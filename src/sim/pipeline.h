@@ -139,7 +139,6 @@ class SpanTrace {
                    const DurationRunList& stage_durations);
 
   bool empty() const { return phases_.empty(); }
-  void Clear();
 
  private:
   // Phase lookup goes through a sorted index over phases_ (by label):
@@ -165,8 +164,8 @@ enum class CommitMode {
   /// Every chunk walks the scheduling path (the reference).
   kPerChunk,
   /// Coalesced: when both endpoints prove their per-chunk cost constant over
-  /// a run of full chunks (CostProfile) and the plan moves no payloads, keeps
-  /// no checkpoint and retains no per-span trace, the steady-state read/write
+  /// a run of full chunks (CostProfile) and the plan moves no payloads and
+  /// retains no per-span trace, the steady-state read/write
   /// recurrence is replayed in O(chunks) scalar form and committed as ONE
   /// batched read stage plus ONE batched write stage. Ineligible windows
   /// (fault plans, seeks that do not repeat, tail chunks) fall back
@@ -344,18 +343,6 @@ class Pipeline {
   /// pipeline's lifetime (0 when every transfer ran per-chunk).
   std::uint64_t coalesced_chunks() const { return coalesced_chunks_; }
 
-  /// Resumable progress of one Transfer. A caller that passes a checkpoint
-  /// can re-issue a Transfer that failed with kDeviceError and have it pick
-  /// up at the first incomplete chunk instead of re-running the whole pass —
-  /// the join-level recovery unit of the fault model (fault.h).
-  struct TransferCheckpoint {
-    /// Blocks whose read AND write stages completed. A resumed Transfer
-    /// starts its chunk loop here.
-    BlockCount completed_blocks = 0;
-    /// Chunk re-attempts spent so far (in-place retries after kDeviceError).
-    std::uint64_t chunk_retries = 0;
-  };
-
   /// One declared chunked transfer from `source` to `sink`.
   struct TransferPlan {
     /// Span labels for the producer/consumer stages.
@@ -375,10 +362,6 @@ class Pipeline {
     /// device model; the retry simply re-issues the chunk's read and write.
     /// Other error codes always propagate immediately.
     int chunk_retry_limit = 0;
-    /// Optional resume point: when non-null the transfer starts at
-    /// `checkpoint->completed_blocks` and keeps the struct current after
-    /// every completed chunk, so the caller can re-issue on failure.
-    TransferCheckpoint* checkpoint = nullptr;
     /// How the transfer commits its steady state (CommitMode).
     CommitMode commit = CommitMode::kClosedForm;
   };

@@ -41,14 +41,12 @@ inline constexpr std::string_view kRegisteredSpans[] = {
     "r-hash-flush",
     "r-hash-read",
     "r-hash-write",
-    "r-run-locate",
     "r-run-read",
     // nb_methods: R staging scan.
     "r-scan",
     // pipeline engine: chunk-granular fault recovery marker.
     "recovery:chunk-retry",
     // nb_methods: interleaved double-buffer ring.
-    "ring-piece",
     "ring-read",
     "ring-space",
     "ring-write",

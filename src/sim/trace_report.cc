@@ -113,21 +113,6 @@ std::string RenderSpanGantt(const SpanTrace& trace, const GanttOptions& options)
   return out;
 }
 
-void WriteSpanCsv(const SpanTrace& trace, std::ostream& out) {
-  out << "phase,device,start,end,blocks,bytes\n";
-  if (trace.retain()) {
-    for (const Span& span : trace.spans()) {
-      out << span.phase << ',' << span.device << ',' << span.interval.start << ','
-          << span.interval.end << ',' << span.blocks << ',' << span.bytes << '\n';
-    }
-    return;
-  }
-  for (const PhaseSummary& phase : trace.phases()) {
-    out << phase.phase << ',' << phase.device << ',' << phase.window.start << ','
-        << phase.window.end << ',' << phase.blocks << ',' << phase.bytes << '\n';
-  }
-}
-
 void WriteTraceCsv(const Simulation& sim, std::ostream& out) {
   out << "resource,tag,start,end,bytes\n";
   for (const auto& resource : sim.resources()) {

@@ -39,9 +39,4 @@ void WriteTraceCsv(const Simulation& sim, std::ostream& out);
 /// phase's busy time is spread uniformly over its window (marked '~').
 std::string RenderSpanGantt(const SpanTrace& trace, const GanttOptions& options = {});
 
-/// Writes "phase,device,start,end,blocks,bytes" rows for every retained
-/// span (falls back to one summary row per phase when spans were not
-/// retained).
-void WriteSpanCsv(const SpanTrace& trace, std::ostream& out);
-
 }  // namespace tertio::sim

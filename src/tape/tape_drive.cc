@@ -28,54 +28,57 @@ Result<sim::Interval> TapeDrive::Load(TapeVolume* volume, SimSeconds ready) {
   if (volume == nullptr) return Status::InvalidArgument("cannot load a null volume");
   volume_ = volume;
   head_ = 0;
-  ClearSharedPassWindow();
-  ClearCacheWindow();
+  ClearWindow();
   stats_.load_count += 1;
   return resource_->Schedule(ready, model_.load_seconds, 0, "tape.load");
 }
 
 Result<sim::Interval> TapeDrive::Unload(SimSeconds ready) {
   TERTIO_RETURN_IF_ERROR(CheckLoaded());
-  // Both windows describe ranges of the departing volume; leaving them set
+  // The window describes a range of the departing volume; leaving it set
   // would let a later Load of the same cartridge serve stale free/cached
   // reads from a window nobody re-declared.
-  ClearSharedPassWindow();
-  ClearCacheWindow();
+  ClearWindow();
   volume_ = nullptr;
   head_ = 0;
   return resource_->Schedule(ready, model_.load_seconds, 0, "tape.unload");
 }
 
 Result<sim::Interval> TapeDrive::Read(BlockIndex start, BlockCount count, SimSeconds ready,
-                                      std::vector<BlockPayload>* out) {
+                                      std::vector<BlockPayload>* out, bool backwards) {
   TERTIO_RETURN_IF_ERROR(CheckLoaded());
+  if (backwards && !model_.supports_read_reverse) {
+    return Status::Unimplemented(
+        StrFormat("drive %s does not implement READ REVERSE", name_.c_str()));
+  }
   TERTIO_ASSIGN_OR_RETURN(double mean_c, volume_->MeanCompressibility(start, count));
   // Decide who serves the range and charge it first; payloads are delivered
   // only once that charge succeeded, so a failed read delivers nothing and a
   // chunk-level retry re-reads cleanly.
   sim::Interval served;
   BlockCount* counter = nullptr;
-  if (InSharedPassWindow(start, count)) {
+  if (InWindow(start, count) && window_reader_ == nullptr) {
     // Another query's in-flight sequential pass covers the range: multicast
     // its data. No head motion, no drive occupancy, no fault draw — the
     // physical pass already paid (and drew) for these blocks.
     served = sim::Interval::At(ready);
     counter = &stats_.blocks_shared;
-  } else if (InCacheWindow(start, count)) {
+  } else if (InWindow(start, count)) {
     // The range is resident in the cross-query extent cache: the disk copy
     // serves it at disk cost (and may fail there) while the drive stays
     // parked. Payloads still come from the volume's block store, so data
     // delivered through the cache is bit-identical to a physical read.
-    TERTIO_ASSIGN_OR_RETURN(served, cache_reader_(start, count, ready));
+    TERTIO_ASSIGN_OR_RETURN(served, window_reader_(start, count, ready));
     counter = &stats_.blocks_cached;
   } else {
-    TERTIO_ASSIGN_OR_RETURN(served, ReadFromTape(start, count, mean_c, ready));
+    TERTIO_ASSIGN_OR_RETURN(served, ReadFromTape(start, count, mean_c, ready, backwards));
     counter = &stats_.blocks_read;
   }
   if (out != nullptr) {
     out->reserve(out->size() + count.value());
-    for (BlockIndex i = start; i < start + count; ++i) {
-      TERTIO_ASSIGN_OR_RETURN(BlockPayload payload, volume_->ReadBlock(i));
+    for (BlockCount i = 0; i < count; ++i) {
+      TERTIO_ASSIGN_OR_RETURN(BlockPayload payload,
+                              volume_->ReadBlock(backwards ? start + (count - 1 - i) : start + i));
       out->push_back(std::move(payload));
     }
   }
@@ -84,36 +87,39 @@ Result<sim::Interval> TapeDrive::Read(BlockIndex start, BlockCount count, SimSec
 }
 
 Result<sim::Interval> TapeDrive::ReadFromTape(BlockIndex start, BlockCount count, double mean_c,
-                                              SimSeconds ready) {
+                                              SimSeconds ready, bool backwards) {
+  // The fault plan draws over the blocks in the order they pass the head.
   sim::FaultInjector::ReadOutcome outcome;
   outcome.clean_blocks = count;
   if (faults_ != nullptr && faults_->enabled()) {
     outcome =
         faults_->SimulateRead(start, count, model_.TransferSeconds(volume_->block_bytes(), mean_c),
-                              model_.reposition_seconds);
+                              model_.reposition_seconds, backwards);
   }
   ByteCount bytes = outcome.clean_blocks * volume_->block_bytes();
-  SimSeconds seek = SeekCost(start);
+  // A backward read starts where a forward read of the range would end.
+  SimSeconds seek = SeekCost(backwards ? start + count : start);
   SimSeconds transfer = model_.TransferSeconds(bytes, mean_c);
   if (!outcome.completed) {
     // Unrecoverable media error: charge the seek, the blocks streamed
     // before the fault, and the recovery time burned retrying, and leave the
     // head at the failed position. A chunk-level retry (pipeline) will
-    // reposition and re-read from `start`.
+    // reposition and re-read the range.
     head_ = outcome.failed_block;
     stats_.blocks_read += outcome.clean_blocks;
     resource_->Schedule(ready, seek + transfer + outcome.recovery_seconds, bytes,
-                        "tape.read-failed");
-    return Status::DeviceError(
-        StrFormat("drive %s: unrecoverable read error at block %llu", name_.c_str(),
-                  static_cast<unsigned long long>(outcome.failed_block.value())));
+                        backwards ? "tape.read-reverse-failed" : "tape.read-failed");
+    return Status::DeviceError(StrFormat(
+        "drive %s: unrecoverable %s error at block %llu", name_.c_str(),
+        backwards ? "read-reverse" : "read",
+        static_cast<unsigned long long>(outcome.failed_block.value())));
   }
-  head_ = start + count;
+  head_ = backwards ? start : start + count;
   // Recovery joins the transfer before the seek, the rounding order the
   // recorded fault runs were computed in; with no fault plan it is +0.0,
   // which leaves seek + transfer exact.
   return resource_->Schedule(ready, seek + (transfer + outcome.recovery_seconds), bytes,
-                             "tape.read");
+                             backwards ? "tape.read-reverse" : "tape.read");
 }
 
 Result<sim::Interval> TapeDrive::Append(const std::vector<BlockPayload>& payloads,
@@ -144,64 +150,11 @@ Result<sim::Interval> TapeDrive::AppendPhantom(BlockCount count, double compress
   return resource_->Schedule(ready, duration, bytes, "tape.write");
 }
 
-Result<sim::Interval> TapeDrive::Locate(BlockIndex target, SimSeconds ready) {
-  TERTIO_RETURN_IF_ERROR(CheckLoaded());
-  if (target > volume_->size_blocks()) {
-    return Status::InvalidArgument("locate target beyond end of data");
-  }
-  SimSeconds duration = SeekCost(target);
-  head_ = target;
-  return resource_->Schedule(ready, duration, 0, "tape.locate");
-}
-
 Result<sim::Interval> TapeDrive::Rewind(SimSeconds ready) {
   TERTIO_RETURN_IF_ERROR(CheckLoaded());
   head_ = 0;
   stats_.rewind_count += 1;
   return resource_->Schedule(ready, model_.rewind_seconds, 0, "tape.rewind");
-}
-
-Result<sim::Interval> TapeDrive::ReadReverse(BlockCount count, SimSeconds ready,
-                                             std::vector<BlockPayload>* out) {
-  TERTIO_RETURN_IF_ERROR(CheckLoaded());
-  if (!model_.supports_read_reverse) {
-    return Status::Unimplemented(
-        StrFormat("drive %s does not implement READ REVERSE", name_.c_str()));
-  }
-  if (count > head_) {
-    return Status::InvalidArgument("read-reverse would cross beginning-of-tape");
-  }
-  BlockIndex start = head_ - count;
-  TERTIO_ASSIGN_OR_RETURN(double mean_c, volume_->MeanCompressibility(start, count));
-  // The fault plan draws as for a forward read, over the blocks in the
-  // order they pass the head.
-  sim::FaultInjector::ReadOutcome outcome;
-  outcome.clean_blocks = count;
-  if (faults_ != nullptr && faults_->enabled()) {
-    outcome =
-        faults_->SimulateRead(start, count, model_.TransferSeconds(volume_->block_bytes(), mean_c),
-                              model_.reposition_seconds, /*backwards=*/true);
-  }
-  ByteCount bytes = outcome.clean_blocks * volume_->block_bytes();
-  SimSeconds duration = model_.TransferSeconds(bytes, mean_c) + outcome.recovery_seconds;
-  stats_.blocks_read += outcome.clean_blocks;
-  if (!outcome.completed) {
-    // Charged like a failed forward read; the head stops at the failed
-    // block and nothing is delivered.
-    head_ = outcome.failed_block;
-    resource_->Schedule(ready, duration, bytes, "tape.read-reverse-failed");
-    return Status::DeviceError(
-        StrFormat("drive %s: unrecoverable read-reverse error at block %llu", name_.c_str(),
-                  static_cast<unsigned long long>(outcome.failed_block.value())));
-  }
-  if (out != nullptr) {
-    for (BlockIndex i = head_; i-- > start;) {
-      TERTIO_ASSIGN_OR_RETURN(BlockPayload payload, volume_->ReadBlock(i));
-      out->push_back(std::move(payload));
-    }
-  }
-  head_ = start;
-  return resource_->Schedule(ready, duration, bytes, "tape.read-reverse");
 }
 
 sim::ChunkCostProfile TapeDrive::ReadCostProfile(BlockIndex start, BlockCount chunk,
@@ -211,10 +164,9 @@ sim::ChunkCostProfile TapeDrive::ReadCostProfile(BlockIndex start, BlockCount ch
   // from a seeded RNG stream whose consumption order is part of the
   // simulation's reproducibility contract.
   if (faults_ != nullptr && faults_->enabled()) return {};
-  // A shared-pass or cache window forces the per-chunk path too: whether a
-  // chunk is multicast / disk-served or physically read is decided per
-  // Read().
-  if (shared_pass_active() || cache_window_active()) return {};
+  // A window forces the per-chunk path too: whether a chunk is multicast,
+  // disk-served or physically read is decided per Read().
+  if (window_active()) return {};
   // The steady state replayed here begins with SeekCost(start) == 0; a cold
   // head runs one per-chunk read first and the caller re-attempts after it.
   if (head_ != start) return {};
@@ -235,43 +187,14 @@ sim::ChunkCostProfile TapeDrive::ReadCostProfile(BlockIndex start, BlockCount ch
   return profile;
 }
 
-sim::ChunkCostProfile TapeDrive::AppendCostProfile(double compressibility, BlockCount chunk,
-                                                   std::uint64_t max_chunks) {
-  if (volume_ == nullptr || chunk == 0 || max_chunks == 0) return {};
-  if (faults_ != nullptr && faults_->enabled()) return {};
-  if (compressibility < 0.0 || compressibility >= 1.0) return {};
-  // Replaying SeekCost(end-of-data) == 0 requires the head already parked
-  // there — true from the second chunk of any append stream onward.
-  if (head_ != volume_->size_blocks()) return {};
-  std::uint64_t n = max_chunks;
-  if (volume_->capacity_blocks() != 0) {
-    BlockCount room = volume_->capacity_blocks() - volume_->size_blocks();
-    if (room / chunk < n) n = room / chunk;
-  }
-  if (n == 0) return {};
-  ByteCount bytes = chunk * volume_->block_bytes();
-  sim::ChunkCostProfile profile;
-  profile.chunks = n;
-  profile.cycle = 1;
-  profile.ops_per_chunk = {1};
-  profile.ops = {{resource_, model_.TransferSeconds(bytes, compressibility), bytes, "tape.write"}};
-  profile.commit = [this, compressibility, chunk](std::uint64_t committed) {
-    Status appended = volume_->AppendPhantom(committed * chunk, compressibility);
-    TERTIO_CHECK(appended.ok(), "coalesced tape append exceeded the capacity it pre-checked");
-    head_ = ToIndex(volume_->size_blocks());
-    stats_.blocks_written += committed * chunk;
-  };
-  return profile;
-}
-
 Result<sim::StageId> TapeDrive::IssueRead(sim::Pipeline& pipe, std::string_view phase,
                                           std::span<const sim::StageId> deps, BlockIndex start,
                                           BlockCount count, std::vector<BlockPayload>* out,
-                                          int retry_limit) {
+                                          int retry_limit, bool backwards) {
   ByteCount bytes = volume_ != nullptr ? count * volume_->block_bytes() : 0;
   return pipe.StageWithRetry(
       phase, name_, deps, count, bytes,
-      [&](SimSeconds ready) { return Read(start, count, ready, out); }, retry_limit);
+      [&](SimSeconds ready) { return Read(start, count, ready, out, backwards); }, retry_limit);
 }
 
 }  // namespace tertio::tape

@@ -34,12 +34,12 @@ namespace tertio::tape {
 struct TapeDriveStats {
   BlockCount blocks_read = 0;
   BlockCount blocks_written = 0;
-  /// Blocks delivered out of a shared-pass window (multicast from another
-  /// query's in-flight sequential pass) without occupying the drive.
+  /// Blocks delivered out of a multicast window (another query's in-flight
+  /// sequential pass) without occupying the drive.
   BlockCount blocks_shared = 0;
-  /// Blocks delivered out of a disk-resident cache window (the HSM extent
-  /// cache, disk/extent_cache.h) instead of the tape — the drive stays idle
-  /// and the disk charges the read.
+  /// Blocks delivered out of an extent-cache window (the HSM extent cache,
+  /// disk/extent_cache.h) instead of the tape — the drive stays idle and the
+  /// disk charges the read.
   BlockCount blocks_cached = 0;
   std::uint64_t locate_count = 0;
   std::uint64_t reposition_count = 0;
@@ -78,13 +78,16 @@ class TapeDrive {
   /// Ejects the current volume (costed as a load).
   Result<sim::Interval> Unload(SimSeconds ready);
 
-  /// Reads `count` blocks starting at `start`, served by the shared-pass
-  /// window, the cache window or the tape, in that order of preference. If
-  /// `out` is non-null the payloads are appended to it (phantom blocks append
-  /// nullptr) — but only once the serving device succeeded: a failed read
-  /// appends nothing and counts no block as shared or cached.
+  /// Reads `count` blocks starting at `start`, served by the window (a
+  /// multicast pass or the extent cache, see SetWindow) or by the tape. A
+  /// `backwards` read (SCSI READ REVERSE) covers the same range with the head
+  /// moving from `start + count` down to `start`; it fails with
+  /// kUnimplemented unless the model supports it. If `out` is non-null the
+  /// payloads are appended in the order the blocks pass the head (phantom
+  /// blocks append nullptr) — but only once the serving device succeeded: a
+  /// failed read appends nothing and counts no block as shared or cached.
   Result<sim::Interval> Read(BlockIndex start, BlockCount count, SimSeconds ready,
-                             std::vector<BlockPayload>* out = nullptr);
+                             std::vector<BlockPayload>* out = nullptr, bool backwards = false);
 
   /// Appends real blocks at end-of-data.
   Result<sim::Interval> Append(const std::vector<BlockPayload>& payloads, double compressibility,
@@ -96,24 +99,12 @@ class TapeDrive {
   /// Rewinds to block 0 (serpentine: cheap and size-independent).
   Result<sim::Interval> Rewind(SimSeconds ready);
 
-  /// Positions the head at `target` without transferring data (SCSI
-  /// LOCATE). No-op if already there.
-  Result<sim::Interval> Locate(BlockIndex target, SimSeconds ready);
-
-  /// Reads `count` blocks *backwards*, ending at the current head position
-  /// (SCSI READ REVERSE). Errors with kUnimplemented if the model lacks it.
-  /// Draws from the fault plan as a forward read does; a failed read charges
-  /// its time, leaves the head at the failed block and delivers nothing.
-  Result<sim::Interval> ReadReverse(BlockCount count, SimSeconds ready,
-                                    std::vector<BlockPayload>* out = nullptr);
-
   /// Used by TapeLibrary: swap cartridges without charging drive time (the
   /// robot charges its own exchange time).
   void ForceMount(TapeVolume* volume) {
     volume_ = volume;
     head_ = 0;
-    ClearSharedPassWindow();
-    ClearCacheWindow();
+    ClearWindow();
   }
 
   /// True when [start, start+count) lies inside [outer_start,
@@ -125,52 +116,35 @@ class TapeDrive {
            start - outer_start <= outer_count - count;
   }
 
-  /// Declares [start, start+count) of the mounted volume covered by an
-  /// in-flight sequential pass that other queries may piggyback on (the
-  /// service layer's scan sharing, exec/query_scheduler.h). While the window
-  /// is set, a Read fully inside it delivers payloads at zero drive cost —
-  /// the data is multicast from the one physical pass — counted in
-  /// stats().blocks_shared instead of blocks_read, without moving the head.
-  void SetSharedPassWindow(BlockIndex start, BlockCount count) {
-    shared_window_volume_ = volume_;
-    shared_window_start_ = start;
-    shared_window_count_ = count;
-  }
-  void ClearSharedPassWindow() {
-    shared_window_volume_ = nullptr;
-    shared_window_count_ = 0;
-  }
-  bool shared_pass_active() const {
-    return shared_window_volume_ != nullptr && shared_window_volume_ == volume_;
-  }
-
   /// Charges the device time of a cache-window read of [start, start+count)
   /// ready at `ready` — the disk-side cost of serving the blocks from the
   /// HSM extent cache. Payload delivery stays with the drive.
   using CachedReadFn =
       std::function<Result<sim::Interval>(BlockIndex start, BlockCount count, SimSeconds ready)>;
 
-  /// Declares [start, start+count) of the mounted volume resident in the
-  /// cross-query extent cache (disk/extent_cache.h). While the window is
-  /// set, a Read fully inside it is served by `reader` — the blocks arrive
-  /// from the disk copy at disk cost, the drive never moves, and the blocks
-  /// count in stats().blocks_cached instead of blocks_read. An active
-  /// shared-pass window wins over the cache window (multicast is free).
-  void SetCacheWindow(BlockIndex start, BlockCount count, CachedReadFn reader) {
-    cache_window_volume_ = volume_;
-    cache_window_start_ = start;
-    cache_window_count_ = count;
-    cache_reader_ = std::move(reader);
+  /// Declares [start, start+count) of the mounted volume served elsewhere.
+  /// While the window is set, a Read fully inside it never moves the head,
+  /// occupies the drive or draws from the fault plan:
+  ///  - with no `reader`, the range is covered by an in-flight sequential
+  ///    pass other queries piggyback on (the service layer's scan sharing,
+  ///    exec/query_scheduler.h): payloads are multicast at zero cost and
+  ///    count in stats().blocks_shared;
+  ///  - with a `reader`, the range is resident in the cross-query extent
+  ///    cache (disk/extent_cache.h): `reader` charges the disk copy and the
+  ///    blocks count in stats().blocks_cached.
+  /// The window dies with the mount (Load, ForceMount and Unload clear it).
+  void SetWindow(BlockIndex start, BlockCount count, CachedReadFn reader = nullptr) {
+    window_volume_ = volume_;
+    window_start_ = start;
+    window_count_ = count;
+    window_reader_ = std::move(reader);
   }
-  void ClearCacheWindow() {
-    cache_window_volume_ = nullptr;
-    cache_window_count_ = 0;
-    cache_reader_ = nullptr;
+  void ClearWindow() {
+    window_volume_ = nullptr;
+    window_count_ = 0;
+    window_reader_ = nullptr;
   }
-  bool cache_window_active() const {
-    return cache_window_volume_ != nullptr && cache_window_volume_ == volume_ &&
-           cache_reader_ != nullptr;
-  }
+  bool window_active() const { return window_volume_ != nullptr && window_volume_ == volume_; }
 
   /// Steady-state cost profile for up to `max_chunks` sequential reads of
   /// `chunk` blocks starting at `start` (sim/pipeline.h coalescing). Empty —
@@ -181,27 +155,20 @@ class TapeDrive {
   sim::ChunkCostProfile ReadCostProfile(BlockIndex start, BlockCount chunk,
                                         std::uint64_t max_chunks);
 
-  /// Steady-state cost profile for up to `max_chunks` phantom appends of
-  /// `chunk` blocks at end-of-data. Empty unless the head is parked at
-  /// end-of-data, no fault plan is active, and the remaining capacity admits
-  /// at least one chunk.
-  sim::ChunkCostProfile AppendCostProfile(double compressibility, BlockCount chunk,
-                                          std::uint64_t max_chunks);
-
-  /// Emits a read of [start, start+count) as one pipeline stage ready after
+  /// Emits a Read of [start, start+count) as one pipeline stage ready after
   /// `deps`, re-attempted in place up to `retry_limit` times on kDeviceError
-  /// (a failed read delivers nothing, so a re-read is clean). \returns the
-  /// stage.
+  /// (a failed read delivers nothing and its re-read seeks back first, so a
+  /// re-read is clean). \returns the stage.
   Result<sim::StageId> IssueRead(sim::Pipeline& pipe, std::string_view phase,
                                  std::span<const sim::StageId> deps, BlockIndex start,
                                  BlockCount count, std::vector<BlockPayload>* out = nullptr,
-                                 int retry_limit = 0);
+                                 int retry_limit = 0, bool backwards = false);
   Result<sim::StageId> IssueRead(sim::Pipeline& pipe, std::string_view phase,
                                  std::initializer_list<sim::StageId> deps, BlockIndex start,
                                  BlockCount count, std::vector<BlockPayload>* out = nullptr,
-                                 int retry_limit = 0) {
+                                 int retry_limit = 0, bool backwards = false) {
     return IssueRead(pipe, phase, std::span<const sim::StageId>(deps.begin(), deps.size()),
-                     start, count, out, retry_limit);
+                     start, count, out, retry_limit, backwards);
   }
 
  private:
@@ -212,21 +179,15 @@ class TapeDrive {
   SimSeconds SeekCost(BlockIndex target);
 
   /// The physical half of Read(): seek, transfer and fault draw on the
-  /// drive's own timeline. Delivers nothing; fails with kDeviceError once the
-  /// fault plan gives up, leaving the head at the failed block.
+  /// drive's own timeline, in the given direction. Delivers nothing; fails
+  /// with kDeviceError once the fault plan gives up, leaving the head at the
+  /// failed block.
   Result<sim::Interval> ReadFromTape(BlockIndex start, BlockCount count, double mean_c,
-                                     SimSeconds ready);
+                                     SimSeconds ready, bool backwards);
 
-  /// True when [start, start+count) lies inside the active shared window.
-  bool InSharedPassWindow(BlockIndex start, BlockCount count) const {
-    return shared_pass_active() &&
-           RangeContains(shared_window_start_, shared_window_count_, start, count);
-  }
-
-  /// True when [start, start+count) lies inside the active cache window.
-  bool InCacheWindow(BlockIndex start, BlockCount count) const {
-    return cache_window_active() &&
-           RangeContains(cache_window_start_, cache_window_count_, start, count);
+  /// True when [start, start+count) lies inside the active window.
+  bool InWindow(BlockIndex start, BlockCount count) const {
+    return window_active() && RangeContains(window_start_, window_count_, start, count);
   }
 
   std::string name_;
@@ -236,16 +197,12 @@ class TapeDrive {
   BlockIndex head_ = 0;
   TapeDriveStats stats_;
   sim::FaultInjector* faults_ = nullptr;
-  /// Shared-pass window state; valid only while the declaring volume stays
-  /// mounted (a Load/ForceMount/Unload invalidates it).
-  TapeVolume* shared_window_volume_ = nullptr;
-  BlockIndex shared_window_start_ = 0;
-  BlockCount shared_window_count_ = 0;
-  /// Cache window state; same mount-lifetime rules as the shared window.
-  TapeVolume* cache_window_volume_ = nullptr;
-  BlockIndex cache_window_start_ = 0;
-  BlockCount cache_window_count_ = 0;
-  CachedReadFn cache_reader_;
+  /// Window state; valid only while the declaring volume stays mounted. A
+  /// null reader means multicast, a reader the extent cache.
+  TapeVolume* window_volume_ = nullptr;
+  BlockIndex window_start_ = 0;
+  BlockCount window_count_ = 0;
+  CachedReadFn window_reader_;
 };
 
 /// Pipeline source streaming a tape-resident relation: block offset k of a
@@ -267,30 +224,6 @@ class TapeReadSource final : public sim::BlockSource {
  private:
   TapeDrive* drive_;
   BlockIndex base_;
-};
-
-/// Pipeline sink appending a Transfer's chunks at end-of-data on `drive`.
-class TapeAppendSink final : public sim::BlockSink {
- public:
-  TapeAppendSink(TapeDrive* drive, double compressibility)
-      : drive_(drive), compressibility_(compressibility) {}
-
-  Result<sim::Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
-                              std::vector<BlockPayload>* payloads) override {
-    (void)offset;
-    if (payloads == nullptr) return drive_->AppendPhantom(count, compressibility_, ready);
-    return drive_->Append(*payloads, compressibility_, ready);
-  }
-  sim::ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
-                                    std::uint64_t max_chunks) override {
-    (void)offset;
-    return drive_->AppendCostProfile(compressibility_, chunk, max_chunks);
-  }
-  std::string_view device() const override { return drive_->name(); }
-
- private:
-  TapeDrive* drive_;
-  double compressibility_;
 };
 
 }  // namespace tertio::tape

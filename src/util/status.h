@@ -38,7 +38,7 @@ enum class StatusCode : int8_t {
   /// A device fault that survived the device's own bounded retries (an
   /// unrecoverable media error, a robot exchange that kept failing). Unlike
   /// the codes above this one is *retryable at a coarser granularity*: the
-  /// pipeline may re-issue the failed chunk, resuming from its checkpoint.
+  /// pipeline may re-issue the failed chunk in place.
   kDeviceError,
 };
 

@@ -6,8 +6,8 @@
 //  - devices surface kDeviceError after bounded retries, charging the wasted
 //    time and delivering nothing — through every tape window and across a
 //    striped extent list;
-//  - Pipeline::Transfer / StageWithRetry recover at chunk granularity and
-//    checkpoints resume where a failed transfer stopped;
+//  - Pipeline::Transfer / StageWithRetry recover at chunk granularity by
+//    re-issuing the failed chunk in place;
 //  - a join under injected faults produces exactly the fault-free result
 //    (verified against the in-memory reference join);
 //  - regression: TapeLibrary::Mount swap bookkeeping.
@@ -234,7 +234,7 @@ TEST(DeviceFaults, TapeReadReverseDrawsFromTheFaultPlan) {
   ASSERT_TRUE(volume.AppendPhantom(100, 0.25).ok());
   tape::TapeDrive drive("tapeR", tape::TapeDriveModel::Ideal(1e6), sim.CreateResource("tape"));
   ASSERT_TRUE(drive.Load(&volume, 0.0).ok());
-  ASSERT_TRUE(drive.Locate(80, 0.0).ok());
+  ASSERT_TRUE(drive.Read(0, 80, 0.0).ok());  // park the head at block 80
   FaultProfile profile;
   profile.transient_read_error_rate = 1.0;
   profile.max_retries = 0;
@@ -242,14 +242,14 @@ TEST(DeviceFaults, TapeReadReverseDrawsFromTheFaultPlan) {
   drive.set_fault_injector(&injector);
 
   std::vector<BlockPayload> out;
-  auto read = drive.ReadReverse(50, 0.0, &out);
+  auto read = drive.Read(30, 50, 0.0, &out, /*backwards=*/true);
   EXPECT_EQ(read.status().code(), StatusCode::kDeviceError);
   EXPECT_TRUE(out.empty());
   // The first block to pass the head is the last of the range.
   EXPECT_EQ(drive.head_position(), 79u);
   EXPECT_EQ(injector.stats().hard_failures, 1u);
   // The wasted attempt occupies the drive's timeline.
-  EXPECT_EQ(drive.resource()->stats().op_count, 3u);  // load + locate + failed read
+  EXPECT_EQ(drive.resource()->stats().op_count, 3u);  // load + parking read + failed read
 }
 
 TEST(DeviceFaults, TapeReadReverseRecoveryDrawsInHeadOrder) {
@@ -261,12 +261,13 @@ TEST(DeviceFaults, TapeReadReverseRecoveryDrawsInHeadOrder) {
     TERTIO_CHECK(volume.AppendPhantom(2000, 0.25).ok(), "");
     tape::TapeDrive drive("tapeR", tape::TapeDriveModel::Ideal(1e6), sim.CreateResource("tape"));
     TERTIO_CHECK(drive.Load(&volume, 0.0).ok(), "");
-    TERTIO_CHECK(drive.Locate(backwards ? 2000 : 0, 0.0).ok(), "");
+    // Park the head where the read starts, so neither read seeks.
+    if (backwards) TERTIO_CHECK(drive.Read(0, 2000, 0.0).ok(), "");
     FaultProfile profile;
     profile.transient_read_error_rate = 0.05;
     FaultInjector injector(profile, 11, "tapeR");
     drive.set_fault_injector(&injector);
-    auto read = backwards ? drive.ReadReverse(2000, 0.0) : drive.Read(0, 2000, 0.0);
+    auto read = drive.Read(0, 2000, 0.0, nullptr, backwards);
     TERTIO_CHECK(read.ok(), read.status().ToString());
     return std::make_pair(read->duration(), injector.stats().transient_faults);
   };
@@ -337,7 +338,7 @@ TEST(DeviceFaults, FailedCacheWindowReadDeliversNothingSoARetryDeliversOnce) {
   ASSERT_TRUE(drive.Load(&volume, 0.0).ok());
   ASSERT_TRUE(drive.Append(NumberedBlocks(10), 0.0, 0.0).ok());
   int disk_reads = 0;
-  drive.SetCacheWindow(0, 10, [&](BlockIndex, BlockCount, SimSeconds ready) -> Result<Interval> {
+  drive.SetWindow(0, 10, [&](BlockIndex, BlockCount, SimSeconds ready) -> Result<Interval> {
     if (++disk_reads == 1) return Status::DeviceError("cache copy read failed");
     return Interval{ready, ready + 1.0};
   });
@@ -353,6 +354,48 @@ TEST(DeviceFaults, FailedCacheWindowReadDeliversNothingSoARetryDeliversOnce) {
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ((*out[i])[0], i) << i;
   EXPECT_EQ(drive.stats().blocks_cached, 10u);
   EXPECT_EQ(drive.stats().blocks_read, 0u);
+}
+
+TEST(DeviceFaults, BackwardReadInsideAWindowDrawsNothing) {
+  // Either kind of window serves a backward read as it serves a forward one:
+  // no fault draw even when every read would fail, no head motion, payloads
+  // in the order the blocks pass the head, counted under the window's kind.
+  for (bool multicast : {true, false}) {
+    SCOPED_TRACE(multicast ? "multicast window" : "extent-cache window");
+    Simulation sim;
+    tape::TapeVolume volume("t", 1024);
+    tape::TapeDrive drive("tapeS", tape::TapeDriveModel::Ideal(1e6), sim.CreateResource("tape"));
+    ASSERT_TRUE(drive.Load(&volume, 0.0).ok());
+    ASSERT_TRUE(drive.Append(NumberedBlocks(10), 0.0, 0.0).ok());
+    FaultProfile profile;
+    profile.transient_read_error_rate = 1.0;
+    profile.max_retries = 0;
+    FaultInjector injector(profile, 1, "tapeS");
+    drive.set_fault_injector(&injector);
+    int disk_reads = 0;
+    if (multicast) {
+      drive.SetWindow(0, 10);
+    } else {
+      drive.SetWindow(0, 10, [&](BlockIndex, BlockCount, SimSeconds ready) -> Result<Interval> {
+        ++disk_reads;
+        return Interval{ready, ready + 1.0};
+      });
+    }
+    const BlockIndex head = drive.head_position();
+
+    std::vector<BlockPayload> out;
+    auto read = drive.Read(2, 6, 0.0, &out, /*backwards=*/true);
+    ASSERT_TRUE(read.ok()) << read.status();
+    EXPECT_EQ(injector.stats().transient_faults, 0u);
+    EXPECT_EQ(injector.stats().hard_failures, 0u);
+    EXPECT_EQ(drive.head_position(), head);
+    ASSERT_EQ(out.size(), 6u);
+    for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ((*out[i])[0], 7 - i) << i;
+    EXPECT_EQ(drive.stats().blocks_read, 0u);
+    EXPECT_EQ(drive.stats().blocks_shared, multicast ? 6u : 0u);
+    EXPECT_EQ(drive.stats().blocks_cached, multicast ? 0u : 6u);
+    EXPECT_EQ(disk_reads, multicast ? 0 : 1);
+  }
 }
 
 TEST(DeviceFaults, FailedExtentListReadLeavesTheOutputAsItWas) {
@@ -380,7 +423,7 @@ TEST(DeviceFaults, FailedExtentListReadLeavesTheOutputAsItWas) {
   EXPECT_EQ(injector.stats().hard_failures, 1u);
 }
 
-// ---- Chunk retry and checkpoint resume -------------------------------------
+// ---- Chunk retry ------------------------------------------------------------
 
 /// A source that fails with kDeviceError on its first `fail_count` reads of
 /// `fail_offset`, then succeeds; every read costs one second.
@@ -477,32 +520,6 @@ TEST(ChunkRetry, NonDeviceErrorsAreNeverRetried) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(source.calls(), 1);
   EXPECT_EQ(pipe.chunk_retries(), 0u);
-}
-
-TEST(ChunkRetry, CheckpointResumesWhereTheTransferStopped) {
-  Pipeline pipe(0.0);
-  FlakySource source(4, /*fail_count=*/2);
-  NullSink sink;
-  Pipeline::TransferCheckpoint checkpoint;
-  Pipeline::TransferPlan plan;
-  plan.read_phase = "read";
-  plan.write_phase = "write";
-  plan.total = 8;
-  plan.chunk = 2;
-  plan.chunk_retry_limit = 0;  // no in-place retries: fail to the caller
-  plan.checkpoint = &checkpoint;
-  auto first = pipe.Transfer(plan, source, sink);
-  EXPECT_EQ(first.status().code(), StatusCode::kDeviceError);
-  EXPECT_EQ(checkpoint.completed_blocks, 4u);  // chunks 0 and 2 completed
-
-  // Re-issue with the same checkpoint: the transfer resumes at block 4
-  // (failing once more), then completes — chunks 0 and 2 never re-run.
-  plan.chunk_retry_limit = 3;
-  auto second = pipe.Transfer(plan, source, sink);
-  ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(checkpoint.completed_blocks, 8u);
-  EXPECT_EQ(checkpoint.chunk_retries, 1u);
-  EXPECT_EQ(source.reads(), (std::vector<BlockCount>{0, 2, 4, 4, 4, 6}));
 }
 
 TEST(ChunkRetry, StageWithRetryRecoversBareStages) {
@@ -654,7 +671,7 @@ TEST(FaultyReadReverse, ReversePassesDrawFaultsAndMatchTheReference) {
 
 TEST(FaultyReadReverse, AFailedReversePassIsRetried) {
   // No device-level retries: a faulted block fails its read outright, and
-  // the chunk-level retry locates back to the run's end and re-reads it.
+  // the chunk-level retry re-reads the run, seeking back to its end first.
   std::int64_t failed_reverse = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     sim::FaultPlan plan;
@@ -784,7 +801,6 @@ TEST(CoalesceFaultFallback, EnabledInjectorEmptiesTapeCostProfiles) {
   sim::FaultInjector injector(profile, 1, "tapeR");
   drive.set_fault_injector(&injector);
   EXPECT_EQ(drive.ReadCostProfile(0, 8, 16).chunks, 0u);
-  EXPECT_EQ(drive.AppendCostProfile(0.25, 8, 16).chunks, 0u);
 
   // Removing the injector restores the fast path.
   drive.set_fault_injector(nullptr);

@@ -247,7 +247,7 @@ TEST(ReadReverseTest, BiDirectionalDriveAvoidsLocates) {
   // Paper footnote 2: a drive with READ REVERSE never repositions between
   // CTT-GH Step II iterations. Compare the same join on a DLT with and
   // without the capability.
-  auto run_with = [&](bool bidi, tape::TapeDriveStats* drive_stats) {
+  auto run_with = [&](bool bidi, tape::TapeDriveStats* drive_stats, std::uint64_t* drive_ops) {
     exec::SiteConfig config = exec::SiteConfig::PaperTestbed(100 * kMB, 8 * kMB);
     config.tape_model.supports_read_reverse = bidi;
     exec::Site site(config);
@@ -265,13 +265,21 @@ TEST(ReadReverseTest, BiDirectionalDriveAvoidsLocates) {
     auto stats = CreateJoinMethod(JoinMethodId::kCttGh)->Execute(spec, ctx);
     TERTIO_CHECK(stats.ok(), stats.status().ToString());
     *drive_stats = session->drive_r()->stats();
+    *drive_ops = session->drive_r()->resource()->stats().op_count;
     return stats->response_seconds;
   };
   tape::TapeDriveStats forward_stats, bidi_stats;
-  SimSeconds forward = run_with(false, &forward_stats);
-  SimSeconds bidi = run_with(true, &bidi_stats);
+  std::uint64_t forward_ops = 0, bidi_ops = 0;
+  SimSeconds forward = run_with(false, &forward_stats, &forward_ops);
+  SimSeconds bidi = run_with(true, &bidi_stats, &bidi_ops);
   EXPECT_LE(bidi, forward);
   EXPECT_LT(bidi_stats.reposition_count, forward_stats.reposition_count);
+  // Pinned bits: every backward pass here starts with the head already at
+  // its run's end, so it seeks +0.0 and no drive op is added or merged.
+  EXPECT_EQ(bidi.value(), 0x1.03c6d4217b7adp+11);
+  EXPECT_EQ(bidi_ops, 591u);
+  EXPECT_EQ(bidi_ops, forward_ops);
+  EXPECT_EQ(bidi_stats.locate_count, 5u);
 }
 
 TEST(ReadReverseTest, CorrectResultsUnderReversePasses) {
@@ -300,6 +308,11 @@ TEST(ReadReverseTest, CorrectResultsUnderReversePasses) {
   auto stats = CreateJoinMethod(JoinMethodId::kCttGh)->Execute(spec, ctx);
   ASSERT_TRUE(stats.ok()) << stats.status();
   ASSERT_GE(stats->iterations, 2u);  // reverse passes actually happened
+  // Pinned bits: no figure run reads backwards, so this is the record of the
+  // READ REVERSE path's timing.
+  EXPECT_EQ(stats->response_seconds.value(), 0x1.dcdc08d2da3a1p+4);
+  EXPECT_EQ(session->drive_r()->resource()->stats().op_count, 37u);
+  EXPECT_EQ(session->drive_r()->stats().locate_count, 3u);
   auto reference = ReferenceJoin(prepared->r, prepared->s, 0, 0);
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(stats->output_tuples, reference->tuples());

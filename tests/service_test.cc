@@ -574,41 +574,55 @@ TEST(TapeDriveWindowTest, RangeContainsIsOverflowSafe) {
 }
 
 TEST(TapeDriveWindowTest, UnloadInvalidatesSharedAndCacheWindows) {
-  sim::Simulation sim;
-  tape::TapeDrive drive("t", tape::TapeDriveModel::DLT4000(), sim.CreateResource("t"));
-  tape::TapeVolume volume("vol", kDefaultBlockBytes);
+  // The drive has one window, of either kind. The scheduler never declares
+  // both at once: a multicast window is set only after the leader's session
+  // (and with it any extent-cache window) has closed, and followers never
+  // arm the cache. So each kind is pinned alone: it serves and counts as its
+  // kind, and it dies with the mount.
+  for (bool multicast : {true, false}) {
+    SCOPED_TRACE(multicast ? "multicast window" : "extent-cache window");
+    sim::Simulation sim;
+    tape::TapeDrive drive("t", tape::TapeDriveModel::DLT4000(), sim.CreateResource("t"));
+    tape::TapeVolume volume("vol", kDefaultBlockBytes);
 
-  auto loaded = drive.Load(&volume, 0.0);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  auto appended = drive.AppendPhantom(100, 0.25, loaded->end);
-  ASSERT_TRUE(appended.ok()) << appended.status();
+    auto loaded = drive.Load(&volume, 0.0);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    auto appended = drive.AppendPhantom(100, 0.25, loaded->end);
+    ASSERT_TRUE(appended.ok()) << appended.status();
 
-  drive.SetSharedPassWindow(0, 100);
-  bool cache_reader_called = false;
-  drive.SetCacheWindow(0, 100, [&](BlockIndex, BlockCount, SimSeconds ready) {
-    cache_reader_called = true;
-    return Result<sim::Interval>(sim::Interval{ready, ready});
-  });
-  auto multicast = drive.Read(0, 10, appended->end);
-  ASSERT_TRUE(multicast.ok()) << multicast.status();
-  EXPECT_EQ(drive.stats().blocks_shared, 10u);  // shared window wins
-  EXPECT_EQ(drive.stats().blocks_read, 0u);
+    int cache_reads = 0;
+    if (multicast) {
+      drive.SetWindow(0, 100);
+    } else {
+      drive.SetWindow(0, 100, [&](BlockIndex, BlockCount, SimSeconds ready) {
+        ++cache_reads;
+        return Result<sim::Interval>(sim::Interval{ready, ready});
+      });
+    }
+    EXPECT_TRUE(drive.window_active());
+    auto served = drive.Read(0, 10, appended->end);
+    ASSERT_TRUE(served.ok()) << served.status();
+    EXPECT_EQ(drive.stats().blocks_shared, multicast ? 10u : 0u);
+    EXPECT_EQ(drive.stats().blocks_cached, multicast ? 0u : 10u);
+    EXPECT_EQ(drive.stats().blocks_read, 0u);
+    EXPECT_EQ(cache_reads, multicast ? 0 : 1);
 
-  // Regression: Unload left both windows pointing at the ejected volume; a
-  // re-load of the same volume then served "free" multicast reads for a
-  // pass nobody was running. Both windows must die with the mount.
-  auto unloaded = drive.Unload(multicast->end);
-  ASSERT_TRUE(unloaded.ok()) << unloaded.status();
-  EXPECT_FALSE(drive.shared_pass_active());
-  EXPECT_FALSE(drive.cache_window_active());
-  auto reloaded = drive.Load(&volume, unloaded->end);
-  ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  auto physical = drive.Read(0, 10, reloaded->end);
-  ASSERT_TRUE(physical.ok()) << physical.status();
-  EXPECT_EQ(drive.stats().blocks_read, 10u);
-  EXPECT_EQ(drive.stats().blocks_shared, 10u);  // unchanged
-  EXPECT_EQ(drive.stats().blocks_cached, 0u);
-  EXPECT_FALSE(cache_reader_called);
+    // Regression: Unload left the window pointing at the ejected volume; a
+    // re-load of the same volume then served "free" multicast reads for a
+    // pass nobody was running. The window must die with the mount.
+    auto unloaded = drive.Unload(served->end);
+    ASSERT_TRUE(unloaded.ok()) << unloaded.status();
+    EXPECT_FALSE(drive.window_active());
+    auto reloaded = drive.Load(&volume, unloaded->end);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status();
+    EXPECT_FALSE(drive.window_active());
+    auto physical = drive.Read(0, 10, reloaded->end);
+    ASSERT_TRUE(physical.ok()) << physical.status();
+    EXPECT_EQ(drive.stats().blocks_read, 10u);
+    EXPECT_EQ(drive.stats().blocks_shared, multicast ? 10u : 0u);  // unchanged
+    EXPECT_EQ(drive.stats().blocks_cached, multicast ? 0u : 10u);  // unchanged
+    EXPECT_EQ(cache_reads, multicast ? 0 : 1);
+  }
 }
 
 // --- Extent-cache service behavior -----------------------------------------

@@ -219,7 +219,7 @@ TEST_F(TapeDriveTest, ReadReverseWhenSupported) {
   ASSERT_TRUE(drive_.Load(&vol_, 0.0).ok());
   ASSERT_TRUE(drive_.Read(0, 2, 0.0).ok());
   std::vector<BlockPayload> out;
-  auto iv = drive_.ReadReverse(2, 0.0, &out);
+  auto iv = drive_.Read(0, 2, 0.0, &out, /*backwards=*/true);
   ASSERT_TRUE(iv.ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ((*out[0])[0], 2);  // reverse order
@@ -227,11 +227,16 @@ TEST_F(TapeDriveTest, ReadReverseWhenSupported) {
   EXPECT_EQ(drive_.head_position(), 0u);
 }
 
-TEST_F(TapeDriveTest, ReadReverseBeyondBotRejected) {
+TEST_F(TapeDriveTest, ReadReverseBeyondEndOfDataRejected) {
+  // A backward read names its range, so it cannot cross the beginning of the
+  // tape; a range past end-of-data is rejected before the drive moves.
   ASSERT_TRUE(vol_.AppendPhantom(2, 0.0).ok());
   ASSERT_TRUE(drive_.Load(&vol_, 0.0).ok());
   ASSERT_TRUE(drive_.Read(0, 1, 0.0).ok());
-  EXPECT_FALSE(drive_.ReadReverse(2, 0.0).ok());
+  const std::uint64_t ops = drive_.resource()->stats().op_count;
+  EXPECT_FALSE(drive_.Read(1, 2, 0.0, nullptr, /*backwards=*/true).ok());
+  EXPECT_EQ(drive_.resource()->stats().op_count, ops);
+  EXPECT_EQ(drive_.head_position(), 1u);
 }
 
 TEST(TapeDriveRealisticTest, SeekChargesLocateAndReposition) {
@@ -260,7 +265,45 @@ TEST(TapeDriveRealisticTest, ReadReverseUnimplementedOnDlt) {
   TapeDrive drive("drv", TapeDriveModel::DLT4000(), sim.CreateResource("tape"));
   ASSERT_TRUE(drive.Load(&vol, 0.0).ok());
   ASSERT_TRUE(drive.Read(0, 10, 0.0).ok());
-  EXPECT_EQ(drive.ReadReverse(5, 0.0).status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(drive.Read(5, 5, 0.0, nullptr, /*backwards=*/true).status().code(),
+            StatusCode::kUnimplemented);
+}
+
+TEST(TapeDriveRealisticTest, ReadReverseFromElsewhereSeeksInsideTheRead) {
+  // A backward read whose head does not rest at the end of its range seeks
+  // there inside the read: one drive op that charges locate + transfer, one
+  // locate, and the head left at the range's start.
+  sim::Simulation sim;
+  TapeDriveModel model = TapeDriveModel::DLT4000();
+  model.supports_read_reverse = true;
+  TapeVolume vol("t", kBlock);
+  for (uint8_t i = 0; i < 20; ++i) ASSERT_TRUE(vol.Append(MakeBlock(i), 0.0).ok());
+  TapeDrive drive("drv", model, sim.CreateResource("tape"));
+  ASSERT_TRUE(drive.Load(&vol, 0.0).ok());
+  const std::uint64_t ops = drive.resource()->stats().op_count;
+  const std::uint64_t locates = drive.stats().locate_count;
+
+  std::vector<BlockPayload> out;
+  auto iv = drive.Read(5, 10, 0.0, &out, /*backwards=*/true);
+  ASSERT_TRUE(iv.ok()) << iv.status();
+  EXPECT_EQ(drive.resource()->stats().op_count, ops + 1);
+  EXPECT_EQ(drive.stats().locate_count, locates + 1);
+  EXPECT_EQ(drive.head_position(), 5u);
+  EXPECT_EQ(drive.stats().blocks_read, 10u);
+  ASSERT_EQ(out.size(), 10u);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ((*out[i])[0], 14 - i) << i;
+  double transfer = (10 * kBlock / model.native_rate_bps).value();
+  double locate = model.locate_base_seconds.value() +
+                  model.locate_seconds_per_byte * 15.0 * static_cast<double>(kBlock.value()) +
+                  model.reposition_seconds.value();
+  EXPECT_NEAR((iv->duration()).value(), transfer + locate, 1e-9);
+
+  // Read back down from where it stopped: the head already rests at the end
+  // of the range, so nothing is located.
+  auto streamed = drive.Read(0, 5, iv->end, nullptr, /*backwards=*/true);
+  ASSERT_TRUE(streamed.ok()) << streamed.status();
+  EXPECT_EQ(drive.stats().locate_count, locates + 1);
+  EXPECT_EQ(drive.head_position(), 0u);
 }
 
 TEST(TapeDriveRealisticTest, CompressibleDataTransfersFaster) {

@@ -363,7 +363,6 @@ PHASE_PATTERNS = [
     re.compile(r"\b(?:read_phase|write_phase|flush_phase)\s*=\s*\"([^\"]+)\""),
     re.compile(r"\bIssue(?:Read|Write|Flush)\(\s*\w+,\s*\"([^\"]+)\""),
     re.compile(r"\bScan(?:Disk)?AndProbe\(\s*\w+,\s*\w+,\s*\"([^\"]+)\""),
-    re.compile(r"\bAcquireFreeStage\(\s*\w+,\s*\w+,\s*\"([^\"]+)\""),
 ]
 
 REPORT_PHASE_RE = re.compile(r"\bphase(?:\.phase)?\s*==\s*\"([^\"]+)\"")

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Full verify flow: static analysis first (tertio_lint, and clang-tidy when
 # installed), then tier-1 build + tests (RelWithDebInfo) with the figure-record
-# check (ctest label golden) called out, a bench smoke run
-# that must produce BENCH_joins.json, the benchmark/ project's build and smoke
-# workloads, then the sanitizer passes — ASan+UBSan over the fault/error-path,
-# SimSan, cache, disk-layer, query-service and join-table tests, the tape,
-# hash and sim unit tests, the six examples and the tertio_cli exit-code
-# checks, and TSan over the parallel-sweep and query-service tests — so
-# every recovery branch and every driver interleaving runs sanitizer-checked.
+# check (ctest label golden) called out and a forced-scalar (TERTIO_SIMD=scalar)
+# rerun of the whole suite, a bench smoke run that must produce
+# BENCH_joins.json, the benchmark/ project's build and smoke workloads, then
+# the sanitizer passes — ASan+UBSan over the whole tier-1 suite and TSan over
+# the parallel-sweep and query-service tests — so every recovery branch and
+# every driver interleaving runs sanitizer-checked.
 # The asan/tsan presets build with TERTIO_SIMSAN=ON, so every test in those
 # passes also runs under the simulation invariant auditor (sim/auditor.h)
 # with hard-fail at Simulation destruction.
