@@ -656,31 +656,49 @@ TEST(ExtentCacheServiceTest, CacheBlocksZeroMatchesAnUnconfiguredSiteBitForBit) 
   }
 }
 
-TEST(ExtentCacheServiceTest, WarmCacheServesRepeatSScansFromDisk) {
-  auto run = [](BlockCount cache_blocks) {
-    SiteConfig config;
-    config.with_library = true;
-    config.cache_blocks = cache_blocks;
-    auto site = std::make_unique<Site>(config);
-    site->EnableAudit();
-    auto workload = PrepareServiceWorkload(site.get(), SmallServiceWorkload(/*phantom=*/true));
-    TERTIO_CHECK(workload.ok(), "workload setup failed");
-    QueryScheduler scheduler(site.get(), ServicePolicy::kFifo);
-    for (int j = 0; j < 3; ++j) {
-      auto id = scheduler.Submit(RequestFor(site.get(), *workload, j, 0, 0.0));
-      TERTIO_CHECK(id.ok(), "submit failed");
+// Three FIFO joins of the small workload's R relations with its one S on a
+// site with `cache_blocks` of extent cache. The first arrives at t = 0. With
+// `back_to_back`, the other two arrive at t = 0 as well, so each dispatches
+// at its predecessor's completion, while that query's cache fill may still
+// be writing. Otherwise they arrive once the first Run() has drained, at the
+// site horizon, when the fill is on disk.
+struct ThreeJoinRun {
+  std::vector<QueryOutcome> outcomes;
+  ServiceStats stats;
+};
+
+ThreeJoinRun RunThreeCachedJoins(BlockCount cache_blocks, bool phantom, bool back_to_back) {
+  SiteConfig config;
+  config.with_library = true;
+  config.cache_blocks = cache_blocks;
+  auto site = std::make_unique<Site>(config);
+  site->EnableAudit();
+  auto workload = PrepareServiceWorkload(site.get(), SmallServiceWorkload(phantom));
+  TERTIO_CHECK(workload.ok(), "workload setup failed");
+  QueryScheduler scheduler(site.get(), ServicePolicy::kFifo);
+  for (int j = 0; j < 3; ++j) {
+    if (j == 1 && !back_to_back) {
+      TERTIO_CHECK(scheduler.Run().ok(), "run failed");
     }
-    Status ran = scheduler.Run();
-    TERTIO_CHECK(ran.ok(), "run failed");
-    TERTIO_CHECK(site->auditor()->clean(), "cache run must stay SimSan-clean");
-    ServiceStats stats = scheduler.service_stats();
-    TERTIO_CHECK(stats.completed == 3, "all queries must complete");
-    return stats;
-  };
+    SimSeconds arrival = j == 0 || back_to_back ? SimSeconds(0.0) : site->sim().Horizon();
+    auto id = scheduler.Submit(RequestFor(site.get(), *workload, j, 0, arrival));
+    TERTIO_CHECK(id.ok(), "submit failed");
+  }
+  Status ran = scheduler.Run();
+  TERTIO_CHECK(ran.ok(), "run failed");
+  TERTIO_CHECK(site->auditor()->clean(), "cache run must stay SimSan-clean");
+  ThreeJoinRun result{scheduler.outcomes(), scheduler.service_stats()};
+  TERTIO_CHECK(result.stats.completed == 3, "all queries must complete");
+  return result;
+}
+
+TEST(ExtentCacheServiceTest, WarmCacheServesRepeatSScansFromDisk) {
   // 150 MB of cache comfortably holds the 100 MB S relation.
   SiteConfig defaults;
-  ServiceStats cold = run(0);
-  ServiceStats warm = run(BytesToBlocks(150 * kMB, defaults.block_bytes));
+  ServiceStats cold = RunThreeCachedJoins(0, /*phantom=*/true, /*back_to_back=*/false).stats;
+  ServiceStats warm = RunThreeCachedJoins(BytesToBlocks(150 * kMB, defaults.block_bytes),
+                                          /*phantom=*/true, /*back_to_back=*/false)
+                          .stats;
 
   EXPECT_EQ(cold.cache_hits, 0u);
   EXPECT_EQ(cold.tape_blocks_cached, 0u);
@@ -698,39 +716,45 @@ TEST(ExtentCacheServiceTest, WarmCacheServesRepeatSScansFromDisk) {
   EXPECT_LT(warm.makespan, cold.makespan);
 }
 
+TEST(ExtentCacheServiceTest, BackToBackQueryMissesAFillStillBeingWritten) {
+  // A query dispatches at its predecessor's completion, which is when that
+  // query's S starts filling the cache. The entry serves lookups only once
+  // the fill write is done, so query 2 misses and reads tape; by query 3's
+  // dispatch the fill is on disk.
+  SiteConfig defaults;
+  ServiceStats cold = RunThreeCachedJoins(0, /*phantom=*/true, /*back_to_back=*/true).stats;
+  ServiceStats warm = RunThreeCachedJoins(BytesToBlocks(150 * kMB, defaults.block_bytes),
+                                          /*phantom=*/true, /*back_to_back=*/true)
+                          .stats;
+  EXPECT_EQ(warm.cache_misses, 2u);
+  EXPECT_EQ(warm.cache_fills, 1u);
+  EXPECT_EQ(warm.cache_hits, 1u);
+  EXPECT_EQ(warm.cache_evictions, 0u);
+  EXPECT_EQ(warm.cached_queries, 1u);
+  EXPECT_EQ(warm.tape_blocks_read + warm.tape_blocks_cached, cold.tape_blocks_read);
+}
+
 TEST(ExtentCacheServiceTest, CachedReadsDeliverIdenticalJoinResults) {
   // Full-data mode: blocks served through the cache window must carry the
   // exact payloads a physical tape pass would deliver.
-  auto run = [](BlockCount cache_blocks) {
-    SiteConfig config;
-    config.with_library = true;
-    config.cache_blocks = cache_blocks;
-    auto site = std::make_unique<Site>(config);
-    auto workload = PrepareServiceWorkload(site.get(), SmallServiceWorkload(/*phantom=*/false));
-    TERTIO_CHECK(workload.ok(), "workload setup failed");
-    QueryScheduler scheduler(site.get(), ServicePolicy::kFifo);
-    for (int j = 0; j < 3; ++j) {
-      auto id = scheduler.Submit(RequestFor(site.get(), *workload, j, 0, 0.0));
-      TERTIO_CHECK(id.ok(), "submit failed");
-    }
-    Status ran = scheduler.Run();
-    TERTIO_CHECK(ran.ok(), "run failed");
-    return std::make_pair(scheduler.outcomes(), scheduler.service_stats());
-  };
   SiteConfig defaults;
-  auto [plain, plain_stats] = run(0);
-  auto [cached, cached_stats] = run(BytesToBlocks(1 * kMB, defaults.block_bytes));
-  // The cached run really exercised the cache path.
-  EXPECT_EQ(cached_stats.cache_hits, 2u);
-  EXPECT_GT(cached_stats.tape_blocks_cached, 0u);
-  ASSERT_EQ(plain.size(), cached.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    ASSERT_TRUE(plain[i].status.ok()) << plain[i].status;
-    ASSERT_TRUE(cached[i].status.ok()) << cached[i].status;
-    ASSERT_TRUE(plain[i].stats.output_valid);
-    ASSERT_TRUE(cached[i].stats.output_valid);
-    EXPECT_EQ(plain[i].stats.output_tuples, cached[i].stats.output_tuples) << i;
-    EXPECT_EQ(plain[i].stats.output_checksum, cached[i].stats.output_checksum) << i;
+  ThreeJoinRun plain = RunThreeCachedJoins(0, /*phantom=*/false, /*back_to_back=*/false);
+  ThreeJoinRun cached = RunThreeCachedJoins(BytesToBlocks(1 * kMB, defaults.block_bytes),
+                                            /*phantom=*/false, /*back_to_back=*/false);
+  // The cached run really exercised the cache path: two joins read S from it.
+  EXPECT_EQ(cached.stats.cache_hits, 2u);
+  EXPECT_EQ(cached.stats.cached_queries, 2u);
+  EXPECT_GT(cached.stats.tape_blocks_cached, 0u);
+  ASSERT_EQ(plain.outcomes.size(), cached.outcomes.size());
+  for (std::size_t i = 0; i < plain.outcomes.size(); ++i) {
+    const QueryOutcome& a = plain.outcomes[i];
+    const QueryOutcome& b = cached.outcomes[i];
+    ASSERT_TRUE(a.status.ok()) << a.status;
+    ASSERT_TRUE(b.status.ok()) << b.status;
+    ASSERT_TRUE(a.stats.output_valid);
+    ASSERT_TRUE(b.stats.output_valid);
+    EXPECT_EQ(a.stats.output_tuples, b.stats.output_tuples) << i;
+    EXPECT_EQ(a.stats.output_checksum, b.stats.output_checksum) << i;
   }
 }
 
