@@ -109,10 +109,10 @@ class ExtentCache {
   struct Entry {
     ExtentList extents;
     /// Virtual time the entry's fill write completed; a Lookup earlier than
-    /// this misses (the copy is still being written). Serial query streams
-    /// never observe this — their lookups happen at a horizon that already
-    /// covers the fill — but a concurrently dispatched query's start may
-    /// precede another session's fill.
+    /// this misses (the copy is still being written). The scheduler admits
+    /// the fill at a query's completion and may dispatch the next query at
+    /// that same instant, at any in-flight cap, so a back-to-back query on
+    /// the same S can look up before the fill is ready.
     SimSeconds ready = 0.0;
     SimSeconds last_use = 0.0;
     /// Seconds one full re-read saves coming from disk instead of tape.

@@ -86,11 +86,6 @@ class JoinOutput {
   std::uint64_t tuples() const { return tuples_; }
   std::uint64_t checksum() const { return checksum_; }
 
-  void MergeFrom(const JoinOutput& other) {
-    tuples_ += other.tuples_;
-    checksum_ += other.checksum_;
-  }
-
  private:
   std::uint64_t tuples_ = 0;
   std::uint64_t checksum_ = 0;

@@ -250,8 +250,9 @@ class Differential {
     }
   }
 
-  // RunSerialGroup: the leader leaves, its arrived slot-mates follow in
-  // (arrival, id) order, and half the time they requeue (a failed leader).
+  // A shared-scan group: the leader leaves, and its arrived slot-mates come
+  // up as followers in (arrival, id) order. Taking them and re-inserting
+  // them half the time churns one slot's order through Take and Insert.
   void FollowerSweep() {
     std::uint64_t leader_id = index_.Oldest();
     if (leader_id == 0) return;
