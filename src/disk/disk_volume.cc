@@ -84,15 +84,45 @@ void DiskVolume::WritePhantom(BlockIndex start, BlockCount count) {
 Result<sim::Interval> DiskVolume::Write(BlockIndex start, BlockCount count, SimSeconds ready,
                                         const BlockPayload* payloads) {
   TERTIO_RETURN_IF_ERROR(CheckRange(start, count));
-  SimSeconds duration = RequestCost(start, count);
-  if (payloads == nullptr) {
-    WritePhantom(start, count);
-  } else {
-    if (store_.empty()) store_.resize(capacity_.value());
-    std::copy_n(payloads, count.value(), store_.begin() + static_cast<long>(start.value()));
+  WritePiece piece{0, start, count, ready, payloads, {}};
+  CommitWrites(std::span<WritePiece>(&piece, 1), 0);
+  return piece.interval;
+}
+
+void DiskVolume::CommitWrites(std::span<WritePiece> pieces, int disk) {
+  ops_.clear();
+  BlockCount blocks = 0;
+  std::uint64_t positioned = 0;
+  bool any = any_request_;
+  BlockIndex next = next_sequential_;
+  for (const WritePiece& piece : pieces) {
+    if (piece.disk != disk) continue;
+    TERTIO_CHECK(piece.start + piece.count <= capacity_, "disk write exceeds capacity");
+    // Costed as RequestCost costs it.
+    SimSeconds duration = model_.TransferSeconds(piece.count * block_bytes_);
+    if (!any || piece.start != next) {
+      duration += model_.positioning_seconds;
+      ++positioned;
+    }
+    any = true;
+    next = piece.start + piece.count;
+    blocks += piece.count;
+    if (piece.payloads == nullptr) {
+      WritePhantom(piece.start, piece.count);
+    } else {
+      if (store_.empty()) store_.resize(capacity_.value());
+      std::copy_n(piece.payloads, piece.count.value(),
+                  store_.begin() + static_cast<long>(piece.start.value()));
+    }
+    ops_.push_back(sim::QueuedOp{piece.ready, duration, piece.count * block_bytes_, {}});
   }
-  stats_.blocks_written += count;
-  return resource_->Schedule(ready, duration, count * block_bytes_, "disk.write");
+  if (ops_.empty()) return;
+  CommitCoalesced(/*write=*/true, blocks, ops_.size(), positioned, next);
+  resource_->ScheduleEach(ops_, "disk.write");
+  auto op = ops_.begin();
+  for (WritePiece& piece : pieces) {
+    if (piece.disk == disk) piece.interval = (op++)->interval;
+  }
 }
 
 }  // namespace tertio::disk

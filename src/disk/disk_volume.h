@@ -4,6 +4,7 @@
 /// One random-access disk: block store plus a costed request interface.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,19 @@ struct DiskStats {
   BlockCount blocks_written = 0;
   std::uint64_t requests = 0;
   std::uint64_t positioned_requests = 0;  // requests that paid a seek
+};
+
+/// One write request of a batched commit (StripedDiskGroup::CommitWrites):
+/// `count` blocks at `start` on disk `disk`, eligible at `ready`.
+struct WritePiece {
+  int disk = 0;
+  BlockIndex start = 0;
+  BlockCount count = 0;
+  SimSeconds ready = 0.0;
+  /// `count` payloads to store, or null for phantoms.
+  const BlockPayload* payloads = nullptr;
+  /// Set by the commit: the interval the request occupies.
+  sim::Interval interval;
 };
 
 /// One disk drive bound to a sim::Resource. Requests are block-extent
@@ -65,6 +79,16 @@ class DiskVolume {
   Result<sim::Interval> Write(BlockIndex start, BlockCount count, SimSeconds ready,
                               const BlockPayload* payloads = nullptr);
 
+  /// Writes the pieces of `pieces` that name disk `disk`, in order, as that
+  /// many Write() calls would: each costed as RequestCost costs it, started
+  /// at max(ready, device available), its payloads stored. The counters, the
+  /// cursor and the resource are updated once. Every such piece must lie
+  /// within capacity (CheckRange). Sets each such piece's `interval`.
+  void CommitWrites(std::span<WritePiece> pieces, int disk);
+
+  /// OK when [start, start+count) lies within capacity.
+  Status CheckRange(BlockIndex start, BlockCount count) const;
+
   /// True when a request starting at `start` would continue the previous one
   /// sequentially and therefore pay no positioning time. Used by coalesced
   /// transfers (sim/pipeline.h) to cost the replayed requests.
@@ -86,7 +110,6 @@ class DiskVolume {
   void WritePhantom(BlockIndex start, BlockCount count);
 
  private:
-  Status CheckRange(BlockIndex start, BlockCount count) const;
   SimSeconds RequestCost(BlockIndex start, BlockCount count);
 
   std::string name_;
@@ -101,6 +124,8 @@ class DiskVolume {
   bool any_request_ = false;
   DiskStats stats_;
   sim::FaultInjector* faults_ = nullptr;
+  /// CommitWrites' operations, reused across calls.
+  std::vector<sim::QueuedOp> ops_;
 };
 
 }  // namespace tertio::disk

@@ -89,22 +89,35 @@ Result<sim::Interval> StripedDiskGroup::WriteExtents(const ExtentList& extents, 
         StrFormat("payload count %zu does not match extent blocks %llu", payloads->size(),
                   static_cast<unsigned long long>(TotalBlocks(extents).value())));
   }
-  sim::Interval hull = sim::Interval::At(ready);
-  bool first = true;
-  size_t offset = 0;
+  write_pieces_.clear();
+  Status status;
+  std::size_t offset = 0;
   for (const Extent& extent : extents) {
     if (extent.disk < 0 || extent.disk >= disk_count()) {
-      return Status::InvalidArgument(StrFormat("extent names unknown disk %d", extent.disk));
+      status = Status::InvalidArgument(StrFormat("extent names unknown disk %d", extent.disk));
+      break;
     }
+    status = disks_[static_cast<size_t>(extent.disk)]->CheckRange(extent.start, extent.count);
+    if (!status.ok()) break;
     const BlockPayload* slice = payloads != nullptr ? payloads->data() + offset : nullptr;
-    TERTIO_ASSIGN_OR_RETURN(
-        sim::Interval interval,
-        disks_[static_cast<size_t>(extent.disk)]->Write(extent.start, extent.count, ready, slice));
+    write_pieces_.push_back(WritePiece{extent.disk, extent.start, extent.count, ready, slice, {}});
     offset += extent.count.value();
-    hull = first ? interval : sim::Interval::Hull(hull, interval);
-    first = false;
+  }
+  CommitWrites(write_pieces_);
+  if (!status.ok()) return status;
+  sim::Interval hull = sim::Interval::At(ready);
+  for (std::size_t i = 0; i < write_pieces_.size(); ++i) {
+    hull = i == 0 ? write_pieces_[i].interval : sim::Interval::Hull(hull, write_pieces_[i].interval);
   }
   return hull;
+}
+
+void StripedDiskGroup::CommitWrites(std::span<WritePiece> pieces) {
+  for (const WritePiece& piece : pieces) {
+    TERTIO_CHECK(piece.disk >= 0 && piece.disk < disk_count(),
+                 "a write piece names no disk of the group");
+  }
+  for (int d = 0; d < disk_count(); ++d) disks_[static_cast<size_t>(d)]->CommitWrites(pieces, d);
 }
 
 Result<sim::StageId> StripedDiskGroup::IssueRead(sim::Pipeline& pipe, std::string_view phase,

@@ -144,10 +144,22 @@ class StripedDiskGroup {
   Result<sim::Interval> ReadExtents(const ExtentList& extents, SimSeconds ready,
                                     std::vector<BlockPayload>* out = nullptr);
 
-  /// Writes blocks over `extents` in order. `payloads`, when non-null, must
-  /// hold exactly TotalBlocks(extents) entries; null writes phantoms.
+  /// Writes blocks over `extents` in order, all ready at `ready`: the
+  /// one-ready case of CommitWrites. `payloads`, when non-null, must hold
+  /// exactly TotalBlocks(extents) entries; null writes phantoms. When an
+  /// extent names no disk of the group or exceeds its disk's capacity, the
+  /// extents before it are written and its error is returned.
+  /// \returns the hull of the per-disk intervals.
   Result<sim::Interval> WriteExtents(const ExtentList& extents, SimSeconds ready,
                                      const std::vector<BlockPayload>* payloads = nullptr);
+
+  /// Writes `pieces`, a call's requests in issue order, each at its own
+  /// ready time: one pass per disk, as DiskVolume::CommitWrites commits
+  /// them. Since a disk serves its requests in issue order and no request
+  /// waits on another disk, this equals writing the pieces one by one. Every
+  /// piece must name a disk of the group and lie within its capacity. Sets
+  /// each piece's `interval`.
+  void CommitWrites(std::span<WritePiece> pieces);
 
   /// Steady-state cost profile for up to `max_chunks` chunked requests over
   /// the list `walk` is bound to, starting at logical block `offset`
@@ -219,6 +231,8 @@ class StripedDiskGroup {
   DiskSpaceAllocator allocator_;
   ByteCount block_bytes_;
   sim::Auditor* auditor_ = nullptr;
+  /// WriteExtents' pieces, reused across calls.
+  std::vector<WritePiece> write_pieces_;
 
   /// Walks the pieces of `question` and answers it (touches excepted; the
   /// walk leaves them in walk.touches).

@@ -43,6 +43,7 @@ Status DiskPartitioner::AddBlocks(std::span<const BlockPayload> blocks, SimSecon
   if (options_.schema == nullptr) {
     return Status::FailedPrecondition("partitioner was configured without a schema");
   }
+  QueuedFlushes commit(this);
   disk::DiskSpaceAllocator::Run run(&disks_->allocator());
   for (const BlockPayload& payload : blocks) {
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
@@ -98,12 +99,13 @@ Status DiskPartitioner::AddPhantomBlocks(BlockCount count, SimSeconds ready) {
   std::uint32_t failed = span_;
   Status status;
   {
+    QueuedFlushes commit(this);
     disk::DiskSpaceAllocator::Run run(&disks_->allocator());
     for (std::uint64_t base = 0; base < n && status.ok(); base += w * span) {
       for (const Fill& fill : fills_) {
         if (base + fill.block >= n) break;
         const PendingBucket& p = pending_[fill.local];
-        status = WriteFlush(run, fill.local, w, std::max(p.data_ready, ready), nullptr);
+        status = QueueFlush(run, fill.local, w, std::max(p.data_ready, ready), nullptr);
         if (!status.ok()) {
           delivered = base + fill.block + 1;
           failed = fill.local;
@@ -126,24 +128,50 @@ Status DiskPartitioner::AddPhantomBlocks(BlockCount count, SimSeconds ready) {
   return status;
 }
 
-Status DiskPartitioner::WriteFlush(disk::DiskSpaceAllocator::Run& run, std::uint32_t local,
+Status DiskPartitioner::QueueFlush(disk::DiskSpaceAllocator::Run& run, std::uint32_t local,
                                    BlockCount chunk, SimSeconds ready,
-                                   const std::vector<BlockPayload>* payloads) {
+                                   const BlockPayload* payloads) {
   if (options_.space != nullptr) {
     TERTIO_ASSIGN_OR_RETURN(SimSeconds space_ready, options_.space->AcquireFree(chunk));
     if (space_ready > ready) ready = space_ready;
   }
-  flush_extents_.clear();
-  TERTIO_RETURN_IF_ERROR(run.Allocate(chunk, ready, options_.alloc_tag, &flush_extents_));
-  // The bucket owns the space from here on, so a failed write cannot leak it.
+  // The bucket owns the space from here on, so a failed call cannot leak it.
   DiskBucket& bucket = buckets_[local];
-  bucket.extents.insert(bucket.extents.end(), flush_extents_.begin(), flush_extents_.end());
-  TERTIO_ASSIGN_OR_RETURN(sim::Interval interval,
-                          disks_->WriteExtents(flush_extents_, ready, payloads));
-  bucket.blocks += chunk;
-  if (interval.end > bucket.ready) bucket.ready = interval.end;
-  if (interval.end > last_write_end_) last_write_end_ = interval.end;
+  const std::size_t first = bucket.extents.size();
+  TERTIO_RETURN_IF_ERROR(run.Allocate(chunk, ready, options_.alloc_tag, &bucket.extents));
+  std::size_t payload = kPhantom;
+  if (payloads != nullptr) {
+    payload = flushed_payloads_.size();
+    flushed_payloads_.insert(flushed_payloads_.end(), payloads, payloads + chunk.value());
+  }
+  for (std::size_t i = first; i < bucket.extents.size(); ++i) {
+    const disk::Extent& extent = bucket.extents[i];
+    pieces_.push_back(disk::WritePiece{extent.disk, extent.start, extent.count, ready, nullptr, {}});
+    piece_sources_.push_back(PieceSource{local, payload});
+    if (payload != kPhantom) payload += extent.count.value();
+  }
   return Status::OK();
+}
+
+void DiskPartitioner::CommitFlushes() {
+  // Payload addresses are taken only now: the store grew while flushes
+  // were queued.
+  for (std::size_t i = 0; i < pieces_.size() && !flushed_payloads_.empty(); ++i) {
+    if (piece_sources_[i].payload != kPhantom) {
+      pieces_[i].payloads = flushed_payloads_.data() + piece_sources_[i].payload;
+    }
+  }
+  disks_->CommitWrites(pieces_);
+  for (std::size_t i = 0; i < pieces_.size(); ++i) {
+    DiskBucket& bucket = buckets_[piece_sources_[i].local];
+    const SimSeconds end = pieces_[i].interval.end;
+    bucket.blocks += pieces_[i].count;
+    if (end > bucket.ready) bucket.ready = end;
+    if (end > last_write_end_) last_write_end_ = end;
+  }
+  pieces_.clear();
+  piece_sources_.clear();
+  flushed_payloads_.clear();
 }
 
 Status DiskPartitioner::MaybeFlush(disk::DiskSpaceAllocator::Run& run, std::uint32_t local,
@@ -159,12 +187,11 @@ Status DiskPartitioner::MaybeFlush(disk::DiskSpaceAllocator::Run& run, std::uint
       // A mixed real/phantom flush cannot happen: a partitioner sees either
       // real or phantom input exclusively.
       TERTIO_CHECK(p.full_blocks.size() >= chunk, "mixed real/phantom bucket flush");
-      const auto real = static_cast<long>(chunk.value());
-      std::vector<BlockPayload> batch(p.full_blocks.begin(), p.full_blocks.begin() + real);
-      TERTIO_RETURN_IF_ERROR(WriteFlush(run, local, chunk, p.data_ready, &batch));
-      p.full_blocks.erase(p.full_blocks.begin(), p.full_blocks.begin() + real);
+      TERTIO_RETURN_IF_ERROR(QueueFlush(run, local, chunk, p.data_ready, p.full_blocks.data()));
+      p.full_blocks.erase(p.full_blocks.begin(),
+                          p.full_blocks.begin() + static_cast<long>(chunk.value()));
     } else {
-      TERTIO_RETURN_IF_ERROR(WriteFlush(run, local, chunk, p.data_ready, nullptr));
+      TERTIO_RETURN_IF_ERROR(QueueFlush(run, local, chunk, p.data_ready, nullptr));
       p.phantom_pending -= chunk;
     }
     if (!final) break;  // non-final flush drains exactly one chunk at a time
@@ -173,6 +200,7 @@ Status DiskPartitioner::MaybeFlush(disk::DiskSpaceAllocator::Run& run, std::uint
 }
 
 Status DiskPartitioner::Flush() {
+  QueuedFlushes commit(this);
   disk::DiskSpaceAllocator::Run run(&disks_->allocator());
   for (std::uint32_t local = 0; local < span_; ++local) {
     PendingBucket& p = pending_[local];

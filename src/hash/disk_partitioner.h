@@ -111,14 +111,39 @@ class DiskPartitioner {
     std::uint32_t local;
   };
 
+  /// Where a queued piece came from: its bucket, and where its payloads
+  /// start in `flushed_payloads_` (kPhantom for phantom blocks).
+  struct PieceSource {
+    std::uint32_t local;
+    std::size_t payload;
+  };
+  static constexpr std::size_t kPhantom = static_cast<std::size_t>(-1);
+
   bool Materialized(std::uint32_t bucket) const;
   /// Flushes `chunk` blocks (or whatever is pending if fewer and `final`).
   Status MaybeFlush(disk::DiskSpaceAllocator::Run& run, std::uint32_t local, bool final);
-  /// Writes one `chunk`-block flush of bucket `local` whose data is ready at
+  /// Queues one `chunk`-block flush of bucket `local` whose data is ready at
   /// `ready`: waits for shared buffer space, allocates through `run` and
-  /// writes `payloads` (null: phantoms).
-  Status WriteFlush(disk::DiskSpaceAllocator::Run& run, std::uint32_t local, BlockCount chunk,
-                    SimSeconds ready, const std::vector<BlockPayload>* payloads);
+  /// queues the allocation's pieces with `payloads` (`chunk` of them; null:
+  /// phantoms).
+  Status QueueFlush(disk::DiskSpaceAllocator::Run& run, std::uint32_t local, BlockCount chunk,
+                    SimSeconds ready, const BlockPayload* payloads);
+  /// Writes the queued pieces, one pass per disk, and stamps their buckets.
+  void CommitFlushes();
+
+  /// Commits a call's queued flushes when the call returns, after a failed
+  /// flush too. Declared before the call's allocation run, so the run ends
+  /// first.
+  class QueuedFlushes {
+   public:
+    explicit QueuedFlushes(DiskPartitioner* partitioner) : partitioner_(partitioner) {}
+    ~QueuedFlushes() { partitioner_->CommitFlushes(); }
+    QueuedFlushes(const QueuedFlushes&) = delete;
+    QueuedFlushes& operator=(const QueuedFlushes&) = delete;
+
+   private:
+    DiskPartitioner* partitioner_;
+  };
 
   disk::StripedDiskGroup* disks_;
   Options options_;
@@ -129,9 +154,11 @@ class DiskPartitioner {
   // Remainder accounting for spreading phantom blocks over buckets.
   std::uint64_t phantom_block_carry_ = 0;
   std::uint32_t phantom_cursor_ = 0;
-  /// Scratch reused by every call: one flush's extents, one call's fills.
-  disk::ExtentList flush_extents_;
+  /// Scratch reused by every call: its fills and its queued flushes.
   std::vector<Fill> fills_;
+  std::vector<disk::WritePiece> pieces_;
+  std::vector<PieceSource> piece_sources_;
+  std::vector<BlockPayload> flushed_payloads_;
 };
 
 /// Pipeline sink hashing a Transfer's chunks into disk buckets. Real chunks

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 #include "sim/auditor.h"
 #include "sim/closed_form.h"
+#include "sim/recurrence.h"
 #include "sim/resource.h"
 
 namespace tertio::sim {
@@ -97,6 +100,13 @@ void SpanTrace::RecordBatch(std::string_view phase, std::string_view device, Blo
   has_window_ = true;
 }
 
+SimSeconds BinadeTop(SimSeconds v) {
+  if (!(v >= 0x1p-1021) || std::ilogb(v.value()) >= 1023) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return std::ldexp(1.0, std::ilogb(v.value()) + 1);
+}
+
 ChunkCostProfile ChunkCostProfile::Free(std::uint64_t max_chunks) {
   ChunkCostProfile profile;
   profile.chunks = max_chunks;
@@ -104,6 +114,11 @@ ChunkCostProfile ChunkCostProfile::Free(std::uint64_t max_chunks) {
   profile.ops_per_chunk = {0};
   return profile;
 }
+
+Pipeline::Pipeline(SimSeconds start, SpanTrace* trace, Auditor* auditor)
+    : start_(start), trace_(trace), auditor_(auditor) {}
+
+Pipeline::~Pipeline() = default;
 
 SimSeconds Pipeline::ReadyAfter(std::span<const StageId> deps) const {
   SimSeconds ready = start_;
@@ -141,7 +156,7 @@ StageId Pipeline::CommitBatch(std::string_view phase, std::string_view device,
 
 Result<StageId> Pipeline::Stage(std::string_view phase, std::string_view device,
                                 std::span<const StageId> deps, BlockCount blocks,
-                                ByteCount bytes, const StageOp& op) {
+                                ByteCount bytes, StageOp op) {
   SimSeconds ready = ReadyAfter(deps);
   TERTIO_ASSIGN_OR_RETURN(Interval interval, op(ready));
   return Commit(phase, device, blocks, bytes, ready, interval);
@@ -149,7 +164,7 @@ Result<StageId> Pipeline::Stage(std::string_view phase, std::string_view device,
 
 Result<StageId> Pipeline::StageWithRetry(std::string_view phase, std::string_view device,
                                          std::span<const StageId> deps, BlockCount blocks,
-                                         ByteCount bytes, const StageOp& op, int retry_limit) {
+                                         ByteCount bytes, StageOp op, int retry_limit) {
   int attempts = 0;
   for (;;) {
     Result<StageId> stage = Stage(phase, device, deps, blocks, bytes, op);
@@ -179,6 +194,10 @@ StageId Pipeline::Barrier(std::string_view phase, std::span<const StageId> deps)
 
 namespace {
 
+/// Keys a Pipeline keeps replays for. A `paper_sweep` join uses at most 8;
+/// the bound keeps a join's one-off windows from growing the memo.
+constexpr std::size_t kKeptWindowKeys = 16;
+
 std::uint64_t Gcd(std::uint64_t a, std::uint64_t b) {
   while (b != 0) {
     std::uint64_t t = a % b;
@@ -202,156 +221,21 @@ bool ProfileShapeOk(const ChunkCostProfile& p) {
   return true;
 }
 
-/// One endpoint as the recurrence replays it: its profile, where each cycle
-/// chunk's ops begin in `ops`, and the timeline slot every op runs on.
-struct ReplaySide {
-  const ChunkCostProfile* profile = nullptr;
-  std::vector<std::size_t> prefix;
-  std::vector<int> op_slot;
+/// b == a + delta with a TwoSum error of zero (the addition is exact, not
+/// merely round-tripping).
+bool ExactlyShifted(SimSeconds a, SimSeconds delta, SimSeconds b) {
+  const SimSeconds sum = a + delta;
+  if (sum != b) return false;
+  const SimSeconds db = sum - a;
+  const SimSeconds err = (delta - db) + (a - (sum - db));
+  return err == 0.0;
+}
 
-  explicit ReplaySide(const ChunkCostProfile& p)
-      : profile(&p), prefix(p.ops_per_chunk.size() + 1, 0), op_slot(p.ops.size(), -1) {
-    for (std::size_t i = 0; i < p.ops_per_chunk.size(); ++i) {
-      prefix[i + 1] = prefix[i] + p.ops_per_chunk[i];
-    }
-  }
-};
-
-/// Headroom guard of the closed-form jump (DESIGN.md §5.1). It observes
-/// every operation end of the watched period; a jump of J periods moves each
-/// such value r by J * delta (positive, finite), which must leave r inside
-/// its binade.
-struct JumpWatch {
-  SimSeconds delta = 0.0;
-  bool ok = true;
-  std::uint64_t max_jump = std::uint64_t{1} << 62;
-
-  explicit JumpWatch(SimSeconds d) : delta(d) {}
-
-  void Observe(SimSeconds r) {
-    if (!ok) return;
-    if (!(r >= 0x1p-1021) || std::ilogb(r.value()) >= 1023) {  // no normal binade
-      ok = false;
-      return;
-    }
-    // r + J * delta must stay below 2^(e+1); a margin of two strides absorbs
-    // the division's rounding.
-    const double strides = (std::ldexp(1.0, std::ilogb(r.value()) + 1) - r) / delta;
-    std::uint64_t room = strides >= 0x1p62 ? std::uint64_t{1} << 62
-                                           : static_cast<std::uint64_t>(strides);
-    room = room > 2 ? room - 2 : 0;
-    if (room < max_jump) max_jump = room;
-  }
-};
-
-/// The steady-state recurrence of one coalesced window, in plain scalars:
-/// exactly the float operations the per-chunk loop would issue. Chunk k's
-/// read becomes ready at the chain end (read k-1 streaming, write k-1
-/// lock-step) floored at the transfer's base ready; each device op starts at
-/// max(ready, device available) and occupies its constant duration; a
-/// chunk's interval is the hull of its ops (or a zero-length interval at
-/// ready for a free endpoint). Copyable, so SimSan can replay a window
-/// twice from the same starting state.
-struct Recurrence {
-  struct Slot {
-    Resource* resource = nullptr;
-    SimSeconds available = 0.0;
-    SimSeconds first_start = 0.0;
-    bool read_side = false;
-    bool any = false;
-  };
-
-  std::vector<Slot> slots;
-  SimSeconds base_ready = 0.0;
-  bool streaming = false;
-  bool have_read = false;
-  bool have_write = false;
-  SimSeconds read_chain = 0.0;
-  SimSeconds write_chain = 0.0;
-  Interval read_hull;
-  Interval write_hull;
-  SimSeconds first_read_ready = 0.0;
-  SimSeconds first_write_ready = 0.0;
-  /// Chunks replayed or jumped so far.
-  std::uint64_t k = 0;
-  DurationRunList read_durations;
-  DurationRunList write_durations;
-  /// When set, each chunk's read and write durations are also appended here.
-  std::vector<SimSeconds>* capture_read = nullptr;
-  std::vector<SimSeconds>* capture_write = nullptr;
-  /// When set, observes every operation end.
-  JumpWatch* watch = nullptr;
-
-  Interval RunOps(const ReplaySide& side, SimSeconds ready) {
-    const ChunkCostProfile& p = *side.profile;
-    const auto cyc = static_cast<std::size_t>(k % p.cycle);
-    const std::size_t first = side.prefix[cyc];
-    const std::size_t last = side.prefix[cyc + 1];
-    if (first == last) return Interval::At(ready);
-    Interval hull;
-    for (std::size_t i = first; i < last; ++i) {
-      Slot& slot = slots[static_cast<std::size_t>(side.op_slot[i])];
-      SimSeconds start = ready > slot.available ? ready : slot.available;
-      Interval interval{start, start + p.ops[i].seconds};
-      slot.available = interval.end;
-      if (!slot.any) {
-        slot.first_start = start;
-        slot.any = true;
-      }
-      if (watch != nullptr) watch->Observe(interval.end);
-      hull = i == first ? interval : Interval::Hull(hull, interval);
-    }
-    return hull;
-  }
-
-  void Chunk(const ReplaySide& src, const ReplaySide& snk) {
-    SimSeconds ready = base_ready;
-    if (streaming) {
-      if (have_read && read_chain > ready) ready = read_chain;
-    } else {
-      if (have_write && write_chain > ready) ready = write_chain;
-    }
-    Interval read_iv = RunOps(src, ready);
-    read_durations.Append(read_iv.duration());
-    if (capture_read != nullptr) capture_read->push_back(read_iv.duration());
-    read_hull = k == 0 ? read_iv : Interval::Hull(read_hull, read_iv);
-    have_read = true;
-    read_chain = read_iv.end;
-    // The write's ready is its read's end (ReadyAfter({read}), which the
-    // chain structure guarantees is at or after the pipeline origin).
-    Interval write_iv = RunOps(snk, read_iv.end);
-    write_durations.Append(write_iv.duration());
-    if (capture_write != nullptr) capture_write->push_back(write_iv.duration());
-    write_hull = k == 0 ? write_iv : Interval::Hull(write_hull, write_iv);
-    have_write = true;
-    write_chain = write_iv.end;
-    if (k == 0) {
-      first_read_ready = ready;
-      first_write_ready = read_iv.end;
-    }
-    ++k;
-  }
-
-  /// The state one period translates: every slot's availability, then the
-  /// read and write chain ends.
-  void Snapshot(std::vector<SimSeconds>& out) const {
-    out.clear();
-    for (const Slot& slot : slots) out.push_back(slot.available);
-    out.push_back(read_chain);
-    out.push_back(write_chain);
-  }
-};
-
-/// Exact uniform translation: b[i] == a[i] + delta with a TwoSum error of
-/// zero (the addition is exact, not merely round-tripping).
+/// Exact uniform translation: b[i] == a[i] + delta, each addition exact.
 bool Translated(const std::vector<SimSeconds>& a, const std::vector<SimSeconds>& b,
                 SimSeconds delta) {
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const SimSeconds sum = a[i] + delta;
-    if (sum != b[i]) return false;
-    const SimSeconds db = sum - a[i];
-    const SimSeconds err = (delta - db) + (a[i] - (sum - db));
-    if (err != 0.0) return false;
+    if (!ExactlyShifted(a[i], delta, b[i])) return false;
   }
   return true;
 }
@@ -387,6 +271,8 @@ Divergence FirstDivergence(const Recurrence& closed, const Recurrence& replay) {
     check("slot availability", closed.slots[i].available, replay.slots[i].available);
     check("slot first start", closed.slots[i].first_start, replay.slots[i].first_start);
   }
+  check("read first ready", closed.first_read_ready, replay.first_read_ready);
+  check("write first ready", closed.first_write_ready, replay.first_write_ready);
   check("read chain end", closed.read_chain, replay.read_chain);
   check("write chain end", closed.write_chain, replay.write_chain);
   check("read hull start", closed.read_hull.start, replay.read_hull.start);
@@ -400,16 +286,129 @@ Divergence FirstDivergence(const Recurrence& closed, const Recurrence& replay) {
   return d;
 }
 
+/// Same profile, op by op (the commit closure aside).
+bool SameProfile(const ChunkCostProfile& a, const ChunkCostProfile& b) {
+  if (a.chunks != b.chunks || a.cycle != b.cycle || a.ops_per_chunk != b.ops_per_chunk ||
+      a.ops.size() != b.ops.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.ops.size(); ++i) {
+    const ChunkCostProfile::Op& x = a.ops[i];
+    const ChunkCostProfile::Op& y = b.ops[i];
+    if (x.resource != y.resource || x.bytes != y.bytes || x.tag != y.tag ||
+        std::bit_cast<std::uint64_t>(x.seconds.value()) !=
+            std::bit_cast<std::uint64_t>(y.seconds.value())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A profile as a kept window's key holds it: without its commit closure.
+ChunkCostProfile KeyOf(const ChunkCostProfile& p) {
+  ChunkCostProfile key;
+  key.chunks = p.chunks;
+  key.cycle = p.cycle;
+  key.ops_per_chunk = p.ops_per_chunk;
+  key.ops = p.ops;
+  return key;
+}
+
+bool Idle(const Recurrence& r, const Recurrence::Slot& slot) {
+  return slot.available <= r.base_ready;
+}
+
+/// The start-state half of a kept window's key: chain flags, the slots'
+/// resources and sides in order, and which slots are idle.
+bool SameStartShape(const Recurrence& a, const Recurrence& b) {
+  if (a.streaming != b.streaming || a.have_read != b.have_read || a.have_write != b.have_write ||
+      a.slots.size() != b.slots.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.slots.size(); ++i) {
+    if (a.slots[i].resource != b.slots[i].resource ||
+        a.slots[i].read_side != b.slots[i].read_side ||
+        Idle(a, a.slots[i]) != Idle(b, b.slots[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Largest binade exponent among a replay's end-state values.
+int TopExponent(const Recurrence& r) {
+  int top = std::numeric_limits<int>::min();
+  for (const Recurrence::Slot& slot : r.slots) {
+    top = std::max(top, std::ilogb(slot.available.value()));
+  }
+  for (SimSeconds v : {r.read_chain, r.write_chain, r.read_hull.end, r.write_hull.end}) {
+    top = std::max(top, std::ilogb(v.value()));
+  }
+  return top;
+}
+
+/// Reuses `kept` for the window starting at `rec` (DESIGN.md §5.1): when
+/// rec's start is kept.start translated by one tau > 0 (base ready time,
+/// chain ends and every busy slot's availability, each addition exact),
+/// tau is a multiple of twice the ulp of the largest binade among the kept
+/// replay's values and rec's start, and every op end and end-state value of
+/// the kept replay stays inside its binade when shifted by tau, the window's
+/// replay is the kept one shifted by tau with the same durations. \returns
+/// false, leaving `rec` as it was, when any condition fails.
+bool ReuseShifted(const KeptWindow::Replay& kept, Recurrence& rec) {
+  const Recurrence& a = kept.start;
+  const SimSeconds tau = rec.base_ready - a.base_ready;
+  if (!(tau > 0.0) || !(tau < kept.end.headroom)) return false;
+  int top = kept.top_exponent;
+  auto shifted = [&](SimSeconds from, SimSeconds to) {
+    top = std::max(top, std::ilogb(to.value()));
+    return ExactlyShifted(from, tau, to);
+  };
+  if (!shifted(a.base_ready, rec.base_ready)) return false;
+  if (a.have_read && !shifted(a.read_chain, rec.read_chain)) return false;
+  if (a.have_write && !shifted(a.write_chain, rec.write_chain)) return false;
+  for (std::size_t i = 0; i < a.slots.size(); ++i) {
+    if (!Idle(a, a.slots[i]) && !shifted(a.slots[i].available, rec.slots[i].available)) {
+      return false;
+    }
+  }
+  // Twice the ulp of binade `top` is 2^(top - 51).
+  const double units = std::ldexp(tau.value(), 51 - top);
+  if (units != std::floor(units)) return false;
+
+  const Recurrence& e = kept.end;
+  for (std::size_t i = 0; i < rec.slots.size(); ++i) {
+    rec.slots[i].available = e.slots[i].available + tau;
+    rec.slots[i].first_start = e.slots[i].first_start + tau;
+    rec.slots[i].any = e.slots[i].any;
+  }
+  rec.have_read = e.have_read;
+  rec.have_write = e.have_write;
+  rec.read_chain = e.read_chain + tau;
+  rec.write_chain = e.write_chain + tau;
+  rec.read_hull = Interval{e.read_hull.start + tau, e.read_hull.end + tau};
+  rec.write_hull = Interval{e.write_hull.start + tau, e.write_hull.end + tau};
+  rec.first_read_ready = e.first_read_ready + tau;
+  rec.first_write_ready = e.first_write_ready + tau;
+  rec.k = e.k;
+  rec.read_durations = e.read_durations;
+  rec.write_durations = e.write_durations;
+  return true;
+}
+
 }  // namespace
 
 std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& source,
                                        BlockSink& sink, std::span<const StageId> deps,
                                        BlockCount offset, BlockCount chunk, std::uint64_t want,
                                        TransferResult& result) {
-  ChunkCostProfile src = source.CostProfile(offset, chunk, want);
-  if (!ProfileShapeOk(src)) return 0;
+  // The sink first: a partitioner sink is never coalescible, and asking a
+  // source costs a profile it would throw away. Profiles do not touch device
+  // state, so the order moves no simulated value.
   ChunkCostProfile snk = sink.CostProfile(offset, chunk, want);
   if (!ProfileShapeOk(snk)) return 0;
+  ChunkCostProfile src = source.CostProfile(offset, chunk, want);
+  if (!ProfileShapeOk(src)) return 0;
   // The batch must cover whole pattern periods of both endpoints.
   const std::uint64_t period = src.cycle / Gcd(src.cycle, snk.cycle) * snk.cycle;
   std::uint64_t n = std::min({want, src.chunks, snk.chunks});
@@ -450,19 +449,42 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
   rec.have_write = result.last_write != kNoStage;
   rec.read_chain = rec.have_read ? end(result.last_read) : 0.0;
   rec.write_chain = rec.have_write ? end(result.last_write) : 0.0;
-  // SimSan re-derives every closed-form window with the O(chunks) replay
-  // from a copy of its starting state.
-  const bool cross_check = auditor_ != nullptr && plan.commit == CommitMode::kClosedForm;
-  const Recurrence start_state = cross_check ? rec : Recurrence{};
+  // The closed-form commit keeps its replays, and SimSan re-derives every
+  // closed-form window, reused or jumped, with the O(chunks) replay from a
+  // copy of its starting state.
+  const bool closed_form = plan.commit == CommitMode::kClosedForm;
+  const bool cross_check = auditor_ != nullptr && closed_form;
+  Recurrence start_state = closed_form ? rec : Recurrence{};
 
   auto replay_periods = [&](std::uint64_t count) {
     for (std::uint64_t c = 0; c < count * period; ++c) rec.Chunk(src_side, snk_side);
   };
 
+  // A window whose key was replayed before may reuse one of the key's kept
+  // replays at a translated start.
+  KeptWindow* kept = nullptr;
+  bool reused = false;
+  if (closed_form) {
+    auto match = std::find_if(kept_windows_.rbegin(), kept_windows_.rend(),
+                              [&](const KeptWindow& w) {
+                                return w.n == n && w.period == period &&
+                                       SameProfile(w.source, src) && SameProfile(w.sink, snk) &&
+                                       SameStartShape(w.replays.front().start, rec);
+                              });
+    if (match != kept_windows_.rend()) {
+      std::rotate(std::prev(match.base()), match.base(), kept_windows_.end());
+      kept = &kept_windows_.back();
+      for (auto it = kept->replays.rbegin(); it != kept->replays.rend() && !reused; ++it) {
+        reused = ReuseShifted(*it, rec);
+      }
+    }
+  }
+
   if (plan.commit == CommitMode::kReplay) {
     // The O(chunks) reference: replay every chunk of the window scalar.
     replay_periods(n / period);
-  } else {
+  } else if (!reused) {
+    rec.track_headroom = true;
     // Closed-form commit: replay a pre-check period and a watched period;
     // when both translate the whole recurrence state by one exact delta,
     // every state component stays in its binade across both, and they
@@ -550,6 +572,8 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
       rec.k += jump * period;
       backoff = 1;
     }
+    rec.track_headroom = false;
+    rec.CloseHeadroom();
   }
   if (cross_check) {
     Recurrence replay = start_state;
@@ -602,6 +626,21 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
   result.source_done = end(read_stage);
   result.done = std::max(result.done, std::max(rec.read_hull.end, rec.write_hull.end));
   coalesced_chunks_ += n;
+
+  if (reused) {
+    ++reused_windows_;
+  } else if (closed_form) {
+    // Keep the replay: a key holds its last two, and the memo its most
+    // recently used keys.
+    if (kept == nullptr) {
+      if (kept_windows_.size() == kKeptWindowKeys) kept_windows_.erase(kept_windows_.begin());
+      kept_windows_.push_back(KeptWindow{KeyOf(src), KeyOf(snk), period, n, {}});
+      kept = &kept_windows_.back();
+    }
+    if (kept->replays.size() == 2) kept->replays.erase(kept->replays.begin());
+    const int top = TopExponent(rec);
+    kept->replays.push_back(KeptWindow::Replay{std::move(start_state), std::move(rec), top});
+  }
   return n;
 }
 

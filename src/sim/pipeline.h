@@ -37,12 +37,14 @@
 
 #include "sim/interval.h"
 #include "util/block_payload.h"
+#include "util/function_ref.h"
 #include "util/status.h"
 #include "util/units.h"
 
 namespace tertio::sim {
 
 class Auditor;
+struct KeptWindow;
 class Resource;
 
 using StageId = std::size_t;
@@ -176,8 +178,10 @@ enum class CommitMode {
   /// periods are committed with O(1) arithmetic per jump instead of the
   /// O(chunks) replay (the jump fires only when the translation is verified
   /// exact and stays within each state component's binade; see DESIGN.md
-  /// §5.1). Under SimSan every such batch is re-derived with the O(chunks)
-  /// replay. The default.
+  /// §5.1). A window that recurs at a translated start reuses the
+  /// pipeline's kept replay of it, shifted, under the same section's rule.
+  /// Under SimSan every such batch is re-derived with the O(chunks) replay.
+  /// The default.
   kClosedForm,
 };
 
@@ -275,16 +279,19 @@ class BlockSink {
 class Pipeline {
  public:
   /// A stage operation: performs the device work, eligible at `ready`, and
-  /// returns the interval it occupied.
-  using StageOp = std::function<Result<Interval>(SimSeconds ready)>;
+  /// returns the interval it occupied. Only called during the Stage call it
+  /// is passed to.
+  using StageOp = FunctionRef<Result<Interval>(SimSeconds ready)>;
 
   /// \param start virtual time before which no stage may begin.
   /// \param trace optional span collector (spans are dropped when null).
   /// \param auditor optional SimSan observer (sim/auditor.h): every
   ///        committed stage is causality-checked and every completed
   ///        Transfer's block accounting verified. Never alters scheduling.
-  explicit Pipeline(SimSeconds start, SpanTrace* trace = nullptr, Auditor* auditor = nullptr)
-      : start_(start), trace_(trace), auditor_(auditor) {}
+  explicit Pipeline(SimSeconds start, SpanTrace* trace = nullptr, Auditor* auditor = nullptr);
+  ~Pipeline();
+  Pipeline(const Pipeline&) = delete;
+  Pipeline& operator=(const Pipeline&) = delete;
 
   SimSeconds start() const { return start_; }
 
@@ -296,10 +303,10 @@ class Pipeline {
   /// its span under `phase`.
   Result<StageId> Stage(std::string_view phase, std::string_view device,
                         std::span<const StageId> deps, BlockCount blocks, ByteCount bytes,
-                        const StageOp& op);
+                        StageOp op);
   Result<StageId> Stage(std::string_view phase, std::string_view device,
                         std::initializer_list<StageId> deps, BlockCount blocks, ByteCount bytes,
-                        const StageOp& op) {
+                        StageOp op) {
     return Stage(phase, device, std::span<const StageId>(deps.begin(), deps.size()), blocks,
                  bytes, op);
   }
@@ -312,7 +319,7 @@ class Pipeline {
   /// executors issuing bare scan stages use it directly.
   Result<StageId> StageWithRetry(std::string_view phase, std::string_view device,
                                  std::span<const StageId> deps, BlockCount blocks,
-                                 ByteCount bytes, const StageOp& op, int retry_limit);
+                                 ByteCount bytes, StageOp op, int retry_limit);
 
   /// A zero-duration marker at max(start(), when): lets externally-computed
   /// readiness (a bucket's flush time, buffer-space availability) enter the
@@ -342,6 +349,10 @@ class Pipeline {
   /// Chunks committed through the coalesced fast path across this
   /// pipeline's lifetime (0 when every transfer ran per-chunk).
   std::uint64_t coalesced_chunks() const { return coalesced_chunks_; }
+
+  /// Coalesced windows committed from a kept replay at a translated start
+  /// instead of a replay of their own (CommitMode::kClosedForm).
+  std::uint64_t reused_windows() const { return reused_windows_; }
 
   /// One declared chunked transfer from `source` to `sink`.
   struct TransferPlan {
@@ -400,6 +411,8 @@ class Pipeline {
                                std::span<const StageId> deps, BlockCount offset,
                                BlockCount chunk, std::uint64_t want, TransferResult& result);
 
+  friend struct PipelineTestPeer;
+
   SimSeconds start_;
   SpanTrace* trace_;
   Auditor* auditor_ = nullptr;
@@ -408,6 +421,9 @@ class Pipeline {
   bool any_stage_ = false;
   std::uint64_t chunk_retries_ = 0;
   std::uint64_t coalesced_chunks_ = 0;
+  std::uint64_t reused_windows_ = 0;
+  /// Replayed windows by key (sim/recurrence.h), most recently used last.
+  std::vector<KeptWindow> kept_windows_;
 };
 
 /// A zero-cost sink that collects payloads in memory — the "consumer is the

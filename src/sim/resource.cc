@@ -7,21 +7,35 @@ namespace tertio::sim {
 
 Interval Resource::Schedule(SimSeconds ready, SimSeconds duration, ByteCount bytes,
                             const char* tag) {
-  TERTIO_CHECK(ready >= 0.0, "operation ready time must be non-negative");
-  TERTIO_CHECK(duration >= 0.0, "operation duration must be non-negative");
-  SimSeconds start = ready > available_ ? ready : available_;
-  Interval interval{start, start + duration};
-  available_ = interval.end;
-  stats_.op_count += 1;
-  stats_.bytes_transferred += bytes;
-  stats_.busy_seconds += duration;
-  if (interval.end > stats_.horizon) stats_.horizon = interval.end;
-  if (horizon_cell_ != nullptr && interval.end > horizon_cell_->max_end) {
-    horizon_cell_->max_end = interval.end;
+  QueuedOp op{ready, duration, bytes, {}};
+  ScheduleEach(std::span<QueuedOp>(&op, 1), tag);
+  return op.interval;
+}
+
+void Resource::ScheduleEach(std::span<QueuedOp> ops, const char* tag) {
+  if (ops.empty()) return;
+  SimSeconds available = available_;
+  SimSeconds busy = stats_.busy_seconds;
+  ByteCount bytes = 0;
+  for (QueuedOp& op : ops) {
+    TERTIO_CHECK(op.ready >= 0.0, "operation ready time must be non-negative");
+    TERTIO_CHECK(op.duration >= 0.0, "operation duration must be non-negative");
+    const SimSeconds start = op.ready > available ? op.ready : available;
+    op.interval = Interval{start, start + op.duration};
+    available = op.interval.end;
+    busy += op.duration;
+    bytes += op.bytes;
+    if (trace_enabled_) trace_.push_back(OpRecord{op.interval, op.bytes, tag});
+    if (auditor_ != nullptr) auditor_->OnSchedule(name_, op.ready, op.interval, op.bytes);
   }
-  if (trace_enabled_) trace_.push_back(OpRecord{interval, bytes, tag});
-  if (auditor_ != nullptr) auditor_->OnSchedule(name_, ready, interval, bytes);
-  return interval;
+  available_ = available;
+  stats_.op_count += ops.size();
+  stats_.bytes_transferred += bytes;
+  stats_.busy_seconds = busy;
+  if (available > stats_.horizon) stats_.horizon = available;
+  if (horizon_cell_ != nullptr && available > horizon_cell_->max_end) {
+    horizon_cell_->max_end = available;
+  }
 }
 
 Interval Resource::ScheduleBatch(std::uint64_t cycles,

@@ -47,6 +47,16 @@ struct OpRecord {
   const char* tag = "";
 };
 
+/// One operation of a Resource::ScheduleEach run: eligible at `ready`,
+/// occupying the device for `duration`.
+struct QueuedOp {
+  SimSeconds ready = 0.0;
+  SimSeconds duration = 0.0;
+  ByteCount bytes = 0;
+  /// Set by ScheduleEach: the interval the operation occupies.
+  Interval interval;
+};
+
 /// Aggregate counters maintained for every resource, trace or no trace.
 struct ResourceStats {
   std::uint64_t op_count = 0;
@@ -68,6 +78,13 @@ class Resource {
   /// device for `duration` seconds. \returns the interval it occupies.
   Interval Schedule(SimSeconds ready, SimSeconds duration, ByteCount bytes = 0,
                     const char* tag = "");
+
+  /// Schedules `ops` in order, exactly as ops.size() Schedule() calls with
+  /// `tag` would: each starts at max(its ready, device available), busy
+  /// seconds grow per operation in issue order, a traced resource records
+  /// every operation and a bound auditor sees every one. The counters and
+  /// the horizon are updated once. Sets each op's `interval`.
+  void ScheduleEach(std::span<QueuedOp> ops, const char* tag = "");
 
   /// Commits `cycles` repetitions of a fixed cycle of back-to-back operations
   /// as one batch — the device half of the pipeline's coalesced fast path

@@ -15,6 +15,7 @@
 #include "mem/double_buffer.h"
 #include "relation/generator.h"
 #include "relation/relation.h"
+#include "sim/auditor.h"
 #include "sim/simulation.h"
 #include "tape/tape_volume.h"
 #include "util/math_util.h"
@@ -404,7 +405,8 @@ std::unique_ptr<PartitionWorld> BuildPartitionWorld(std::uint64_t seed) {
   return world;
 }
 
-void ExpectSamePartitioning(const PartitionWorld& ref, const BlockByBlockPartitioner& want,
+template <typename Reference>
+void ExpectSamePartitioning(const PartitionWorld& ref, const Reference& want,
                             const PartitionWorld& world, const DiskPartitioner& got) {
   ASSERT_EQ(got.buckets().size(), want.buckets().size());
   for (std::size_t b = 0; b < want.buckets().size(); ++b) {
@@ -540,6 +542,242 @@ TEST(PhantomFlushScheduleTest, RefusesPhantomBlocksAfterAFailedFlush) {
   EXPECT_TRUE(part.AddPhantomBlocks(8, 0.0).ok());
   EXPECT_EQ(part.AddPhantomBlocks(8, 1.0).code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(part.AddPhantomBlocks(2, 2.0).code(), StatusCode::kFailedPrecondition);
+}
+
+// ---------------------------------------------------------------------------
+// The batched flush commit against per-flush writes
+// ---------------------------------------------------------------------------
+
+/// The real-payload partitioner before flushes were committed per call: each
+/// flush allocates its blocks and writes them at once, through
+/// WriteExtents. DiskPartitioner must match it bit for bit, store included.
+class PerFlushPartitioner {
+ public:
+  PerFlushPartitioner(disk::StripedDiskGroup* disks, const DiskPartitioner::Options& options)
+      : disks_(disks),
+        options_(options),
+        span_(options.bucket_span == 0 ? options.bucket_count : options.bucket_span),
+        full_(span_),
+        data_ready_(span_, 0.0),
+        buckets_(span_),
+        last_end_(static_cast<std::size_t>(disks->disk_count()), 0) {
+    for (std::uint32_t b = 0; b < span_; ++b) {
+      builders_.push_back(
+          std::make_unique<rel::BlockBuilder>(options.schema, disks->block_bytes()));
+    }
+  }
+
+  Status AddBlocks(std::span<const BlockPayload> blocks, SimSeconds ready) {
+    for (const BlockPayload& payload : blocks) {
+      TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
+                              rel::BlockReader::Open(payload, options_.schema));
+      for (std::uint64_t i = 0; i < reader.record_count(); ++i) {
+        rel::Tuple tuple(reader.record(i), options_.schema);
+        const std::uint32_t bucket =
+            BucketOf(tuple.GetInt64(options_.key_column), options_.bucket_count);
+        if (bucket < options_.first_bucket || bucket >= options_.first_bucket + span_) continue;
+        const std::uint32_t local = bucket - options_.first_bucket;
+        TERTIO_RETURN_IF_ERROR(builders_[local]->Append(tuple.bytes()));
+        if (data_ready_[local] < ready) data_ready_[local] = ready;
+        if (builders_[local]->full()) {
+          full_[local].push_back(builders_[local]->Finish());
+          TERTIO_RETURN_IF_ERROR(MaybeFlush(local, /*final=*/false));
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  Status Flush() {
+    for (std::uint32_t local = 0; local < span_; ++local) {
+      if (!builders_[local]->empty()) full_[local].push_back(builders_[local]->Finish());
+      TERTIO_RETURN_IF_ERROR(MaybeFlush(local, /*final=*/true));
+    }
+    return Status::OK();
+  }
+
+  const std::vector<DiskBucket>& buckets() const { return buckets_; }
+  SimSeconds last_write_end() const { return last_write_end_; }
+  BlockIndex last_end(int disk) const { return last_end_[static_cast<std::size_t>(disk)]; }
+
+ private:
+  Status MaybeFlush(std::uint32_t local, bool final) {
+    const BlockCount w = options_.write_buffer_blocks;
+    std::vector<BlockPayload>& full = full_[local];
+    while (!full.empty() && (final || full.size() >= w)) {
+      const BlockCount chunk = std::min<BlockCount>(full.size(), w);
+      SimSeconds ready = data_ready_[local];
+      if (options_.space != nullptr) {
+        TERTIO_ASSIGN_OR_RETURN(SimSeconds space_ready, options_.space->AcquireFree(chunk));
+        if (space_ready > ready) ready = space_ready;
+      }
+      TERTIO_ASSIGN_OR_RETURN(disk::ExtentList extents,
+                              disks_->allocator().Allocate(chunk, ready, options_.alloc_tag));
+      DiskBucket& bucket = buckets_[local];
+      bucket.extents.insert(bucket.extents.end(), extents.begin(), extents.end());
+      const std::vector<BlockPayload> batch(full.begin(),
+                                            full.begin() + static_cast<long>(chunk.value()));
+      TERTIO_ASSIGN_OR_RETURN(sim::Interval interval,
+                              disks_->WriteExtents(extents, ready, &batch));
+      for (const disk::Extent& e : extents) {
+        last_end_[static_cast<std::size_t>(e.disk)] = e.start + e.count;
+      }
+      full.erase(full.begin(), full.begin() + static_cast<long>(chunk.value()));
+      bucket.blocks += chunk;
+      bucket.ready = std::max(bucket.ready, interval.end);
+      last_write_end_ = std::max(last_write_end_, interval.end);
+      if (!final) break;
+    }
+    return Status::OK();
+  }
+
+  disk::StripedDiskGroup* disks_;
+  DiskPartitioner::Options options_;
+  std::uint32_t span_;
+  std::vector<std::unique_ptr<rel::BlockBuilder>> builders_;
+  std::vector<std::vector<BlockPayload>> full_;
+  std::vector<SimSeconds> data_ready_;
+  std::vector<DiskBucket> buckets_;
+  std::vector<BlockIndex> last_end_;
+  SimSeconds last_write_end_ = 0.0;
+};
+
+/// Every disk of the two worlds kept the same per-operation records.
+void ExpectSameOpRecords(const PartitionWorld& ref, const PartitionWorld& world) {
+  for (int d = 0; d < ref.group->disk_count(); ++d) {
+    const std::vector<sim::OpRecord>& a = ref.group->disk(d)->resource()->trace();
+    const std::vector<sim::OpRecord>& b = world.group->disk(d)->resource()->trace();
+    ASSERT_EQ(b.size(), a.size()) << "disk " << d;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(b[i].interval.start.value(), a[i].interval.start.value()) << d << " op " << i;
+      EXPECT_EQ(b[i].interval.end.value(), a[i].interval.end.value()) << d << " op " << i;
+      EXPECT_EQ(b[i].bytes, a[i].bytes) << d << " op " << i;
+      EXPECT_STREQ(b[i].tag, a[i].tag) << d << " op " << i;
+    }
+  }
+}
+
+/// Traces every disk of `world`'s group, and on odd seeds binds an auditor
+/// to the batched world. \returns the auditor, or null.
+sim::Auditor* Instrument(PartitionWorld& ref, PartitionWorld& world, std::uint64_t seed) {
+  for (PartitionWorld* w : {&ref, &world}) {
+    for (int d = 0; d < w->group->disk_count(); ++d) w->group->disk(d)->resource()->EnableTrace();
+  }
+  if (seed % 2 == 0) return nullptr;
+  sim::Auditor* auditor = world.sim.EnableAudit();
+  world.group->BindAuditor(auditor);
+  return auditor;
+}
+
+TEST(BatchedFlushCommitTest, RealPayloadsMatchThePerFlushReference) {
+  std::uint64_t flushes = 0;
+  std::uint64_t disk_errors = 0;
+  std::uint64_t space_errors = 0;
+  std::uint64_t audited = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    std::unique_ptr<PartitionWorld> ref = BuildPartitionWorld(seed);
+    std::unique_ptr<PartitionWorld> world = BuildPartitionWorld(seed);
+    sim::Auditor* auditor = Instrument(*ref, *world, seed);
+    Rng rng(seed * 7919);
+    tape::TapeVolume tape("t", kBlock);
+    rel::GeneratorConfig config;
+    config.tuple_count = 200 + rng.NextBelow(3000);
+    config.keys = rel::KeySequence::kUniformRandom;
+    config.seed = seed;
+    auto relation = rel::GenerateOnTape(config, &tape);
+    ASSERT_TRUE(relation.ok()) << relation.status();
+    std::vector<BlockPayload> input;
+    for (BlockIndex i = relation->start_block; i < tape.size_blocks(); ++i) {
+      input.push_back(tape.ReadBlock(i).value());
+    }
+    for (PartitionWorld* w : {ref.get(), world.get()}) w->options.schema = &relation->schema;
+    PerFlushPartitioner want(ref->group.get(), ref->options);
+    DiskPartitioner got(world->group.get(), world->options);
+    SimSeconds ready = 0.0;
+    Status a;
+    Status b;
+    for (std::size_t next = 0; next < input.size() && a.ok();) {
+      const std::size_t count = std::min<std::size_t>(input.size() - next, 1 + rng.NextBelow(40));
+      const std::span<const BlockPayload> call(input.data() + next, count);
+      next += count;
+      ready += rng.NextDouble() * 3.0;
+      const std::uint64_t events_before = ref->group->allocator().trace().size();
+      a = want.AddBlocks(call, ready);
+      b = got.AddBlocks(call, ready);
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " block " << next);
+      ASSERT_EQ(b.code(), a.code()) << a.ToString() << " vs " << b.ToString();
+      flushes += ref->group->allocator().trace().size() - events_before;
+      ExpectSamePartitioning(*ref, want, *world, got);
+      if (HasFatalFailure()) return;
+    }
+    if (a.ok()) {
+      a = want.Flush();
+      b = got.Flush();
+      ASSERT_EQ(b.code(), a.code()) << "seed " << seed;
+      ExpectSamePartitioning(*ref, want, *world, got);
+    }
+    if (!a.ok()) {
+      ++(a.ToString().find("buffer acquire") != std::string::npos ? space_errors : disk_errors);
+    }
+    ExpectSameOpRecords(*ref, *world);
+    // The stores hold the same blocks: read every bucket back from both.
+    for (std::size_t bucket = 0; bucket < want.buckets().size(); ++bucket) {
+      std::vector<BlockPayload> out_a;
+      std::vector<BlockPayload> out_b;
+      ASSERT_TRUE(ref->group->ReadExtents(want.buckets()[bucket].extents, ready, &out_a).ok());
+      ASSERT_TRUE(world->group->ReadExtents(got.buckets()[bucket].extents, ready, &out_b).ok());
+      ASSERT_EQ(out_b.size(), out_a.size()) << "seed " << seed << " bucket " << bucket;
+      for (std::size_t i = 0; i < out_a.size(); ++i) {
+        ASSERT_NE(out_a[i], nullptr);
+        ASSERT_NE(out_b[i], nullptr);
+        EXPECT_EQ(*out_b[i], *out_a[i]) << "seed " << seed << " bucket " << bucket;
+      }
+    }
+    if (HasFatalFailure()) return;
+    if (auditor != nullptr) {
+      ++audited;
+      EXPECT_TRUE(auditor->clean()) << "seed " << seed << ": " << auditor->TraceString();
+    }
+  }
+  // The grid must reach multi-piece flushes, disk-full and buffer-full errors.
+  EXPECT_GT(flushes, 3000u);
+  EXPECT_GT(disk_errors, 5u);
+  EXPECT_GT(space_errors, 5u);
+  EXPECT_GT(audited, 50u);
+}
+
+TEST(BatchedFlushCommitTest, TracedAndAuditedPhantomRunsMatchTheBlockByBlockReference) {
+  std::uint64_t audited = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    std::unique_ptr<PartitionWorld> ref = BuildPartitionWorld(seed);
+    std::unique_ptr<PartitionWorld> world = BuildPartitionWorld(seed);
+    sim::Auditor* auditor = Instrument(*ref, *world, seed);
+    BlockByBlockPartitioner want(ref->group.get(), ref->options);
+    DiskPartitioner got(world->group.get(), world->options);
+    Rng rng(seed * 104729);
+    SimSeconds ready = 0.0;
+    Status a;
+    for (int c = 0; c < 8 && a.ok(); ++c) {
+      const BlockCount count = 1 + rng.NextBelow(4 * world->options.bucket_count *
+                                                 world->options.write_buffer_blocks.value());
+      ready += rng.NextDouble() * 3.0;
+      a = want.AddPhantomBlocks(count, ready);
+      Status b = got.AddPhantomBlocks(count, ready);
+      ASSERT_EQ(b.code(), a.code()) << "seed " << seed << " call " << c;
+    }
+    if (a.ok()) {
+      a = want.Flush();
+      ASSERT_EQ(got.Flush().code(), a.code()) << "seed " << seed;
+    }
+    ExpectSamePartitioning(*ref, want, *world, got);
+    ExpectSameOpRecords(*ref, *world);
+    if (HasFatalFailure()) return;
+    if (auditor != nullptr) {
+      ++audited;
+      EXPECT_TRUE(auditor->clean()) << "seed " << seed << ": " << auditor->TraceString();
+    }
+  }
+  EXPECT_GT(audited, 50u);
 }
 
 }  // namespace

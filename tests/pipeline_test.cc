@@ -8,9 +8,11 @@
 #include <vector>
 
 #include "disk/extent.h"
+#include "disk/striped_group.h"
 #include "sim/auditor.h"
 #include "sim/pipeline.h"
 #include "sim/resource.h"
+#include "sim/simulation.h"
 #include "sim/trace_report.h"
 
 namespace tertio::sim {
@@ -194,6 +196,7 @@ class CoalescibleDevice final : public BlockSource, public BlockSink {
   std::string_view device() const override { return resource_.name(); }
 
   Resource& resource() { return resource_; }
+  void set_cost(SimSeconds seconds_per_block) { cost_ = seconds_per_block; }
   int read_calls() const { return read_calls_; }
   int write_calls() const { return write_calls_; }
   BlockCount committed_chunks() const { return committed_; }
@@ -248,22 +251,13 @@ CoalesceRun RunCoalescibleTransfer(CommitMode commit, bool streaming, BlockCount
   return run;
 }
 
-void ExpectBitIdentical(const CoalesceRun& a, const CoalesceRun& b) {
-  // Exact comparisons throughout: the fast path's claim is bit-identity,
-  // not tolerance-level agreement.
-  EXPECT_EQ(a.source_done, b.source_done);
-  EXPECT_EQ(a.done, b.done);
-  EXPECT_EQ(a.horizon, b.horizon);
-  EXPECT_EQ(a.src_stats.op_count, b.src_stats.op_count);
-  EXPECT_EQ(a.src_stats.busy_seconds, b.src_stats.busy_seconds);
-  EXPECT_EQ(a.src_stats.horizon, b.src_stats.horizon);
-  EXPECT_EQ(a.dst_stats.op_count, b.dst_stats.op_count);
-  EXPECT_EQ(a.dst_stats.busy_seconds, b.dst_stats.busy_seconds);
-  EXPECT_EQ(a.dst_stats.horizon, b.dst_stats.horizon);
-  ASSERT_EQ(a.trace.phases().size(), b.trace.phases().size());
-  for (std::size_t i = 0; i < a.trace.phases().size(); ++i) {
-    const PhaseSummary& pa = a.trace.phases()[i];
-    const PhaseSummary& pb = b.trace.phases()[i];
+// Exact comparisons throughout: the fast path's claim is bit-identity, not
+// tolerance-level agreement.
+void ExpectSamePhases(const SpanTrace& a, const SpanTrace& b) {
+  ASSERT_EQ(a.phases().size(), b.phases().size());
+  for (std::size_t i = 0; i < a.phases().size(); ++i) {
+    const PhaseSummary& pa = a.phases()[i];
+    const PhaseSummary& pb = b.phases()[i];
     EXPECT_EQ(pa.phase, pb.phase);
     EXPECT_EQ(pa.device, pb.device);
     EXPECT_EQ(pa.stage_count, pb.stage_count);
@@ -273,8 +267,21 @@ void ExpectBitIdentical(const CoalesceRun& a, const CoalesceRun& b) {
     EXPECT_EQ(pa.window.start, pb.window.start);
     EXPECT_EQ(pa.window.end, pb.window.end);
   }
-  EXPECT_EQ(a.trace.window().start, b.trace.window().start);
-  EXPECT_EQ(a.trace.window().end, b.trace.window().end);
+  EXPECT_EQ(a.window().start, b.window().start);
+  EXPECT_EQ(a.window().end, b.window().end);
+}
+
+void ExpectBitIdentical(const CoalesceRun& a, const CoalesceRun& b) {
+  EXPECT_EQ(a.source_done, b.source_done);
+  EXPECT_EQ(a.done, b.done);
+  EXPECT_EQ(a.horizon, b.horizon);
+  EXPECT_EQ(a.src_stats.op_count, b.src_stats.op_count);
+  EXPECT_EQ(a.src_stats.busy_seconds, b.src_stats.busy_seconds);
+  EXPECT_EQ(a.src_stats.horizon, b.src_stats.horizon);
+  EXPECT_EQ(a.dst_stats.op_count, b.dst_stats.op_count);
+  EXPECT_EQ(a.dst_stats.busy_seconds, b.dst_stats.busy_seconds);
+  EXPECT_EQ(a.dst_stats.horizon, b.dst_stats.horizon);
+  ExpectSamePhases(a.trace, b.trace);
 }
 
 // The tentpole claim: the coalesced fast path commits the same simulated
@@ -417,6 +424,165 @@ TEST(PipelineCoalesceTest, ClosedFormMatchesPerChunkAcrossBinadeCrossings) {
     }
   }
   EXPECT_EQ(mismatches, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Kept replays: a coalesced window that recurs at a translated start
+// ---------------------------------------------------------------------------
+
+void ExpectSameResource(const Resource& a, const Resource& b) {
+  EXPECT_EQ(a.available_at(), b.available_at()) << a.name();
+  EXPECT_EQ(a.stats().op_count, b.stats().op_count) << a.name();
+  EXPECT_EQ(a.stats().busy_seconds, b.stats().busy_seconds) << a.name();
+  EXPECT_EQ(a.stats().bytes_transferred, b.stats().bytes_transferred) << a.name();
+  EXPECT_EQ(a.stats().horizon, b.stats().horizon) << a.name();
+}
+
+// NB Step II's shape: one disk-resident list scanned again and again into
+// memory, each scan after the previous one, through one source whose walk
+// keeps its chunk profiles.
+struct ScanRun {
+  Simulation sim;
+  disk::StripedDiskGroup group{
+      disk::DiskGroupConfig::Uniform(2, disk::DiskModel::QuantumFireball1080(), 8192, 8192, 32),
+      &sim};
+  SpanTrace trace;
+  std::uint64_t reused = 0;
+  std::uint64_t coalesced = 0;
+};
+
+void RunRepeatedScans(CommitMode commit, bool streaming, BlockCount chunk, ScanRun& run) {
+  const disk::ExtentList list = *run.group.allocator().Allocate(2000, 0.0, "r");
+  disk::ExtentReadSource source(&run.group, &list);
+  CollectSink sink(nullptr);
+  Pipeline pipe(700.0, &run.trace);
+  Pipeline::TransferPlan plan;
+  plan.read_phase = "r-scan";
+  plan.write_phase = "probe";
+  plan.total = 2000;
+  plan.chunk = chunk;
+  plan.streaming = streaming;
+  plan.commit = commit;
+  StageId last = kNoStage;
+  for (int scan = 0; scan < 24; ++scan) {
+    // The memory load of S between two scans.
+    const StageId load = pipe.Event("s-read", pipe.Horizon() + 0.375 * (scan % 3));
+    auto result = pipe.Transfer(plan, source, sink, {last, load});
+    ASSERT_TRUE(result.ok()) << result.status();
+    last = result->last_write;
+  }
+  run.reused = pipe.reused_windows();
+  run.coalesced = pipe.coalesced_chunks();
+}
+
+TEST(PipelineWindowReuseTest, RepeatedScansOfOneStripedListReuseTheirReplays) {
+  for (bool streaming : {false, true}) {
+    for (BlockCount chunk : {BlockCount(11), BlockCount(32), BlockCount(40)}) {
+      SCOPED_TRACE(testing::Message() << (streaming ? "streaming" : "lock-step") << " chunk "
+                                      << chunk.value());
+      ScanRun closed;
+      ScanRun replay;
+      RunRepeatedScans(CommitMode::kClosedForm, streaming, chunk, closed);
+      RunRepeatedScans(CommitMode::kReplay, streaming, chunk, replay);
+      if (HasFatalFailure()) return;
+      EXPECT_GT(closed.reused, 20u);
+      EXPECT_EQ(replay.reused, 0u);
+      EXPECT_EQ(closed.coalesced, replay.coalesced);
+      for (int d = 0; d < 2; ++d) {
+        ExpectSameResource(*closed.group.disk(d)->resource(), *replay.group.disk(d)->resource());
+        EXPECT_EQ(closed.group.disk(d)->stats().requests, replay.group.disk(d)->stats().requests);
+      }
+      ExpectSamePhases(closed.trace, replay.trace);
+    }
+  }
+}
+
+// Windows of a single-op source streaming `chunks` chunks into memory, each
+// transfer starting at its own time in one pipeline; `costs` sets the
+// source's per-chunk cost for each transfer.
+struct WindowRun {
+  CoalescibleDevice src{"src", 0.25};
+  SpanTrace trace;
+  std::uint64_t reused = 0;
+};
+
+void RunWindows(CommitMode commit, std::span<const SimSeconds> starts, BlockCount chunks,
+                WindowRun& run, std::span<const SimSeconds> costs = {}) {
+  CollectSink sink(nullptr);
+  Pipeline pipe(0.0, &run.trace);
+  Pipeline::TransferPlan plan;
+  plan.read_phase = "read";
+  plan.write_phase = "write";
+  plan.total = chunks;
+  plan.chunk = 1;
+  plan.streaming = true;
+  plan.commit = commit;
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    if (!costs.empty()) run.src.set_cost(costs[i]);
+    const StageId start = pipe.Event("start", starts[i]);
+    auto result = pipe.Transfer(plan, run.src, sink, {start});
+    TERTIO_CHECK(result.ok(), "window transfer failed");
+  }
+  run.reused = pipe.reused_windows();
+}
+
+// Runs the windows under both commits: the closed form must equal the replay
+// bit for bit whether or not it reused. \returns the windows it reused.
+std::uint64_t ReusedAndExact(std::span<const SimSeconds> starts, BlockCount chunks,
+                             std::span<const SimSeconds> costs = {}) {
+  WindowRun closed;
+  WindowRun replay;
+  RunWindows(CommitMode::kClosedForm, starts, chunks, closed, costs);
+  RunWindows(CommitMode::kReplay, starts, chunks, replay, costs);
+  ExpectSameResource(closed.src.resource(), replay.src.resource());
+  ExpectSamePhases(closed.trace, replay.trace);
+  EXPECT_EQ(replay.reused, 0u);
+  return closed.reused;
+}
+
+// At 2^10 the ulp is 2^-42. A window of 16 quarter-second chunks from 1024 s
+// ends at 1028 s, so a repeat from 1028 + 2^-41 is translated by an even
+// multiple of the ulp and one from 1028 + 2^-42 by an odd one.
+TEST(PipelineWindowReuseTest, ReuseNeedsAnEvenMultipleOfTheTopUlp) {
+  const SimSeconds even[] = {1024.0, 1028.0 + 0x1p-41};
+  const SimSeconds odd[] = {1024.0, 1028.0 + 0x1p-42};
+  EXPECT_EQ(ReusedAndExact(even, 16), 1u);
+  EXPECT_EQ(ReusedAndExact(odd, 16), 0u);
+  // The key keeps two replays: a third window odd from the second is even
+  // from the first.
+  const SimSeconds parity[] = {1024.0, 1028.0 + 0x1p-42, 1032.0 + 0x1p-41};
+  EXPECT_EQ(ReusedAndExact(parity, 16), 1u);
+}
+
+TEST(PipelineWindowReuseTest, ReuseNeverCarriesAValueAcrossAPowerOfTwo) {
+  // An op end: eight quarter-second chunks from 1016 s end at 1018 s, which
+  // a shift of 7 s carries past 1024 s and one of 2 s does not.
+  const SimSeconds ends[] = {1016.0, 1023.0};
+  EXPECT_EQ(ReusedAndExact(ends, 8), 0u);
+  const SimSeconds inside[] = {1016.0, 1018.0};
+  EXPECT_EQ(ReusedAndExact(inside, 8), 1u);
+
+  // The final state after a jump. 261 one-second chunks from 1024 s replay
+  // their first five (ends up to 1029 s) and jump 256 periods to 1285 s, so
+  // the replayed ends alone would admit a shift of 770 s; the jumped-to
+  // state, shifted to 2055 s, does not.
+  const SimSeconds jumped[] = {1024.0, 1794.0};
+  const SimSeconds costs[] = {1.0, 1.0};
+  EXPECT_EQ(ReusedAndExact(jumped, 261, costs), 0u);
+  const SimSeconds short_of_it[] = {1024.0, 1724.0};
+  EXPECT_EQ(ReusedAndExact(short_of_it, 261, costs), 1u);
+}
+
+TEST(PipelineWindowReuseTest, ReuseNeedsTheSameIdleSlots) {
+  // The second window starts while the first still holds the device.
+  const SimSeconds busy[] = {1024.0, 1027.0};
+  EXPECT_EQ(ReusedAndExact(busy, 16), 0u);
+}
+
+TEST(PipelineWindowReuseTest, ReuseNeedsTheSameProfile) {
+  const SimSeconds starts[] = {1024.0, 1028.0 + 0x1p-41};
+  const SimSeconds costs[] = {0.25, 0.25 + 0x1p-54};
+  EXPECT_EQ(ReusedAndExact(starts, 16, costs), 0u);
 }
 
 class SliceExtentsTest : public ::testing::Test {

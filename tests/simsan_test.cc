@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -19,11 +20,19 @@
 #include "join/join_method.h"
 #include "sim/auditor.h"
 #include "sim/pipeline.h"
+#include "sim/recurrence.h"
+#include "sim/resource.h"
 #include "sim/simulation.h"
 #include "sim/span_registry.h"
 #include "whole_site.h"
 
 namespace tertio::sim {
+
+/// Reaches a Pipeline's kept replays (its friend).
+struct PipelineTestPeer {
+  static std::vector<KeptWindow>& kept_windows(Pipeline& pipe) { return pipe.kept_windows_; }
+};
+
 namespace {
 
 static_assert(IsRegisteredSpan("probe"));
@@ -333,6 +342,61 @@ TEST(SimSanNegativeTest, DetectsClosedFormDivergence) {
                             0x1.171d558d41ec8p+6);
   ASSERT_TRUE(HasKind(auditor, AuditKind::kClosedFormDivergence));
   EXPECT_NE(auditor.TraceString().find("read chain end"), std::string::npos);
+}
+
+// A source whose every chunk costs one constant device op: the simplest
+// window the closed-form commit keeps and reuses.
+class SteadySource final : public BlockSource {
+ public:
+  Result<Interval> Read(BlockCount offset, BlockCount count, SimSeconds ready,
+                        std::vector<BlockPayload>* out) override {
+    (void)offset;
+    (void)count;
+    (void)out;
+    return resource_.Schedule(ready, kCost);
+  }
+  std::string_view device() const override { return "disks"; }
+  ChunkCostProfile CostProfile(BlockCount offset, BlockCount chunk,
+                               std::uint64_t max_chunks) override {
+    (void)offset;
+    (void)chunk;
+    ChunkCostProfile profile;
+    profile.chunks = max_chunks;
+    profile.ops_per_chunk = {1};
+    profile.ops = {{&resource_, kCost, 0, "disk.read"}};
+    return profile;
+  }
+
+ private:
+  static constexpr double kCost = 0.25;
+  Resource resource_{"disk0"};
+};
+
+// A kept replay that no longer matches its window is caught when a later
+// window reuses it: SimSan re-derives the reused window by replay.
+TEST(SimSanNegativeTest, DetectsACorruptedKeptReplayThroughARealTransfer) {
+  Auditor auditor;
+  Pipeline pipe(/*start=*/0.0, /*trace=*/nullptr, &auditor);
+  SteadySource source;
+  CollectSink sink(nullptr);
+  Pipeline::TransferPlan plan;
+  plan.read_phase = "r-scan";
+  plan.write_phase = "probe";
+  plan.total = 16;
+  plan.chunk = 1;
+  plan.streaming = true;
+  // Sixteen quarter-second chunks from 1024 s end at 1028 s; the repeat
+  // from 1028 + 2^-41 s is an even-ulp translation of the first window.
+  ASSERT_TRUE(pipe.Transfer(plan, source, sink, {pipe.Event("start", 1024.0)}).ok());
+  ASSERT_EQ(PipelineTestPeer::kept_windows(pipe).size(), 1u);
+  Recurrence& kept = PipelineTestPeer::kept_windows(pipe).front().replays.back().end;
+  const auto bits = std::bit_cast<std::uint64_t>(kept.slots.front().available.value());
+  kept.slots.front().available = std::bit_cast<double>(bits ^ 1);
+  ASSERT_TRUE(
+      pipe.Transfer(plan, source, sink, {pipe.Event("start", 1028.0 + 0x1p-41)}).ok());
+  EXPECT_EQ(pipe.reused_windows(), 1u);
+  ASSERT_TRUE(HasKind(auditor, AuditKind::kClosedFormDivergence)) << auditor.TraceString();
+  EXPECT_NE(auditor.TraceString().find("slot availability"), std::string::npos);
 }
 
 TEST(SimSanDiagnosticTest, CheckCarriesReplayableTrace) {

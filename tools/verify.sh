@@ -68,6 +68,24 @@ rm -f "$SMOKE_JSON"
 # --benchmark_filter matches nothing: the registered google-benchmark loops
 # are skipped and only main()'s headline metrics (probe sweep + three-way
 # commit comparison, with in-bench bit-identity checks) run.
+#
+# Each gate is a ratio of two paths timed in one process, so host speed
+# cancels; each threshold sits far above what a broken fast path reads and
+# below every measured run. Ten runs of `bench_micro_substrates
+# --benchmark_filter='^$'` (RelWithDebInfo, GCC 12.2, sse2, 4-vCPU shared
+# Xeon VM) measured:
+#  - probe_very_selective_16b_speedup >= 2: the SIMD probe against the
+#    forced-scalar one at ~0.4% hits, where the batched kernel's Bloom
+#    prefilter answers a miss without touching the slot array (DESIGN.md
+#    §5.2). A kernel that lost the prefilter or its prefetch pipeline would
+#    probe at scalar speed, about 1x; 2x catches one that lost most of its
+#    advantage. Measured 2.36-2.80x (median 2.72x, quartiles 2.60-2.77x):
+#    the lowest run clears the gate by 18%.
+#  - commit_closed_form_vs_replay_speedup >= 5: one 10^6-chunk transfer
+#    through the closed-form commit against the O(chunks) replay (DESIGN.md
+#    §5.1). A jump that stops firing replays every chunk itself, about 1x;
+#    5x catches that with room for host noise on either side. Measured
+#    400-456x (median 424x, quartiles 418-439x).
 TERTIO_BENCH_JSON="$SMOKE_JSON" ./build/bench/bench_micro_substrates \
   --benchmark_filter='^$' >/dev/null
 python3 - "$SMOKE_JSON" <<'EOF'
