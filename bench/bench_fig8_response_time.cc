@@ -11,13 +11,14 @@
 /// the TB-class timing-only sweep (100 GB S, 1.8 GB R): chunk counts grow
 /// 100x but host time barely moves, because the coalesced closed-form
 /// commit (DESIGN.md 5.1) is O(1) per steady-state window. A scaled run
-/// also spot-checks a (memory, method) grid for bit-identity between the
-/// closed-form commit and the O(chunks) replay it replaces.
+/// also re-runs a (memory, method) grid on audited sites, whose auditor
+/// re-derives every closed-form window with the O(chunks) replay.
 
 #include <cstdlib>
 #include <cstring>
 
 #include "bench/exp3_common.h"
+#include "sim/auditor.h"
 
 namespace tertio::bench {
 namespace {
@@ -34,46 +35,55 @@ std::uint64_t ParseScale(int argc, char** argv) {
   return 1;
 }
 
-/// Re-runs a grid of sweep points through both coalesced commit paths and
-/// checks every stat of the runs for bit-identity — the closed-form jump
-/// must land exactly where the O(chunks) replay lands, even across the
-/// binade crossings a TB-scale busy-seconds accumulation walks through.
-void SpotCheckCommitEquivalence(std::uint64_t scale) {
-  const double kFractions[] = {0.1, 0.5, 1.0};
+/// Re-runs a grid of sweep points on an audited site. The auditor
+/// re-derives every closed-form window with the O(chunks) replay, so the
+/// jump must land exactly where the replay lands, even across the binade
+/// crossings a TB-scale busy-seconds accumulation walks through; a point
+/// fails on any violation, or when the audited run differs from the sweep's.
+void SpotCheckClosedForm(const Exp3Sweep& sweep, std::uint64_t scale) {
   int points = 0;
-  for (double fraction : kFractions) {
-    for (JoinMethodId method : Exp3Methods()) {
+  std::uint64_t checks = 0;
+  for (std::size_t i = 0; i < sweep.fractions.size(); ++i) {
+    const double fraction = sweep.fractions[i];
+    if (fraction != 0.1 && fraction != 0.5 && fraction != 1.0) continue;
+    for (std::size_t m = 0; m < Exp3Methods().size(); ++m) {
       auto memory = static_cast<ByteCount>(fraction * static_cast<double>(scale * kExp3R.value()));
-      Result<join::JoinStats> closed =
-          RunPaperJoin(scale * kExp3S, scale * kExp3R, scale * kExp3D, memory, method,
-                       kBaseCompressibility, sim::CommitMode::kClosedForm);
-      Result<join::JoinStats> replay =
-          RunPaperJoin(scale * kExp3S, scale * kExp3R, scale * kExp3D, memory, method,
-                       kBaseCompressibility, sim::CommitMode::kReplay);
-      TERTIO_CHECK(closed.ok() == replay.ok(),
-                   "commit paths disagree on feasibility at a spot-check point");
-      if (!closed.ok()) continue;
-      TERTIO_CHECK(closed->response_seconds == replay->response_seconds &&
-                       closed->step1_seconds == replay->step1_seconds &&
-                       closed->step2_seconds == replay->step2_seconds,
-                   "closed-form commit diverged from O(chunks) replay in simulated time");
-      TERTIO_CHECK(closed->disk_blocks_read == replay->disk_blocks_read &&
-                       closed->disk_blocks_written == replay->disk_blocks_written &&
-                       closed->tape_blocks_read == replay->tape_blocks_read &&
-                       closed->tape_blocks_written == replay->tape_blocks_written &&
-                       closed->disk_requests == replay->disk_requests,
-                   "closed-form commit diverged from O(chunks) replay in block accounting");
-      TERTIO_CHECK(closed->peak_memory_blocks == replay->peak_memory_blocks &&
-                       closed->peak_disk_blocks == replay->peak_disk_blocks &&
-                       closed->r_scans == replay->r_scans &&
-                       closed->iterations == replay->iterations,
-                   "closed-form commit diverged from O(chunks) replay in run shape");
+      exec::Site site(exec::SiteConfig::PaperTestbed(scale * kExp3D, memory));
+      sim::Auditor* auditor = site.EnableAudit();
+      auto session = exec::QuerySession::Open(&site, exec::SessionResources::WholeSite(site));
+      TERTIO_CHECK(session.ok(), session.status().ToString());
+      exec::WorkloadConfig workload;
+      workload.r_bytes = scale * kExp3R;
+      workload.s_bytes = scale * kExp3S;
+      workload.compressibility = kBaseCompressibility;
+      auto prepared = exec::PrepareWorkload(session->get(), workload);
+      TERTIO_CHECK(prepared.ok(), prepared.status().ToString());
+      join::JoinSpec spec;
+      spec.r = &prepared->r;
+      spec.s = &prepared->s;
+      Result<join::JoinStats> audited =
+          join::CreateJoinMethod(Exp3Methods()[m])->Execute(spec, (*session)->context());
+      const Status audit = auditor->Check();
+      TERTIO_CHECK(audit.ok(), audit.ToString());
+      const Result<join::JoinStats>& plain = sweep.runs[i][m];
+      TERTIO_CHECK(audited.ok() == plain.ok(), "audit changed feasibility at a spot-check point");
+      if (!audited.ok()) continue;
+      TERTIO_CHECK(audited->response_seconds == plain->response_seconds &&
+                       audited->step1_seconds == plain->step1_seconds &&
+                       audited->step2_seconds == plain->step2_seconds &&
+                       audited->disk_requests == plain->disk_requests &&
+                       audited->disk_blocks_read == plain->disk_blocks_read &&
+                       audited->disk_blocks_written == plain->disk_blocks_written &&
+                       audited->tape_blocks_read == plain->tape_blocks_read &&
+                       audited->peak_disk_blocks == plain->peak_disk_blocks,
+                   "an audited run diverged from the sweep's unaudited run");
+      checks += auditor->checks_performed();
       ++points;
     }
   }
-  std::printf("Commit-path spot-check: %d feasible grid points bit-identical "
-              "(closed-form vs O(chunks) replay)\n",
-              points);
+  std::printf("Closed-form spot-check: %d feasible grid points audited clean (%llu checks; "
+              "every coalesced window re-derived by the O(chunks) replay)\n",
+              points, static_cast<unsigned long long>(checks));
 }
 
 int Run(int argc, char** argv) {
@@ -98,7 +108,7 @@ int Run(int argc, char** argv) {
       [](const join::JoinStats& stats) { return stats.response_seconds.value(); }, 0,
       {"Optimum (s)"}, {sweep.optimum_seconds.value()});
   RecordExp3Sweep(recorder, sweep);
-  if (scale != 1) SpotCheckCommitEquivalence(scale);
+  if (scale != 1) SpotCheckClosedForm(sweep, scale);
   return recorder.Finish();
 }
 

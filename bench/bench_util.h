@@ -9,10 +9,11 @@
 /// 10 GB join runs in seconds of wall-clock.
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -21,23 +22,36 @@
 #include "exec/parallel_sweep.h"
 #include "exec/report.h"
 #include "join/join_method.h"
-#include "util/bench_json.h"
 #include "util/string_util.h"
 
 namespace tertio::bench {
 
-/// Path the bench records merge into: $TERTIO_BENCH_JSON, else
-/// BENCH_joins.json in the working directory.
-inline std::string BenchJsonPath() {
-  const char* env = std::getenv("TERTIO_BENCH_JSON");
-  return env != nullptr && *env != '\0' ? env : "BENCH_joins.json";
+/// `s` as a JSON string literal, quotes included.
+inline std::string JsonString(std::string_view s) {
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += StrFormat("\\u%04x", static_cast<unsigned>(c));
+    } else {
+      out += c;
+    }
+  }
+  return out + '"';
+}
+
+/// `value` as a JSON number (%.6g); NaN and infinities become null.
+inline std::string JsonNumber(double value) {
+  return std::isfinite(value) ? StrFormat("%.6g", value) : "null";
 }
 
 /// Per-binary record of one bench invocation: wall-clock, worker count, the
 /// simulated seconds of every join the bench ran, and free-form metrics
-/// (tuples/sec and the like). Finish() merges the record into
-/// BENCH_joins.json so the whole suite accumulates one machine-readable
-/// perf file (see EXPERIMENTS.md for the schema).
+/// (tuples/sec and the like). Finish() prints the record as one JSON line,
+/// the last line the harness writes to stdout; bench/golden_check.py reads
+/// it and keeps BENCH_joins.json (see EXPERIMENTS.md for the schema).
 class BenchRecorder {
  public:
   /// Parses --threads=N from argv (0 = all hardware threads).
@@ -65,34 +79,26 @@ class BenchRecorder {
     metrics_.emplace_back(key, value);
   }
 
-  /// Writes the record. \returns 0 on success (bench main's exit code).
+  /// Prints the record. \returns 0 (bench main's exit code).
   int Finish() {
     double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
-    std::string json = "{ \"name\": \"" + JsonEscape(name_) + "\",\n";
-    json += "      \"wall_seconds\": " + JsonNumber(wall) + ",\n";
-    json += "      \"threads\": " + std::to_string(threads_) + ",\n";
-    json += "      \"runs\": [";
+    std::string json = "{\"name\": " + JsonString(name_) +
+                       ", \"wall_seconds\": " + JsonNumber(wall) +
+                       ", \"threads\": " + std::to_string(threads_) + ", \"runs\": [";
     for (std::size_t i = 0; i < runs_.size(); ++i) {
-      if (i != 0) json += ",";
-      json += "\n        { \"label\": \"" + JsonEscape(runs_[i].first) +
-              "\", \"sim_seconds\": " + JsonNumber(runs_[i].second) + " }";
+      if (i != 0) json += ", ";
+      json += "{\"label\": " + JsonString(runs_[i].first) +
+              ", \"sim_seconds\": " + JsonNumber(runs_[i].second) + "}";
     }
-    json += runs_.empty() ? "],\n" : "\n      ],\n";
-    json += "      \"metrics\": {";
+    json += "], \"metrics\": {";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
-      if (i != 0) json += ",";
-      json += "\n        \"" + JsonEscape(metrics_[i].first) +
-              "\": " + JsonNumber(metrics_[i].second);
+      if (i != 0) json += ", ";
+      json += JsonString(metrics_[i].first) + ": " + JsonNumber(metrics_[i].second);
     }
-    json += metrics_.empty() ? "} }" : "\n      } }";
-    Status status = MergeBenchRecord(BenchJsonPath(), name_, json);
-    if (!status.ok()) {
-      std::fprintf(stderr, "bench record write failed: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("\n[%s] wall %.2f s, %d thread%s -> %s\n", name_.c_str(), wall, threads_,
-                threads_ == 1 ? "" : "s", BenchJsonPath().c_str());
+    json += "}}";
+    std::printf("%s\n", json.c_str());
+    std::fflush(stdout);
     return 0;
   }
 
@@ -124,14 +130,12 @@ inline void Banner(const char* experiment, const char* paper_ref, const char* ex
 inline Result<join::JoinStats> RunPaperJoin(ByteCount s_bytes, ByteCount r_bytes,
                                             ByteCount disk_bytes, ByteCount memory_bytes,
                                             JoinMethodId method,
-                                            double compressibility = kBaseCompressibility,
-                                            sim::CommitMode commit = sim::CommitMode::kClosedForm) {
+                                            double compressibility = kBaseCompressibility) {
   exec::WorkloadConfig workload;
   workload.r_bytes = r_bytes;
   workload.s_bytes = s_bytes;
   workload.compressibility = compressibility;
   workload.phantom = true;
-  workload.commit = commit;
   return exec::RunJoinExperiment(exec::SiteConfig::PaperTestbed(disk_bytes, memory_bytes),
                                  workload, method);
 }

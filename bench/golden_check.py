@@ -12,21 +12,20 @@ comparing (the gates still apply):
 
   python3 bench/golden_check.py --bench-dir build/bench --record BENCH_joins.json --write
 
-The harnesses write their records into a temporary file (TERTIO_BENCH_JSON),
-never into the committed one. The record keeps only simulated content: each
-harness's name, runs and metrics. Host timings (wall_seconds, threads) are
-dropped, and bench_micro_substrates (host timings only) is not run.
-Simulated results are deterministic, so everything kept must match exactly.
-Exits 1 on any difference or failed gate, naming the first ones.
+Each harness prints its record as one JSON line, the last line it writes to
+stdout, and writes no file; this script is the record's only reader and
+writer. The record keeps only simulated content: each harness's name, runs
+and metrics. Host timings (wall_seconds, threads) are dropped, and
+bench_micro_substrates (host timings only) is not run. Simulated results are
+deterministic, so everything kept must match exactly. Exits 1 on any
+difference or failed gate, naming the first ones.
 """
 
 import argparse
 import json
-import os
 import pathlib
 import subprocess
 import sys
-import tempfile
 
 HARNESSES = (
     "bench_table3_ctt_gh",
@@ -57,16 +56,31 @@ SERVICE_KEYS = ["zipf_tape_block_drop", "zipf_cache_mb_0_tape_blocks_read"] + [
 ]
 
 
+def entry(bench: dict) -> dict:
+    """One harness record as compared: {"runs": [(label, s)], "metrics": {},
+    "host": [names of its other fields, such as the harness's wall_seconds]}."""
+    return {"runs": [(r["label"], r["sim_seconds"]) for r in bench["runs"]],
+            "metrics": bench["metrics"],
+            "host": sorted(set(bench) - {"name", "runs", "metrics"})}
+
+
 def load(path: pathlib.Path) -> dict[str, dict]:
-    """The record at `path`, by harness name: {"runs": [(label, s)], "metrics": {},
-    "host": [names of its other fields, such as the harnesses' wall_seconds]}."""
-    benches = json.loads(path.read_text())["benches"]
-    return {
-        b["name"]: {"runs": [(r["label"], r["sim_seconds"]) for r in b["runs"]],
-                    "metrics": b["metrics"],
-                    "host": sorted(set(b) - {"name", "runs", "metrics"})}
-        for b in benches
-    }
+    """The committed record at `path`, by harness name."""
+    return {b["name"]: entry(b) for b in json.loads(path.read_text())["benches"]}
+
+
+def run(binary: pathlib.Path) -> tuple[str, dict] | str:
+    """Runs one harness: its (name, entry), or why it failed."""
+    done = subprocess.run([str(binary), f"--threads={THREADS}"], capture_output=True,
+                          text=True)
+    if done.returncode != 0:
+        return f"{binary.name} exited {done.returncode}\n{done.stderr}"
+    lines = done.stdout.splitlines()
+    try:
+        bench = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return f"{binary.name}: the last stdout line is not a JSON record"
+    return bench["name"], entry(bench)
 
 
 def number(value) -> str:
@@ -75,7 +89,7 @@ def number(value) -> str:
 
 
 def write(path: pathlib.Path, records: dict[str, dict], order: list[str]) -> None:
-    """Writes `records` in the harnesses' own layout, without host timings."""
+    """Writes `records` in the committed layout, without host timings."""
     blocks = []
     for name in order:
         runs = records[name]["runs"]
@@ -119,8 +133,7 @@ def differences(name: str, want: dict, got: dict) -> list[str]:
     """How harness `name`'s fresh record differs from `want`, naming the first ones."""
     lines = []
     if want["host"]:
-        # A harness run with no TERTIO_BENCH_JSON merges into BENCH_joins.json
-        # in its working directory, host timings included.
+        # The committed record keeps no host timings (--write drops them).
         lines.append(f"FAIL: {name}: the record holds host fields {', '.join(want['host'])}")
     if got["runs"] != want["runs"]:
         diffs = [f"  recorded {w[0]!r} {w[1]!r}, ran {g[0]!r} {g[1]!r}"
@@ -146,17 +159,13 @@ def main() -> int:
                         help="regenerate the record instead of comparing with it")
     args = parser.parse_args()
 
-    with tempfile.TemporaryDirectory() as tmp:
-        fresh_path = pathlib.Path(tmp) / "bench_joins.json"
-        env = dict(os.environ, TERTIO_BENCH_JSON=str(fresh_path))
-        for harness in HARNESSES:
-            binary = args.bench_dir.resolve() / harness
-            done = subprocess.run([str(binary), f"--threads={THREADS}"], env=env, cwd=tmp,
-                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-            if done.returncode != 0:
-                print(f"FAIL: {harness} exited {done.returncode}\n{done.stderr}")
-                return 1
-        got = load(fresh_path)
+    got = {}
+    for harness in HARNESSES:
+        result = run(args.bench_dir.resolve() / harness)
+        if isinstance(result, str):
+            print(f"FAIL: {result}")
+            return 1
+        got[result[0]] = result[1]
 
     failures = service_gates(got.get("bench_query_service", {"metrics": {}})["metrics"])
     for failure in failures:

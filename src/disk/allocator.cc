@@ -41,16 +41,14 @@ BlockCount DiskSpaceAllocator::FreeBlocksOn(int disk) const {
 }
 
 Result<ExtentList> DiskSpaceAllocator::Allocate(BlockCount count, SimSeconds now,
-                                                const std::string& tag,
-                                                const std::vector<bool>& disk_mask) {
+                                                const std::string& tag) {
   ExtentList extents;
-  Run run(this, &disk_mask);
+  Run run(this);
   TERTIO_RETURN_IF_ERROR(run.Allocate(count, now, tag, &extents));
   return extents;
 }
 
-DiskSpaceAllocator::Run::Run(DiskSpaceAllocator* allocator, const std::vector<bool>* disk_mask)
-    : allocator_(allocator), disk_mask_(disk_mask) {
+DiskSpaceAllocator::Run::Run(DiskSpaceAllocator* allocator) : allocator_(allocator) {
   TERTIO_CHECK(!allocator_->walking_, "allocator already has an open run");
   allocator_->walking_ = true;
   for (std::size_t i = 0; i < allocator_->free_lists_.size(); ++i) {
@@ -68,10 +66,7 @@ Status DiskSpaceAllocator::Run::Allocate(BlockCount count, SimSeconds now,
   if (count == 0) return Status::OK();
   DiskSpaceAllocator& a = *allocator_;
   const int n = static_cast<int>(a.free_lists_.size());
-  BlockCount available = 0;
-  for (int d = 0; d < n; ++d) {
-    if (Enabled(d)) available += a.free_per_disk_[static_cast<size_t>(d)];
-  }
+  const BlockCount available = a.free_blocks();
   if (available < count) {
     return Status::ResourceExhausted(
         StrFormat("allocation of %llu blocks exceeds free space (%llu blocks, tag=%s)",
@@ -90,7 +85,7 @@ Status DiskSpaceAllocator::Run::Allocate(BlockCount count, SimSeconds now,
     const int disk = a.rr_cursor_;
     a.rr_cursor_ = (a.rr_cursor_ + 1) % n;
     const auto i = static_cast<std::size_t>(disk);
-    if (!Enabled(disk) || a.free_per_disk_[i] == 0) continue;
+    if (a.free_per_disk_[i] == 0) continue;
     HoleCursor& cursor = a.hole_cursors_[i];
     BlockCount take = std::min({remaining, a.stripe_unit_, cursor.hole->second - cursor.taken});
     Extent extent{disk, cursor.hole->first + cursor.taken, take};

@@ -9,9 +9,8 @@
 /// freed by the consumer of iteration i to be immediately reusable by the
 /// producer of iteration i+1 without disturbing ongoing reads. The allocator
 /// therefore exposes explicit allocate/free of striped extents with a
-/// per-disk free list, an optional disk mask (dedicating disks to a role),
-/// and a timestamped utilization trace from which Figure 4's utilization
-/// curves are drawn.
+/// per-disk free list, and a timestamped utilization trace from which
+/// Figure 4's utilization curves are drawn.
 
 #include <cstdint>
 #include <map>
@@ -54,11 +53,10 @@ class DiskSpaceAllocator {
   /// audited capacity while the underlying spindles stay shared.
   DiskSpaceAllocator(int disk_count, const ExtentList& region, BlockCount stripe_unit);
 
-  /// Allocates `count` blocks striped round-robin across the disks enabled in
-  /// `disk_mask` (empty mask = all disks). The event is timestamped `now` in
-  /// the utilization trace under `tag`. The one-allocation case of a Run.
-  Result<ExtentList> Allocate(BlockCount count, SimSeconds now, const std::string& tag,
-                              const std::vector<bool>& disk_mask = {});
+  /// Allocates `count` blocks striped round-robin across the disks. The
+  /// event is timestamped `now` in the utilization trace under `tag`. The
+  /// one-allocation case of a Run.
+  Result<ExtentList> Allocate(BlockCount count, SimSeconds now, const std::string& tag);
 
   class Run;
 
@@ -131,8 +129,7 @@ class DiskSpaceAllocator {
 /// The allocator takes no other Allocate or Free while a run is open.
 class DiskSpaceAllocator::Run {
  public:
-  /// `disk_mask` (null = all disks) must outlive the run.
-  explicit Run(DiskSpaceAllocator* allocator, const std::vector<bool>* disk_mask = nullptr);
+  explicit Run(DiskSpaceAllocator* allocator);
   ~Run();
   Run(const Run&) = delete;
   Run& operator=(const Run&) = delete;
@@ -143,14 +140,7 @@ class DiskSpaceAllocator::Run {
   Status Allocate(BlockCount count, SimSeconds now, const std::string& tag, ExtentList* out);
 
  private:
-  bool Enabled(int disk) const {
-    return disk_mask_ == nullptr || disk_mask_->empty() ||
-           (disk < static_cast<int>(disk_mask_->size()) &&
-            (*disk_mask_)[static_cast<size_t>(disk)]);
-  }
-
   DiskSpaceAllocator* allocator_;
-  const std::vector<bool>* disk_mask_;
 };
 
 /// RAII owner of one allocation: scratch space a join holds. Free() returns

@@ -34,6 +34,15 @@ struct DiskModel {
     return bytes / transfer_rate_bps;
   }
 
+  /// Seconds one request moving `bytes` occupies the disk: the transfer,
+  /// plus the positioning time when the request is `positioned` (does not
+  /// continue the previous one). Every disk request is costed by this rule.
+  SimSeconds RequestSeconds(ByteCount bytes, bool positioned) const {
+    SimSeconds seconds = TransferSeconds(bytes);
+    if (positioned) seconds += positioning_seconds;
+    return seconds;
+  }
+
   /// Quantum Fireball 1080 (the 1 GB disk on each SCSI bus in the paper's
   /// testbed, Section 6).
   static DiskModel QuantumFireball1080();

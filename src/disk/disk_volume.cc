@@ -18,15 +18,12 @@ Status DiskVolume::CheckRange(BlockIndex start, BlockCount count) const {
 }
 
 SimSeconds DiskVolume::RequestCost(BlockIndex start, BlockCount count) {
-  SimSeconds cost = model_.TransferSeconds(count * block_bytes_);
+  const bool positioned = !any_request_ || start != next_sequential_;
   stats_.requests += 1;
-  if (!any_request_ || start != next_sequential_) {
-    cost += model_.positioning_seconds;
-    stats_.positioned_requests += 1;
-  }
+  if (positioned) stats_.positioned_requests += 1;
   any_request_ = true;
   next_sequential_ = start + count;
-  return cost;
+  return model_.RequestSeconds(count * block_bytes_, positioned);
 }
 
 Result<sim::Interval> DiskVolume::Read(BlockIndex start, BlockCount count, SimSeconds ready,
@@ -98,12 +95,9 @@ void DiskVolume::CommitWrites(std::span<WritePiece> pieces, int disk) {
   for (const WritePiece& piece : pieces) {
     if (piece.disk != disk) continue;
     TERTIO_CHECK(piece.start + piece.count <= capacity_, "disk write exceeds capacity");
-    // Costed as RequestCost costs it.
-    SimSeconds duration = model_.TransferSeconds(piece.count * block_bytes_);
-    if (!any || piece.start != next) {
-      duration += model_.positioning_seconds;
-      ++positioned;
-    }
+    const bool seek = !any || piece.start != next;
+    if (seek) ++positioned;
+    const ByteCount bytes = piece.count * block_bytes_;
     any = true;
     next = piece.start + piece.count;
     blocks += piece.count;
@@ -114,7 +108,7 @@ void DiskVolume::CommitWrites(std::span<WritePiece> pieces, int disk) {
       std::copy_n(piece.payloads, piece.count.value(),
                   store_.begin() + static_cast<long>(piece.start.value()));
     }
-    ops_.push_back(sim::QueuedOp{piece.ready, duration, piece.count * block_bytes_, {}});
+    ops_.push_back(sim::QueuedOp{piece.ready, model_.RequestSeconds(bytes, seek), bytes, {}});
   }
   if (ops_.empty()) return;
   CommitCoalesced(/*write=*/true, blocks, ops_.size(), positioned, next);

@@ -80,8 +80,8 @@ class DiskVolume {
                               const BlockPayload* payloads = nullptr);
 
   /// Writes the pieces of `pieces` that name disk `disk`, in order, as that
-  /// many Write() calls would: each costed as RequestCost costs it, started
-  /// at max(ready, device available), its payloads stored. The counters, the
+  /// many Write() calls would: each costed by DiskModel::RequestSeconds,
+  /// started at max(ready, device available), its payloads stored. The counters, the
   /// cursor and the resource are updated once. Every such piece must lie
   /// within capacity (CheckRange). Sets each such piece's `interval`.
   void CommitWrites(std::span<WritePiece> pieces, int disk);
@@ -100,8 +100,9 @@ class DiskVolume {
   /// have left behind: `requests` requests, `positioned` of which paid
   /// positioning time, moving `blocks` blocks in all, the last of them
   /// ending at `next`. The caller (StripedDiskGroup) has already charged the
-  /// device time through Resource::ScheduleBatch, costing each request as
-  /// RequestCost does, and stores phantom writes through WritePhantom.
+  /// device time through Resource::ScheduleBatch, costing each request by
+  /// DiskModel::RequestSeconds, and stores phantom writes through
+  /// WritePhantom.
   void CommitCoalesced(bool write, BlockCount blocks, std::uint64_t requests,
                        std::uint64_t positioned, BlockIndex next);
 

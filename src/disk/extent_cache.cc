@@ -26,7 +26,6 @@ bool ExtentCache::Lookup(const void* volume, BlockIndex start, BlockCount count,
     return false;
   }
   ++stats_.hits;
-  ++it->second.hits;
   it->second.last_use = std::max(it->second.last_use, now);
   return true;
 }
@@ -126,7 +125,6 @@ Result<sim::Interval> ExtentCache::ReadThrough(const void* volume, BlockIndex en
   TERTIO_ASSIGN_OR_RETURN(sim::Interval interval,
                           view_->ReadExtents(read_slice_, ready, nullptr));
   stats_.blocks_served += count;
-  ++it->second.hits;
   it->second.last_use = std::max(it->second.last_use, interval.end);
   return interval;
 }

@@ -117,7 +117,6 @@ class ExtentCache {
     SimSeconds last_use = 0.0;
     /// Seconds one full re-read saves coming from disk instead of tape.
     SimSeconds benefit_seconds = 0.0;
-    std::uint64_t hits = 0;
   };
 
   /// GreedyDual retention score: recency aged by refetch benefit. The raw

@@ -167,7 +167,7 @@ const char* AnswerDifference(const ExtentWalk::Answer& a, const ExtentWalk::Answ
   for (std::size_t i = 0; i < a.ops.size(); ++i) {
     const sim::ChunkCostProfile::Op& x = a.ops[i];
     const sim::ChunkCostProfile::Op& y = b.ops[i];
-    if (x.resource != y.resource || x.bytes != y.bytes || x.tag != y.tag ||
+    if (x.resource != y.resource || x.bytes != y.bytes ||
         std::bit_cast<std::uint64_t>(x.seconds.value()) !=
             std::bit_cast<std::uint64_t>(y.seconds.value())) {
       return "op";
@@ -234,7 +234,7 @@ ExtentWalk::Answer StripedDiskGroup::WalkChunks(ExtentWalk& walk,
   // A chunk dissolves into a sequence of per-disk pieces, each one disk
   // request. A piece that does not continue its disk's previous request
   // (the disk's live cursor on first touch) is *positioned*: it pays
-  // positioning time, as DiskVolume::RequestCost charges it. The
+  // positioning time (DiskModel::RequestSeconds). The
   // (disk, count, positioned) sequence — the chunk's *pattern* — rotates
   // across chunks: with the stripe ring for a fresh list, with the
   // partitioner's interleaved flushes for a bucket. Walk the pieces forward
@@ -351,7 +351,6 @@ ExtentWalk::Answer StripedDiskGroup::WalkChunks(ExtentWalk& walk,
   answer.cycle = cycle;
   answer.ops_per_chunk.reserve(cycle);
   answer.ops.reserve(walk.lead.size());
-  const char* tag = question.write ? "disk.write" : "disk.read";
   std::uint32_t begin = 0;
   for (std::uint32_t end : walk.lead_ends) {
     answer.ops_per_chunk.push_back(end - begin);
@@ -361,11 +360,9 @@ ExtentWalk::Answer StripedDiskGroup::WalkChunks(ExtentWalk& walk,
     const Extent& piece = walk.lead[j];
     const bool positioned = walk.lead_positioned[j];
     DiskVolume* disk = disks_[static_cast<size_t>(piece.disk)];
-    // Costed exactly as DiskVolume::RequestCost costs the request.
-    ByteCount bytes = piece.count * disk->block_bytes();
-    SimSeconds seconds = disk->model().TransferSeconds(bytes);
-    if (positioned) seconds += disk->model().positioning_seconds;
-    answer.ops.push_back({disk->resource(), seconds, bytes, tag});
+    const ByteCount bytes = piece.count * disk->block_bytes();
+    answer.ops.push_back(
+        {disk->resource(), disk->model().RequestSeconds(bytes, positioned), bytes});
     auto it = std::find_if(answer.shares.begin(), answer.shares.end(),
                            [&](const ExtentWalk::DiskShare& s) { return s.disk == piece.disk; });
     if (it == answer.shares.end()) {

@@ -167,7 +167,7 @@ class StripedDiskGroup {
   /// whether each pays positioning time, rotate with a period set by the
   /// chunk size and the layout (the stripe ring, or a partitioner's
   /// interleaved bucket flushes), so the profile carries one period's
-  /// operations, each costed as DiskVolume::RequestCost would, and a cycle
+  /// operations, each costed by DiskModel::RequestSeconds, and a cycle
   /// length. Empty — per-chunk fallback — when a disk carries an active
   /// fault plan, when a piece names no disk of the group or exceeds its
   /// capacity before two chunks are verified, or when the pattern seeks but

@@ -57,9 +57,7 @@ Result<join::JoinStats> RunJoinExperiment(const SiteConfig& site_config,
   spec.s = &prepared.s;
   std::unique_ptr<join::JoinMethod> executor = join::CreateJoinMethod(method);
   TERTIO_CHECK(executor != nullptr, "unknown join method");
-  join::JoinContext ctx = session->context();
-  ctx.commit = workload.commit;
-  return executor->Execute(spec, ctx);
+  return executor->Execute(spec, session->context());
 }
 
 }  // namespace tertio::exec

@@ -27,9 +27,6 @@ struct WorkloadConfig {
   std::uint64_t seed = 42;
   /// Timing-only (paper-scale) vs full-data (verifiable) runs.
   bool phantom = true;
-  /// Commit path forwarded to JoinContext (join/join_spec.h); every mode is
-  /// bit-identical in simulated outcome.
-  sim::CommitMode commit = sim::CommitMode::kClosedForm;
 };
 
 /// R and S generated onto two loose scratch volumes, "tape-R" and "tape-S",

@@ -200,7 +200,6 @@ Result<StagedRelation> StageRelationToDisk(const JoinContext& ctx, sim::Pipeline
   plan.streaming = concurrent;
   plan.move_payloads = !relation.phantom;
   plan.chunk_retry_limit = kChunkRetryLimit;
-  plan.commit = ctx.commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           pipe.Transfer(plan, source, sink, deps));
   staged.done_stage = pipe.Event("stage:done", result.done);
@@ -208,12 +207,12 @@ Result<StagedRelation> StageRelationToDisk(const JoinContext& ctx, sim::Pipeline
   return staged;
 }
 
-Result<sim::StageId> ScanAndProbe(const JoinContext& ctx, sim::Pipeline& pipe,
-                                  std::string_view phase, sim::BlockSource& source,
-                                  BlockCount total, BlockCount chunk_blocks,
-                                  std::span<const sim::StageId> deps, bool phantom,
-                                  const rel::Schema* probe_schema, std::size_t probe_key,
-                                  const FlatJoinTable* table, JoinOutput* out) {
+Result<sim::StageId> ScanAndProbe(sim::Pipeline& pipe, std::string_view phase,
+                                  sim::BlockSource& source, BlockCount total,
+                                  BlockCount chunk_blocks, std::span<const sim::StageId> deps,
+                                  bool phantom, const rel::Schema* probe_schema,
+                                  std::size_t probe_key, const FlatJoinTable* table,
+                                  JoinOutput* out) {
   ProbeSink sink(table, probe_schema, probe_key, out);
   sim::Pipeline::TransferPlan plan;
   plan.read_phase = phase;
@@ -223,7 +222,6 @@ Result<sim::StageId> ScanAndProbe(const JoinContext& ctx, sim::Pipeline& pipe,
   plan.streaming = true;  // reads chain read-to-read; probing is free
   plan.move_payloads = !phantom;
   plan.chunk_retry_limit = kChunkRetryLimit;
-  plan.commit = ctx.commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           pipe.Transfer(plan, source, sink, deps));
   if (result.last_read == sim::kNoStage) return pipe.Barrier(phase, deps);
@@ -237,7 +235,7 @@ Result<sim::StageId> ScanDiskAndProbe(const JoinContext& ctx, sim::Pipeline& pip
                                       const rel::Schema* probe_schema, std::size_t probe_key,
                                       const FlatJoinTable* table, JoinOutput* out) {
   disk::ExtentReadSource source(ctx.disks, &extents);
-  return ScanAndProbe(ctx, pipe, phase, source, disk::TotalBlocks(extents), chunk_blocks, deps,
+  return ScanAndProbe(pipe, phase, source, disk::TotalBlocks(extents), chunk_blocks, deps,
                       phantom, probe_schema, probe_key, table, out);
 }
 
@@ -284,7 +282,6 @@ Result<HashedScan> HashTapeToDisk(JoinRun& run, const HashPhases& phases,
   plan.streaming = streaming;
   plan.move_payloads = !relation.phantom;
   plan.chunk_retry_limit = kChunkRetryLimit;
-  plan.commit = run.ctx.commit;
   TERTIO_ASSIGN_OR_RETURN(sim::Pipeline::TransferResult result,
                           run.pipe.Transfer(plan, source, sink, {after}));
   HashedScan scan;

@@ -136,12 +136,12 @@ inline Result<StagedRelation> StageRelationToDisk(const JoinContext& ctx, sim::P
 /// earlier than `deps`; when `table` is non-null each chunk is probed into
 /// `out`. Reads stream (chunk i+1 follows chunk i). \returns the stage
 /// completing the scan (a barrier after `deps` when `total` is 0).
-Result<sim::StageId> ScanAndProbe(const JoinContext& ctx, sim::Pipeline& pipe,
-                                  std::string_view phase, sim::BlockSource& source,
-                                  BlockCount total, BlockCount chunk_blocks,
-                                  std::span<const sim::StageId> deps, bool phantom,
-                                  const rel::Schema* probe_schema, std::size_t probe_key,
-                                  const FlatJoinTable* table, JoinOutput* out);
+Result<sim::StageId> ScanAndProbe(sim::Pipeline& pipe, std::string_view phase,
+                                  sim::BlockSource& source, BlockCount total,
+                                  BlockCount chunk_blocks, std::span<const sim::StageId> deps,
+                                  bool phantom, const rel::Schema* probe_schema,
+                                  std::size_t probe_key, const FlatJoinTable* table,
+                                  JoinOutput* out);
 
 /// ScanAndProbe over `extents` (a disk-resident relation or bucket).
 Result<sim::StageId> ScanDiskAndProbe(const JoinContext& ctx, sim::Pipeline& pipe,

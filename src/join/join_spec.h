@@ -66,10 +66,6 @@ struct JoinContext {
   /// Retain every pipeline span in JoinStats::spans (per-phase summaries are
   /// always collected; full span lists of paper-scale joins are large).
   bool retain_spans = false;
-  /// How every transfer of the join commits its steady state
-  /// (sim::CommitMode; bit-identical in simulated time and all aggregates).
-  /// Tests and benches pin the per-chunk or replay reference paths.
-  sim::CommitMode commit = sim::CommitMode::kClosedForm;
 };
 
 /// Everything a run reports. Timing is virtual; tuple counts are exact in

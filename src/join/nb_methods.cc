@@ -66,14 +66,13 @@ Result<NbGeometry> PlanNb(NbMode mode, const JoinSpec& spec, const JoinContext& 
 Result<sim::StageId> JoinChunkAgainstR(JoinRun& run, disk::ExtentReadSource& r_source,
                                        BlockCount mr, const std::vector<BlockPayload>& chunk,
                                        std::initializer_list<sim::StageId> deps) {
-  const JoinContext& ctx = run.ctx;
   sim::Pipeline& pipe = run.pipe;
   FlatJoinTable table(&run.spec.s->schema, run.spec.s_key_column, /*build_is_r=*/false,
                       /*capture_records=*/run.output.has_sink());
   if (!run.phantom) {
     TERTIO_RETURN_IF_ERROR(table.AddBlocks(chunk));
   }
-  return ScanAndProbe(ctx, pipe, "r-scan", r_source, run.spec.r->blocks, mr,
+  return ScanAndProbe(pipe, "r-scan", r_source, run.spec.r->blocks, mr,
                       std::span<const sim::StageId>(deps.begin(), deps.size()), run.phantom,
                       &run.spec.r->schema, run.spec.r_key_column,
                       run.phantom ? nullptr : &table, &run.output);

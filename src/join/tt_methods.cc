@@ -281,7 +281,7 @@ Result<JoinStats> ExecuteTtGh(const JoinSpec& spec, const JoinContext& ctx) {
               tape::TapeReadSource source(ctx.drive_r, sb.start);
               TERTIO_ASSIGN_OR_RETURN(
                   drive_r_chain,
-                  ScanAndProbe(ctx, pipe, "s-bucket-read", source, sb.blocks,
+                  ScanAndProbe(pipe, "s-bucket-read", source, sb.blocks,
                                layout.write_buffer_blocks, {&t, 1}, run.phantom, &s.schema,
                                spec.s_key_column, table, &run.output));
               return drive_r_chain;

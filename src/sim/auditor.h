@@ -71,7 +71,7 @@ enum class AuditKind : int {
   /// once, or a session released a drive it never held.
   kLeaseExclusivity,
   /// A closed-form coalesced batch disagreed, in some bit, with the
-  /// O(chunks) replay of the same window (sim/pipeline.h CommitMode).
+  /// O(chunks) replay of the same window (Pipeline::Transfer).
   kClosedFormDivergence,
   /// A reused disk chunk profile disagreed, in some bit, with a fresh walk
   /// of the same question (disk/striped_group.h ExtentChunkProfile).

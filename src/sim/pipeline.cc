@@ -295,7 +295,7 @@ bool SameProfile(const ChunkCostProfile& a, const ChunkCostProfile& b) {
   for (std::size_t i = 0; i < a.ops.size(); ++i) {
     const ChunkCostProfile::Op& x = a.ops[i];
     const ChunkCostProfile::Op& y = b.ops[i];
-    if (x.resource != y.resource || x.bytes != y.bytes || x.tag != y.tag ||
+    if (x.resource != y.resource || x.bytes != y.bytes ||
         std::bit_cast<std::uint64_t>(x.seconds.value()) !=
             std::bit_cast<std::uint64_t>(y.seconds.value())) {
       return false;
@@ -449,12 +449,10 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
   rec.have_write = result.last_write != kNoStage;
   rec.read_chain = rec.have_read ? end(result.last_read) : 0.0;
   rec.write_chain = rec.have_write ? end(result.last_write) : 0.0;
-  // The closed-form commit keeps its replays, and SimSan re-derives every
-  // closed-form window, reused or jumped, with the O(chunks) replay from a
-  // copy of its starting state.
-  const bool closed_form = plan.commit == CommitMode::kClosedForm;
-  const bool cross_check = auditor_ != nullptr && closed_form;
-  Recurrence start_state = closed_form ? rec : Recurrence{};
+  // The window's replay is kept from a copy of its starting state, from
+  // which a bound auditor also re-derives every window, reused or jumped,
+  // with the O(chunks) replay.
+  Recurrence start_state = rec;
 
   auto replay_periods = [&](std::uint64_t count) {
     for (std::uint64_t c = 0; c < count * period; ++c) rec.Chunk(src_side, snk_side);
@@ -464,26 +462,21 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
   // replays at a translated start.
   KeptWindow* kept = nullptr;
   bool reused = false;
-  if (closed_form) {
-    auto match = std::find_if(kept_windows_.rbegin(), kept_windows_.rend(),
-                              [&](const KeptWindow& w) {
-                                return w.n == n && w.period == period &&
-                                       SameProfile(w.source, src) && SameProfile(w.sink, snk) &&
-                                       SameStartShape(w.replays.front().start, rec);
-                              });
-    if (match != kept_windows_.rend()) {
-      std::rotate(std::prev(match.base()), match.base(), kept_windows_.end());
-      kept = &kept_windows_.back();
-      for (auto it = kept->replays.rbegin(); it != kept->replays.rend() && !reused; ++it) {
-        reused = ReuseShifted(*it, rec);
-      }
+  auto match = std::find_if(kept_windows_.rbegin(), kept_windows_.rend(),
+                            [&](const KeptWindow& w) {
+                              return w.n == n && w.period == period &&
+                                     SameProfile(w.source, src) && SameProfile(w.sink, snk) &&
+                                     SameStartShape(w.replays.front().start, rec);
+                            });
+  if (match != kept_windows_.rend()) {
+    std::rotate(std::prev(match.base()), match.base(), kept_windows_.end());
+    kept = &kept_windows_.back();
+    for (auto it = kept->replays.rbegin(); it != kept->replays.rend() && !reused; ++it) {
+      reused = ReuseShifted(*it, rec);
     }
   }
 
-  if (plan.commit == CommitMode::kReplay) {
-    // The O(chunks) reference: replay every chunk of the window scalar.
-    replay_periods(n / period);
-  } else if (!reused) {
+  if (!reused) {
     rec.track_headroom = true;
     // Closed-form commit: replay a pre-check period and a watched period;
     // when both translate the whole recurrence state by one exact delta,
@@ -575,7 +568,7 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
     rec.track_headroom = false;
     rec.CloseHeadroom();
   }
-  if (cross_check) {
+  if (auditor_ != nullptr) {
     Recurrence replay = start_state;
     for (std::uint64_t c = 0; c < n; ++c) replay.Chunk(src_side, snk_side);
     const Divergence d = FirstDivergence(rec, replay);
@@ -589,7 +582,6 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
   struct SlotBatch {
     std::vector<SimSeconds> durations;
     std::vector<ByteCount> bytes;
-    const char* tag = "";
   };
   std::vector<SlotBatch> batches(rec.slots.size());
   for (std::uint64_t k = 0; k < period; ++k) {
@@ -600,7 +592,6 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
         SlotBatch& batch = batches[static_cast<std::size_t>(side->op_slot[i])];
         batch.durations.push_back(p.ops[i].seconds);
         batch.bytes.push_back(p.ops[i].bytes);
-        batch.tag = p.ops[i].tag;
       }
     }
   }
@@ -609,7 +600,7 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
     const Recurrence::Slot& slot = rec.slots[i];
     if (!slot.any) continue;
     slot.resource->ScheduleBatch(cycles, batches[i].durations, batches[i].bytes,
-                                 Interval{slot.first_start, slot.available}, batches[i].tag);
+                                 Interval{slot.first_start, slot.available});
   }
   if (src.commit) src.commit(n);
   if (snk.commit) snk.commit(n);
@@ -629,7 +620,7 @@ std::uint64_t Pipeline::CoalesceChunks(const TransferPlan& plan, BlockSource& so
 
   if (reused) {
     ++reused_windows_;
-  } else if (closed_form) {
+  } else {
     // Keep the replay: a key holds its last two, and the memo its most
     // recently used keys.
     if (kept == nullptr) {
@@ -663,8 +654,7 @@ Result<Pipeline::TransferResult> Pipeline::Transfer(const TransferPlan& plan,
   // demand per-chunk records, and distinct phases keep the batched
   // busy-seconds accumulation order identical to the interleaved per-chunk
   // one (reads and writes land in different phase summaries).
-  const bool plan_coalescible = plan.commit != CommitMode::kPerChunk && !plan.move_payloads &&
-                                plan.read_phase != plan.write_phase &&
+  const bool plan_coalescible = !plan.move_payloads && plan.read_phase != plan.write_phase &&
                                 (trace_ == nullptr || !trace_->retain());
   for (BlockCount offset = 0; offset < plan.total; offset += chunk) {
     BlockCount take = std::min<BlockCount>(chunk, plan.total - offset);

@@ -158,49 +158,20 @@ class SpanTrace {
   bool has_window_ = false;
 };
 
-/// How Pipeline::Transfer commits a chunked transfer. The three modes are
-/// bit-identical in simulated seconds and in every span and resource
-/// aggregate (simsan_test's three-way ladder asserts it); they differ only
-/// in host cost.
-enum class CommitMode {
-  /// Every chunk walks the scheduling path (the reference).
-  kPerChunk,
-  /// Coalesced: when both endpoints prove their per-chunk cost constant over
-  /// a run of full chunks (CostProfile) and the plan moves no payloads and
-  /// retains no per-span trace, the steady-state read/write
-  /// recurrence is replayed in O(chunks) scalar form and committed as ONE
-  /// batched read stage plus ONE batched write stage. Ineligible windows
-  /// (fault plans, seeks that do not repeat, tail chunks) fall back
-  /// per-chunk and coalescing re-arms after them.
-  kReplay,
-  /// Coalesced as kReplay, but after a scalar warm-up the recurrence repeats
-  /// as an exact per-period translation on the float grid, and the remaining
-  /// periods are committed with O(1) arithmetic per jump instead of the
-  /// O(chunks) replay (the jump fires only when the translation is verified
-  /// exact and stays within each state component's binade; see DESIGN.md
-  /// §5.1). A window that recurs at a translated start reuses the
-  /// pipeline's kept replay of it, shifted, under the same section's rule.
-  /// Under SimSan every such batch is re-derived with the O(chunks) replay.
-  /// The default.
-  kClosedForm,
-};
-
 /// Answer of a BlockSource/BlockSink to "what would a run of `max_chunks`
 /// equal-size chunks cost, and is that cost provably constant?" — the
 /// eligibility half of the pipeline's coalesced fast path (see
-/// CommitMode::kReplay). A default-constructed profile
-/// (chunks == 0) means "not coalescible": the transfer keeps the per-chunk
-/// path. Computing a profile must not mutate device state; the bookkeeping
-/// the per-chunk path would have applied (head positions, block counters,
-/// store contents) is deferred to `commit`.
+/// Pipeline::Transfer). A default-constructed profile (chunks == 0) means
+/// "not coalescible": the transfer keeps the per-chunk path. Computing a
+/// profile must not mutate device state; the bookkeeping the per-chunk path
+/// would have applied (head positions, block counters, store contents) is
+/// deferred to `commit`.
 struct ChunkCostProfile {
   /// One device operation of the cycle, issued at its chunk's ready time.
   struct Op {
     Resource* resource = nullptr;
     SimSeconds seconds = 0.0;
     ByteCount bytes = 0;
-    /// Static label for the device timeline, e.g. "tape.read".
-    const char* tag = "";
   };
 
   /// Chunks (from the queried offset) whose device cost is provably the
@@ -351,7 +322,7 @@ class Pipeline {
   std::uint64_t coalesced_chunks() const { return coalesced_chunks_; }
 
   /// Coalesced windows committed from a kept replay at a translated start
-  /// instead of a replay of their own (CommitMode::kClosedForm).
+  /// instead of a replay of their own.
   std::uint64_t reused_windows() const { return reused_windows_; }
 
   /// One declared chunked transfer from `source` to `sink`.
@@ -373,8 +344,6 @@ class Pipeline {
     /// device model; the retry simply re-issues the chunk's read and write.
     /// Other error codes always propagate immediately.
     int chunk_retry_limit = 0;
-    /// How the transfer commits its steady state (CommitMode).
-    CommitMode commit = CommitMode::kClosedForm;
   };
 
   struct TransferResult {
@@ -390,6 +359,17 @@ class Pipeline {
   /// issuing read stages on the source and write stages on the sink with
   /// the dependency structure selected by `plan.streaming`. The first read
   /// additionally waits for `deps`.
+  ///
+  /// Where both endpoints prove a run of full chunks costs one fixed cycle
+  /// (CostProfile), the run commits as one batched read stage and one
+  /// batched write stage, its steady state jumped in closed form or reused
+  /// from a kept replay of the same window (DESIGN.md §5.1). A chunk runs
+  /// per-chunk only where no batch can stand in for it: the plan moves
+  /// payloads or names one phase for both sides, the trace retains spans, a
+  /// resource is traced, or an endpoint has no profile. Both commits are
+  /// bit-identical in simulated time and every aggregate: a run whose trace
+  /// retains spans is the per-chunk reference, and a bound auditor re-derives
+  /// every closed-form window with the O(chunks) replay.
   Result<TransferResult> Transfer(const TransferPlan& plan, BlockSource& source,
                                   BlockSink& sink, std::span<const StageId> deps);
   Result<TransferResult> Transfer(const TransferPlan& plan, BlockSource& source,

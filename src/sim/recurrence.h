@@ -194,12 +194,12 @@ struct Recurrence {
   }
 };
 
-/// A coalesced window replayed under CommitMode::kClosedForm, kept so a
-/// later window with the same dynamics can reuse the replay at a translated
-/// start (DESIGN.md §5.1). The key is both profiles op by op (their commits
-/// left empty), the period, the chunk count, and the start's shape: the
-/// streaming and chain flags, the slots' resources and sides in order, and
-/// which slots are idle (available at or before the base ready time).
+/// A coalesced window's replay, kept so a later window with the same
+/// dynamics can reuse it at a translated start (DESIGN.md §5.1). The key is
+/// both profiles op by op (their commits left empty), the period, the chunk
+/// count, and the start's shape: the streaming and chain flags, the slots'
+/// resources and sides in order, and which slots are idle (available at or
+/// before the base ready time).
 struct KeptWindow {
   struct Replay {
     /// The state the replay started from.

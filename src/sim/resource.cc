@@ -40,8 +40,7 @@ void Resource::ScheduleEach(std::span<QueuedOp> ops, const char* tag) {
 
 Interval Resource::ScheduleBatch(std::uint64_t cycles,
                                  std::span<const SimSeconds> cycle_durations,
-                                 std::span<const ByteCount> cycle_bytes, Interval hull,
-                                 const char* tag) {
+                                 std::span<const ByteCount> cycle_bytes, Interval hull) {
   TERTIO_CHECK(cycles > 0, "a batch must commit at least one cycle");
   TERTIO_CHECK(!cycle_durations.empty(), "a batch cycle must hold at least one operation");
   TERTIO_CHECK(cycle_durations.size() == cycle_bytes.size(),
@@ -67,7 +66,6 @@ Interval Resource::ScheduleBatch(std::uint64_t cycles,
     auditor_->OnScheduleBatch(name_, hull, cycles * cycle_durations.size(),
                               cycles * bytes_per_cycle);
   }
-  (void)tag;
   return hull;
 }
 

@@ -99,8 +99,7 @@ class Resource {
   /// this device's live timeline) and tracing disabled (a batch retains no
   /// per-op records).
   Interval ScheduleBatch(std::uint64_t cycles, std::span<const SimSeconds> cycle_durations,
-                         std::span<const ByteCount> cycle_bytes, Interval hull,
-                         const char* tag = "");
+                         std::span<const ByteCount> cycle_bytes, Interval hull);
 
   /// Time at which the device becomes free.
   SimSeconds available_at() const { return available_; }

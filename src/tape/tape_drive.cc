@@ -179,7 +179,7 @@ sim::ChunkCostProfile TapeDrive::ReadCostProfile(BlockIndex start, BlockCount ch
   profile.chunks = n;
   profile.cycle = 1;
   profile.ops_per_chunk = {1};
-  profile.ops = {{resource_, model_.TransferSeconds(bytes, *mean_c), bytes, "tape.read"}};
+  profile.ops = {{resource_, model_.TransferSeconds(bytes, *mean_c), bytes}};
   profile.commit = [this, start, chunk](std::uint64_t committed) {
     head_ = start + committed * chunk;
     stats_.blocks_read += committed * chunk;

@@ -168,16 +168,6 @@ TEST(AllocatorTest, FreeCoalescesAndReuses) {
   EXPECT_TRUE(c.ok());
 }
 
-TEST(AllocatorTest, DiskMaskDedicatesDisks) {
-  DiskSpaceAllocator alloc({50, 50}, 10);
-  std::vector<bool> only_disk1{false, true};
-  auto extents = alloc.Allocate(30, 0.0, "buf", only_disk1);
-  ASSERT_TRUE(extents.ok());
-  for (const Extent& e : *extents) EXPECT_EQ(e.disk, 1);
-  // Mask restricts capacity too.
-  EXPECT_FALSE(alloc.Allocate(30, 0.0, "too-big", only_disk1).ok());
-}
-
 TEST(AllocatorTest, TraceRecordsUtilization) {
   DiskSpaceAllocator alloc({100}, 10);
   alloc.EnableTrace();

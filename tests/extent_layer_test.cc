@@ -89,23 +89,18 @@ class ReferenceAllocator {
     }
   }
 
-  Result<ExtentList> Allocate(BlockCount count, const std::vector<bool>& disk_mask) {
+  Result<ExtentList> Allocate(BlockCount count) {
     if (count == 0) return ExtentList{};
     const int n = static_cast<int>(free_lists_.size());
-    auto enabled = [&](int d) {
-      return disk_mask.empty() || (d < static_cast<int>(disk_mask.size()) && disk_mask[d]);
-    };
     BlockCount available = 0;
-    for (int d = 0; d < n; ++d) {
-      if (enabled(d)) available += free_per_disk_[static_cast<size_t>(d)];
-    }
+    for (int d = 0; d < n; ++d) available += free_per_disk_[static_cast<size_t>(d)];
     if (available < count) return Status::ResourceExhausted("full");
     ExtentList extents;
     BlockCount remaining = count;
     while (remaining > 0) {
       int disk = rr_cursor_;
       rr_cursor_ = (rr_cursor_ + 1) % n;
-      if (!enabled(disk) || free_per_disk_[static_cast<size_t>(disk)] == 0) continue;
+      if (free_per_disk_[static_cast<size_t>(disk)] == 0) continue;
       FreeList& list = free_lists_[static_cast<size_t>(disk)];
       auto it = list.begin();
       BlockCount take = std::min({remaining, stripe_unit_, it->second});
@@ -239,7 +234,6 @@ sim::ChunkCostProfile ReferenceChunkProfile(StripedDiskGroup& group, const Exten
   sim::ChunkCostProfile profile;
   profile.chunks = chunks;
   profile.cycle = cycle;
-  const char* tag = write ? "disk.write" : "disk.read";
   for (std::uint64_t c = 0; c < cycle; ++c) {
     profile.ops_per_chunk.push_back(static_cast<std::uint32_t>(lead[c].size()));
     for (const auto& [disk_index, count, positioned] : lead[c]) {
@@ -247,7 +241,7 @@ sim::ChunkCostProfile ReferenceChunkProfile(StripedDiskGroup& group, const Exten
       ByteCount bytes = count * group.block_bytes();
       SimSeconds seconds = disk->model().TransferSeconds(bytes);
       if (positioned) seconds += disk->model().positioning_seconds;
-      profile.ops.push_back({disk->resource(), seconds, bytes, tag});
+      profile.ops.push_back({disk->resource(), seconds, bytes});
     }
   }
   profile.commit = [&group, &extents, offset, chunk, write](std::uint64_t committed) {
@@ -376,40 +370,22 @@ TEST(ExtentCursorTest, FollowsAListGrowingAtTheBack) {
 // DiskSpaceAllocator
 // ---------------------------------------------------------------------------
 
-std::vector<bool> RandomMask(Rng& rng, int disks) {
-  std::vector<bool> mask;
-  switch (rng.NextBelow(3)) {
-    case 0:
-      break;  // every disk
-    case 1:
-      for (int d = 0; d < disks; ++d) mask.push_back(rng.NextBelow(3) != 0);
-      break;
-    default:  // shorter or longer than the disk count
-      for (std::uint64_t d = rng.NextBelow(static_cast<std::uint64_t>(disks) + 2); d > 0; --d) {
-        mask.push_back(rng.NextBelow(2) != 0);
-      }
-      break;
-  }
-  return mask;
-}
-
 void ExpectSameFreeSpace(const DiskSpaceAllocator& alloc, const ReferenceAllocator& ref,
                          int disks) {
   EXPECT_EQ(alloc.free_blocks(), ref.free_blocks());
   for (int d = 0; d < disks; ++d) EXPECT_EQ(alloc.FreeBlocksOn(d), ref.FreeBlocksOn(d)) << d;
 }
 
-/// Random allocations (masked and unmasked) and frees of whole allocations,
-/// of their heads or tails, in list or reversed order, on both allocators.
+/// Random allocations and frees of whole allocations, of their heads or
+/// tails, in list or reversed order, on both allocators.
 void RunRandomOps(Rng& rng, DiskSpaceAllocator& alloc, ReferenceAllocator& ref, int disks,
                   int steps) {
   std::vector<ExtentList> live;
   for (int step = 0; step < steps; ++step) {
     if (live.empty() || rng.NextBelow(100) < 55) {
       BlockCount count = rng.NextBelow(150);
-      std::vector<bool> mask = RandomMask(rng, disks);
-      Result<ExtentList> got = alloc.Allocate(count, static_cast<double>(step), "prop", mask);
-      Result<ExtentList> want = ref.Allocate(count, mask);
+      Result<ExtentList> got = alloc.Allocate(count, static_cast<double>(step), "prop");
+      Result<ExtentList> want = ref.Allocate(count);
       ASSERT_EQ(got.ok(), want.ok()) << "step " << step;
       if (got.ok()) {
         ASSERT_EQ(*got, *want) << "step " << step;
@@ -608,7 +584,6 @@ void ExpectSameProfile(const sim::ChunkCostProfile& want, const sim::ChunkCostPr
     EXPECT_EQ(got.ops[i].resource->name(), want.ops[i].resource->name()) << i;
     EXPECT_EQ(got.ops[i].seconds, want.ops[i].seconds) << i;  // bit-identical
     EXPECT_EQ(got.ops[i].bytes, want.ops[i].bytes) << i;
-    EXPECT_STREQ(got.ops[i].tag, want.ops[i].tag) << i;
   }
   EXPECT_EQ(static_cast<bool>(got.commit), static_cast<bool>(want.commit));
 }

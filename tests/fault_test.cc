@@ -570,7 +570,7 @@ struct FaultyRun {
 };
 
 Result<FaultyRun> RunUnderFaults(const sim::FaultPlan& faults, JoinMethodId method,
-                                 sim::CommitMode commit = sim::CommitMode::kClosedForm) {
+                                 bool retain_spans = false) {
   exec::Site site(FaultySite(faults));
   std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
   FaultyRun run;
@@ -594,7 +594,7 @@ Result<FaultyRun> RunUnderFaults(const sim::FaultPlan& faults, JoinMethodId meth
   spec.s = &prepared.s;
   auto executor = CreateJoinMethod(method);
   JoinContext ctx = session->context();
-  ctx.commit = commit;
+  ctx.retain_spans = retain_spans;
   TERTIO_ASSIGN_OR_RETURN(run.stats, executor->Execute(spec, ctx));
   run.site_faults = site.TotalFaultStats();
   return run;
@@ -749,11 +749,11 @@ TEST_P(FaultyJoinTest, ChunkRetriesRecoverHardDeviceFailures) {
 TEST_P(FaultyJoinTest, CoalescingToggleIsInvisibleUnderFaults) {
   // With injectors active the coalesced fast path must disengage (batching
   // would skip the per-chunk fault draws and desynchronise the seeded RNG
-  // stream), so the default commit mode and the per-chunk reference (the
-  // JoinContext::commit toggle) change nothing: both runs take the
-  // per-chunk path and replay each other exactly.
-  auto on = RunUnderFaults(ModeratePlan(), GetParam(), sim::CommitMode::kClosedForm);
-  auto off = RunUnderFaults(ModeratePlan(), GetParam(), sim::CommitMode::kPerChunk);
+  // stream), so a default run and the per-chunk reference (a run that
+  // retains its spans) both take the per-chunk path and replay each other
+  // exactly.
+  auto on = RunUnderFaults(ModeratePlan(), GetParam());
+  auto off = RunUnderFaults(ModeratePlan(), GetParam(), /*retain_spans=*/true);
   ASSERT_TRUE(on.ok()) << on.status();
   ASSERT_TRUE(off.ok()) << off.status();
   EXPECT_GT(on->stats.faults_injected, 0u);

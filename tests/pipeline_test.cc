@@ -188,7 +188,7 @@ class CoalescibleDevice final : public BlockSource, public BlockSink {
     profile.chunks = max_chunks;
     profile.cycle = 1;
     profile.ops_per_chunk = {1};
-    profile.ops = {{&resource_, cost_ * static_cast<double>(chunk.value()), 0, "op"}};
+    profile.ops = {{&resource_, cost_ * static_cast<double>(chunk.value()), 0}};
     profile.commit = [this](BlockCount committed) { committed_ += committed; };
     return profile;
   }
@@ -224,11 +224,14 @@ struct CoalesceRun {
   SpanTrace trace;
 };
 
-CoalesceRun RunCoalescibleTransfer(CommitMode commit, bool streaming, BlockCount total,
+// A run whose trace retains spans commits every chunk per-chunk: the
+// reference the coalesced runs are compared against.
+CoalesceRun RunCoalescibleTransfer(bool per_chunk, bool streaming, BlockCount total,
                                    BlockCount chunk) {
   CoalescibleDevice src("src", 0.125);
   CoalescibleDevice dst("dst", 0.25);
   CoalesceRun run;
+  run.trace.set_retain(per_chunk);
   Pipeline pipe(3.0, &run.trace);
   Pipeline::TransferPlan plan;
   plan.read_phase = "read";
@@ -236,7 +239,6 @@ CoalesceRun RunCoalescibleTransfer(CommitMode commit, bool streaming, BlockCount
   plan.total = total;
   plan.chunk = chunk;
   plan.streaming = streaming;
-  plan.commit = commit;
   auto result = pipe.Transfer(plan, src, dst);
   TERTIO_CHECK(result.ok(), "coalescible transfer failed");
   run.source_done = result->source_done;
@@ -290,8 +292,8 @@ void ExpectBitIdentical(const CoalesceRun& a, const CoalesceRun& b) {
 TEST(PipelineCoalesceTest, CoalescedTransferIsBitIdenticalToPerChunk) {
   for (bool streaming : {false, true}) {
     SCOPED_TRACE(streaming ? "streaming" : "lock-step");
-    CoalesceRun fast = RunCoalescibleTransfer(CommitMode::kClosedForm, streaming, 64, 4);
-    CoalesceRun slow = RunCoalescibleTransfer(CommitMode::kPerChunk, streaming, 64, 4);
+    CoalesceRun fast = RunCoalescibleTransfer(/*per_chunk=*/false, streaming, 64, 4);
+    CoalesceRun slow = RunCoalescibleTransfer(/*per_chunk=*/true, streaming, 64, 4);
     EXPECT_EQ(fast.coalesced_chunks, 16u);
     EXPECT_EQ(fast.committed_chunks, 16u);
     EXPECT_EQ(fast.read_calls, 0);
@@ -306,8 +308,8 @@ TEST(PipelineCoalesceTest, CoalescedTransferIsBitIdenticalToPerChunk) {
 // A total that is not a chunk multiple leaves a tail chunk; the batch covers
 // the full chunks and the tail runs per-chunk, with identical results.
 TEST(PipelineCoalesceTest, TailChunkRunsPerChunkAfterTheBatch) {
-  CoalesceRun fast = RunCoalescibleTransfer(CommitMode::kClosedForm, /*streaming=*/true, 61, 4);
-  CoalesceRun slow = RunCoalescibleTransfer(CommitMode::kPerChunk, /*streaming=*/true, 61, 4);
+  CoalesceRun fast = RunCoalescibleTransfer(/*per_chunk=*/false, /*streaming=*/true, 61, 4);
+  CoalesceRun slow = RunCoalescibleTransfer(/*per_chunk=*/true, /*streaming=*/true, 61, 4);
   EXPECT_EQ(fast.coalesced_chunks, 15u);
   EXPECT_EQ(fast.read_calls, 1);  // the 1-block tail
   ExpectBitIdentical(fast, slow);
@@ -355,21 +357,22 @@ TEST(PipelineCoalesceTest, TracedResourceForcesPerChunkPath) {
 
 // A streaming transfer of `chunks` one-block chunks over a single-op
 // coalescible source into a free sink: the closed-form jump's simplest
-// recurrence, end = fl(end + duration) per chunk. With an auditor, SimSan
-// re-derives every closed-form batch with the O(chunks) replay.
-CoalesceRun RunSingleOpStream(CommitMode commit, SimSeconds origin, SimSeconds duration,
+// recurrence, end = fl(end + duration) per chunk. A `per_chunk` run retains
+// its spans; otherwise `auditor` is bound and re-derives every closed-form
+// batch with the O(chunks) replay.
+CoalesceRun RunSingleOpStream(bool per_chunk, SimSeconds origin, SimSeconds duration,
                               BlockCount chunks, Auditor* auditor = nullptr) {
   CoalescibleDevice src("src", duration);
   CollectSink sink(nullptr);
   CoalesceRun run;
+  run.trace.set_retain(per_chunk);
   Pipeline pipe(origin, &run.trace, auditor);
   Pipeline::TransferPlan plan;
-  plan.read_phase = "read";
-  plan.write_phase = "write";
+  plan.read_phase = "stage:tape-read";
+  plan.write_phase = "stage:disk-write";
   plan.total = chunks;
   plan.chunk = 1;
   plan.streaming = true;
-  plan.commit = commit;
   auto result = pipe.Transfer(plan, src, sink);
   TERTIO_CHECK(result.ok(), "single-op transfer failed");
   run.source_done = result->source_done;
@@ -387,21 +390,17 @@ CoalesceRun RunSingleOpStream(CommitMode commit, SimSeconds origin, SimSeconds d
 TEST(PipelineCoalesceTest, ClosedFormJumpNeverSpansABinadeBoundary) {
   const SimSeconds origin = 0x1.fb8c49ba5e354p+5;
   const SimSeconds duration = 0x1.037cd3d7ca9e6p-6;
-  CoalesceRun per_chunk = RunSingleOpStream(CommitMode::kPerChunk, origin, duration, 400);
-  CoalesceRun replay = RunSingleOpStream(CommitMode::kReplay, origin, duration, 400);
+  CoalesceRun per_chunk = RunSingleOpStream(/*per_chunk=*/true, origin, duration, 400);
   Auditor auditor;
   CoalesceRun closed =
-      RunSingleOpStream(CommitMode::kClosedForm, origin, duration, 400, &auditor);
+      RunSingleOpStream(/*per_chunk=*/false, origin, duration, 400, &auditor);
   EXPECT_EQ(per_chunk.done, SimSeconds(0x1.171d558d41ec8p+6));
+  EXPECT_EQ(per_chunk.coalesced_chunks, 0u);
   EXPECT_EQ(closed.coalesced_chunks, 400u);
-  ExpectBitIdentical(per_chunk, replay);
   ExpectBitIdentical(per_chunk, closed);
-  // The SimSan cross-check ran on the batch and found nothing. (The test's
-  // phase labels are not registered spans; only that check matters here.)
+  // The SimSan cross-check replayed the batch and found nothing.
   EXPECT_GT(auditor.checks_performed(), 0u);
-  for (const AuditViolation& v : auditor.violations()) {
-    EXPECT_NE(v.kind, AuditKind::kClosedFormDivergence) << v.detail;
-  }
+  EXPECT_TRUE(auditor.clean()) << auditor.TraceString();
 }
 
 // A seeded sweep of the same shape: transfers that start i * 0.0371 s below
@@ -413,9 +412,13 @@ TEST(PipelineCoalesceTest, ClosedFormMatchesPerChunkAcrossBinadeCrossings) {
     for (int i = 1; i <= 200; ++i) {
       const SimSeconds origin = std::ldexp(1.0, k) - 0.0371 * i;
       const SimSeconds duration = 0.0371 * i / 35.13 + 1e-9 * k;
-      CoalesceRun per_chunk = RunSingleOpStream(CommitMode::kPerChunk, origin, duration, 400);
-      CoalesceRun closed = RunSingleOpStream(CommitMode::kClosedForm, origin, duration, 400);
+      CoalesceRun per_chunk = RunSingleOpStream(/*per_chunk=*/true, origin, duration, 400);
+      Auditor auditor;
+      CoalesceRun closed =
+          RunSingleOpStream(/*per_chunk=*/false, origin, duration, 400, &auditor);
       SCOPED_TRACE(testing::Message() << "2^" << k << " - " << i << " * 0.0371");
+      EXPECT_GT(auditor.checks_performed(), 0u);
+      EXPECT_TRUE(auditor.clean()) << auditor.TraceString();
       if (per_chunk.done != closed.done ||
           per_chunk.src_stats.busy_seconds != closed.src_stats.busy_seconds) {
         ++mismatches;
@@ -440,29 +443,32 @@ void ExpectSameResource(const Resource& a, const Resource& b) {
 
 // NB Step II's shape: one disk-resident list scanned again and again into
 // memory, each scan after the previous one, through one source whose walk
-// keeps its chunk profiles.
+// keeps its chunk profiles. The pipeline's auditor re-derives every
+// closed-form window with the O(chunks) replay.
 struct ScanRun {
   Simulation sim;
   disk::StripedDiskGroup group{
       disk::DiskGroupConfig::Uniform(2, disk::DiskModel::QuantumFireball1080(), 8192, 8192, 32),
       &sim};
   SpanTrace trace;
+  Auditor auditor;
   std::uint64_t reused = 0;
   std::uint64_t coalesced = 0;
 };
 
-void RunRepeatedScans(CommitMode commit, bool streaming, BlockCount chunk, ScanRun& run) {
+// A `per_chunk` run retains its spans, which keeps every chunk per-chunk.
+void RunRepeatedScans(bool per_chunk, bool streaming, BlockCount chunk, ScanRun& run) {
   const disk::ExtentList list = *run.group.allocator().Allocate(2000, 0.0, "r");
   disk::ExtentReadSource source(&run.group, &list);
   CollectSink sink(nullptr);
-  Pipeline pipe(700.0, &run.trace);
+  run.trace.set_retain(per_chunk);
+  Pipeline pipe(700.0, &run.trace, &run.auditor);
   Pipeline::TransferPlan plan;
   plan.read_phase = "r-scan";
   plan.write_phase = "probe";
   plan.total = 2000;
   plan.chunk = chunk;
   plan.streaming = streaming;
-  plan.commit = commit;
   StageId last = kNoStage;
   for (int scan = 0; scan < 24; ++scan) {
     // The memory load of S between two scans.
@@ -481,42 +487,48 @@ TEST(PipelineWindowReuseTest, RepeatedScansOfOneStripedListReuseTheirReplays) {
       SCOPED_TRACE(testing::Message() << (streaming ? "streaming" : "lock-step") << " chunk "
                                       << chunk.value());
       ScanRun closed;
-      ScanRun replay;
-      RunRepeatedScans(CommitMode::kClosedForm, streaming, chunk, closed);
-      RunRepeatedScans(CommitMode::kReplay, streaming, chunk, replay);
+      ScanRun per_chunk;
+      RunRepeatedScans(/*per_chunk=*/false, streaming, chunk, closed);
+      RunRepeatedScans(/*per_chunk=*/true, streaming, chunk, per_chunk);
       if (HasFatalFailure()) return;
       EXPECT_GT(closed.reused, 20u);
-      EXPECT_EQ(replay.reused, 0u);
-      EXPECT_EQ(closed.coalesced, replay.coalesced);
+      EXPECT_EQ(per_chunk.coalesced, 0u);
+      EXPECT_GT(closed.auditor.checks_performed(), 0u);
+      EXPECT_TRUE(closed.auditor.clean()) << closed.auditor.TraceString();
+      EXPECT_TRUE(per_chunk.auditor.clean()) << per_chunk.auditor.TraceString();
       for (int d = 0; d < 2; ++d) {
-        ExpectSameResource(*closed.group.disk(d)->resource(), *replay.group.disk(d)->resource());
-        EXPECT_EQ(closed.group.disk(d)->stats().requests, replay.group.disk(d)->stats().requests);
+        ExpectSameResource(*closed.group.disk(d)->resource(),
+                           *per_chunk.group.disk(d)->resource());
+        EXPECT_EQ(closed.group.disk(d)->stats().requests,
+                  per_chunk.group.disk(d)->stats().requests);
       }
-      ExpectSamePhases(closed.trace, replay.trace);
+      ExpectSamePhases(closed.trace, per_chunk.trace);
     }
   }
 }
 
 // Windows of a single-op source streaming `chunks` chunks into memory, each
 // transfer starting at its own time in one pipeline; `costs` sets the
-// source's per-chunk cost for each transfer.
+// source's per-chunk cost for each transfer. A `per_chunk` run retains its
+// spans; the pipeline's auditor re-derives every closed-form window.
 struct WindowRun {
   CoalescibleDevice src{"src", 0.25};
   SpanTrace trace;
+  Auditor auditor;
   std::uint64_t reused = 0;
 };
 
-void RunWindows(CommitMode commit, std::span<const SimSeconds> starts, BlockCount chunks,
+void RunWindows(bool per_chunk, std::span<const SimSeconds> starts, BlockCount chunks,
                 WindowRun& run, std::span<const SimSeconds> costs = {}) {
   CollectSink sink(nullptr);
-  Pipeline pipe(0.0, &run.trace);
+  run.trace.set_retain(per_chunk);
+  Pipeline pipe(0.0, &run.trace, &run.auditor);
   Pipeline::TransferPlan plan;
-  plan.read_phase = "read";
-  plan.write_phase = "write";
+  plan.read_phase = "stage:tape-read";
+  plan.write_phase = "stage:disk-write";
   plan.total = chunks;
   plan.chunk = 1;
   plan.streaming = true;
-  plan.commit = commit;
   for (std::size_t i = 0; i < starts.size(); ++i) {
     if (!costs.empty()) run.src.set_cost(costs[i]);
     const StageId start = pipe.Event("start", starts[i]);
@@ -526,17 +538,20 @@ void RunWindows(CommitMode commit, std::span<const SimSeconds> starts, BlockCoun
   run.reused = pipe.reused_windows();
 }
 
-// Runs the windows under both commits: the closed form must equal the replay
-// bit for bit whether or not it reused. \returns the windows it reused.
+// Runs the windows under both commits: the closed form must equal the
+// per-chunk run bit for bit, and its audit the replay, whether or not it
+// reused. \returns the windows it reused.
 std::uint64_t ReusedAndExact(std::span<const SimSeconds> starts, BlockCount chunks,
                              std::span<const SimSeconds> costs = {}) {
   WindowRun closed;
-  WindowRun replay;
-  RunWindows(CommitMode::kClosedForm, starts, chunks, closed, costs);
-  RunWindows(CommitMode::kReplay, starts, chunks, replay, costs);
-  ExpectSameResource(closed.src.resource(), replay.src.resource());
-  ExpectSamePhases(closed.trace, replay.trace);
-  EXPECT_EQ(replay.reused, 0u);
+  WindowRun per_chunk;
+  RunWindows(/*per_chunk=*/false, starts, chunks, closed, costs);
+  RunWindows(/*per_chunk=*/true, starts, chunks, per_chunk, costs);
+  ExpectSameResource(closed.src.resource(), per_chunk.src.resource());
+  ExpectSamePhases(closed.trace, per_chunk.trace);
+  EXPECT_EQ(per_chunk.reused, 0u);
+  EXPECT_GT(closed.auditor.checks_performed(), 0u);
+  EXPECT_TRUE(closed.auditor.clean()) << closed.auditor.TraceString();
   return closed.reused;
 }
 

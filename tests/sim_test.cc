@@ -93,7 +93,7 @@ TEST(ResourceTest, ScheduleBatchMatchesPerOpSchedules) {
   Resource batched("dev");
   std::vector<SimSeconds> cycle_durations{durations[0], durations[1]};
   std::vector<ByteCount> cycle_bytes{bytes[0], bytes[1]};
-  Interval got = batched.ScheduleBatch(6, cycle_durations, cycle_bytes, hull, "op");
+  Interval got = batched.ScheduleBatch(6, cycle_durations, cycle_bytes, hull);
   EXPECT_DOUBLE_EQ(got.start.value(), (hull.start).value());
   EXPECT_DOUBLE_EQ(got.end.value(), (hull.end).value());
   EXPECT_DOUBLE_EQ((batched.available_at()).value(), (per_op.available_at()).value());

@@ -362,7 +362,8 @@ PHASE_PATTERNS = [
     re.compile(r"\b(?:Stage|StageWithRetry|Event|Barrier|Record)\(\s*\"([^\"]+)\""),
     re.compile(r"\b(?:read_phase|write_phase|flush_phase)\s*=\s*\"([^\"]+)\""),
     re.compile(r"\bIssue(?:Read|Write|Flush)\(\s*\w+,\s*\"([^\"]+)\""),
-    re.compile(r"\bScan(?:Disk)?AndProbe\(\s*\w+,\s*\w+,\s*\"([^\"]+)\""),
+    re.compile(r"\bScanAndProbe\(\s*\w+,\s*\"([^\"]+)\""),
+    re.compile(r"\bScanDiskAndProbe\(\s*\w+,\s*\w+,\s*\"([^\"]+)\""),
 ]
 
 REPORT_PHASE_RE = re.compile(r"\bphase(?:\.phase)?\s*==\s*\"([^\"]+)\"")

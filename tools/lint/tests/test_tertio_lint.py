@@ -222,7 +222,8 @@ class SpanRegistryTest(unittest.TestCase):
         with LintTree() as tree:
             self.tree_with(tree,
                            'HashTapeToDisk(run, {.flush_phase = "hash-flush"});\n'
-                           'ScanAndProbe(ctx, pipe, "tape-scan", source);\n')
+                           'ScanAndProbe(pipe, "tape-scan", source);\n'
+                           'ScanDiskAndProbe(ctx, pipe, "tape-scan", extents);\n')
             code, out = tree.run("--rules=span-registry")
             self.assertEqual(code, 0, out)
 
@@ -230,13 +231,15 @@ class SpanRegistryTest(unittest.TestCase):
         with LintTree() as tree:
             self.tree_with(tree,
                            'HashTapeToDisk(run, {.flush_phase = "hash-flush"});\n'
-                           'ScanAndProbe(ctx, pipe, "tape-scan", source);\n'
+                           'ScanAndProbe(pipe, "tape-scan", source);\n'
                            'HashTapeToDisk(run, {.flush_phase = "hash-flsh"});\n'
-                           'ScanAndProbe(ctx, pipe, "tape-scn", source);\n')
+                           'ScanAndProbe(pipe, "tape-scn", source);\n'
+                           'ScanDiskAndProbe(ctx, pipe, "disk-scn", extents);\n')
             code, out = tree.run("--rules=span-registry")
             self.assertEqual(code, 1)
             self.assertIn('src/join/j.cc:3: [span-registry] phase label "hash-flsh"', out)
             self.assertIn('src/join/j.cc:4: [span-registry] phase label "tape-scn"', out)
+            self.assertIn('src/join/j.cc:5: [span-registry] phase label "disk-scn"', out)
 
 
 class PackSelectionTest(unittest.TestCase):
