@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 
 #include "join/simd.h"
@@ -12,18 +13,16 @@
 namespace tertio::join {
 namespace {
 
-/// Slots ahead of the current record whose cache lines are prefetched
-/// (the scalar kernels' lookahead ring, and the batched probe's second
-/// pipeline stage: filter test + conditional slot prefetch).
+/// Slots ahead of the current record whose cache lines are prefetched: the
+/// build kernels' lookahead ring, the scalar probe's, and the batched
+/// probe's walk over its selection vector.
 constexpr std::size_t kPrefetchDistance = 8;
 
-/// First pipeline stage of the batched probe: records are digested this far
-/// ahead and their Bloom filter word is prefetched. The filter is a few
-/// percent of the table and mostly cache-resident, so a short extra lead
-/// over kPrefetchDistance is enough to have the word loaded by test time.
-constexpr std::size_t kFilterDistance = 16;
-static_assert(kFilterDistance >= kPrefetchDistance,
-              "the filter stage must run ahead of the filter test");
+/// Records per batch of the batched probe: each of its decode, select and
+/// walk passes runs over this many records of one block (fewer at the
+/// block's end). The batch's columns and selection vector, 5 KiB, stay in
+/// L1.
+constexpr std::size_t kProbeBatch = 256;
 
 inline void PrefetchRead(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -98,11 +97,9 @@ void FlatJoinTable::Append(std::size_t idx, std::uint64_t digest, std::int64_t k
   }
 }
 
-Status FlatJoinTable::EmitChain(const Slot& slot, const rel::Tuple& probe, bool pipeline,
+Status FlatJoinTable::EmitChain(const Slot& slot, const rel::Tuple& probe,
+                                std::uint64_t probe_digest, bool pipeline,
                                 JoinOutput* out) const {
-  // The probe record's digest enters the pair checksum; it is computed here,
-  // on the match, so unmatched probes never hash their record bytes.
-  const std::uint64_t probe_digest = HashBytes(probe.bytes());
   const std::size_t record_bytes = build_schema_->record_bytes().value();
   std::uint32_t i = slot.first;
   std::uint64_t build_digest = slot.first_digest;
@@ -190,11 +187,12 @@ Status FlatJoinTable::AddBlocks(std::span<const BlockPayload> blocks) {
 
 Status FlatJoinTable::Probe(std::span<const BlockPayload> blocks,
                             const rel::Schema* probe_schema, std::size_t probe_key_column,
-                            JoinOutput* out) const {
+                            JoinOutput* out, DecodedColumnStore* store,
+                            std::size_t first_index) const {
   if (simd::ActiveLevel() == simd::Level::kScalar) {
     return ProbeScalar(blocks, probe_schema, probe_key_column, out);
   }
-  return ProbeBatched(blocks, probe_schema, probe_key_column, out);
+  return ProbeBatched(blocks, probe_schema, probe_key_column, out, store, first_index);
 }
 
 Status FlatJoinTable::AddBlocksScalar(std::span<const BlockPayload> blocks) {
@@ -262,7 +260,10 @@ Status FlatJoinTable::ProbeScalar(std::span<const BlockPayload> blocks,
       }
       rel::Tuple tuple(reader.record(i), probe_schema);
       const Slot& slot = slots_[FindScalar(digest, tuple.GetInt64(probe_key_column))];
-      if (slot.digest != 0) TERTIO_RETURN_IF_ERROR(EmitChain(slot, tuple, pipeline, out));
+      // The probe record's digest enters the pair checksum; it is computed
+      // on the match, so unmatched probes never hash their record bytes.
+      if (slot.digest == 0) continue;
+      TERTIO_RETURN_IF_ERROR(EmitChain(slot, tuple, HashBytes(tuple.bytes()), pipeline, out));
     }
   }
   return Status::OK();
@@ -304,58 +305,113 @@ Status FlatJoinTable::AddBlocksBatched(std::span<const BlockPayload> blocks) {
   return Status::OK();
 }
 
+const DecodedColumnStore::Entry& FlatJoinTable::StoredColumns(
+    DecodedColumnStore* store, std::size_t index, const BlockPayload& payload,
+    std::size_t record_count) const {
+  DecodedColumnStore::Entry& entry = store->entries_[index];
+  if (entry.payload == payload) return entry;
+  const std::uint8_t* base = payload->data() + rel::kBlockHeaderBytes.value();
+  const std::size_t record_bytes = store->schema_->record_bytes().value();
+  const std::size_t key_offset = store->schema_->offset(store->key_column_);
+  entry.payload = payload;
+  entry.keys.resize(record_count);
+  entry.key_digests.resize(record_count);
+  entry.record_digests.resize(record_count);
+  for (std::size_t i = 0; i < record_count; ++i) {
+    const std::uint8_t* record = base + i * record_bytes;
+    std::int64_t key = 0;
+    std::memcpy(&key, record + key_offset, sizeof(key));
+    entry.keys[i] = key;
+    entry.key_digests[i] = DigestOf(key);
+    entry.record_digests[i] = HashBytes(std::span<const std::uint8_t>(record, record_bytes));
+  }
+  return entry;
+}
+
 Status FlatJoinTable::ProbeBatched(std::span<const BlockPayload> blocks,
                                    const rel::Schema* probe_schema,
-                                   std::size_t probe_key_column, JoinOutput* out) const {
+                                   std::size_t probe_key_column, JoinOutput* out,
+                                   DecodedColumnStore* store, std::size_t first_index) const {
   if (records_.empty()) return Status::OK();
   const simd::Level level = simd::ActiveLevel();
   const bool pipeline = capture_records_ && out->has_sink();
-  for (const BlockPayload& payload : blocks) {
+  const std::size_t record_bytes = probe_schema->record_bytes().value();
+  const std::size_t key_offset = probe_schema->offset(probe_key_column);
+  if (store != nullptr) {
+    if (store->schema_ != probe_schema || store->key_column_ != probe_key_column ||
+        store->key_hash_ != key_hash_) {
+      // Columns decoded for another relation, key or hash: start over.
+      store->entries_.clear();
+      store->schema_ = probe_schema;
+      store->key_column_ = probe_key_column;
+      store->key_hash_ = key_hash_;
+    }
+    if (store->entries_.size() < first_index + blocks.size()) {
+      store->entries_.resize(first_index + blocks.size());
+    }
+  }
+  std::int64_t batch_keys[kProbeBatch];
+  std::uint64_t batch_digests[kProbeBatch];
+  std::uint32_t selected[kProbeBatch];
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    // Open checks the header: the record count fits the payload, which is
+    // what bounds every record address below.
     TERTIO_ASSIGN_OR_RETURN(rel::BlockReader reader,
-                            rel::BlockReader::Open(payload, probe_schema));
-    const std::uint64_t n = reader.record_count();
+                            rel::BlockReader::Open(blocks[b], probe_schema));
+    const std::size_t n = reader.record_count();
     if (n == 0) continue;
-    // Two-stage software pipeline. Stage one (kFilterDistance ahead):
-    // digest the record and prefetch its Bloom filter word. Stage two
-    // (kPrefetchDistance ahead): test the filter — the word has had half a
-    // ring of lead time to arrive — and prefetch the slot line only for
-    // digests that may be present. By the time a surviving record is
-    // processed its slot line has been in flight for kPrefetchDistance
-    // records; rejected records skip the slot array entirely.
-    std::uint64_t digests[kFilterDistance];
-    std::int64_t keys[kFilterDistance];
-    bool may_match[kPrefetchDistance];
-    auto stage_digest = [&](BlockCount j) {
-      rel::Tuple tuple(reader.record(j.value()), probe_schema);
-      const std::int64_t key = tuple.GetInt64(probe_key_column);
-      const std::uint64_t digest = DigestOf(key);
-      keys[(j % kFilterDistance).value()] = key;
-      digests[(j % kFilterDistance).value()] = digest;
-      PrefetchRead(&bloom_[BloomWordOf(digest)]);
-    };
-    auto stage_filter = [&](BlockCount j) {
-      const std::uint64_t digest = digests[(j % kFilterDistance).value()];
-      const bool may = BloomMayContain(digest);
-      may_match[(j % kPrefetchDistance).value()] = may;
-      if (may) PrefetchRead(&slots_[static_cast<std::size_t>(digest) & mask_]);
-    };
-    const std::uint64_t lead_digest = std::min<std::uint64_t>(n, kFilterDistance);
-    for (BlockCount j = 0; j < lead_digest; ++j) stage_digest(j);
-    const std::uint64_t lead_filter = std::min<std::uint64_t>(n, kPrefetchDistance);
-    for (BlockCount j = 0; j < lead_filter; ++j) stage_filter(j);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      // Read the current record's ring entries before the stage calls below
-      // reuse the same ring positions (i + D ≡ i mod D).
-      const std::uint64_t digest = digests[i % kFilterDistance];
-      const std::int64_t key = keys[i % kFilterDistance];
-      const bool walk = may_match[i % kPrefetchDistance];
-      if (i + kFilterDistance < n) stage_digest(i + kFilterDistance);
-      if (i + kPrefetchDistance < n) stage_filter(i + kPrefetchDistance);
-      if (!walk) continue;
-      const Slot& slot = slots_[FindBatched(level, digest, key)];
-      if (slot.digest == 0) continue;
-      TERTIO_RETURN_IF_ERROR(EmitChain(slot, rel::Tuple(reader.record(i), probe_schema),
-                                       pipeline, out));
+    const std::uint8_t* base = blocks[b]->data() + rel::kBlockHeaderBytes.value();
+    const DecodedColumnStore::Entry* stored =
+        store != nullptr ? &StoredColumns(store, first_index + b, blocks[b], n) : nullptr;
+    for (std::size_t start = 0; start < n; start += kProbeBatch) {
+      const std::size_t m = std::min(kProbeBatch, n - start);
+      // Decode: every record's key and key digest (taken from the store
+      // when it holds the block), prefetching the key's filter word.
+      const std::int64_t* keys = batch_keys;
+      const std::uint64_t* digests = batch_digests;
+      if (stored != nullptr) {
+        keys = stored->keys.data() + start;
+        digests = stored->key_digests.data() + start;
+      } else {
+        const std::uint8_t* record = base + start * record_bytes + key_offset;
+        for (std::size_t i = 0; i < m; ++i, record += record_bytes) {
+          std::memcpy(&batch_keys[i], record, sizeof(std::int64_t));
+          batch_digests[i] = DigestOf(batch_keys[i]);
+        }
+      }
+      for (std::size_t i = 0; i < m; ++i) PrefetchRead(&bloom_[BloomWordOf(digests[i])]);
+      // Select: the records the filter passes, in record order. Every
+      // index is written and the count advances only on a pass, so the
+      // loop has no data-dependent branch.
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < m; ++i) {
+        selected[count] = static_cast<std::uint32_t>(i);
+        count += BloomMayContain(digests[i]) ? 1 : 0;
+      }
+      // Walk: only the selected records, their slot lines prefetched
+      // kPrefetchDistance selections ahead.
+      const std::size_t lead = std::min(count, kPrefetchDistance);
+      for (std::size_t k = 0; k < lead; ++k) {
+        PrefetchRead(&slots_[static_cast<std::size_t>(digests[selected[k]]) & mask_]);
+      }
+      for (std::size_t k = 0; k < count; ++k) {
+        if (k + kPrefetchDistance < count) {
+          PrefetchRead(
+              &slots_[static_cast<std::size_t>(digests[selected[k + kPrefetchDistance]]) &
+                      mask_]);
+        }
+        const std::size_t i = selected[k];
+        const Slot& slot = slots_[FindBatched(level, digests[i], keys[i])];
+        if (slot.digest == 0) continue;
+        const rel::Tuple probe(
+            std::span<const std::uint8_t>(base + (start + i) * record_bytes, record_bytes),
+            probe_schema);
+        // Without a store the probe record is hashed here, on the match.
+        const std::uint64_t probe_digest = stored != nullptr
+                                               ? stored->record_digests[start + i]
+                                               : HashBytes(probe.bytes());
+        TERTIO_RETURN_IF_ERROR(EmitChain(slot, probe, probe_digest, pipeline, out));
+      }
     }
   }
   return Status::OK();

@@ -14,9 +14,10 @@
 /// in O(1) and a unique key's probe touches the slot line only. A hot key
 /// therefore costs one slot however many copies it has: its inserts never
 /// walk past earlier copies, and a probe stops at the key's slot and walks
-/// only that key's records. AddBlocks and Probe run a short
-/// software-prefetch pipeline over the slot array, so the dependent cache
-/// miss per tuple largely overlaps with decoding the next records.
+/// only that key's records. AddBlocks runs a short software-prefetch ring
+/// over the slot array, and the batched probe works a block at a time, so
+/// the dependent cache miss per tuple largely overlaps with other records'
+/// work.
 ///
 /// Probes compare the stored 64-bit key digest first and the key itself only
 /// on digest equality; a digest collision between unequal keys therefore
@@ -26,15 +27,17 @@
 /// Two kernel generations coexist behind a runtime dispatch (join/simd.h):
 /// per-record loops with per-slot walks (the forced-scalar reference,
 /// selected with TERTIO_SIMD=scalar or simd::SetLevelForTest) and a batched
-/// kernel built as a two-stage software pipeline. Stage one digests records
-/// a full filter distance ahead and prefetches their blocked-Bloom filter
-/// word; stage two tests the filter half a ring later and prefetches the
-/// slot line only for digests that may be present. Probes the filter
-/// rejects — the common case for selective joins — never touch the slot
-/// array at all; survivors walk the slot array with SSE2/NEON group-of-four
-/// digest compares. Both kernels find the same slot for every key and share
-/// the insert and chain-walk code, so they build identical tables and emit
-/// the identical match sequence (tests/flat_table_simd_test.cc).
+/// probe that takes each block in fixed-size batches and makes three passes
+/// over a batch. Decode reads every record's key at one fixed offset,
+/// digests it and prefetches its blocked-Bloom filter word; select collects,
+/// without branches, the records the filter passes into a selection vector;
+/// walk visits only those, in record order, prefetching slot lines a fixed
+/// distance ahead. Probes the filter rejects — the common case for selective
+/// joins — never touch the slot array at all; survivors walk the slot array
+/// with SSE2/NEON group-of-four digest compares. Both kernels find the same
+/// slot for every key and share the insert and chain-walk code, so they
+/// build identical tables and emit the identical match sequence
+/// (tests/flat_table_simd_test.cc).
 
 #include <cstdint>
 #include <span>
@@ -57,6 +60,41 @@ enum class Level : int;  // join/simd.h
 /// compare. Injectable so tests can force digest collisions; production code
 /// always uses hash::HashKey (a 64-bit bijection).
 using KeyHashFn = std::uint64_t (*)(std::int64_t);
+
+/// The decode pass of probe blocks that are probed more than once, kept
+/// across probes: per block, every record's key, key digest and record
+/// digest (HashBytes), 24 bytes per record. NB Step II streams all of R
+/// through a fresh table for every memory load of S; through a store, each
+/// R block is decoded and hashed on its first pass only.
+///
+/// Entries are indexed by a caller-chosen block index (NB: the block's
+/// offset within R). An entry is reused only for the very payload object it
+/// was decoded from: payloads are immutable shared buffers, and the entry's
+/// reference keeps the object, and so its address, alive. Any other payload
+/// at an index is decoded again, and so is every entry when the store is
+/// probed with another schema, key column or key hash. Nothing is allocated
+/// until the first real probe; the forced-scalar kernel ignores the store.
+class DecodedColumnStore {
+ public:
+  /// Block indices the store has entries for (one past the highest probed).
+  std::size_t size() const { return entries_.size(); }
+
+ private:
+  friend class FlatJoinTable;
+
+  struct Entry {
+    /// The block these columns were decoded from; null until decoded.
+    BlockPayload payload;
+    std::vector<std::int64_t> keys;
+    std::vector<std::uint64_t> key_digests;
+    std::vector<std::uint64_t> record_digests;
+  };
+
+  const rel::Schema* schema_ = nullptr;
+  std::size_t key_column_ = 0;
+  KeyHashFn key_hash_ = nullptr;
+  std::vector<Entry> entries_;
+};
 
 /// In-memory hash table over the build side of one (sub-)join.
 ///
@@ -83,9 +121,12 @@ class FlatJoinTable {
 
   /// Probes every tuple in `blocks` (from the other relation), emitting all
   /// matching pairs into `out`: per probe record, its key's build records
-  /// in insertion order.
+  /// in insertion order. With a `store`, blocks[i] is the store's block
+  /// `first_index + i`, and the batched kernel takes its decode pass from
+  /// the store (decoding into it what it does not hold).
   Status Probe(std::span<const BlockPayload> blocks, const rel::Schema* probe_schema,
-               std::size_t probe_key_column, JoinOutput* out) const;
+               std::size_t probe_key_column, JoinOutput* out,
+               DecodedColumnStore* store = nullptr, std::size_t first_index = 0) const;
 
   /// Build records in the table.
   std::uint64_t size() const { return records_.size(); }
@@ -139,9 +180,10 @@ class FlatJoinTable {
   /// own slot or the empty slot where the key goes.
   void Append(std::size_t idx, std::uint64_t digest, std::int64_t key,
               std::span<const std::uint8_t> bytes);
-  /// Emits the pairs of `probe` with every build record of `slot`'s key.
-  Status EmitChain(const Slot& slot, const rel::Tuple& probe, bool pipeline,
-                   JoinOutput* out) const;
+  /// Emits the pairs of `probe`, whose record digest is `probe_digest`, with
+  /// every build record of `slot`'s key.
+  Status EmitChain(const Slot& slot, const rel::Tuple& probe, std::uint64_t probe_digest,
+                   bool pipeline, JoinOutput* out) const;
 
   /// Per-record loops with per-slot walks — the reference semantics the
   /// batched kernels must reproduce exactly, and the baseline of the probe_*
@@ -150,11 +192,19 @@ class FlatJoinTable {
   Status ProbeScalar(std::span<const BlockPayload> blocks, const rel::Schema* probe_schema,
                      std::size_t probe_key_column, JoinOutput* out) const;
 
-  /// Batched kernels: two-stage digest/filter pipeline + SIMD group-of-four
-  /// slot compares (join/simd.h).
+  /// Batched kernels: the build's prefetch ring and the probe's
+  /// decode/select/walk passes, both with SIMD group-of-four slot compares
+  /// (join/simd.h).
   Status AddBlocksBatched(std::span<const BlockPayload> blocks);
   Status ProbeBatched(std::span<const BlockPayload> blocks, const rel::Schema* probe_schema,
-                      std::size_t probe_key_column, JoinOutput* out) const;
+                      std::size_t probe_key_column, JoinOutput* out, DecodedColumnStore* store,
+                      std::size_t first_index) const;
+  /// The store's columns of `payload` (a block of `record_count` records of
+  /// the store's schema), decoded into its entry `index` unless the entry
+  /// holds that payload.
+  const DecodedColumnStore::Entry& StoredColumns(DecodedColumnStore* store, std::size_t index,
+                                                 const BlockPayload& payload,
+                                                 std::size_t record_count) const;
 
   /// Blocked Bloom prefilter over the stored digests: one 64-bit filter word
   /// per eight slots, four bits per key, all drawn from digest bits the slot
@@ -183,7 +233,7 @@ class FlatJoinTable {
   /// Power-of-two size, linear probing, max load 0.7 over distinct keys.
   /// Hugepage-backed above 2 MiB: paper-scale tables have page working sets
   /// far beyond the dTLB on 4 KiB pages, and x86 drops prefetches that miss
-  /// the dTLB — THP backing is what makes both kernels' prefetch pipelines
+  /// the dTLB — THP backing is what makes both kernels' prefetches
   /// effective (util/hugepage.h).
   std::vector<Slot, util::HugePageAllocator<Slot>> slots_;
   std::size_t mask_ = 0;

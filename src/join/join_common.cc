@@ -13,17 +13,18 @@ namespace {
 /// (Section 3.2); the sink exists so consumption is a declared stage.
 class ProbeSink final : public sim::BlockSink {
  public:
-  /// `table` may be null (scan without probing, e.g. an empty build side).
+  /// `table` may be null (scan without probing, e.g. an empty build side);
+  /// `store`, when set, holds the decoded blocks by their offset in the scan.
   ProbeSink(const FlatJoinTable* table, const rel::Schema* probe_schema,
-            std::size_t probe_key_column, JoinOutput* out)
-      : table_(table), schema_(probe_schema), key_(probe_key_column), out_(out) {}
+            std::size_t probe_key_column, JoinOutput* out, DecodedColumnStore* store)
+      : table_(table), schema_(probe_schema), key_(probe_key_column), out_(out), store_(store) {}
 
   Result<sim::Interval> Write(BlockCount offset, BlockCount count, SimSeconds ready,
                               std::vector<BlockPayload>* payloads) override {
-    (void)offset;
     (void)count;
     if (payloads != nullptr && table_ != nullptr) {
-      TERTIO_RETURN_IF_ERROR(table_->Probe(*payloads, schema_, key_, out_));
+      TERTIO_RETURN_IF_ERROR(table_->Probe(*payloads, schema_, key_, out_, store_,
+                                           static_cast<std::size_t>(offset.value())));
     }
     return sim::Interval::At(ready);
   }
@@ -41,6 +42,7 @@ class ProbeSink final : public sim::BlockSink {
   const rel::Schema* schema_;
   std::size_t key_;
   JoinOutput* out_;
+  DecodedColumnStore* store_;
 };
 
 /// Aggregated fault counters of every device in `ctx` (drives + disks);
@@ -212,8 +214,8 @@ Result<sim::StageId> ScanAndProbe(sim::Pipeline& pipe, std::string_view phase,
                                   BlockCount chunk_blocks, std::span<const sim::StageId> deps,
                                   bool phantom, const rel::Schema* probe_schema,
                                   std::size_t probe_key, const FlatJoinTable* table,
-                                  JoinOutput* out) {
-  ProbeSink sink(table, probe_schema, probe_key, out);
+                                  JoinOutput* out, DecodedColumnStore* store) {
+  ProbeSink sink(table, probe_schema, probe_key, out, store);
   sim::Pipeline::TransferPlan plan;
   plan.read_phase = phase;
   plan.write_phase = "probe";

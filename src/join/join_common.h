@@ -8,7 +8,8 @@
 /// fills the statistics all methods share in one Finish(). The data movement
 /// the methods have in common lives here as well:
 ///  * StageRelationToDisk copies a relation from tape to disk (NB Step I);
-///  * ScanAndProbe / ScanDiskAndProbe stream blocks through a hash table;
+///  * ScanAndProbe / ScanDiskAndProbe stream blocks through a hash table
+///    (NB Step II through a DecodedColumnStore, as it re-scans R);
 ///  * HashTapeToDisk streams tape blocks into a hash::DiskPartitioner and
 ///    flushes it (DT-GH/CDT-GH Step I, every S slab, and the CTT-GH/TT-GH
 ///    assembly scans);
@@ -134,14 +135,15 @@ inline Result<StagedRelation> StageRelationToDisk(const JoinContext& ctx, sim::P
 
 /// Streams `total` blocks of `source` in `chunk_blocks` requests starting no
 /// earlier than `deps`; when `table` is non-null each chunk is probed into
-/// `out`. Reads stream (chunk i+1 follows chunk i). \returns the stage
-/// completing the scan (a barrier after `deps` when `total` is 0).
+/// `out`, through `store` (entries indexed by block offset in the scan) when
+/// one is given. Reads stream (chunk i+1 follows chunk i). \returns the
+/// stage completing the scan (a barrier after `deps` when `total` is 0).
 Result<sim::StageId> ScanAndProbe(sim::Pipeline& pipe, std::string_view phase,
                                   sim::BlockSource& source, BlockCount total,
                                   BlockCount chunk_blocks, std::span<const sim::StageId> deps,
                                   bool phantom, const rel::Schema* probe_schema,
                                   std::size_t probe_key, const FlatJoinTable* table,
-                                  JoinOutput* out);
+                                  JoinOutput* out, DecodedColumnStore* store = nullptr);
 
 /// ScanAndProbe over `extents` (a disk-resident relation or bucket).
 Result<sim::StageId> ScanDiskAndProbe(const JoinContext& ctx, sim::Pipeline& pipe,

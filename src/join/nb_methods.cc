@@ -4,8 +4,9 @@
 ///
 /// All three stage R on disk (Step I, StageRelationToDisk) and then iterate
 /// over S in memory-sized chunks, building a table over each chunk and
-/// streaming R from disk through it (Step II, ScanAndProbe). They differ
-/// only in how the S chunks are buffered:
+/// streaming R from disk through it (Step II, ScanAndProbe, decoding each R
+/// block once per join into a DecodedColumnStore). They differ only in how
+/// the S chunks are buffered:
 ///   DT-NB      — one memory buffer, strictly sequential;
 ///   CDT-NB/MB  — two half-size memory buffers, tape read of chunk i+1
 ///                overlaps the join of chunk i;
@@ -61,10 +62,13 @@ Result<NbGeometry> PlanNb(NbMode mode, const JoinSpec& spec, const JoinContext& 
 /// Joins one memory-resident S chunk against disk-resident R: builds a hash
 /// table over the chunk and streams R through it in Mr-block requests.
 /// Every pass reads through the one `r_source` of Step II, so the chunk
-/// profiles of a pass are reused by the next (disk/striped_group.h).
+/// profiles of a pass are reused by the next (disk/striped_group.h), and
+/// probes through the one `r_columns`, so a pass decodes only the R blocks
+/// an earlier pass did not deliver.
 /// \returns the stage completing the pass over R.
 Result<sim::StageId> JoinChunkAgainstR(JoinRun& run, disk::ExtentReadSource& r_source,
-                                       BlockCount mr, const std::vector<BlockPayload>& chunk,
+                                       DecodedColumnStore& r_columns, BlockCount mr,
+                                       const std::vector<BlockPayload>& chunk,
                                        std::initializer_list<sim::StageId> deps) {
   sim::Pipeline& pipe = run.pipe;
   FlatJoinTable table(&run.spec.s->schema, run.spec.s_key_column, /*build_is_r=*/false,
@@ -75,7 +79,7 @@ Result<sim::StageId> JoinChunkAgainstR(JoinRun& run, disk::ExtentReadSource& r_s
   return ScanAndProbe(pipe, "r-scan", r_source, run.spec.r->blocks, mr,
                       std::span<const sim::StageId>(deps.begin(), deps.size()), run.phantom,
                       &run.spec.r->schema, run.spec.r_key_column,
-                      run.phantom ? nullptr : &table, &run.output);
+                      run.phantom ? nullptr : &table, &run.output, &r_columns);
 }
 
 Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
@@ -107,6 +111,10 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
       StageRelationToDisk(ctx, pipe, ctx.drive_r, r, g.ms, mode != NbMode::kSequential,
                           "R-copy", {}));
   disk::ExtentReadSource r_source(ctx.disks, &staged.space.extents());
+  // R's decoded blocks, by offset in R: passes after the first probe the
+  // columns the first one decoded (24 bytes per R tuple, freed when the
+  // join returns; a timing-only join allocates nothing).
+  DecodedColumnStore r_columns;
   stats.peak_disk_blocks = ctx.disks->allocator().used_blocks();
   sim::StageId finish_stage = staged.done_stage;
 
@@ -128,7 +136,8 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
                                  s.start_block + off, take, phantom ? nullptr : &chunk,
                                  kChunkRetryLimit));
       TERTIO_ASSIGN_OR_RETURN(join_chain,
-                              JoinChunkAgainstR(run, r_source, g.mr, chunk, {read, join_chain}));
+                              JoinChunkAgainstR(run, r_source, r_columns, g.mr, chunk,
+                                                {read, join_chain}));
       drained[i % buffers] = join_chain;
       stats.iterations += 1;
     }
@@ -223,7 +232,8 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
           next.push_back(piece);
         }
       }
-      TERTIO_ASSIGN_OR_RETURN(join_chain, JoinChunkAgainstR(run, r_source, g.mr, chunk, {t}));
+      TERTIO_ASSIGN_OR_RETURN(join_chain,
+                              JoinChunkAgainstR(run, r_source, r_columns, g.mr, chunk, {t}));
       stats.iterations += 1;
       current = std::move(next);
       off = next_off;

@@ -1,19 +1,24 @@
 // Forced-scalar vs SIMD FlatJoinTable equivalence (join/simd.h dispatch).
 //
-// The batched kernels (Bloom-prefiltered two-stage pipeline + group-of-four
-// digest compares) must build the same table as the original scalar loops
-// and emit exactly the same match sequence on every workload shape:
-// uniform, foreign-key, Zipf-skewed on either side, all-one-key, and
-// selective (miss-heavy) key distributions, wide records, seeded digest
-// collisions, and the record-capturing pipeline mode. Build and probe modes
-// are also crossed (scalar build + SIMD probe and vice versa): the Bloom
-// filter is table state maintained by every insert path, so a mode switch
-// between build and probe must not lose matches.
+// The batched kernels (the build's prefetch ring, the probe's block-at-a-time
+// decode/select/walk passes, and group-of-four digest compares) must build
+// the same table as the original scalar loops and emit exactly the same
+// match sequence on every workload shape: uniform, foreign-key, Zipf-skewed
+// on either side, all-one-key, and selective (miss-heavy) key
+// distributions, narrow records (a block of more records than one probe
+// batch) and wide ones, seeded digest collisions, and the record-capturing
+// pipeline mode. Build and probe modes are also crossed (scalar build + SIMD
+// probe and vice versa): the Bloom filter is table state maintained by every
+// insert path, so a mode switch between build and probe must not lose
+// matches. Edge blocks (empty, all rejected by the filter, all passing it,
+// a header count the payload cannot hold) and probes through a
+// DecodedColumnStore hold to the same reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -118,6 +123,10 @@ const WorkloadCase kWorkloads[] = {
      30000, 24},
     {"wide-records", rel::KeySequence::kUniformRandom, rel::KeySequence::kUniformRandom, 200,
      200, 256},
+    // 16-byte records: 511 to an 8 KiB block, more than one probe batch;
+    // half of the probe keys miss.
+    {"narrow-records", rel::KeySequence::kUniformRandom, rel::KeySequence::kUniformRandom, 400,
+     800, 16},
     // Duplicate-heavy build sides: a hot key holding about a third of R,
     // and R made of one key that a quarter of S matches.
     {"build-zipf-1.5", rel::KeySequence::kZipf, rel::KeySequence::kForeignKeyUniform, 400, 400,
@@ -318,6 +327,168 @@ TEST(FlatTableSimdTest, ClearResetsThePrefilter) {
       RunAtLevels(simd::Level::kScalar, simd::Level::kScalar, r, s);
   EXPECT_EQ(out.tuples(), reference.tuples);
   EXPECT_EQ(out.checksum(), reference.checksum);
+}
+
+/// One block of 16-byte KeyPayload records with keys first, first + 1, ...
+/// (`count` of them; 0 gives an empty block).
+BlockPayload BlockOfKeys(const rel::Schema& schema, std::int64_t first, std::uint64_t count) {
+  rel::BlockBuilder builder(&schema, kBlock);
+  rel::TupleBuilder tuple(&schema);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    tuple.SetInt64(0, first + static_cast<std::int64_t>(i)).SetFixedChar(1, std::to_string(i));
+    TERTIO_CHECK(builder.Append(tuple.bytes()).ok(), "block overflow");
+  }
+  return builder.Finish();
+}
+
+GeneratedBlocks BlocksOf(const rel::Schema& schema, std::vector<BlockPayload> blocks) {
+  GeneratedBlocks g;
+  g.relation.schema = schema;
+  g.blocks = std::move(blocks);
+  return g;
+}
+
+/// Keys below 10^6 digest to values under 2^32, whose four Bloom bits are
+/// all bit 0 of filter word 0; keys from 10^6 on digest with bit 38 set, so
+/// each needs bit 1 as well, which no key below 10^6 sets. A table over the
+/// small keys therefore rejects every large probe key at the filter.
+std::uint64_t FilterSplitKeyHash(std::int64_t key) {
+  const auto k = static_cast<std::uint64_t>(key);
+  return key < 1000000 ? k + 1 : k | (1ull << 38);
+}
+
+/// Blocks at the edges of the batched probe's passes — an empty block
+/// between full ones, a block of 511 records that all pass the Bloom
+/// filter, and one whose every record the filter rejects — give the scalar
+/// reference's pairs in its order.
+TEST(FlatTableSimdTest, EdgeBlocksMatchScalar) {
+  const rel::Schema schema = rel::Schema::KeyPayload(16);
+  const GeneratedBlocks r =
+      BlocksOf(schema, {BlockOfKeys(schema, 0, 511), BlockOfKeys(schema, 511, 489)});
+  struct EdgeCase {
+    const char* name;
+    GeneratedBlocks s;
+    std::uint64_t tuples;
+    KeyHashFn key_hash;
+  };
+  const EdgeCase cases[] = {
+      {"empty blocks around a block across batches",
+       BlocksOf(schema, {BlockOfKeys(schema, 0, 0), BlockOfKeys(schema, 500, 300),
+                         BlockOfKeys(schema, 0, 0)}),
+       300, nullptr},
+      {"every record passes the filter", BlocksOf(schema, {BlockOfKeys(schema, 0, 511)}), 511,
+       nullptr},
+      {"no record passes the filter", BlocksOf(schema, {BlockOfKeys(schema, 1000000, 511)}), 0,
+       &FilterSplitKeyHash},
+  };
+  for (const EdgeCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ProbeResult reference = RunAtLevels(simd::Level::kScalar, simd::Level::kScalar, r, c.s,
+                                              /*pipeline=*/true, c.key_hash);
+    EXPECT_EQ(reference.tuples, c.tuples);
+    const simd::Level best = simd::BestSupportedLevel();
+    ExpectSameResult(RunAtLevels(best, best, r, c.s, /*pipeline=*/true, c.key_hash), reference);
+  }
+}
+
+/// A header whose record count the payload cannot hold is rejected by
+/// BlockReader::Open in both kernels: it is the batched kernel's only
+/// bounds guard, since that kernel addresses record i at base + i * width.
+TEST(FlatTableSimdTest, AHeaderCountPastThePayloadIsInvalidArgument) {
+  const rel::Schema schema = rel::Schema::KeyPayload(16);
+  FlatJoinTable table(&schema, 0, /*build_is_r=*/true);
+  ASSERT_TRUE(table.AddBlocks(std::vector<BlockPayload>{BlockOfKeys(schema, 0, 100)}).ok());
+  std::vector<std::uint8_t> bytes = *BlockOfKeys(schema, 0, 511);
+  const std::uint32_t count = 512;  // one record past what 8 KiB holds
+  std::memcpy(bytes.data() + sizeof(std::uint32_t), &count, sizeof(count));
+  const std::vector<BlockPayload> probe = {MakePayload(std::move(bytes))};
+  for (simd::Level level : {simd::Level::kScalar, simd::BestSupportedLevel()}) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::SetLevelForTest(level);
+    JoinOutput out;
+    EXPECT_EQ(table.Probe(probe, &schema, 0, &out).code(), StatusCode::kInvalidArgument);
+    DecodedColumnStore store;
+    EXPECT_EQ(table.Probe(probe, &schema, 0, &out, &store).code(),
+              StatusCode::kInvalidArgument);
+    simd::ResetLevelForTest();
+    EXPECT_EQ(out.tuples(), 0u);
+  }
+}
+
+/// Probes `s` through one table over `r` at the best level, `passes` times,
+/// logging the match sequence. With a store, the first pass delivers all
+/// blocks in one call and later ones a block at a time, at the block's
+/// index, as a scan in one-block chunks would.
+ProbeResult ProbePasses(const GeneratedBlocks& r, const GeneratedBlocks& s, int passes,
+                        DecodedColumnStore* store, KeyHashFn key_hash = nullptr) {
+  simd::SetLevelForTest(simd::BestSupportedLevel());
+  FlatJoinTable table(&r.relation.schema, 0, /*build_is_r=*/true, /*capture_records=*/true,
+                      key_hash);
+  TERTIO_CHECK(table.AddBlocks(r.blocks).ok(), "build failed");
+  ProbeResult result;
+  JoinOutput out;
+  out.set_sink([&result](const rel::Tuple& rt, const rel::Tuple& st) {
+    result.pairs.emplace_back(HashBytes(rt.bytes()), HashBytes(st.bytes()));
+    return Status::OK();
+  });
+  for (int pass = 0; pass < passes; ++pass) {
+    if (pass == 0 || store == nullptr) {
+      TERTIO_CHECK(table.Probe(s.blocks, &s.relation.schema, 0, &out, store).ok(),
+                   "probe failed");
+      continue;
+    }
+    for (std::size_t i = 0; i < s.blocks.size(); ++i) {
+      TERTIO_CHECK(table.Probe(std::span<const BlockPayload>(&s.blocks[i], 1),
+                               &s.relation.schema, 0, &out, store, i)
+                       .ok(),
+                   "probe failed");
+    }
+  }
+  simd::ResetLevelForTest();
+  result.tuples = out.tuples();
+  result.checksum = out.checksum();
+  result.table_size = table.size();
+  result.distinct_keys = table.distinct_keys();
+  return result;
+}
+
+/// A second pass through a store probes the columns the first one decoded:
+/// on every workload shape it gives the tuples, checksum and sink sequence
+/// of two probes without one, and the store holds one entry per block.
+TEST(DecodedColumnStoreTest, TwoPassesThroughOneStoreEqualTwoFreshProbes) {
+  for (const WorkloadCase& c : kWorkloads) {
+    SCOPED_TRACE(c.name);
+    auto [r, s] = Generate(c);
+    const ProbeResult fresh = ProbePasses(r, s, 2, nullptr);
+    EXPECT_EQ(fresh.pairs.size(), fresh.tuples);
+    DecodedColumnStore store;
+    ExpectSameResult(ProbePasses(r, s, 2, &store), fresh);
+    // Only the batched kernel reads and fills the store.
+    const bool batched = simd::BestSupportedLevel() != simd::Level::kScalar;
+    EXPECT_EQ(store.size(), batched ? s.blocks.size() : 0u);
+  }
+}
+
+/// An entry serves only the payload object it was decoded from: other
+/// payloads at the same indices, under the same schema object, and a table
+/// with another key hash are decoded again and probe exactly as without a
+/// store.
+TEST(DecodedColumnStoreTest, AnotherPayloadAtAStoredIndexIsDecodedAgain) {
+  const WorkloadCase& c = kWorkloads[1];  // many-to-many
+  auto [r, s] = Generate(c);
+  WorkloadCase other = c;
+  other.s_domain = 60;  // other keys, same block count
+  std::vector<BlockPayload> other_blocks = Generate(other).second.blocks;
+  ASSERT_EQ(other_blocks.size(), s.blocks.size());
+  DecodedColumnStore store;
+  const ProbeResult first = ProbePasses(r, s, 1, nullptr);
+  ExpectSameResult(ProbePasses(r, s, 1, &store), first);
+  s.blocks = std::move(other_blocks);
+  const ProbeResult fresh = ProbePasses(r, s, 1, nullptr);
+  EXPECT_NE(fresh.checksum, first.checksum);
+  ExpectSameResult(ProbePasses(r, s, 1, &store), fresh);
+  ExpectSameResult(ProbePasses(r, s, 1, &store, &TwoValuedKeyHash),
+                   ProbePasses(r, s, 1, nullptr, &TwoValuedKeyHash));
 }
 
 /// Dispatch plumbing: the test hooks clamp to the best supported level, and

@@ -7,9 +7,11 @@
 #include "exec/experiment.h"
 #include "join/advisor.h"
 #include "join/flat_table.h"
+#include "join/join_common.h"
 #include "join/join_method.h"
 #include "join/legacy_table.h"
 #include "join/reference_join.h"
+#include "join/simd.h"
 #include "relation/block.h"
 #include "relation/generator.h"
 #include "relation/tuple.h"
@@ -380,6 +382,47 @@ TEST(TapeTapeOnlyTest, DiskTapeMethodsRejectDiskSmallerThanR) {
   }
 }
 
+/// Pins an open TT-GH defect: when every S tuple shares one key, the one S
+/// bucket holds all of S and outgrows the disk assembly area Table 2 sizes
+/// for uniform hashing. Requirements() admits the input, and Execute fails
+/// with ResourceExhausted at every disk size tried. The failure is clean:
+/// no abort, and the session's drives, memory and disk are left as they
+/// were.
+TEST(TapeTapeOnlyTest, TtGhFailsCleanlyWhenOneSKeyOutgrowsTheAssemblyArea) {
+  Workload w = DefaultWorkload();
+  w.s.keys = rel::KeySequence::kUniformRandom;
+  w.s.key_domain = 1;
+  for (std::uint64_t disk_blocks : {24u, 64u, 96u}) {
+    SCOPED_TRACE(disk_blocks);
+    exec::Site site(SmallSite(disk_blocks * kBlock, 16 * kBlock));
+    std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
+    auto prepared = exec::PrepareWorkload(session.get(), w.r, w.s);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    const BlockCount tape_r_size = prepared->tape_r->size_blocks();
+    const BlockCount tape_s_size = prepared->tape_s->size_blocks();
+    JoinSpec spec;
+    spec.r = &prepared->r;
+    spec.s = &prepared->s;
+    join::JoinContext ctx = session->context();
+    auto executor = CreateJoinMethod(JoinMethodId::kTtGh);
+    auto needs = executor->Requirements(spec, ctx);
+    ASSERT_TRUE(needs.ok()) << needs.status();
+    EXPECT_EQ(needs->memory_blocks, 16u);
+    EXPECT_GE(needs->disk_blocks, 5u);
+    EXPECT_LE(needs->disk_blocks, 9u);
+    auto stats = executor->Execute(spec, ctx);
+    EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(stats.status().message().find("tag=tape-assembly"), std::string::npos)
+        << stats.status();
+    EXPECT_EQ(session->memory().reserved_blocks(), 0u);
+    EXPECT_EQ(session->disks().allocator().used_blocks(), 0u);
+    EXPECT_EQ(ctx.drive_r->volume(), prepared->tape_r.get());
+    EXPECT_EQ(ctx.drive_s->volume(), prepared->tape_s.get());
+    EXPECT_EQ(prepared->tape_r->size_blocks(), tape_r_size);
+    EXPECT_EQ(prepared->tape_s->size_blocks(), tape_s_size);
+  }
+}
+
 TEST(ValidationTest, SwappedRelationsRejected) {
   exec::Site site(SmallSite());
   std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
@@ -496,6 +539,52 @@ TEST(EmptyBucketTest, ScanOfAnEmptyRBucketsSBucketWaitsForItsLastWrite) {
   for (const auto* result : {&cdt, &dt}) {
     EXPECT_EQ((*result)->stats.output_tuples, (*result)->reference.tuples());
     EXPECT_EQ((*result)->stats.output_checksum, (*result)->reference.checksum());
+  }
+}
+
+/// NB Step II probes R through a DecodedColumnStore. The scan it issues
+/// (JoinChunkAgainstR's ScanAndProbe call) fills one entry per R block when
+/// real tuples move through the batched kernel (the forced-scalar one
+/// ignores the store), and none in a timing-only run, which has no table
+/// and no payloads: a phantom NB join allocates no store entry.
+TEST(DecodedColumnStoreTest, OnlyARealScanFillsTheStore) {
+  const bool batched = simd::BestSupportedLevel() != simd::Level::kScalar;
+  for (bool phantom : {false, true}) {
+    SCOPED_TRACE(phantom ? "phantom" : "real");
+    exec::Site site(SmallSite());
+    std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
+    exec::WorkloadConfig timing_only;
+    timing_only.r_bytes = 40 * kBlock;
+    timing_only.s_bytes = 200 * kBlock;
+    const Workload w = DefaultWorkload();
+    auto prepared = phantom ? exec::PrepareWorkload(session.get(), timing_only)
+                            : exec::PrepareWorkload(session.get(), w.r, w.s);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    ASSERT_EQ(prepared->r.phantom, phantom);
+    join::JoinContext ctx = session->context();
+    sim::Pipeline pipe(ctx.sim->Horizon(), nullptr, ctx.sim->auditor());
+    auto staged = StageRelationToDisk(ctx, pipe, ctx.drive_r, prepared->r, 8,
+                                      /*concurrent=*/true, "R-copy", {});
+    ASSERT_TRUE(staged.ok()) << staged.status();
+    FlatJoinTable table(&prepared->s.schema, 0, /*build_is_r=*/false);
+    if (!phantom) {
+      std::vector<BlockPayload> chunk;
+      for (BlockCount i = 0; i < 8; ++i) {
+        chunk.push_back(prepared->s.volume->ReadBlock(prepared->s.start_block + i).value());
+      }
+      ASSERT_TRUE(table.AddBlocks(chunk).ok());
+    }
+    disk::ExtentReadSource r_source(ctx.disks, &staged->space.extents());
+    JoinOutput out;
+    DecodedColumnStore store;
+    simd::SetLevelForTest(simd::BestSupportedLevel());
+    auto scan = ScanAndProbe(pipe, "r-scan", r_source, prepared->r.blocks, 8,
+                             {&staged->done_stage, 1}, phantom, &prepared->r.schema, 0,
+                             phantom ? nullptr : &table, &out, &store);
+    simd::ResetLevelForTest();
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    EXPECT_EQ(store.size(), !phantom && batched ? prepared->r.blocks.value() : 0u);
+    EXPECT_EQ(out.tuples() > 0, !phantom);
   }
 }
 

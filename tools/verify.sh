@@ -63,8 +63,9 @@ EOF
 
 echo "== bench smoke: data-plane speedups (SIMD probe, closed-form commit) =="
 # --benchmark_filter matches nothing: the registered google-benchmark loops
-# are skipped and only main()'s headline metrics (probe sweep + plain vs
-# audited closed-form commit, with in-bench bit-identity checks) run.
+# are skipped and only main()'s headline metrics (probe sweep, NB-shaped
+# re-scan, plain vs audited closed-form commit, with in-bench bit-identity
+# checks) run.
 #
 # Each gate is a ratio of two paths timed in one process, so host speed
 # cancels; each threshold sits far above what a broken fast path reads and
@@ -74,18 +75,18 @@ echo "== bench smoke: data-plane speedups (SIMD probe, closed-form commit) =="
 #  - probe_very_selective_16b_speedup >= 2: the SIMD probe against the
 #    forced-scalar one at ~0.4% hits, where the batched kernel's Bloom
 #    prefilter answers a miss without touching the slot array (DESIGN.md
-#    §5.2). A kernel that lost the prefilter or its prefetch pipeline would
-#    probe at scalar speed, about 1x; 2x catches one that lost most of its
-#    advantage. Measured 2.06-3.35x (median 3.07x, quartiles 2.98-3.18x):
-#    the lowest run, a dip of the shared host, clears the gate by 3%.
+#    §5.2). A kernel that lost the prefilter or its selection vector and
+#    slot prefetches would probe at scalar speed, about 1x; 2x catches one
+#    that lost most of its advantage. Measured 3.24-4.00x (median 3.42x,
+#    quartiles 3.34-3.56x): the lowest run clears the gate by 62%.
 #  - commit_closed_form_vs_replay_speedup >= 5: one 10^6-chunk transfer
 #    through the closed-form commit, timed plain and with a bound Auditor,
 #    whose cross-check re-derives the window with the O(chunks) replay
 #    (DESIGN.md §5.1); the metric is (audited - plain) / plain. A jump that
 #    stops firing replays every chunk in the plain run too, about 1x; 5x
 #    catches that with room for host noise on either side. Measured
-#    522-785x (median 667x, quartiles 570-710x): closed form 0.044-0.069 ms,
-#    the cross-check's replay 29-50 ms.
+#    562-782x (median 684x, quartiles 631-721x): closed form 0.034-0.065 ms,
+#    the cross-check's replay 24-37 ms.
 RECORD="$(./build/bench/bench_micro_substrates --benchmark_filter='^$' | tail -n 1)"
 python3 - "$RECORD" <<'EOF'
 import json, sys
