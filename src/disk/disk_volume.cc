@@ -78,14 +78,6 @@ void DiskVolume::WritePhantom(BlockIndex start, BlockCount count) {
   std::fill_n(store_.begin() + static_cast<long>(start.value()), count.value(), nullptr);
 }
 
-Result<sim::Interval> DiskVolume::Write(BlockIndex start, BlockCount count, SimSeconds ready,
-                                        const BlockPayload* payloads) {
-  TERTIO_RETURN_IF_ERROR(CheckRange(start, count));
-  WritePiece piece{0, start, count, ready, payloads, {}};
-  CommitWrites(std::span<WritePiece>(&piece, 1), 0);
-  return piece.interval;
-}
-
 void DiskVolume::CommitWrites(std::span<WritePiece> pieces, int disk) {
   ops_.clear();
   BlockCount blocks = 0;

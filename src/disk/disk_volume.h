@@ -74,16 +74,12 @@ class DiskVolume {
   Result<sim::Interval> Read(BlockIndex start, BlockCount count, SimSeconds ready,
                              std::vector<BlockPayload>* out = nullptr);
 
-  /// Writes `count` blocks at `start` as one request. `payloads`, when
-  /// non-null, must hold exactly `count` entries; null writes phantoms.
-  Result<sim::Interval> Write(BlockIndex start, BlockCount count, SimSeconds ready,
-                              const BlockPayload* payloads = nullptr);
-
-  /// Writes the pieces of `pieces` that name disk `disk`, in order, as that
-  /// many Write() calls would: each costed by DiskModel::RequestSeconds,
-  /// started at max(ready, device available), its payloads stored. The counters, the
-  /// cursor and the resource are updated once. Every such piece must lie
-  /// within capacity (CheckRange). Sets each such piece's `interval`.
+  /// Writes the pieces of `pieces` that name disk `disk`, in order, each as
+  /// one request: costed by DiskModel::RequestSeconds, started at
+  /// max(ready, device available), its payloads stored (null payloads write
+  /// phantoms). The counters, the cursor and the resource are updated once.
+  /// Every such piece must lie within capacity (CheckRange). Sets each such
+  /// piece's `interval`.
   void CommitWrites(std::span<WritePiece> pieces, int disk);
 
   /// OK when [start, start+count) lies within capacity.

@@ -55,9 +55,7 @@ Result<join::JoinStats> RunJoinExperiment(const SiteConfig& site_config,
   join::JoinSpec spec;
   spec.r = &prepared.r;
   spec.s = &prepared.s;
-  std::unique_ptr<join::JoinMethod> executor = join::CreateJoinMethod(method);
-  TERTIO_CHECK(executor != nullptr, "unknown join method");
-  return executor->Execute(spec, session->context());
+  return join::CreateJoinMethod(method)->Execute(spec, session->context());
 }
 
 }  // namespace tertio::exec

@@ -241,9 +241,8 @@ QueryOutcome QueryScheduler::Execute(const Entry& entry, SimSeconds dispatch, bo
 
   join::JoinContext ctx = (*session)->context(start);
   ctx.exact_anchor = true;
-  std::unique_ptr<join::JoinMethod> executor = join::CreateJoinMethod(request.method);
-  TERTIO_CHECK(executor != nullptr, "unknown join method");
-  Result<join::JoinStats> stats = executor->Execute(request.spec, ctx);
+  Result<join::JoinStats> stats =
+      join::CreateJoinMethod(request.method)->Execute(request.spec, ctx);
   if (!stats.ok()) {
     out.status = stats.status();
     return out;

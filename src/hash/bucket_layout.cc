@@ -42,6 +42,16 @@ Result<BucketLayout> BucketLayout::Plan(BlockCount r_blocks, BlockCount memory_b
       }
     }
   }
+  if (min_bucket_count > 1 && MinimumMemory(r_blocks) <= memory_blocks) {
+    // M would partition the relation with fewer buckets; the minimum binds.
+    BlockCount bucket_blocks = CeilDiv<std::uint64_t>(r_blocks.value(), min_bucket_count);
+    return Status::ResourceExhausted(StrFormat(
+        "memory of %llu blocks cannot hold the minimum bucket count: %u buckets need %u "
+        "write-buffer blocks plus %llu for one bucket of a %llu-block relation",
+        static_cast<unsigned long long>(memory_blocks.value()), min_bucket_count,
+        min_bucket_count, static_cast<unsigned long long>(bucket_blocks.value()),
+        static_cast<unsigned long long>(r_blocks.value())));
+  }
   return Status::ResourceExhausted(StrFormat(
       "memory of %llu blocks cannot partition a relation of %llu blocks "
       "(hash join requires roughly M >= 2*sqrt(|R|) = %llu blocks)",

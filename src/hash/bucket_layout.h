@@ -39,7 +39,9 @@ struct BucketLayout {
   /// w means bigger sequential flushes; 0 picks the library default).
   /// `min_bucket_count` forces at least that many buckets — the tape–tape
   /// methods need buckets no larger than the disk assembly area, i.e.
-  /// B >= ceil(|R| / D).
+  /// B >= ceil(|R| / D). When M would partition the relation but not into
+  /// that many buckets, the error names the minimum and the write-buffer
+  /// blocks it needs rather than the M >= 2*sqrt(|R|) bound.
   static Result<BucketLayout> Plan(BlockCount r_blocks, BlockCount memory_blocks,
                                    BlockCount preferred_write_buffer = 0,
                                    std::uint32_t min_bucket_count = 1);

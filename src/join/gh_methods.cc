@@ -17,52 +17,39 @@
 #include "hash/bucket_layout.h"
 #include "hash/disk_partitioner.h"
 #include "join/join_common.h"
-#include "join/join_method.h"
-#include "mem/memory_budget.h"
-#include "util/string_util.h"
 
 namespace tertio::join {
-namespace {
 
-Result<hash::BucketLayout> PlanGh(const JoinSpec& spec, const JoinContext& ctx) {
+// DT-GH and CDT-GH plan alike.
+Result<JoinPlan> PlanGh(JoinMethodId, const JoinSpec& spec, const JoinContext& ctx) {
+  const rel::Relation& r = *spec.r;
   // Real hashing makes bucket sizes fluctuate around |R|/B; plan with a 25%
   // margin so the in-memory bucket allowance absorbs the variance instead of
   // falling back to overflow slices (which re-scan the S bucket).
-  BlockCount planned = spec.r->phantom ? spec.r->blocks
-                                       : spec.r->blocks + spec.r->blocks / 4 + 1;
-  return hash::BucketLayout::Plan(planned, ctx.memory->total_blocks(),
-                                  spec.options.preferred_write_buffer);
+  BlockCount planned = r.phantom ? r.blocks : r.blocks + r.blocks / 4 + 1;
+  JoinPlan plan;
+  TERTIO_ASSIGN_OR_RETURN(plan.layout,
+                          hash::BucketLayout::Plan(planned, ctx.memory->total_blocks(),
+                                                   spec.options.preferred_write_buffer));
+  plan.needs.memory_blocks = plan.layout.memory_blocks;
+  // Hashed R plus an S buffer of at least one block. Real tuples re-encode
+  // into fresh blocks, so hashed R can exceed |R| by one partial block per
+  // bucket, and each S slab needs the same slack (JoinSlabsOfS).
+  plan.needs.disk_blocks =
+      r.blocks + 1 + (r.phantom ? 0 : 2 * static_cast<BlockCount>(plan.layout.bucket_count));
+  return plan;
 }
 
-Result<JoinStats> ExecuteGh(JoinMethodId id, const JoinSpec& spec, const JoinContext& ctx) {
-  TERTIO_RETURN_IF_ERROR(ValidateSpecAndContext(spec, ctx));
-  TERTIO_ASSIGN_OR_RETURN(hash::BucketLayout layout, PlanGh(spec, ctx));
-  const rel::Relation& r = *spec.r;
-  const bool lock_step = id == JoinMethodId::kDtGh;
-
-  BlockCount disk_free = ctx.disks->allocator().free_blocks();
-  if (disk_free <= r.blocks) {
-    return Status::ResourceExhausted(
-        StrFormat("%s needs disk space beyond |R| (=%llu blocks) to buffer S; only %llu free",
-                  std::string(JoinMethodName(id)).c_str(),
-                  static_cast<unsigned long long>(r.blocks.value()),
-                  static_cast<unsigned long long>(disk_free.value())));
-  }
-  // Real tuples re-encode into fresh blocks; partitioned R can exceed |R| by
-  // one partial block per bucket, and each S slab needs the same slack.
-  if (!r.phantom && disk_free <= r.blocks + 2 * static_cast<BlockCount>(layout.bucket_count)) {
-    return Status::ResourceExhausted(
-        "full-data mode needs |R| plus two blocks per bucket of disk space");
-  }
-  JoinRun run(id, spec, ctx);
+Status ExecuteGh(JoinRun& run, const JoinPlan& plan) {
+  const JoinContext& ctx = run.ctx;
+  const rel::Relation& r = *run.spec.r;
+  const hash::BucketLayout& layout = plan.layout;
+  const bool lock_step = run.id == JoinMethodId::kDtGh;
   sim::Pipeline& pipe = run.pipe;
-  TERTIO_ASSIGN_OR_RETURN(mem::BudgetLease memory,
-                          mem::BudgetLease::Acquire(ctx.memory, layout.memory_blocks,
-                                                    "gh/memory"));
 
   // ---- Step I: hash R from tape into disk buckets.
-  hash::DiskPartitioner r_partitioner(ctx.disks,
-                                      BucketOptions(r, spec.r_key_column, layout, "R-buckets"));
+  hash::DiskPartitioner r_partitioner(
+      ctx.disks, BucketOptions(r, run.spec.r_key_column, layout, "R-buckets"));
   TERTIO_ASSIGN_OR_RETURN(
       HashedScan r_hashed,
       HashTapeToDisk(run,
@@ -103,41 +90,7 @@ Result<JoinStats> ExecuteGh(JoinMethodId id, const JoinSpec& spec, const JoinCon
       rb.extents.clear();
     }
   }
-  memory.ReleaseNow();
-  return std::move(run.stats);
-}
-
-class GhJoinMethod final : public JoinMethod {
- public:
-  explicit GhJoinMethod(JoinMethodId id) : id_(id) {}
-
-  JoinMethodId id() const override { return id_; }
-
-  Result<ResourceRequirements> Requirements(const JoinSpec& spec,
-                                            const JoinContext& ctx) const override {
-    TERTIO_ASSIGN_OR_RETURN(hash::BucketLayout layout, PlanGh(spec, ctx));
-    ResourceRequirements req;
-    req.memory_blocks = layout.memory_blocks;
-    req.disk_blocks = spec.r->blocks +
-                      (spec.r->phantom ? 1 : layout.bucket_count + 1);
-    return req;
-  }
-
-  Result<JoinStats> Execute(const JoinSpec& spec, const JoinContext& ctx) const override {
-    return ExecuteGh(id_, spec, ctx);
-  }
-
- private:
-  JoinMethodId id_;
-};
-
-}  // namespace
-
-std::unique_ptr<JoinMethod> MakeDtGh() {
-  return std::make_unique<GhJoinMethod>(JoinMethodId::kDtGh);
-}
-std::unique_ptr<JoinMethod> MakeCdtGh() {
-  return std::make_unique<GhJoinMethod>(JoinMethodId::kCdtGh);
+  return Status::OK();
 }
 
 }  // namespace tertio::join

@@ -62,36 +62,6 @@ sim::FaultStats ContextFaultStats(const JoinContext& ctx) {
 
 }  // namespace
 
-Status ValidateSpecAndContext(const JoinSpec& spec, const JoinContext& ctx) {
-  if (spec.r == nullptr || spec.s == nullptr) {
-    return Status::InvalidArgument("join spec requires both relations");
-  }
-  if (ctx.sim == nullptr || ctx.drive_r == nullptr || ctx.drive_s == nullptr ||
-      ctx.disks == nullptr || ctx.memory == nullptr) {
-    return Status::InvalidArgument("join context is incomplete");
-  }
-  if (spec.r->blocks == 0 || spec.s->blocks == 0) {
-    return Status::InvalidArgument("cannot join empty relations");
-  }
-  if (spec.r->blocks > spec.s->blocks) {
-    return Status::InvalidArgument("R must be the smaller relation (swap the inputs)");
-  }
-  if (spec.r->phantom != spec.s->phantom) {
-    return Status::InvalidArgument("relations must both be real or both be phantom");
-  }
-  if (ctx.drive_r->volume() != spec.r->volume) {
-    return Status::FailedPrecondition("tape R is not mounted in drive R");
-  }
-  if (ctx.drive_s->volume() != spec.s->volume) {
-    return Status::FailedPrecondition("tape S is not mounted in drive S");
-  }
-  if (spec.r->block_bytes != ctx.disks->block_bytes() ||
-      spec.s->block_bytes != ctx.disks->block_bytes()) {
-    return Status::InvalidArgument("relation and disk block sizes disagree");
-  }
-  return Status::OK();
-}
-
 StatsScope::StatsScope(const JoinContext& ctx)
     : ctx_(ctx),
       start_(ctx.exact_anchor ? ctx.not_before
@@ -158,7 +128,8 @@ void StatsScope::Fill(JoinStats* stats) const {
 }
 
 JoinRun::JoinRun(JoinMethodId id, const JoinSpec& spec, const JoinContext& ctx)
-    : spec(spec),
+    : id(id),
+      spec(spec),
       ctx(ctx),
       phantom(spec.r->phantom),
       scope(ctx),

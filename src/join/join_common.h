@@ -3,10 +3,14 @@
 /// \file join_common.h
 /// The skeleton the seven join-method executors run on.
 ///
-/// Every executor runs inside one JoinRun: the frame that measures the join
-/// (StatsScope) and owns its JoinStats, sim::Pipeline and JoinOutput, and
-/// fills the statistics all methods share in one Finish(). The data movement
-/// the methods have in common lives here as well:
+/// Each method family has one planner, which returns a JoinPlan (Table 2's
+/// requirements and the geometry the executor runs with), and one executor
+/// per distinct algorithm. JoinMethod::Execute (join_method.cc) admits the
+/// plan and runs the executor inside one JoinRun: the frame that measures
+/// the join (StatsScope), holds its memory lease, owns its JoinStats,
+/// sim::Pipeline and JoinOutput, and fills the statistics all methods share
+/// in one Finish(). The data movement the methods have in common lives here
+/// as well:
 ///  * StageRelationToDisk copies a relation from tape to disk (NB Step I);
 ///  * ScanAndProbe / ScanDiskAndProbe stream blocks through a hash table
 ///    (NB Step II through a DecodedColumnStore, as it re-scans R);
@@ -35,6 +39,7 @@
 #include "join/join_output.h"
 #include "join/join_spec.h"
 #include "mem/double_buffer.h"
+#include "mem/memory_budget.h"
 #include "sim/pipeline.h"
 #include "util/status.h"
 
@@ -44,10 +49,6 @@ namespace tertio::join {
 /// after a kDeviceError (a device fault that survived the device's own
 /// bounded retries).
 inline constexpr int kChunkRetryLimit = 3;
-
-/// Validates a spec against a context: relations present, |R| <= |S|, both
-/// real or both phantom, tapes mounted in the right drives.
-Status ValidateSpecAndContext(const JoinSpec& spec, const JoinContext& ctx);
 
 /// Captures device statistics at construction; Fill() writes the deltas
 /// (traffic, requests, response time since construction) into a JoinStats.
@@ -79,11 +80,12 @@ class StatsScope {
   std::vector<SimSeconds> resource_horizons_before_;
 };
 
-/// The frame of one join execution: the StatsScope measuring it, the stats
-/// it reports, the pipeline its stages run on and the output its matches
-/// reach (the spec's match_sink, in full-data runs). Construct it after the
-/// method's feasibility checks and *before* the method reserves memory, so
-/// the occupancy delta attributes the method's own reservations.
+/// The frame of one join execution: the StatsScope measuring it, the memory
+/// lease it holds, the stats it reports, the pipeline its stages run on and
+/// the output its matches reach (the spec's match_sink, in full-data runs).
+/// JoinMethod::Execute constructs it once the plan is admitted and acquires
+/// the lease right after, so the occupancy delta attributes the lease to the
+/// join; the lease is returned when the run ends.
 struct JoinRun {
   JoinRun(JoinMethodId id, const JoinSpec& spec, const JoinContext& ctx);
   JoinRun(const JoinRun&) = delete;
@@ -95,15 +97,44 @@ struct JoinRun {
   /// Call it before the method returns its scratch space.
   void Finish(SimSeconds step1_end, SimSeconds finish);
 
+  const JoinMethodId id;
   const JoinSpec& spec;
   const JoinContext& ctx;
   /// Timing-only run: no payloads move and no table is built.
   const bool phantom;
   StatsScope scope;
+  /// The join's one memory reservation: the plan's memory_blocks, under the
+  /// method's name.
+  mem::BudgetLease memory;
   JoinStats stats;
   sim::Pipeline pipe;
   JoinOutput output;
 };
+
+/// A method family's plan for one spec in one context: Table 2's
+/// requirements and the geometry the executor runs with. JoinMethod's
+/// Requirements() reports `needs`, and Execute() admits exactly them.
+struct JoinPlan {
+  ResourceRequirements needs;
+  /// The NB methods' split of M: M_r for scanning R and one S buffer.
+  mem::NbSplit split;
+  /// The hash methods' buckets.
+  hash::BucketLayout layout;
+};
+
+/// The planners of the three families (nb_methods.cc, gh_methods.cc,
+/// tt_methods.cc). Each evaluates its terms against the context's memory and
+/// free disk and fails with ResourceExhausted when no geometry exists.
+Result<JoinPlan> PlanNb(JoinMethodId id, const JoinSpec& spec, const JoinContext& ctx);
+Result<JoinPlan> PlanGh(JoinMethodId id, const JoinSpec& spec, const JoinContext& ctx);
+Result<JoinPlan> PlanTt(JoinMethodId id, const JoinSpec& spec, const JoinContext& ctx);
+
+/// The executors: each runs an admitted `plan` inside `run`, fills
+/// run.stats, calls run.Finish and restores its scratch space.
+Status ExecuteNb(JoinRun& run, const JoinPlan& plan);
+Status ExecuteGh(JoinRun& run, const JoinPlan& plan);
+Status ExecuteCttGh(JoinRun& run, const JoinPlan& plan);
+Status ExecuteTtGh(JoinRun& run, const JoinPlan& plan);
 
 /// Result of staging (copying) a relation from tape to disk.
 struct StagedRelation {

@@ -14,50 +14,25 @@
 ///                double-buffered disk ring (Section 4), tape-to-disk
 ///                refill overlaps the join.
 ///
-/// Like every executor they run inside one JoinRun (join_common.h), whose
-/// pipeline makes every tape read, disk transfer and join pass a stage: the
-/// overlap of the concurrent variants comes from the declared dependencies
-/// (buffer-free stages, staging-done stage), not hand-threaded completion
-/// times.
+/// PlanNb splits M once (mem::NbSplit) and sizes Table 2's terms from the
+/// split. Like every executor they run inside one JoinRun (join_common.h),
+/// whose pipeline makes every tape read, disk transfer and join pass a
+/// stage: the overlap of the concurrent variants comes from the declared
+/// dependencies (buffer-free stages, staging-done stage), not hand-threaded
+/// completion times.
 
 #include <algorithm>
 #include <vector>
 
 #include "join/join_common.h"
-#include "join/join_method.h"
 #include "mem/double_buffer.h"
-#include "mem/memory_budget.h"
-#include "util/string_util.h"
 
 namespace tertio::join {
 namespace {
 
-enum class NbMode { kSequential, kMemoryBuffered, kDiskBuffered };
-
 /// Sub-chunks per S chunk in CDT-NB/DB's interleaved disk ring: the
 /// granularity at which freed ring space is refilled (Section 4).
 constexpr std::uint64_t kInterleaveSlices = 8;
-
-/// Geometry shared by the NB methods: Mr blocks for scanning R, Ms per
-/// S chunk.
-struct NbGeometry {
-  BlockCount mr = 0;
-  BlockCount ms = 0;
-  BlockCount memory_needed = 0;
-  BlockCount disk_needed = 0;
-};
-
-Result<NbGeometry> PlanNb(NbMode mode, const JoinSpec& spec, const JoinContext& ctx) {
-  const bool two_buffers = mode == NbMode::kMemoryBuffered;
-  TERTIO_ASSIGN_OR_RETURN(mem::NbSplit split,
-                          mem::NbSplit::Plan(ctx.memory->total_blocks(), two_buffers));
-  NbGeometry g;
-  g.mr = split.r_blocks;
-  g.ms = split.s_blocks;
-  g.memory_needed = g.mr + (two_buffers ? 2 * g.ms : g.ms);
-  g.disk_needed = spec.r->blocks + (mode == NbMode::kDiskBuffered ? g.ms : 0);
-  return g;
-}
 
 /// Joins one memory-resident S chunk against disk-resident R: builds a hash
 /// table over the chunk and streams R through it in Mr-block requests.
@@ -82,33 +57,33 @@ Result<sim::StageId> JoinChunkAgainstR(JoinRun& run, disk::ExtentReadSource& r_s
                       run.phantom ? nullptr : &table, &run.output, &r_columns);
 }
 
-Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
-                            const JoinContext& ctx) {
-  TERTIO_RETURN_IF_ERROR(ValidateSpecAndContext(spec, ctx));
-  TERTIO_ASSIGN_OR_RETURN(NbGeometry g, PlanNb(mode, spec, ctx));
-  const rel::Relation& r = *spec.r;
-  const rel::Relation& s = *spec.s;
-  const bool phantom = r.phantom;
-  if (ctx.disks->allocator().free_blocks() < g.disk_needed) {
-    return Status::ResourceExhausted(
-        StrFormat("%s needs %llu disk blocks, %llu free",
-                  std::string(JoinMethodName(id)).c_str(),
-                  static_cast<unsigned long long>(g.disk_needed.value()),
-                  static_cast<unsigned long long>(ctx.disks->allocator().free_blocks().value())));
-  }
-  JoinRun run(id, spec, ctx);
+}  // namespace
+
+Result<JoinPlan> PlanNb(JoinMethodId id, const JoinSpec& spec, const JoinContext& ctx) {
+  const bool two_buffers = id == JoinMethodId::kCdtNbMb;
+  JoinPlan plan;
+  TERTIO_ASSIGN_OR_RETURN(plan.split,
+                          mem::NbSplit::Plan(ctx.memory->total_blocks(), two_buffers));
+  const BlockCount ms = plan.split.s_blocks;
+  plan.needs.memory_blocks = plan.split.r_blocks + (two_buffers ? 2 * ms : ms);
+  plan.needs.disk_blocks = spec.r->blocks + (id == JoinMethodId::kCdtNbDb ? ms : 0);
+  return plan;
+}
+
+Status ExecuteNb(JoinRun& run, const JoinPlan& plan) {
+  const JoinContext& ctx = run.ctx;
+  const rel::Relation& r = *run.spec.r;
+  const rel::Relation& s = *run.spec.s;
+  const bool phantom = run.phantom;
+  const BlockCount mr = plan.split.r_blocks;
+  const BlockCount ms = plan.split.s_blocks;
   JoinStats& stats = run.stats;
   sim::Pipeline& pipe = run.pipe;
-  TERTIO_ASSIGN_OR_RETURN(mem::BudgetLease r_scan_memory,
-                          mem::BudgetLease::Acquire(ctx.memory, g.mr, "nb/r-scan"));
-  TERTIO_ASSIGN_OR_RETURN(
-      mem::BudgetLease s_buffer_memory,
-      mem::BudgetLease::Acquire(ctx.memory, g.memory_needed - g.mr, "nb/s-buffer"));
 
   // ---- Step I: copy R from tape to disk.
   TERTIO_ASSIGN_OR_RETURN(
       StagedRelation staged,
-      StageRelationToDisk(ctx, pipe, ctx.drive_r, r, g.ms, mode != NbMode::kSequential,
+      StageRelationToDisk(ctx, pipe, ctx.drive_r, r, ms, run.id != JoinMethodId::kDtNb,
                           "R-copy", {}));
   disk::ExtentReadSource r_source(ctx.disks, &staged.space.extents());
   // R's decoded blocks, by offset in R: passes after the first probe the
@@ -119,16 +94,16 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
   sim::StageId finish_stage = staged.done_stage;
 
   // ---- Step II: iterate over S.
-  if (mode != NbMode::kDiskBuffered) {
+  if (run.id != JoinMethodId::kCdtNbDb) {
     // One S buffer (DT-NB) or two half-size ones (CDT-NB/MB): the tape read
     // of chunk i waits for the join that drained buffer i % buffers, so with
     // two buffers it overlaps the join of chunk i-1.
-    const std::uint64_t buffers = mode == NbMode::kMemoryBuffered ? 2 : 1;
+    const std::uint64_t buffers = run.id == JoinMethodId::kCdtNbMb ? 2 : 1;
     sim::StageId drained[2] = {sim::kNoStage, sim::kNoStage};
     sim::StageId join_chain = staged.done_stage;
     std::uint64_t i = 0;
-    for (BlockCount off = 0; off < s.blocks; off += g.ms, ++i) {
-      BlockCount take = std::min<BlockCount>(g.ms, s.blocks - off);
+    for (BlockCount off = 0; off < s.blocks; off += ms, ++i) {
+      BlockCount take = std::min<BlockCount>(ms, s.blocks - off);
       std::vector<BlockPayload> chunk;
       TERTIO_ASSIGN_OR_RETURN(
           sim::StageId read,
@@ -136,7 +111,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
                                  s.start_block + off, take, phantom ? nullptr : &chunk,
                                  kChunkRetryLimit));
       TERTIO_ASSIGN_OR_RETURN(join_chain,
-                              JoinChunkAgainstR(run, r_source, r_columns, g.mr, chunk,
+                              JoinChunkAgainstR(run, r_source, r_columns, mr, chunk,
                                                 {read, join_chain}));
       drained[i % buffers] = join_chain;
       stats.iterations += 1;
@@ -149,11 +124,11 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
     // and piece j of chunk i+1 refills the space piece j of chunk i frees.
     TERTIO_ASSIGN_OR_RETURN(
         disk::ExtentLease ring_space,
-        disk::ExtentLease::Allocate(&ctx.disks->allocator(), g.ms, staged.done, "S-ring"));
+        disk::ExtentLease::Allocate(&ctx.disks->allocator(), ms, staged.done, "S-ring"));
     const disk::ExtentList& ring_extents = ring_space.extents();
     stats.peak_disk_blocks = ctx.disks->allocator().used_blocks();
-    mem::InterleavedBuffer ring(g.ms);
-    BlockCount sub = std::max<BlockCount>(1, g.ms / kInterleaveSlices);
+    mem::InterleavedBuffer ring(ms);
+    BlockCount sub = std::max<BlockCount>(1, ms / kInterleaveSlices);
 
     struct Piece {
       BlockCount ring_off = 0;
@@ -198,7 +173,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
 
     sim::StageId join_chain = staged.done_stage;
     BlockCount off = 0;
-    BlockCount take = std::min<BlockCount>(g.ms, s.blocks);
+    BlockCount take = std::min<BlockCount>(ms, s.blocks);
     std::vector<Piece> current;
     for (auto [ring_off, n] : pieces_of(take)) {
       TERTIO_ASSIGN_OR_RETURN(Piece piece, produce_piece(off, ring_off, n));
@@ -208,7 +183,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
     while (take > 0) {
       BlockCount next_off = off + take;
       BlockCount next_take =
-          next_off < s.blocks ? std::min<BlockCount>(g.ms, s.blocks - next_off) : 0;
+          next_off < s.blocks ? std::min<BlockCount>(ms, s.blocks - next_off) : 0;
       auto next_pieces = pieces_of(next_take);
 
       // Consume current chunk piece-by-piece, producing the next chunk into
@@ -233,7 +208,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
         }
       }
       TERTIO_ASSIGN_OR_RETURN(join_chain,
-                              JoinChunkAgainstR(run, r_source, r_columns, g.mr, chunk, {t}));
+                              JoinChunkAgainstR(run, r_source, r_columns, mr, chunk, {t}));
       stats.iterations += 1;
       current = std::move(next);
       off = next_off;
@@ -246,48 +221,7 @@ Result<JoinStats> ExecuteNb(NbMode mode, JoinMethodId id, const JoinSpec& spec,
   SimSeconds finish = pipe.end(finish_stage);
   stats.r_scans = stats.iterations;
   run.Finish(staged.done, finish);
-
-  // Restore scratch state.
-  TERTIO_RETURN_IF_ERROR(staged.space.Free(finish));
-  r_scan_memory.ReleaseNow();
-  s_buffer_memory.ReleaseNow();
-  return std::move(run.stats);
-}
-
-class NbJoinMethod final : public JoinMethod {
- public:
-  NbJoinMethod(JoinMethodId id, NbMode mode) : id_(id), mode_(mode) {}
-
-  JoinMethodId id() const override { return id_; }
-
-  Result<ResourceRequirements> Requirements(const JoinSpec& spec,
-                                            const JoinContext& ctx) const override {
-    TERTIO_ASSIGN_OR_RETURN(NbGeometry g, PlanNb(mode_, spec, ctx));
-    ResourceRequirements req;
-    req.memory_blocks = g.memory_needed;
-    req.disk_blocks = g.disk_needed;
-    return req;
-  }
-
-  Result<JoinStats> Execute(const JoinSpec& spec, const JoinContext& ctx) const override {
-    return ExecuteNb(mode_, id_, spec, ctx);
-  }
-
- private:
-  JoinMethodId id_;
-  NbMode mode_;
-};
-
-}  // namespace
-
-std::unique_ptr<JoinMethod> MakeDtNb() {
-  return std::make_unique<NbJoinMethod>(JoinMethodId::kDtNb, NbMode::kSequential);
-}
-std::unique_ptr<JoinMethod> MakeCdtNbMb() {
-  return std::make_unique<NbJoinMethod>(JoinMethodId::kCdtNbMb, NbMode::kMemoryBuffered);
-}
-std::unique_ptr<JoinMethod> MakeCdtNbDb() {
-  return std::make_unique<NbJoinMethod>(JoinMethodId::kCdtNbDb, NbMode::kDiskBuffered);
+  return staged.space.Free(finish);  // restore scratch state
 }
 
 }  // namespace tertio::join

@@ -27,8 +27,6 @@
 #include "hash/bucket_layout.h"
 #include "hash/disk_partitioner.h"
 #include "join/join_common.h"
-#include "join/join_method.h"
-#include "mem/memory_budget.h"
 #include "util/math_util.h"
 #include "util/string_util.h"
 
@@ -63,30 +61,6 @@ struct TapeRegion {
   BlockIndex start = 0;
   BlockCount blocks = 0;
 };
-
-/// Plans the bucket layout for a tape–tape method. Buckets of the largest
-/// relation that must be *assembled on disk* have to fit the assembly area:
-/// CTT-GH assembles only R's buckets (B >= ceil(|R|/D)), TT-GH assembles S's
-/// as well (B >= ceil(|S|/D)). Full-data mode keeps one block of partial-
-/// block slack per assembled bucket.
-Result<hash::BucketLayout> PlanTt(const JoinSpec& spec, const JoinContext& ctx,
-                                  BlockCount disk_free, BlockCount assembled_blocks) {
-  BlockCount slack = spec.r->phantom ? 0 : 1;
-  if (disk_free <= slack) {
-    return Status::ResourceExhausted("tape-tape joins need some disk assembly space");
-  }
-  // Real hashing makes bucket sizes fluctuate around |rel|/B; plan with a
-  // 25% margin so the largest bucket still fits both the disk assembly area
-  // and the in-memory bucket allowance (avoiding overflow slices).
-  BlockCount planned = spec.r->phantom ? assembled_blocks
-                                       : assembled_blocks + assembled_blocks / 4;
-  auto min_buckets =
-      static_cast<std::uint32_t>(CeilDiv<std::uint64_t>(planned.value(), (disk_free - slack).value()));
-  BlockCount planned_r =
-      spec.r->phantom ? spec.r->blocks : spec.r->blocks + spec.r->blocks / 4 + 1;
-  return hash::BucketLayout::Plan(planned_r, ctx.memory->total_blocks(),
-                                  spec.options.preferred_write_buffer, min_buckets);
-}
 
 /// Hashes `relation` (read on `source`) into contiguous bucket runs appended
 /// to the tape in `target`, recording each bucket's place in `regions`.
@@ -169,18 +143,57 @@ Result<sim::StageId> HashRelationToTape(JoinRun& run, const rel::Relation& relat
   return cursor;
 }
 
+}  // namespace
+
+Result<JoinPlan> PlanTt(JoinMethodId id, const JoinSpec& spec, const JoinContext& ctx) {
+  const rel::Relation& r = *spec.r;
+  const rel::Relation& s = *spec.s;
+  // Buckets of the largest relation a scan *assembles on disk* have to fit
+  // the assembly area: CTT-GH assembles only R's buckets (B >= ceil(|R|/D)),
+  // TT-GH assembles S's as well (B >= ceil(|S|/D)). Full-data mode keeps
+  // one block of partial-block slack per assembled bucket.
+  const BlockCount assembled = id == JoinMethodId::kCttGh ? r.blocks : s.blocks;
+  const BlockCount slack = r.phantom ? 0 : 1;
+  const BlockCount disk_free = ctx.disks->allocator().free_blocks();
+  if (disk_free <= slack) {
+    return Status::ResourceExhausted("tape-tape joins need some disk assembly space");
+  }
+  // Real hashing makes bucket sizes fluctuate around |rel|/B; plan with a
+  // 25% margin so the largest bucket still fits both the disk assembly area
+  // and the in-memory bucket allowance (avoiding overflow slices).
+  BlockCount planned = r.phantom ? assembled : assembled + assembled / 4;
+  auto min_buckets = static_cast<std::uint32_t>(
+      CeilDiv<std::uint64_t>(planned.value(), (disk_free - slack).value()));
+  BlockCount planned_r = r.phantom ? r.blocks : r.blocks + r.blocks / 4 + 1;
+  JoinPlan plan;
+  TERTIO_ASSIGN_OR_RETURN(plan.layout,
+                          hash::BucketLayout::Plan(planned_r, ctx.memory->total_blocks(),
+                                                   spec.options.preferred_write_buffer,
+                                                   min_buckets));
+  const std::uint32_t b = plan.layout.bucket_count;
+  plan.needs.memory_blocks = plan.layout.memory_blocks;
+  // One assembled bucket (HashRelationToTape). CTT-GH's S buckets then fill
+  // all of D, which in full-data mode must exceed one block per bucket
+  // (JoinSlabsOfS).
+  BlockCount area = CeilDiv<std::uint64_t>(assembled.value(), b);
+  if (id == JoinMethodId::kCttGh && !r.phantom) area = std::max<BlockCount>(area, b);
+  plan.needs.disk_blocks = area + slack;
+  if (id == JoinMethodId::kCttGh) {
+    plan.needs.tape_scratch_r_blocks = r.blocks;
+  } else {
+    plan.needs.tape_scratch_r_blocks = s.blocks;
+    plan.needs.tape_scratch_s_blocks = r.blocks;
+  }
+  return plan;
+}
+
 // ---------------------------------------------------------------- CTT-GH --
 
-Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
-  TERTIO_RETURN_IF_ERROR(ValidateSpecAndContext(spec, ctx));
-  const rel::Relation& r = *spec.r;
-  BlockCount disk_free = ctx.disks->allocator().free_blocks();
-  TERTIO_ASSIGN_OR_RETURN(hash::BucketLayout layout, PlanTt(spec, ctx, disk_free, r.blocks));
-  JoinRun run(JoinMethodId::kCttGh, spec, ctx);
+Status ExecuteCttGh(JoinRun& run, const JoinPlan& plan) {
+  const JoinContext& ctx = run.ctx;
+  const rel::Relation& r = *run.spec.r;
+  const hash::BucketLayout& layout = plan.layout;
   sim::Pipeline& pipe = run.pipe;
-  TERTIO_ASSIGN_OR_RETURN(mem::BudgetLease memory,
-                          mem::BudgetLease::Acquire(ctx.memory, layout.memory_blocks,
-                                                    "ctt/memory"));
   TapeScratch r_tape_scratch(r.volume);
   sim::StageId origin = pipe.Event("start", run.scope.start());
 
@@ -188,8 +201,8 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
   std::vector<TapeRegion> regions;
   TERTIO_ASSIGN_OR_RETURN(
       sim::StageId step1_stage,
-      HashRelationToTape(run, r, spec.r_key_column, ctx.drive_r, ctx.drive_r, layout, origin,
-                         &regions, &run.stats.r_scans));
+      HashRelationToTape(run, r, run.spec.r_key_column, ctx.drive_r, ctx.drive_r, layout,
+                         origin, &regions, &run.stats.r_scans));
   SimSeconds step1_end = pipe.end(step1_stage);
 
   // ---- Step II: S buckets on disk (all of D, double-buffered); R buckets
@@ -219,24 +232,18 @@ Result<JoinStats> ExecuteCttGh(const JoinSpec& spec, const JoinContext& ctx) {
   run.Finish(step1_end, finish);
 
   // Reclaim the scratch region appended to the R tape.
-  TERTIO_RETURN_IF_ERROR(r_tape_scratch.Restore());
-  memory.ReleaseNow();
-  return std::move(run.stats);
+  return r_tape_scratch.Restore();
 }
 
 // ----------------------------------------------------------------- TT-GH --
 
-Result<JoinStats> ExecuteTtGh(const JoinSpec& spec, const JoinContext& ctx) {
-  TERTIO_RETURN_IF_ERROR(ValidateSpecAndContext(spec, ctx));
+Status ExecuteTtGh(JoinRun& run, const JoinPlan& plan) {
+  const JoinContext& ctx = run.ctx;
+  const JoinSpec& spec = run.spec;
   const rel::Relation& r = *spec.r;
   const rel::Relation& s = *spec.s;
-  BlockCount disk_free = ctx.disks->allocator().free_blocks();
-  TERTIO_ASSIGN_OR_RETURN(hash::BucketLayout layout, PlanTt(spec, ctx, disk_free, s.blocks));
-  JoinRun run(JoinMethodId::kTtGh, spec, ctx);
+  const hash::BucketLayout& layout = plan.layout;
   sim::Pipeline& pipe = run.pipe;
-  TERTIO_ASSIGN_OR_RETURN(mem::BudgetLease memory,
-                          mem::BudgetLease::Acquire(ctx.memory, layout.memory_blocks,
-                                                    "tt/memory"));
   TapeScratch r_tape_scratch(r.volume);
   TapeScratch s_tape_scratch(s.volume);
   sim::StageId origin = pipe.Event("start", run.scope.start());
@@ -292,50 +299,7 @@ Result<JoinStats> ExecuteTtGh(const JoinSpec& spec, const JoinContext& ctx) {
   run.Finish(step1_end, std::max(pipe.end(drive_r_chain), pipe.end(drive_s_chain)));
 
   TERTIO_RETURN_IF_ERROR(r_tape_scratch.Restore());
-  TERTIO_RETURN_IF_ERROR(s_tape_scratch.Restore());
-  memory.ReleaseNow();
-  return std::move(run.stats);
-}
-
-class TtJoinMethod final : public JoinMethod {
- public:
-  explicit TtJoinMethod(JoinMethodId id) : id_(id) {}
-
-  JoinMethodId id() const override { return id_; }
-
-  Result<ResourceRequirements> Requirements(const JoinSpec& spec,
-                                            const JoinContext& ctx) const override {
-    BlockCount disk_free = ctx.disks->allocator().free_blocks();
-    TERTIO_ASSIGN_OR_RETURN(hash::BucketLayout layout, PlanTt(spec, ctx, disk_free,
-                            id_ == JoinMethodId::kCttGh ? spec.r->blocks : spec.s->blocks));
-    ResourceRequirements req;
-    req.memory_blocks = layout.memory_blocks;
-    req.disk_blocks = CeilDiv<std::uint64_t>(spec.r->blocks.value(), layout.bucket_count) +
-                      (spec.r->phantom ? 0 : 1);
-    if (id_ == JoinMethodId::kCttGh) {
-      req.tape_scratch_r_blocks = spec.r->blocks;
-    } else {
-      req.tape_scratch_r_blocks = spec.s->blocks;
-      req.tape_scratch_s_blocks = spec.r->blocks;
-    }
-    return req;
-  }
-
-  Result<JoinStats> Execute(const JoinSpec& spec, const JoinContext& ctx) const override {
-    return id_ == JoinMethodId::kCttGh ? ExecuteCttGh(spec, ctx) : ExecuteTtGh(spec, ctx);
-  }
-
- private:
-  JoinMethodId id_;
-};
-
-}  // namespace
-
-std::unique_ptr<JoinMethod> MakeCttGh() {
-  return std::make_unique<TtJoinMethod>(JoinMethodId::kCttGh);
-}
-std::unique_ptr<JoinMethod> MakeTtGh() {
-  return std::make_unique<TtJoinMethod>(JoinMethodId::kTtGh);
+  return s_tape_scratch.Restore();
 }
 
 }  // namespace tertio::join

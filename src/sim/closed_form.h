@@ -39,11 +39,6 @@ namespace tertio::sim {
 SimSeconds IteratedAddCycle(SimSeconds acc, std::span<const SimSeconds> deltas,
                             std::uint64_t cycles);
 
-/// Single-delta convenience: exact result of `n` iterations of `acc += delta`.
-inline SimSeconds IteratedAdd(SimSeconds acc, SimSeconds delta, std::uint64_t n) {
-  return IteratedAddCycle(acc, std::span<const SimSeconds>(&delta, 1), n);
-}
-
 /// The same closed form for a dimensionless accumulator: exact result of
 /// `n` iterations of `acc += term` (tape::TapeVolume sums a run of equal
 /// compressibilities with it).

@@ -87,11 +87,6 @@ Result<BlockPayload> TapeVolume::ReadBlock(BlockIndex index) const {
   return payloads_[run.offset + (index - run.begin).value()];
 }
 
-Result<double> TapeVolume::Compressibility(BlockIndex index) const {
-  TERTIO_RETURN_IF_ERROR(CheckRange(index, 1));
-  return static_cast<double>(RunAt(index)->compressibility);
-}
-
 Result<double> TapeVolume::MeanCompressibility(BlockIndex start, BlockCount count) {
   TERTIO_RETURN_IF_ERROR(CheckRange(start, count));
   if (count == 0) return 0.0;

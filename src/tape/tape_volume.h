@@ -54,9 +54,6 @@ class TapeVolume {
   /// Payload of block `index` (nullptr for phantom blocks).
   Result<BlockPayload> ReadBlock(BlockIndex index) const;
 
-  /// Compressibility of block `index`.
-  Result<double> Compressibility(BlockIndex index) const;
-
   /// Mean compressibility over [start, start+count) — used by the drive to
   /// cost a multi-block transfer. Bit-identical to summing the blocks one at
   /// a time in order and dividing by `count`; the sum proceeds run by run

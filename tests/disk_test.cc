@@ -23,16 +23,26 @@ TEST(DiskModelTest, TransferSeconds) {
   EXPECT_DOUBLE_EQ((m.TransferSeconds(5000)).value(), 5.0);
 }
 
+/// One write request of `count` blocks at `start`, committed the way every
+/// write reaches a volume: a batch of one WritePiece. `payloads`, when set,
+/// holds `count` blocks; null writes phantoms.
+sim::Interval CommitOne(DiskVolume& disk, BlockIndex start, BlockCount count, SimSeconds ready,
+                        const BlockPayload* payloads = nullptr) {
+  WritePiece piece{0, start, count, ready, payloads, {}};
+  disk.CommitWrites(std::span<WritePiece>(&piece, 1), 0);
+  return piece.interval;
+}
+
 TEST(DiskVolumeTest, SequentialRequestsSkipPositioning) {
   sim::Simulation sim;
   DiskModel m = DiskModel::QuantumFireball1080();
   DiskVolume disk("d0", m, sim.CreateResource("d0"), 100, kBlock);
-  auto a = disk.Write(0, 10, 0.0);
-  ASSERT_TRUE(a.ok());
-  EXPECT_NEAR((a->duration()).value(), (m.positioning_seconds + m.TransferSeconds(10 * kBlock)).value(), 1e-12);
-  auto b = disk.Write(10, 10, a->end);  // continues sequentially
-  ASSERT_TRUE(b.ok());
-  EXPECT_NEAR((b->duration()).value(), (m.TransferSeconds(10 * kBlock)).value(), 1e-12);
+  ASSERT_TRUE(disk.CheckRange(0, 10).ok());
+  sim::Interval a = CommitOne(disk, 0, 10, 0.0);
+  EXPECT_NEAR((a.duration()).value(), (m.positioning_seconds + m.TransferSeconds(10 * kBlock)).value(), 1e-12);
+  ASSERT_TRUE(disk.CheckRange(10, 10).ok());
+  sim::Interval b = CommitOne(disk, 10, 10, a.end);  // continues sequentially
+  EXPECT_NEAR((b.duration()).value(), (m.TransferSeconds(10 * kBlock)).value(), 1e-12);
   EXPECT_EQ(disk.stats().positioned_requests, 1u);
   EXPECT_EQ(disk.stats().requests, 2u);
 }
@@ -41,7 +51,8 @@ TEST(DiskVolumeTest, DiscontiguousRequestPaysPositioning) {
   sim::Simulation sim;
   DiskModel m = DiskModel::QuantumFireball1080();
   DiskVolume disk("d0", m, sim.CreateResource("d0"), 100, kBlock);
-  ASSERT_TRUE(disk.Write(0, 10, 0.0).ok());
+  ASSERT_TRUE(disk.CheckRange(0, 10).ok());
+  CommitOne(disk, 0, 10, 0.0);
   auto b = disk.Read(50, 10, 100.0);
   ASSERT_TRUE(b.ok());
   EXPECT_NEAR((b->duration()).value(), (m.positioning_seconds + m.TransferSeconds(10 * kBlock)).value(), 1e-12);
@@ -61,7 +72,8 @@ TEST(DiskVolumeTest, DataRoundTrips) {
   DiskVolume disk("d0", DiskModel::Ideal(1e6), sim.CreateResource("d0"), 10, kBlock);
   std::vector<BlockPayload> payloads{MakePayload(std::vector<uint8_t>(kBlock.value(), 0xAA)),
                                      MakePayload(std::vector<uint8_t>(kBlock.value(), 0xBB))};
-  ASSERT_TRUE(disk.Write(3, 2, 0.0, payloads.data()).ok());
+  ASSERT_TRUE(disk.CheckRange(3, 2).ok());
+  CommitOne(disk, 3, 2, 0.0, payloads.data());
   std::vector<BlockPayload> out;
   ASSERT_TRUE(disk.Read(3, 2, 1.0, &out).ok());
   ASSERT_EQ(out.size(), 2u);
@@ -73,7 +85,7 @@ TEST(DiskVolumeTest, OutOfRangeRejected) {
   sim::Simulation sim;
   DiskVolume disk("d0", DiskModel::Ideal(1e6), sim.CreateResource("d0"), 10, kBlock);
   EXPECT_FALSE(disk.Read(5, 6, 0.0).ok());
-  EXPECT_FALSE(disk.Write(10, 1, 0.0).ok());
+  EXPECT_FALSE(disk.CheckRange(10, 1).ok());
 }
 
 /// Resident set size of this process, from /proc/self/statm (0 when the
@@ -101,16 +113,16 @@ TEST(DiskVolumeTest, PhantomOnlyVolumeHoldsNoBlockStore) {
   constexpr std::uint64_t kRequest = kBlocks / 16;
   SimSeconds t = 0.0;
   for (std::uint64_t start = 0; start < kBlocks; start += kRequest) {
-    auto w = disk->Write(start, kRequest, t);
-    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(disk->CheckRange(start, kRequest).ok());
+    sim::Interval w = CommitOne(*disk, start, kRequest, t);
     disk->WritePhantom(start, kRequest);
-    auto r = disk->Read(start, kRequest, w->end);
+    auto r = disk->Read(start, kRequest, w.end);
     ASSERT_TRUE(r.ok());
     t = r->end;
   }
   const std::uint64_t after = ResidentBytes();
   EXPECT_LT(after > before ? after - before : 0, std::uint64_t{16} << 20);
-  EXPECT_FALSE(disk->Write(kBlocks - 1, 2, t).ok());  // the capacity still bounds requests
+  EXPECT_FALSE(disk->CheckRange(kBlocks - 1, 2).ok());  // the capacity still bounds requests
 
   // Phantom blocks read back as null payloads; a real payload, once
   // written, reads back beside them.
@@ -119,7 +131,8 @@ TEST(DiskVolumeTest, PhantomOnlyVolumeHoldsNoBlockStore) {
   ASSERT_EQ(out.size(), 3u);
   for (const BlockPayload& payload : out) EXPECT_EQ(payload, nullptr);
   BlockPayload real = MakePayload(std::vector<uint8_t>(kBlock.value(), 0xCC));
-  ASSERT_TRUE(disk->Write(kBlocks - 2, 1, t, &real).ok());
+  ASSERT_TRUE(disk->CheckRange(kBlocks - 2, 1).ok());
+  CommitOne(*disk, kBlocks - 2, 1, t, &real);
   out.clear();
   ASSERT_TRUE(disk->Read(kBlocks - 3, 3, t, &out).ok());
   ASSERT_EQ(out.size(), 3u);

@@ -316,7 +316,12 @@ TEST(DeviceFaults, DiskReadFailsHardAfterBoundedRetries) {
   EXPECT_EQ(injector.stats().hard_failures, 1u);
   EXPECT_EQ(injector.stats().retries, 1u);
   // Writes never consult the injector.
-  EXPECT_TRUE(disk.Write(0, 10, 0.0).ok());
+  ASSERT_TRUE(disk.CheckRange(0, 10).ok());
+  disk::WritePiece write{0, 0, 10, 0.0, nullptr, {}};
+  disk.CommitWrites(std::span<disk::WritePiece>(&write, 1), 0);
+  EXPECT_GT(write.interval.duration(), 0.0);
+  EXPECT_EQ(injector.stats().hard_failures, 1u);
+  EXPECT_EQ(injector.stats().retries, 1u);
 }
 
 /// `n` real 1 KiB blocks whose first byte is their index.

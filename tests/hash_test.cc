@@ -99,6 +99,24 @@ TEST(BucketLayoutTest, ShrinksWriteBufferBeforeGivingUp) {
   EXPECT_EQ(layout->write_buffer_blocks, 1u);
 }
 
+TEST(BucketLayoutTest, MinimumBucketCountNamesTheBindingBound) {
+  // 24 blocks partition 60 (M >= 16), but not into the 23 buckets a
+  // tape-tape join's disk can force: 23 write buffers plus a 3-block bucket.
+  ASSERT_TRUE(BucketLayout::Plan(/*r_blocks=*/60, /*memory_blocks=*/24).ok());
+  auto layout = BucketLayout::Plan(60, 24, /*preferred_write_buffer=*/0,
+                                   /*min_bucket_count=*/23);
+  EXPECT_EQ(layout.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(layout.status().message().find("minimum bucket count: 23 buckets need 23 "
+                                           "write-buffer blocks plus 3 for one bucket"),
+            std::string::npos)
+      << layout.status();
+  EXPECT_EQ(layout.status().message().find("sqrt"), std::string::npos) << layout.status();
+  // Below the square-root bound the message stays the memory bound.
+  auto starved = BucketLayout::Plan(60, 12, 0, 23);
+  EXPECT_NE(starved.status().message().find("2*sqrt(|R|)"), std::string::npos)
+      << starved.status();
+}
+
 class DiskPartitionerTest : public ::testing::Test {
  protected:
   DiskPartitionerTest()

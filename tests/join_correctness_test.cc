@@ -384,15 +384,21 @@ TEST(TapeTapeOnlyTest, DiskTapeMethodsRejectDiskSmallerThanR) {
 
 /// Pins an open TT-GH defect: when every S tuple shares one key, the one S
 /// bucket holds all of S and outgrows the disk assembly area Table 2 sizes
-/// for uniform hashing. Requirements() admits the input, and Execute fails
-/// with ResourceExhausted at every disk size tried. The failure is clean:
-/// no abort, and the session's drives, memory and disk are left as they
-/// were.
+/// for uniform hashing. Requirements() admits the input (one S bucket of
+/// ceil(|S|/B) blocks plus a partial block: |S| = 200 blocks over B = 11
+/// buckets at D = 24, over B = 5 at D = 64 and 96), and Execute fails with
+/// ResourceExhausted at every disk size tried. The failure is clean: no
+/// abort, and the session's drives, memory and disk are left as they were.
 TEST(TapeTapeOnlyTest, TtGhFailsCleanlyWhenOneSKeyOutgrowsTheAssemblyArea) {
   Workload w = DefaultWorkload();
   w.s.keys = rel::KeySequence::kUniformRandom;
   w.s.key_domain = 1;
-  for (std::uint64_t disk_blocks : {24u, 64u, 96u}) {
+  struct Point {
+    std::uint64_t disk_blocks;
+    std::uint64_t buckets;
+  };
+  for (Point point : {Point{24, 11}, Point{64, 5}, Point{96, 5}}) {
+    const std::uint64_t disk_blocks = point.disk_blocks;
     SCOPED_TRACE(disk_blocks);
     exec::Site site(SmallSite(disk_blocks * kBlock, 16 * kBlock));
     std::unique_ptr<exec::QuerySession> session = test::WholeSiteSession(site);
@@ -408,8 +414,8 @@ TEST(TapeTapeOnlyTest, TtGhFailsCleanlyWhenOneSKeyOutgrowsTheAssemblyArea) {
     auto needs = executor->Requirements(spec, ctx);
     ASSERT_TRUE(needs.ok()) << needs.status();
     EXPECT_EQ(needs->memory_blocks, 16u);
-    EXPECT_GE(needs->disk_blocks, 5u);
-    EXPECT_LE(needs->disk_blocks, 9u);
+    EXPECT_EQ(needs->disk_blocks, (200 + point.buckets - 1) / point.buckets + 1);
+    EXPECT_LE(needs->disk_blocks, disk_blocks);
     auto stats = executor->Execute(spec, ctx);
     EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
     EXPECT_NE(stats.status().message().find("tag=tape-assembly"), std::string::npos)

@@ -228,7 +228,7 @@ TEST(ClosedFormTest, SingleDeltaConvenienceAgrees) {
   const SimSeconds d = 2.00000000001e-3;
   SimSeconds acc = 0.4;
   for (int i = 0; i < 1000; ++i) acc += d;
-  EXPECT_EQ(acc, IteratedAdd(0.4, d, 1000));
+  EXPECT_EQ(acc, IteratedAddCycle(0.4, std::span<const SimSeconds>(&d, 1), 1000));
   // Non-finite and negative inputs take the literal-loop fallback and must
   // still agree with it.
   const SimSeconds neg[] = {-0.25, 1.0};

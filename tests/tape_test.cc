@@ -39,7 +39,7 @@ TEST(TapeVolumeTest, PhantomBlocksReadAsNull) {
   auto p = vol.ReadBlock(50);
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p.value(), nullptr);
-  EXPECT_DOUBLE_EQ(vol.Compressibility(50).value(), 0.25);
+  EXPECT_DOUBLE_EQ(vol.MeanCompressibility(50, 1).value(), 0.25);
 }
 
 TEST(TapeVolumeTest, CapacityEnforced) {
@@ -86,11 +86,11 @@ TEST(TapeVolumeTest, PhantomVolumeHoldsNoPerBlockState) {
   ASSERT_TRUE(vol.AppendPhantom(huge, 0.5).ok());
   EXPECT_EQ(vol.size_blocks(), 2 * huge);
   EXPECT_EQ(vol.ReadBlock(ToIndex(2 * huge - 1)).value(), nullptr);
-  EXPECT_DOUBLE_EQ(vol.Compressibility(ToIndex(huge)).value(), 0.5);
+  EXPECT_DOUBLE_EQ(vol.MeanCompressibility(ToIndex(huge), 1).value(), 0.5);
   EXPECT_NEAR(vol.MeanCompressibility(0, 2 * huge).value(), 0.375, 1e-9);
   ASSERT_TRUE(vol.Truncate(huge + 1).ok());
-  EXPECT_DOUBLE_EQ(vol.Compressibility(ToIndex(huge)).value(), 0.5);
-  EXPECT_FALSE(vol.Compressibility(ToIndex(huge + 1)).ok());
+  EXPECT_DOUBLE_EQ(vol.MeanCompressibility(ToIndex(huge), 1).value(), 0.5);
+  EXPECT_FALSE(vol.MeanCompressibility(ToIndex(huge + 1), 1).ok());
 }
 
 // MeanCompressibility sums run by run (closed form for long runs, a memo for
@@ -136,7 +136,7 @@ TEST(TapeVolumeTest, PayloadsSurviveMixedAppendsAndTruncation) {
   ASSERT_TRUE(vol.Append(MakeBlock(4), 0.3).ok());
   EXPECT_EQ((*vol.ReadBlock(0).value())[0], 1);
   EXPECT_EQ((*vol.ReadBlock(1).value())[0], 4);
-  EXPECT_DOUBLE_EQ(vol.Compressibility(1).value(), static_cast<double>(0.3f));
+  EXPECT_DOUBLE_EQ(vol.MeanCompressibility(1, 1).value(), static_cast<double>(0.3f));
   EXPECT_FALSE(vol.ReadBlock(2).ok());
 }
 

@@ -42,6 +42,10 @@ encapsulation
       lease-exclusivity ledger) cannot be bypassed.
     - simd: raw SIMD intrinsics and intrinsic headers are confined to
       src/join/simd.h; CMake defaults must not pin -march/-mcpu/-mtune.
+    - join-admission: under src/join, `BudgetLease::Acquire` is confined to
+      src/join/join_method.cc, the admission step. A join's one memory lease
+      is taken there, for exactly the planned memory that Requirements()
+      reports, so no executor can reserve memory admission did not check.
 
 units
     Dimensional-safety pack backing the strong types in src/util/units.h:
@@ -262,7 +266,7 @@ def check_hot_paths(repo: Repo, findings: list[Finding]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# encapsulation pack (mount, extent-cache, drive-lease, simd)
+# encapsulation pack (mount, extent-cache, drive-lease, simd, join-admission)
 # ---------------------------------------------------------------------------
 
 MOUNT_DIRS = ("src", "tools", "examples", "bench")
@@ -276,6 +280,10 @@ CACHE_RE = re.compile(r"(?:\.|->)\s*(?:Admit|ReadThrough)\s*\(")
 DRIVE_DIRS = ("src", "tools", "examples", "bench")
 DRIVE_ALLOWED = ("src/exec",)
 DRIVE_RE = re.compile(r"(?:\.|->)\s*(?:AcquireDrives|LeaseDrives)\s*\(")
+
+ADMISSION_DIRS = ("src/join",)
+ADMISSION_ALLOWED = ("src/join/join_method.cc",)
+ADMISSION_RE = re.compile(r"\bBudgetLease\s*::\s*Acquire\s*\(")
 
 SIMD_DIRS = ("src", "tools", "examples", "bench", "tests")
 SIMD_ALLOWED = ("src/join/simd.h",)
@@ -328,6 +336,17 @@ def check_encapsulation(repo: Repo, findings: list[Finding]) -> None:
                     "the session's RAII DriveLease and SimSan's lease-exclusivity "
                     "ledger; open an exec::QuerySession instead "
                     "(or tertio-lint: allow(drive-lease) for a deliberate exception)"))
+    for src in repo.sources(ADMISSION_DIRS):
+        if not _outside(repo, src, ADMISSION_ALLOWED):
+            continue
+        for idx, line in enumerate(src.stripped_lines):
+            if ADMISSION_RE.search(line) and "join-admission" not in src.waivers_for(idx + 1):
+                findings.append(Finding(
+                    src.path, idx + 1, "join-admission",
+                    "BudgetLease::Acquire in src/join outside join_method.cc reserves "
+                    "memory the admission step never checked against Requirements(); "
+                    "size the family's JoinPlan and use the run's lease "
+                    "(or tertio-lint: allow(join-admission) for a deliberate exception)"))
     for src in repo.sources(SIMD_DIRS):
         if not _outside(repo, src, SIMD_ALLOWED):
             continue

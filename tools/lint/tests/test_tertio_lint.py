@@ -208,6 +208,34 @@ class DriveLeaseTest(unittest.TestCase):
             self.assertEqual(code, 0, out)
 
 
+class JoinAdmissionTest(unittest.TestCase):
+    ACQUIRE = ("auto lease = mem::BudgetLease::Acquire(ctx.memory, blocks, "
+               "\"gh/memory\");\n")
+
+    def test_flags_an_executor_taking_its_own_lease(self):
+        with LintTree() as tree:
+            tree.write("src/join/gh_methods.cc", "// GH\n" + self.ACQUIRE)
+            code, out = tree.run("--rules=encapsulation")
+            self.assertEqual(code, 1)
+            self.assertIn("src/join/gh_methods.cc:2: [join-admission]", out)
+
+    def test_waiver_suppresses(self):
+        with LintTree() as tree:
+            tree.write("src/join/tt_methods.cc",
+                       "// tertio-lint: allow(join-admission)\n" + self.ACQUIRE)
+            code, out = tree.run("--rules=encapsulation")
+            self.assertEqual(code, 0, out)
+
+    def test_the_admission_step_and_other_directories_are_exempt(self):
+        with LintTree() as tree:
+            tree.write("src/join/join_method.cc", self.ACQUIRE)
+            tree.write("src/exec/query_session.cc", self.ACQUIRE)
+            tree.write("src/join/join_common.h",
+                       "// Only BudgetLease::Acquire(...) in join_method.cc.\n")
+            code, out = tree.run("--rules=encapsulation")
+            self.assertEqual(code, 0, out)
+
+
 class SpanRegistryTest(unittest.TestCase):
     REGISTRY = ('constexpr std::string_view kRegisteredSpans[] = {\n'
                 '    "hash-flush",\n    "tape-scan",\n};\n')
